@@ -18,12 +18,11 @@ from typing import Optional, Sequence
 from . import __version__
 from .regions import Region, RegionError, build_box, build_torus, build_voxel_region
 from .tilings import (
-    Tiling, base_tiling, deserialize_tiling, enumerate_tilings, refine_tiling,
-    tiling_to_dict,
+    Tiling, deserialize_tiling, enumerate_tilings, refine_tiling, tiling_to_dict,
 )
 from .moves import move_graph
 from .fluxtwist import flux, modulus, twist
-from .harness import WalkConfig, random_walk, verify
+from .harness import WalkConfig, random_walk, start_tiling, verify
 from . import regions as _regions
 
 
@@ -49,13 +48,16 @@ def _parse_region(tokens: Sequence[str], parser: argparse.ArgumentParser) -> Reg
             if len(tokens) != 2:
                 parser.error("invalid region spec at position %d: voxels takes a file"
                              % (len(tokens),))
-            with open(tokens[1], "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            try:
+                with open(tokens[1], "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except (OSError, ValueError) as exc:
+                parser.error("invalid region file %s: %s" % (tokens[1], exc))
             if isinstance(data, dict) and data.get("kind") == "voxels":
                 return _regions.region_from_dict(data)
-            cells = data["cells"] if isinstance(data, dict) else data
-            parity = data.get("parity", 0) if isinstance(data, dict) else 0
-            return build_voxel_region([tuple(c) for c in cells], parity)
+            if isinstance(data, dict):
+                return build_voxel_region(data.get("cells"), data.get("parity", 0))
+            return build_voxel_region(data)
     except RegionError as exc:
         parser.error("invalid region: %s" % exc)
     parser.error("invalid region spec at position 0: unknown kind %r" % (kind,))
@@ -73,11 +75,7 @@ def _region_tokens(region: Region) -> str:
 def _load_tiling(path: Optional[str], region: Region,
                  parser: argparse.ArgumentParser) -> Tiling:
     if path is None:
-        if region.kind == "voxels":
-            return next(iter(enumerate_tilings(region)))
-        extents = region.dims if region.kind == "box" else region.periods
-        axis = next(k for k in range(3) if extents[k] % 2 == 0)
-        return base_tiling(region, axis)
+        return start_tiling(region)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:

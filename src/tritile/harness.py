@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .regions import Region, build_box, build_torus
 from .tilings import (
@@ -22,8 +22,7 @@ from .tilings import (
     refine_tiling,
 )
 from .moves import (
-    MoveGraph, apply_flip, apply_trit, bfs_trit_labeling, find_flips,
-    find_trits, move_graph,
+    MoveGraph, TritMove, WalkState, bfs_trit_labeling, move_graph,
 )
 from .fluxtwist import (
     DiscreteSurface, closed_box_surface, cutting_surface, flux,
@@ -54,7 +53,9 @@ class WalkConfig:
     record: tuple = ("twist", "flux", "visited-hash")
 
 
-def _start_tiling(region: Region) -> Tiling:
+def start_tiling(region: Region) -> Tiling:
+    """Where walks and the CLI start: the base tiling along the first even
+    axis of a box or torus, the first enumerated tiling of a voxel region."""
     if region.kind in ("box", "torus"):
         extents = region.dims if region.kind == "box" else region.periods
         axis = next(k for k in range(3) if extents[k] % 2 == 0)
@@ -62,15 +63,17 @@ def _start_tiling(region: Region) -> Tiling:
     return next(iter(enumerate_tilings(region)))
 
 
-def _available_moves(t: Tiling, moves: str) -> list:
-    out: list = list(find_flips(t))
-    if moves != "flip":
-        out.extend(find_trits(t))
-    return out
-
-
-def _apply_move(t: Tiling, m) -> Tiling:
-    return t.replace(m.removed, m.inserted)
+def _walk(state: WalkState, steps: int, seed: int) -> Iterator:
+    """Apply up to `steps` moves to the state, each drawn uniformly from the
+    available ones, and yield each move once it is applied. Stops early at
+    a tiling with no moves."""
+    rng = random.Random(seed)
+    for _ in range(steps):
+        if not len(state):
+            return
+        m = state.move(rng.randrange(len(state)))
+        state.apply(m)
+        yield m
 
 
 def random_walk(cfg: WalkConfig) -> dict:
@@ -79,39 +82,44 @@ def random_walk(cfg: WalkConfig) -> dict:
     Returns the trajectory summary: distinct visited count, a histogram of
     the recorded invariant (twist for boxes, flux for tori), and a frozen
     flag when a state with no available moves is reached.
+
+    The walk runs on a moves.WalkState, which updates its move index around
+    each move instead of rescanning the tiling, so a step costs work in
+    proportion to the move's neighbourhood. The invariants are computed once
+    at the start: flips keep the twist and each trit moves it by its sign,
+    and flux is constant under both moves.
     """
-    rng = random.Random(cfg.seed)
-    t = _start_tiling(cfg.region)
-    visited = [t.hash64]
-    seen = {t.hash64}
+    t = start_tiling(cfg.region)
+    state = WalkState(t, cfg.moves)
+    visited = [state.hash64]
+    seen = {visited[0]}
     histogram: Counter = Counter()
     record_twist = cfg.region.is_box and "twist" in cfg.record
     record_flux = cfg.region.is_torus and "flux" in cfg.record
+    tw = twist(t, 2) if record_twist else 0
+    flux_key = str(tuple(flux(t).components)) if record_flux else None
 
-    def note(tt: Tiling) -> None:
+    def note() -> None:
         if record_twist:
-            histogram[str(twist(tt, 2))] += 1
+            histogram[str(tw)] += 1
         elif record_flux:
-            histogram[str(tuple(flux(tt).components))] += 1
+            histogram[flux_key] += 1
 
-    note(t)
-    frozen = False
+    note()
     steps_taken = 0
-    for _ in range(cfg.steps):
-        options = _available_moves(t, cfg.moves)
-        if not options:
-            frozen = True
-            break
-        t = _apply_move(t, options[rng.randrange(len(options))])
+    for m in _walk(state, cfg.steps, cfg.seed):
         steps_taken += 1
-        if t.hash64 not in seen:
-            seen.add(t.hash64)
-            visited.append(t.hash64)
-        note(t)
+        if isinstance(m, TritMove):
+            tw += m.sign
+        h = state.hash64
+        if h not in seen:
+            seen.add(h)
+            visited.append(h)
+        note()
     return {
         "steps_requested": cfg.steps,
         "steps_taken": steps_taken,
-        "frozen": frozen,
+        "frozen": steps_taken < cfg.steps,
         "distinct_visited": len(seen),
         "visited_hashes": ["%016x" % h for h in visited],
         "histogram": {k: histogram[k] for k in sorted(histogram)},
@@ -120,16 +128,8 @@ def random_walk(cfg: WalkConfig) -> dict:
 
 def walk_states(region: Region, moves: str, steps: int, seed: int) -> list[Tiling]:
     """The tiling after each of the first `steps` moves of a seeded walk."""
-    rng = random.Random(seed)
-    t = _start_tiling(region)
-    states = []
-    for _ in range(steps):
-        options = _available_moves(t, moves)
-        if not options:
-            break
-        t = _apply_move(t, options[rng.randrange(len(options))])
-        states.append(t)
-    return states
+    state = WalkState(start_tiling(region), moves)
+    return [state.tiling() for _m in _walk(state, steps, seed)]
 
 
 # -- verification suites -------------------------------------------------
@@ -271,7 +271,7 @@ def refine_suite(seed: int = 0) -> list[dict]:
     torus = build_torus(2, 2, 4)
     samples = walk_states(torus, "flip+trit", 40, seed)[::4][:10]
     if not samples:
-        samples = [_start_tiling(torus)]
+        samples = [start_tiling(torus)]
     for i, t in enumerate(samples):
         jobs.append(("refine/flux/t%02d" % i, _refine_flux_job(t)))
     return _run_parallel(jobs)

@@ -12,6 +12,7 @@ even, with parity = 0 for boxes and tori.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
 Cell = tuple[int, int, int]
@@ -179,10 +180,15 @@ class Region:
         }
 
 
+def _is_int(v) -> bool:
+    # bool is an int subclass, but True is not a size or a coordinate
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def build_box(L: int, M: int, N: int) -> Region:
     """The L x M x N box with cells (x, y, z), 0 <= x < L etc."""
     for v in (L, M, N):
-        if not isinstance(v, int) or v < 1:
+        if not _is_int(v) or v < 1:
             raise RegionError("dimension", "box dimensions must be positive integers")
     if L % 2 and M % 2 and N % 2:
         raise RegionError("balance", "unbalanced region: all box dimensions are odd")
@@ -195,7 +201,7 @@ def build_box(L: int, M: int, N: int) -> Region:
 def build_torus(a: int, b: int, c: int) -> Region:
     """The torus with rectangular periods (a, b, c), all even and >= 2."""
     for v in (a, b, c):
-        if not isinstance(v, int) or v < 2 or v % 2:
+        if not _is_int(v) or v < 2 or v % 2:
             raise RegionError("parity", "torus periods must be even integers >= 2")
     if max(a, b, c) > COORD_LIMIT:
         raise RegionError("dimension", "torus period exceeds coordinate range")
@@ -211,7 +217,10 @@ def build_voxel_region(cells: Iterable[Sequence[int]], parity: int = 0) -> Regio
     color balance. The first violated condition is reported via RegionError
     with a matching .condition attribute.
     """
-    cell_list = [tuple(int(v) for v in c) for c in cells]
+    try:
+        cell_list = [tuple(_coordinate(v) for v in c) for c in cells]
+    except TypeError:
+        raise RegionError("dimension", "cells must be integer 3-vectors") from None
     if not cell_list:
         raise RegionError("empty", "empty region")
     cell_set = set(cell_list)
@@ -246,6 +255,17 @@ def build_voxel_region(cells: Iterable[Sequence[int]], parity: int = 0) -> Regio
             "balance", "unbalanced region: %d black vs %d white cells" % (black, white)
         )
     return Region("voxels", cell_list, parity=parity)
+
+
+def _coordinate(v) -> int:
+    """An integer coordinate (numpy integers included); anything else, a
+    float or a string or a bool, is refused rather than truncated."""
+    if isinstance(v, bool):
+        raise RegionError("dimension", "cell coordinate %r is not an integer" % (v,))
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise RegionError("dimension", "cell coordinate %r is not an integer" % (v,)) from None
 
 
 def _edge_incidence(cell_set: set[Cell]) -> dict[tuple, list[Cell]]:
@@ -380,5 +400,5 @@ def region_from_dict(data: dict) -> Region:
     if kind == "torus":
         return build_torus(*data["periods"])
     if kind == "voxels":
-        return build_voxel_region(data["cells"], parity=data.get("parity", 0))
+        return build_voxel_region(data.get("cells"), parity=data.get("parity", 0))
     raise ValueError("unknown region kind: %r" % (kind,))

@@ -3,6 +3,7 @@
 The CLI is exercised through main() so argparse failures surface as
 SystemExit and reports can be parsed straight from captured stdout.
 """
+import hashlib
 import json
 
 import pytest
@@ -76,6 +77,20 @@ def test_enumerate_voxel_file(capsys, tmp_path):
     doc = run_json(capsys, "enumerate", "voxels", str(spec), "--count-only")
     assert doc["report"]["count"] == 9
     assert doc["report"]["region"]["kind"] == "voxels"
+
+
+@pytest.mark.parametrize("content", [
+    None, "{not json", '{"cells": 5}', '{"cells": "x"}',
+    '{"cells": [[0.7, 0, 0], [1.2, 0, 0]]}',
+])
+def test_enumerate_bad_voxel_file_is_a_usage_error(capsys, tmp_path, content):
+    spec = tmp_path / "region.json"
+    if content is not None:
+        spec.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "voxels", str(spec)])
+    assert exc.value.code == 2
+    assert "invalid region" in capsys.readouterr().err
 
 
 def test_components_flip_only(capsys):
@@ -156,6 +171,33 @@ def test_sample_walk_report(capsys):
     assert rep["frozen"] is False
     assert rep["histogram"] == {"0": 101}
     assert doc["seed"] == 7
+
+
+_L_SHAPE = ([[x, y, z] for x in range(4) for y in range(2) for z in range(2)]
+            + [[x, y, z] for x in range(2) for y in range(2, 6) for z in range(2)])
+
+
+# sha256 of the JSON report of each seeded walk. The torus 2 4 6 walk meets
+# cubes named by two anchors along its period-2 axis.
+@pytest.mark.parametrize("argv, digest", [
+    (["box", "4", "4", "4", "--steps", "300", "--seed", "1"],
+     "c94ed4a1d31ffd9ae6b738076b37b7fa0c338ffec2bdad25831c29e7c63fa98f"),
+    (["torus", "2", "4", "6", "--steps", "300", "--seed", "4"],
+     "6b616adaa21e5f172e1bc266a135e336382d950ff7be0d97ff504a65f404cce6"),
+    (["torus", "2", "2", "4", "--steps", "200"],
+     "47b97785494abd78a781d30da965dbe5c8145d908c5794086f201c75b3828db4"),
+    (["box", "5", "6", "4", "--moves", "flip", "--steps", "200", "--seed", "7"],
+     "9a59dcbc73a65a72da9e99d62abecdc4520e40963362c4599ceeb9b2202b5a73"),
+    (["voxels", "L_SHAPE", "--steps", "300", "--seed", "3"],
+     "4901b5adb8b917138c440cdd7b5c201a286df639c414fc7d6fb7e1fea939722c"),
+])
+def test_sample_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    spec = tmp_path / "l_shape.json"
+    spec.write_text(json.dumps({"cells": _L_SHAPE}))
+    argv = [str(spec) if a == "L_SHAPE" else a for a in argv]
+    code, out = run(capsys, "sample", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_reports_are_deterministic(capsys):

@@ -175,3 +175,36 @@ def test_region_json_round_trip():
 def test_region_json_voxels_sorted():
     v = build_voxel_region([(1, 0, 0), (0, 0, 0)])
     assert v.to_dict()["cells"] == [[0, 0, 0], [1, 0, 0]]
+
+
+def test_box_rejects_bool_dimension():
+    with pytest.raises(RegionError) as exc:
+        build_box(True, 2, 2)
+    assert exc.value.condition == "dimension"
+
+
+@pytest.mark.parametrize("bad", [0.7, 1.0, "x", True])
+def test_voxel_rejects_non_integer_coordinates(bad):
+    with pytest.raises(RegionError) as exc:
+        build_voxel_region([(bad, 0, 0), (2, 0, 0)])
+    assert exc.value.condition == "dimension"
+
+
+def test_voxel_fractional_coordinates_are_not_truncated():
+    with pytest.raises(RegionError) as exc:
+        build_voxel_region([(0.7, 0, 0), (1.2, 0, 0)])
+    assert exc.value.condition == "dimension"
+
+
+@pytest.mark.parametrize("bad", [5, None, [5, 6], [(0, 0), (1, 0)]])
+def test_voxel_rejects_malformed_cell_lists(bad):
+    with pytest.raises(RegionError) as exc:
+        build_voxel_region(bad)
+    assert exc.value.condition == "dimension"
+
+
+def test_voxel_accepts_numpy_integer_coordinates():
+    np = pytest.importorskip("numpy")
+    v = build_voxel_region([(np.int64(0), 0, 0), (np.int32(1), 0, 0)])
+    assert v.cells == ((0, 0, 0), (1, 0, 0))
+    assert all(type(c) is int for cell in v.cells for c in cell)
