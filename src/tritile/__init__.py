@@ -11,9 +11,9 @@ from .regions import (
     refine_region, region_from_dict, region_from_json,
 )
 from .tilings import (
-    Cycle, CycleSystem, Dimer, Tiling, base_tiling, count_tilings,
-    deserialize_tiling, diff_cycles, enumerate_tilings, refine_tiling,
-    serialize_tiling, tiling_from_dict, tiling_to_dict,
+    BudgetExceeded, Cycle, CycleSystem, Dimer, Tiling, base_tiling,
+    count_tilings, deserialize_tiling, diff_cycles, enumerate_tilings,
+    refine_tiling, serialize_tiling, tiling_from_dict, tiling_to_dict,
 )
 from .moves import (
     FlipMove, MoveEdge, MoveGraph, TritMove, WalkState, apply_flip,
@@ -37,9 +37,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Region", "RegionError", "build_box", "build_torus", "build_voxel_region",
     "refine_region", "region_from_dict", "region_from_json",
-    "Cycle", "CycleSystem", "Dimer", "Tiling", "base_tiling", "count_tilings",
-    "deserialize_tiling", "diff_cycles", "enumerate_tilings", "refine_tiling",
-    "serialize_tiling", "tiling_from_dict", "tiling_to_dict",
+    "BudgetExceeded", "Cycle", "CycleSystem", "Dimer", "Tiling", "base_tiling",
+    "count_tilings", "deserialize_tiling", "diff_cycles", "enumerate_tilings",
+    "refine_tiling", "serialize_tiling", "tiling_from_dict", "tiling_to_dict",
     "FlipMove", "MoveEdge", "MoveGraph", "TritMove", "WalkState", "apply_flip",
     "apply_trit", "bfs_trit_labeling", "find_flips", "find_trits", "move_graph",
     "DiscreteSurface", "FluxVector", "Square", "closed_box_surface",

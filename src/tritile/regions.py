@@ -393,12 +393,22 @@ def region_from_json(text: str) -> Region:
     return region_from_dict(json.loads(text))
 
 
+def _sizes(data: dict, key: str) -> list:
+    sizes = data.get(key)
+    if not isinstance(sizes, list) or len(sizes) != 3:
+        raise RegionError("dimension", "%s region needs %r: a list of 3 integers"
+                          % (data["kind"], key))
+    return sizes
+
+
 def region_from_dict(data: dict) -> Region:
+    if not isinstance(data, dict):
+        raise RegionError("dimension", "region must be a JSON object")
     kind = data.get("kind")
     if kind == "box":
-        return build_box(*data["dims"])
+        return build_box(*_sizes(data, "dims"))
     if kind == "torus":
-        return build_torus(*data["periods"])
+        return build_torus(*_sizes(data, "periods"))
     if kind == "voxels":
         return build_voxel_region(data.get("cells"), parity=data.get("parity", 0))
     raise ValueError("unknown region kind: %r" % (kind,))

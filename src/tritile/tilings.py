@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .regions import AXIS_NAMES, Cell, Region, refine_region, region_from_dict
+from .regions import (
+    AXIS_NAMES, Cell, Region, _coordinate, refine_region, region_from_dict,
+)
 
 _refine_region_cached = lru_cache(maxsize=32)(refine_region)
 
@@ -110,8 +112,8 @@ class Tiling:
         mate = [-1] * region.n_cells
         pairs = []
         for a, b in cell_pairs:
-            ca = region.reduce(tuple(int(v) for v in a))
-            cb = region.reduce(tuple(int(v) for v in b))
+            ca = region.reduce(tuple(map(_coordinate, a)))
+            cb = region.reduce(tuple(map(_coordinate, b)))
             for c in (ca, cb):
                 if c not in region.index:
                     raise ValueError("cell %r is not in the region" % (c,))
@@ -332,8 +334,65 @@ def enumerate_tilings(region: Region,
             mate[i] = mate[j] = -1
 
 
+#: Most partial-tiling states count_tilings keeps alive at once.
+FRONTIER_BUDGET = 1 << 20
+
+
+class BudgetExceeded(ValueError):
+    """An exponential computation stopped at its fixed work budget."""
+
+
+def _sweep_order(region: Region) -> list[int]:
+    """Cell indices sorted with the widest bounding-box axis outermost."""
+    cells = region.cells
+    extent = [max(c[k] for c in cells) - min(c[k] for c in cells) for k in range(3)]
+    outer = max(range(3), key=lambda k: (extent[k], -k))
+    u, v = [k for k in range(3) if k != outer]
+    return sorted(range(len(cells)),
+                  key=lambda i: (cells[i][outer], cells[i][u], cells[i][v]))
+
+
 def count_tilings(region: Region) -> int:
-    return sum(1 for _ in enumerate_tilings(region))
+    """The number of tilings, by a frontier (broken-profile) DP.
+
+    Cells are swept with the axis of largest bounding-box extent outermost
+    (ties go to the lower axis), then the other two axes in order. The state
+    is the set of cells ahead of the sweep that are already covered, as a
+    bitmask relative to the current cell, mapped to its number of partial
+    tilings. An uncovered current cell pairs with each uncovered later
+    neighbour in region.neighbor_table: the lowest-uncovered-cell search of
+    enumerate_tilings, memoised, so boxes, tori and voxel regions all work.
+    Agrees with enumerate_tilings everywhere, including 0 for a region with
+    no cells. Raises BudgetExceeded once more than FRONTIER_BUDGET states
+    are alive.
+    """
+    n = region.n_cells
+    if n == 0 or n % 2:
+        return 0
+    order = _sweep_order(region)
+    pos = [0] * n
+    for p, i in enumerate(order):
+        pos[i] = p
+    states = {0: 1}
+    for p, i in enumerate(order):
+        bits = [1 << (pos[j] - p) for j, _ in region.neighbor_table[i] if pos[j] > p]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for mask, count in states.items():
+            if mask & 1:
+                m = mask >> 1
+                nxt[m] = get(m, 0) + count
+            else:
+                for b in bits:
+                    if not mask & b:
+                        m = (mask | b) >> 1
+                        nxt[m] = get(m, 0) + count
+            if len(nxt) > FRONTIER_BUDGET:
+                raise BudgetExceeded(
+                    "counting the tilings of %r needs more than %d frontier states"
+                    % (region, FRONTIER_BUDGET))
+        states = nxt
+    return states.get(0, 0)
 
 
 @dataclass(frozen=True)
@@ -501,6 +560,8 @@ def deserialize_tiling(text: str, region: Optional[Region] = None) -> Tiling:
 
 
 def tiling_from_dict(data: dict, region: Optional[Region] = None) -> Tiling:
+    if not isinstance(data, dict) or not isinstance(data.get("dimers"), list):
+        raise ValueError("a tiling must be a JSON object with a \"dimers\" list")
     embedded = region_from_dict(data["region"]) if "region" in data else None
     if region is None:
         region = embedded
@@ -508,4 +569,11 @@ def tiling_from_dict(data: dict, region: Optional[Region] = None) -> Tiling:
             raise ValueError("no region given and none embedded in the tiling")
     elif embedded is not None and embedded != region:
         raise ValueError("embedded region disagrees with the given region")
-    return Tiling.from_cell_pairs(region, [tuple(p) for p in data["dimers"]])
+    if not all(_is_cell_pair(p) for p in data["dimers"]):
+        raise ValueError("each dimer must be a pair of 3-coordinate cells")
+    return Tiling.from_cell_pairs(region, data["dimers"])
+
+
+def _is_cell_pair(p) -> bool:
+    return (isinstance(p, (list, tuple)) and len(p) == 2
+            and all(isinstance(c, (list, tuple)) and len(c) == 3 for c in p))

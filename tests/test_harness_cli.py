@@ -145,6 +145,44 @@ def test_invariants_rejects_bad_tiling_file(capsys, tmp_path):
     assert "invalid tiling file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("region, content", [
+    ("box", None),
+    ("box", '{"region": {"kind": "box"}, "dimers": []}'),
+    ("box", '{"region": {"kind": "torus", "periods": 4}, "dimers": []}'),
+    ("box", '{"region": {"kind": "box", "dims": [2, 2, 1]}}'),
+    ("box", '[]'),
+    ("box", '{"dimers": [5]}'),
+    ("box", '{"dimers": [[5, 6]]}'),
+    ("torus", '{"dimers": [[[0, 0], [1, 0]]]}'),
+    ("box", '{"dimers": [[[0.6, 0, 0], [1.4, 0, 0]], [[0, 1, 0], [1, 1, 0]]]}'),
+])
+def test_invariants_bad_tiling_file_is_a_usage_error(capsys, tmp_path, region, content):
+    path = tmp_path / "tiling.json"
+    if content is not None:
+        path.write_text(content)
+    sizes = ["2", "2", "1"] if region == "box" else ["2", "2", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", region] + sizes + ["--tiling", str(path)])
+    assert exc.value.code == 2
+    assert "invalid tiling file" in capsys.readouterr().err
+
+
+def test_enumerate_count_only_stops_at_the_state_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "box", "6", "6", "6", "--count-only"])
+    assert exc.value.code == 2
+    assert "more than 1048576 frontier states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "components"])
+def test_listing_commands_stop_at_the_tiling_budget(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "box", "2", "4", "5"])
+    assert exc.value.code == 2
+    assert ("has 535229 tilings, more than the listing budget of 100000"
+            in capsys.readouterr().err)
+
+
 def test_refine_round_trip(capsys):
     doc = run_json(capsys, "refine", "box", "3", "3", "2", "-k", "1")
     rep = doc["report"]

@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tritile import (
-    Tiling, apply_flip, base_tiling, build_box, build_torus,
-    build_voxel_region, count_tilings, deserialize_tiling, diff_cycles,
-    enumerate_tilings, find_flips, refine_region, refine_tiling,
+    BudgetExceeded, Region, Tiling, apply_flip, base_tiling, build_box,
+    build_torus, build_voxel_region, count_tilings, deserialize_tiling,
+    diff_cycles, enumerate_tilings, find_flips, refine_region, refine_tiling,
     serialize_tiling,
 )
 from support import count_matchings, pinwheel_N1, pinwheel_N2
@@ -25,6 +26,50 @@ def test_enumeration_count_on_voxel_region():
     cells = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (2, 0, 0), (3, 0, 0)]
     r = build_voxel_region(cells)
     assert count_tilings(r) == count_matchings(cells) == 2
+
+
+def _enumerated_count(region) -> int:
+    return sum(1 for _ in enumerate_tilings(region))
+
+
+def test_frontier_count_equals_enumeration_on_boxes_and_tori():
+    # period-2 axes list each adjacent pair once in the neighbour table
+    for region in (build_box(1, 1, 2), build_box(2, 3, 1), build_box(2, 2, 3),
+                   build_box(3, 2, 2), build_box(4, 3, 2), build_box(2, 3, 4),
+                   build_torus(2, 2, 2), build_torus(2, 2, 4),
+                   build_torus(2, 4, 2)):
+        assert count_tilings(region) == _enumerated_count(region), region
+
+
+_BOX432 = [(x, y, z) for x in range(4) for y in range(3) for z in range(2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=len(_BOX432) - 1), max_size=6),
+       st.sampled_from((0, 1)))
+def test_frontier_count_equals_enumeration_on_voxel_subsets(removed, parity):
+    # the box minus a few cells: odd, unbalanced and disconnected sets too,
+    # so the region is built directly rather than through build_voxel_region
+    cells = [c for k, c in enumerate(_BOX432) if k not in removed]
+    region = Region("voxels", cells, parity=parity)
+    assert count_tilings(region) == _enumerated_count(region)
+
+
+def test_frontier_count_of_degenerate_regions_is_zero():
+    for cells in ([], [(0, 0, 0)], [(0, 0, 0), (1, 1, 0)],
+                  [(0, 0, 0), (1, 0, 0), (2, 0, 0)]):
+        region = Region("voxels", cells, parity=0)
+        assert count_tilings(region) == _enumerated_count(region) == 0, cells
+
+
+def test_frontier_count_known_values():
+    assert count_tilings(build_box(3, 4, 4)) == 10885344
+    assert count_tilings(build_box(4, 4, 4)) == 5051532105
+
+
+def test_frontier_count_stops_at_its_state_budget():
+    with pytest.raises(BudgetExceeded, match=r"box 6x6x6.* 1048576 frontier states"):
+        count_tilings(build_box(6, 6, 6))
 
 
 def test_enumeration_order_independent():
@@ -82,6 +127,16 @@ def test_from_cell_pairs_validation():
     with pytest.raises(ValueError, match="same-color"):
         Tiling.from_cell_pairs(r, [((0, 0, 0), (1, 1, 0)),
                                    ((1, 0, 0), (0, 1, 0))])
+
+
+def test_from_cell_pairs_refuses_non_integer_coordinates():
+    r = build_box(2, 2, 1)
+    upper = ((0, 1, 0), (1, 1, 0))
+    for bad in ((0.6, 0, 0), ("0", 0, 0), (False, 0, 0)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Tiling.from_cell_pairs(r, [(bad, (1, 0, 0)), upper])
+    lower = (tuple(np.int64(v) for v in (0, 0, 0)), (1, 0, 0))
+    assert Tiling.from_cell_pairs(r, [lower, upper]) == base_tiling(r, 0)
 
 
 def test_dimer_direction_is_unit_step():
