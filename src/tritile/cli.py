@@ -18,19 +18,13 @@ from typing import Optional, Sequence
 from . import __version__
 from .regions import Region, RegionError, build_box, build_torus, build_voxel_region
 from .tilings import (
-    BudgetExceeded, Tiling, count_tilings, deserialize_tiling, enumerate_tilings,
+    BudgetExceeded, Tiling, count_tilings, deserialize_tiling, list_tilings,
     refine_tiling, tiling_to_dict,
 )
 from .moves import move_graph
 from .fluxtwist import flux, modulus, twist
 from .harness import WalkConfig, random_walk, start_tiling, verify
 from . import regions as _regions
-
-#: Most tilings that enumerate (full listing) and components will list. A
-#: listed tiling of 16 dimers costs about 27 KB in an enumerate report and
-#: about 6 KB and 0.8 ms in components (box 2 4 4, 32,000 tilings: 890 MB and
-#: 204 MB peak, 14 s and 25 s), so 10^5 tilings stays within a few GB.
-LISTING_BUDGET = 100_000
 
 
 def _parse_region(tokens: Sequence[str], parser: argparse.ArgumentParser) -> Region:
@@ -100,11 +94,11 @@ def _count(region: Region, parser: argparse.ArgumentParser) -> int:
 
 
 def _list_tilings(region: Region, parser: argparse.ArgumentParser) -> list[Tiling]:
-    count = _count(region, parser)
-    if count > LISTING_BUDGET:
-        parser.error("%r has %d tilings, more than the listing budget of %d"
-                     % (region, count, LISTING_BUDGET))
-    return list(enumerate_tilings(region))
+    try:
+        return list_tilings(region)
+    except BudgetExceeded as exc:
+        parser.error(str(exc))
+    raise AssertionError("unreachable")
 
 
 def _report(command: str, seed: int, payload: dict) -> dict:

@@ -9,12 +9,10 @@ every tiling, so walk uniformity is irrelevant.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .regions import Region, build_box, build_torus
 from .tilings import (
@@ -25,21 +23,10 @@ from .moves import (
     MoveGraph, TritMove, WalkState, bfs_trit_labeling, move_graph,
 )
 from .fluxtwist import (
-    DiscreteSurface, closed_box_surface, cutting_surface, flux,
+    closed_box_surface, cutting_surface, flux,
     flux_through_surface, modulus, twist,
 )
 from . import heights
-
-
-def thread_count() -> int:
-    raw = os.environ.get("TRITILE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(4, os.cpu_count() or 1)
-    return n
 
 
 @dataclass(frozen=True)
@@ -141,22 +128,6 @@ def _check(check_id: str, passed: bool, detail: str = "") -> dict:
     return out
 
 
-def _run_parallel(jobs: Sequence[tuple[str, Callable[[], tuple[bool, str]]]]) -> list[dict]:
-    workers = thread_count()
-    results = []
-    if workers == 1:
-        for check_id, fn in jobs:
-            passed, detail = fn()
-            results.append(_check(check_id, passed, detail))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(check_id, pool.submit(fn)) for check_id, fn in jobs]
-            for check_id, fut in futures:
-                passed, detail = fut.result()
-                results.append(_check(check_id, passed, detail))
-    return sorted(results, key=lambda c: c["id"])
-
-
 _EULER_BOXES = (((1, 1, 1), (1, 1, 1)),
                 ((0, 0, 0), (2, 2, 2)),
                 ((0, 0, 0), (3, 3, 3)))
@@ -185,26 +156,17 @@ def euler_suite(seed: int = 0) -> list[dict]:
     region = build_box(4, 4, 4)
     tilings = walk_states(region, "flip+trit", 100, seed)
     surfaces = [closed_box_surface(region, c, d) for c, d in _EULER_BOXES]
-    jobs = []
+    checks = []
     for j, (corner, dims) in enumerate(_EULER_BOXES):
         lhs, rhs = _counting_identity(region, corner, dims)
-        jobs.append(("euler/identity/s%d" % j,
-                     _const(lhs == rhs, "2b_int+b_s=%d, 2w_int+w_s=%d" % (lhs, rhs))))
+        checks.append(_check("euler/identity/s%d" % j, lhs == rhs,
+                             "2b_int+b_s=%d, 2w_int+w_s=%d" % (lhs, rhs)))
     for i, t in enumerate(tilings):
         for j, s in enumerate(surfaces):
-            jobs.append(("euler/phi/t%03d/s%d" % (i, j), _phi_zero_job(t, s)))
-    return _run_parallel(jobs)
-
-
-def _const(passed: bool, detail: str) -> Callable[[], tuple[bool, str]]:
-    return lambda: (passed, detail)
-
-
-def _phi_zero_job(t: Tiling, s: DiscreteSurface) -> Callable[[], tuple[bool, str]]:
-    def run() -> tuple[bool, str]:
-        phi = flux_through_surface(t, s)
-        return phi == 0, "" if phi == 0 else "phi=%d" % phi
-    return run
+            phi = flux_through_surface(t, s)
+            checks.append(_check("euler/phi/t%03d/s%d" % (i, j), phi == 0,
+                                 "" if phi == 0 else "phi=%d" % phi))
+    return sorted(checks, key=lambda c: c["id"])
 
 
 @dataclass(frozen=True)
@@ -265,33 +227,24 @@ def twist_suite(seed: int = 0) -> list[dict]:
 def refine_suite(seed: int = 0) -> list[dict]:
     """Twist and flux preserved under one refinement step."""
     data = _box332()
-    jobs = []
+    checks = []
     for i, t in enumerate(data.tilings):
-        jobs.append(("refine/twist/t%03d" % i, _refine_twist_job(t, data.twists[t.hash64])))
+        expected = data.twists[t.hash64]
+        tw = twist(refine_tiling(t, 1), 2)
+        checks.append(_check("refine/twist/t%03d" % i, tw == expected,
+                             "" if tw == expected else
+                             "refined twist %d, original %d" % (tw, expected)))
     torus = build_torus(2, 2, 4)
     samples = walk_states(torus, "flip+trit", 40, seed)[::4][:10]
     if not samples:
         samples = [start_tiling(torus)]
     for i, t in enumerate(samples):
-        jobs.append(("refine/flux/t%02d" % i, _refine_flux_job(t)))
-    return _run_parallel(jobs)
-
-
-def _refine_twist_job(t: Tiling, expected: int) -> Callable[[], tuple[bool, str]]:
-    def run() -> tuple[bool, str]:
-        tw = twist(refine_tiling(t, 1), 2)
-        return tw == expected, "" if tw == expected else \
-            "refined twist %d, original %d" % (tw, expected)
-    return run
-
-
-def _refine_flux_job(t: Tiling) -> Callable[[], tuple[bool, str]]:
-    def run() -> tuple[bool, str]:
         before = tuple(flux(t).components)
         after = tuple(flux(refine_tiling(t, 1)).components)
-        ok = after == before
-        return ok, "" if ok else "flux %r refines to %r" % (before, after)
-    return run
+        checks.append(_check("refine/flux/t%02d" % i, after == before,
+                             "" if after == before else
+                             "flux %r refines to %r" % (before, after)))
+    return sorted(checks, key=lambda c: c["id"])
 
 
 def heightfn_suite(seed: int = 0) -> list[dict]:

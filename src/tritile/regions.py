@@ -47,12 +47,14 @@ class Region:
     """An immutable cubiculated region with its dual graph.
 
     Do not call the constructor directly; use build_box, build_torus or
-    build_voxel_region.
+    build_voxel_region. The dual graph (neighbor_table) is built on first
+    access, so a region that is only indexed, such as the target of a
+    refinement, never pays for it.
     """
 
     __slots__ = (
         "kind", "cells", "index", "colors", "dims", "periods", "parity",
-        "neighbor_table", "degenerate_adjacency", "_hash",
+        "_neighbor_table", "degenerate_adjacency", "_hash",
     )
 
     def __init__(self, kind: str, cells: Sequence[Cell], parity: int,
@@ -68,10 +70,17 @@ class Region:
             for (x, y, z) in self.cells
         )
         self.degenerate_adjacency = bool(periods) and min(periods) == 2
-        self.neighbor_table = self._build_neighbors()
+        self._neighbor_table: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
         self._hash = hash((kind, self.cells, parity, periods))
 
     # -- construction helpers -------------------------------------------
+
+    @property
+    def neighbor_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per cell index, its adjacent cells as (index, direction) pairs."""
+        if self._neighbor_table is None:
+            self._neighbor_table = self._build_neighbors()
+        return self._neighbor_table
 
     def _build_neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         # One entry per unordered adjacent pair per axis: on a period-2 torus

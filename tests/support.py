@@ -5,7 +5,7 @@ through the library's own adjacency tables or twist formula, so that the
 tests compare two genuinely different code paths.
 """
 
-from tritile import Tiling, build_box
+from tritile import Tiling, build_box, refine_region
 
 
 def _wrap_delta(a: int, b: int, p) -> int:
@@ -125,6 +125,40 @@ def slow_twist(t: Tiling, axis: int) -> int:
                 quarters += _det3(vb, va, e)
     assert quarters % 4 == 0
     return quarters // 4
+
+
+def slow_refine(t: Tiling, k: int) -> Tiling:
+    """Literal refinement: every cross-section column of every refined dimer
+    listed as a (cell, cell) pair, counted from the white end, then read back
+    through Tiling.from_cell_pairs, which checks colours, adjacency and the
+    cover pair by pair."""
+    scale = 5 ** k
+    region2 = refine_region(t.region, k)
+    periods = t.region.periods
+    pairs = []
+    for d in t.dimers:
+        axis = d.axis
+        sign = d.sign
+        if periods is not None and periods[axis] == 2:
+            # non-wrapping lift on degenerate axes, matching Tiling.steps
+            sign = d.black[axis] - d.white[axis]
+        base = [c * scale for c in d.white]
+        u, v = [ax for ax in range(3) if ax != axis]
+        for du in range(scale):
+            for dv in range(scale):
+                for m in range(scale):
+                    cell_a = list(base)
+                    cell_a[u] += du
+                    cell_a[v] += dv
+                    cell_b = list(cell_a)
+                    if sign > 0:
+                        cell_a[axis] = base[axis] + 2 * m
+                        cell_b[axis] = base[axis] + 2 * m + 1
+                    else:
+                        cell_a[axis] = base[axis] + scale - 1 - 2 * m
+                        cell_b[axis] = base[axis] + scale - 2 - 2 * m
+                    pairs.append((tuple(cell_a), tuple(cell_b)))
+    return Tiling.from_cell_pairs(region2, pairs)
 
 
 _TRIO_A = (((0, 0, 1), (1, 0, 1)), ((0, 1, 0), (0, 0, 0)), ((1, 1, 1), (1, 1, 0)))

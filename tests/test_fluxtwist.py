@@ -4,12 +4,14 @@ from collections import defaultdict
 import pytest
 
 from tritile import (
-    DiscreteSurface, FluxVector, Square, apply_flip, apply_trit, base_tiling,
-    build_box, build_torus, build_voxel_region, closed_box_surface,
+    BudgetExceeded, DiscreteSurface, FluxVector, Square, apply_flip, apply_trit,
+    base_tiling, build_box, build_torus, build_voxel_region, closed_box_surface,
     cutting_surface, diff_cycles, enumerate_tilings, find_flips, find_trits,
     flux, flux_through_surface, mixed_torus_tiling, modulus, move_graph,
-    relative_twist, surface_from_json, surface_predicates, twist, vertex_flow,
+    refine_tiling, relative_twist, surface_from_json, surface_predicates, twist,
+    vertex_flow,
 )
+from tritile.harness import walk_states
 from support import pinwheel_N1, slow_twist, tiling_tA, tiling_tB
 
 
@@ -31,6 +33,22 @@ def test_twist_matches_literal_shadow_sum():
     for t in enumerate_tilings(build_box(3, 3, 2)):
         for axis in range(3):
             assert twist(t, axis) == slow_twist(t, axis)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4), (6, 4, 4), (5, 6, 4)])
+def test_twist_matches_literal_shadow_sum_on_walk_states(dims):
+    states = walk_states(build_box(*dims), "flip+trit", 150, sum(dims))[::3]
+    assert states
+    for t in states:
+        for axis in range(3):
+            assert twist(t, axis) == slow_twist(t, axis)
+
+
+def test_twist_survives_second_refinement():
+    for t, expected in ((tiling_tA(), -1), (tiling_tB(), 0)):
+        fine = refine_tiling(t, 2)
+        assert len(fine.pairs) == 125 ** 2 * len(t.pairs)
+        assert twist(fine, 2) == twist(t, 2) == expected
 
 
 def test_twist_axis_independent():
@@ -90,6 +108,13 @@ def test_relative_twist_torus_trit_pair_mod_m():
     if trits:
         u = apply_trit(winding, trits[0])
         assert relative_twist(u, winding) in (0, 1)
+
+
+def test_relative_twist_torus_stops_at_the_listing_budget():
+    # torus 2x4x4 has 589,185 tilings, counted in milliseconds
+    t = base_tiling(build_torus(2, 4, 4), 0)
+    with pytest.raises(BudgetExceeded, match="589185 tilings, more than the listing budget"):
+        relative_twist(t, t)
 
 
 def test_relative_twist_rejects_unequal_flux():

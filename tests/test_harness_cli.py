@@ -5,6 +5,9 @@ SystemExit and reports can be parsed straight from captured stdout.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,8 +15,9 @@ from tritile import (
     WalkConfig, mixed_torus_tiling, build_box, build_torus, random_walk,
     serialize_tiling, tiling_from_dict, twist, verify,
 )
+import tritile
 from tritile.cli import main
-from tritile.harness import thread_count, SUITES
+from tritile.harness import SUITES
 
 
 def run(capsys, *argv):
@@ -348,12 +352,10 @@ def test_random_walk_flip_only_box():
     assert len(out["visited_hashes"]) == out["distinct_visited"]
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("TRITILE_THREADS", "1")
-    assert thread_count() == 1
-    monkeypatch.setenv("TRITILE_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("TRITILE_THREADS", "junk")
-    assert thread_count() >= 1
-    monkeypatch.delenv("TRITILE_THREADS")
-    assert thread_count() >= 1
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(tritile.__file__))
+    code = ("import sys, tritile, tritile.cli; "
+            "print(any(m.startswith('numpy') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False"

@@ -135,6 +135,15 @@ def test_interior_edges_have_four_cells():
     assert interior and all(counts[k] == 4 for k in interior)
 
 
+def test_neighbor_table_is_built_on_first_access():
+    r = refine_region(build_box(2, 2, 1), 1)
+    assert r._neighbor_table is None
+    table = r.neighbor_table
+    assert len(table) == r.n_cells and r.neighbor_table is table
+    assert r.neighbors(0) == ((r.index[(1, 0, 0)], 0), (r.index[(0, 1, 0)], 2),
+                              (r.index[(0, 0, 1)], 4))
+
+
 def test_refine_box_dims():
     r = refine_region(build_box(2, 2, 1), 1)
     assert r.kind == "box"

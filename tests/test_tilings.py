@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +9,8 @@ from tritile import (
     diff_cycles, enumerate_tilings, find_flips, refine_region, refine_tiling,
     serialize_tiling,
 )
-from support import count_matchings, pinwheel_N1, pinwheel_N2
+from tritile.harness import walk_states
+from support import count_matchings, pinwheel_N1, pinwheel_N2, slow_refine
 
 
 def test_enumeration_counts_match_permanent_oracle():
@@ -130,6 +130,7 @@ def test_from_cell_pairs_validation():
 
 
 def test_from_cell_pairs_refuses_non_integer_coordinates():
+    np = pytest.importorskip("numpy")
     r = build_box(2, 2, 1)
     upper = ((0, 1, 0), (1, 1, 0))
     for bad in ((0.6, 0, 0), ("0", 0, 0), (False, 0, 0)):
@@ -224,6 +225,42 @@ def test_refine_parallel_and_covering():
     assert covered == sorted(fine.region.cells)
     axes = {d.axis for d in t.dimers}
     assert {d.axis for d in fine.dimers} == axes
+
+
+def _assert_refines_like_oracle(t: Tiling) -> None:
+    fine = refine_tiling(t, 1)
+    fine.validate()
+    slow = slow_refine(t, 1)
+    assert fine == slow and fine.mate == slow.mate
+
+
+def test_refine_matches_cell_pair_oracle_on_box332():
+    for t in enumerate_tilings(build_box(3, 3, 2)):
+        _assert_refines_like_oracle(t)
+
+
+@pytest.mark.parametrize("periods", [(2, 2, 4), (2, 4, 6), (4, 4, 4)])
+def test_refine_matches_cell_pair_oracle_on_torus_walks(periods):
+    # period-2 axes take the non-wrapping lift; period 4 and 6 wrap
+    for t in walk_states(build_torus(*periods), "flip+trit", 24, sum(periods))[::4]:
+        _assert_refines_like_oracle(t)
+
+
+def test_refine_matches_cell_pair_oracle_on_voxels():
+    cells = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)
+             if (x, y) != (2, 2)] + [(3, 0, 0), (3, 0, 1)]
+    region = build_voxel_region(cells, parity=1)
+    for t in walk_states(region, "flip+trit", 12, 5)[::3]:
+        _assert_refines_like_oracle(t)
+
+
+def test_refine_rejects_a_broken_cover():
+    r = build_box(2, 2, 1)
+    w, b = r.index[(1, 0, 0)], r.index[(0, 0, 0)]
+    with pytest.raises(ValueError, match="refined cell covered twice"):
+        refine_tiling(Tiling(r, [(w, b), (w, b)]), 1)
+    with pytest.raises(ValueError, match="refined cell uncovered"):
+        refine_tiling(Tiling(r, [(w, b)]), 1)
 
 
 def test_serialize_round_trip_base():
