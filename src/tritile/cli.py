@@ -76,7 +76,10 @@ def _region_tokens(region: Region) -> str:
 def _load_tiling(path: Optional[str], region: Region,
                  parser: argparse.ArgumentParser) -> Tiling:
     if path is None:
-        return start_tiling(region)
+        try:
+            return start_tiling(region)
+        except RegionError as exc:
+            parser.error("invalid region: %s" % exc)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return deserialize_tiling(fh.read(), region)
@@ -260,7 +263,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.k < 0:
             parser.error("refinement count must be nonnegative")
         t = _load_tiling(args.tiling, region, parser)
-        refined = refine_tiling(t, args.k)
+        try:
+            refined = refine_tiling(t, args.k)
+        except BudgetExceeded as exc:
+            parser.error(str(exc))
         payload = {
             "region": region.to_dict(),
             "k": args.k,
@@ -280,7 +286,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         moveset = "flip" if args.moves == "flip" else "flip+trit"
         cfg = WalkConfig(region=region, moves=moveset, steps=args.steps,
                          seed=args.seed)
-        payload = random_walk(cfg)
+        try:
+            payload = random_walk(cfg)
+        except RegionError as exc:
+            parser.error("invalid region: %s" % exc)
         payload["region"] = region.to_dict()
         payload["moves"] = moveset
         report = _report(

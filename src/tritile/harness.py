@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .regions import Region, build_box, build_torus
+from .regions import Region, RegionError, build_box, build_torus
 from .tilings import (
     Tiling, base_tiling, count_tilings, diff_cycles, enumerate_tilings,
     refine_tiling,
@@ -42,12 +42,16 @@ class WalkConfig:
 
 def start_tiling(region: Region) -> Tiling:
     """Where walks and the CLI start: the base tiling along the first even
-    axis of a box or torus, the first enumerated tiling of a voxel region."""
+    axis of a box or torus, the first enumerated tiling of a voxel region.
+    Raises RegionError (a ValueError) for a region with no tilings."""
     if region.kind in ("box", "torus"):
         extents = region.dims if region.kind == "box" else region.periods
         axis = next(k for k in range(3) if extents[k] % 2 == 0)
         return base_tiling(region, axis)
-    return next(iter(enumerate_tilings(region)))
+    t = next(iter(enumerate_tilings(region)), None)
+    if t is None:
+        raise RegionError("tileable", "%r has no tilings" % (region,))
+    return t
 
 
 def _walk(state: WalkState, steps: int, seed: int) -> Iterator:

@@ -8,10 +8,10 @@ winding of a tiling difference is the unique integer field on V that
 vanishes at INF and whose boundary coboundary reproduces the difference.
 
 Height functions are averages of windings over a flux class, kept as exact
-fractions. The flip-connection algorithm follows the constructive proof:
-repeatedly flip the class-maximal face of the current tiling, routing
-through the pointwise meet of the two height functions, which makes the
-sequence length equal to the total winding mass.
+fractions. Flip connection needs only the pair's own winding w = h1 - h0:
+the meet min(h0, h1) lies max(0, -w) below t0 and max(0, w) below t1 on
+each face, and each tiling descends to it by flipping down a face of
+largest remaining excess, so the path length is the total winding mass.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def enumerate_surface_tilings(s: CoquadSurface) -> list:
 class HeightField:
     """A function on the faces of a coquadriculated surface, zero at INF."""
 
-    __slots__ = ("surface", "values", "integral")
+    __slots__ = ("surface", "values")
 
     def __init__(self, surface: CoquadSurface, values: dict):
         self.surface = surface
@@ -234,7 +234,10 @@ class HeightField:
         if vals[INF] != 0:
             raise ValueError("height at the boundary element must be 0")
         self.values = vals
-        self.integral = all(_is_integer(x) for x in vals.values())
+
+    @property
+    def integral(self) -> bool:
+        return all(_is_integer(x) for x in self.values.values())
 
     def __getitem__(self, face: FaceId):
         return self.values[face]
@@ -285,18 +288,19 @@ def winding(t1: SurfaceTiling, t0: SurfaceTiling,
 class TilingClass:
     """A flux class of surface tilings: windings exist between any two."""
 
-    __slots__ = ("surface", "tilings", "stable")
+    __slots__ = ("surface", "tilings", "stable", "_members")
 
     def __init__(self, surface: CoquadSurface, tilings: Sequence[SurfaceTiling]):
         self.surface = surface
         self.tilings = tuple(tilings)
+        self._members = frozenset(self.tilings)
         covered = set()
         for t in self.tilings:
             covered |= t
         self.stable = covered == set(range(len(surface.edges)))
 
     def __contains__(self, t: SurfaceTiling) -> bool:
-        return t in set(self.tilings)
+        return t in self._members
 
     def __len__(self) -> int:
         return len(self.tilings)
@@ -335,24 +339,24 @@ def height_function(t: SurfaceTiling, cls: TilingClass) -> HeightField:
     return HeightField(s, {f: Fraction(totals[f], n) for f in s.all_faces})
 
 
+def _flippable(s: CoquadSurface, t: SurfaceTiling, f: FaceId) -> bool:
+    """t matches two opposite sides of the square f."""
+    inside = [i for i in s.face_edges[f] if i in t]
+    if len(inside) != 2:
+        return False
+    (b0, w0), (b1, w1) = s.edges[inside[0]][:2], s.edges[inside[1]][:2]
+    return {b0, w0}.isdisjoint({b1, w1})
+
+
 def face_flips(s: CoquadSurface, t: SurfaceTiling) -> list:
     """Faces where t matches two opposite sides of the square, sorted."""
-    out = []
-    for f in s.faces:
-        es = s.face_edges[f]
-        inside = [i for i in es if i in t]
-        if len(inside) != 2:
-            continue
-        (b0, w0), (b1, w1) = s.edges[inside[0]][:2], s.edges[inside[1]][:2]
-        if {b0, w0}.isdisjoint({b1, w1}):
-            out.append(f)
-    return out
+    return [f for f in s.faces if _flippable(s, t, f)]
 
 
 def apply_face_flip(s: CoquadSurface, t: SurfaceTiling, face: FaceId) -> SurfaceTiling:
     if face not in s.face_edges or face == INF:
         raise ValueError("unknown face %r" % (face,))
-    if face not in face_flips(s, t):
+    if not _flippable(s, t, face):
         raise ValueError("no flip available at face %r" % (face,))
     return t.symmetric_difference(s.face_edges[face])
 
@@ -361,24 +365,21 @@ def flip_connect(t0: SurfaceTiling, t1: SurfaceTiling,
                  cls: TilingClass) -> list:
     """A minimal flip sequence from t0 to t1, as an ordered list of face ids.
 
-    Routed through the pointwise meet of the two height functions; the
-    length equals the total absolute winding of t1 - t0. Requires a stable
-    class containing both tilings.
+    Both tilings descend to the meet min(h0, h1), which lies max(0, -w)
+    below t0 and max(0, w) below t1 for their winding w = h1 - h0, and the
+    second descent is replayed backwards, so the length equals the total
+    absolute winding of t1 - t0. Requires a stable class containing both.
     """
     s = cls.surface
     if not cls.stable:
         raise ValueError("class is not stable")
     if t0 not in cls or t1 not in cls:
         raise ValueError("tiling is not a member of the class")
-    if winding(t1, t0, s) is None:
+    w = winding(t1, t0, s)
+    if w is None:
         raise ValueError("tilings have different flux")
-    if t0 == t1:
-        return []
-    h0 = height_function(t0, cls)
-    h1 = height_function(t1, cls)
-    meet = HeightField(s, {f: min(h0[f], h1[f]) for f in s.all_faces})
-    down0, t_meet0 = _descend(t0, h0, meet, cls)
-    down1, t_meet1 = _descend(t1, h1, meet, cls)
+    down0, t_meet0 = _descend(s, t0, {f: max(0, -w[f]) for f in s.faces})
+    down1, t_meet1 = _descend(s, t1, {f: max(0, w[f]) for f in s.faces})
     assert t_meet0 == t_meet1, "both descents must reach the meet tiling"
     seq = down0 + down1[::-1]
     check = t0
@@ -388,36 +389,27 @@ def flip_connect(t0: SurfaceTiling, t1: SurfaceTiling,
     return seq
 
 
-def _descend(t: SurfaceTiling, h: HeightField, target: HeightField,
-             cls: TilingClass) -> tuple[list, SurfaceTiling]:
-    """Flip t downward until its height field equals target.
+def _descend(s: CoquadSurface, t: SurfaceTiling,
+             excess: dict) -> tuple[list, SurfaceTiling]:
+    """Flip t down until its height has dropped by excess[f] on each face f.
 
-    Each step flips the face with the largest excess over the target,
-    tie-broken by the largest current height and then by face id; the proof
-    of the connection theorem guarantees the flip is available and lowers
-    the height there by exactly 1.
+    Each step flips the first face, in s.faces order, of largest remaining
+    excess whose flip lowers the height there: an edge of the face lying in
+    t has the face on its left. If there is none, RuntimeError is raised
+    rather than a wrong path returned.
     """
-    s = cls.surface
-    cur = t
-    offset = {f: 0 for f in s.all_faces}
     seq = []
-    while True:
-        excess = {f: h[f] + offset[f] - target[f] for f in s.faces}
-        top = max(excess.values(), default=0)
-        if top <= 0:
-            break
-        candidates = [f for f in s.faces if excess[f] == top]
-        v2 = max(candidates, key=lambda f: (h[f] + offset[f], _face_sort_key(f)))
-        cur = apply_face_flip(s, cur, v2)
-        offset[v2] -= 1
-        seq.append(v2)
-    return seq, cur
-
-
-def _face_sort_key(f: FaceId):
-    # deterministic tie-break; negated tuple prefers the lexicographically
-    # smallest face id under max()
-    return tuple(-x for x in f) if isinstance(f, tuple) else f
+    while (top := max(excess.values(), default=0)) > 0:
+        for f in s.faces:
+            if excess[f] == top and _flippable(s, t, f) and any(
+                    i in t and s.edges[i][2] == f for i in s.face_edges[f]):
+                break
+        else:
+            raise RuntimeError("no face of excess %d flips down" % top)
+        t = t.symmetric_difference(s.face_edges[f])
+        excess[f] -= 1
+        seq.append(f)
+    return seq, t
 
 
 def tiling_from_height(h: HeightField, cls: TilingClass) -> SurfaceTiling:

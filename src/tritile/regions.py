@@ -34,6 +34,11 @@ AXIS_NAMES = ("x", "y", "z")
 
 COORD_LIMIT = 2**31 - 1
 
+#: Most cells refine_region will build. `tritile refine box 3 3 2 -k 2`
+#: (281,250 cells) peaks at 282 MB, about 1 KB per refined cell, so the
+#: budget keeps a refinement report near 1 GB.
+REFINE_BUDGET = 1_000_000
+
 
 class RegionError(ValueError):
     """Rejection of a candidate region, naming the first violated condition."""
@@ -41,6 +46,10 @@ class RegionError(ValueError):
     def __init__(self, condition: str, message: str):
         super().__init__(message)
         self.condition = condition
+
+
+class BudgetExceeded(ValueError):
+    """An exponential computation stopped at its fixed work budget."""
 
 
 class Region:
@@ -377,10 +386,21 @@ def refine_region(r: Region, k: int) -> Region:
     """Subdivide every cell into 5x5x5 subcells, k times.
 
     Corner subcells keep the color of the original cell, so the global
-    parity flag carries over unchanged.
+    parity flag carries over unchanged. Raises BudgetExceeded, before
+    building anything, when the result would have more than REFINE_BUDGET
+    cells.
     """
     if k < 0:
         raise ValueError("refinement count must be nonnegative")
+    # one factor at a time, so a huge k stops at once instead of raising
+    # 125 to the k-th power
+    n_cells = r.n_cells
+    for _ in range(k):
+        n_cells *= 125
+        if n_cells > REFINE_BUDGET:
+            raise BudgetExceeded("refining %r %d times needs %d x 125^%d cells, more "
+                                 "than the refinement budget of %d"
+                                 % (r, k, r.n_cells, k, REFINE_BUDGET))
     if k == 0:
         return r
     scale = 5 ** k

@@ -14,7 +14,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .regions import (
-    AXIS_NAMES, Cell, Region, _coordinate, refine_region, region_from_dict,
+    AXIS_NAMES, BudgetExceeded, Cell, Region, _coordinate, refine_region,
+    region_from_dict,
 )
 
 _refine_region_cached = lru_cache(maxsize=32)(refine_region)
@@ -342,10 +343,6 @@ FRONTIER_BUDGET = 1 << 20
 #: components (box 2 4 4, 32,000 tilings: 890 MB and 204 MB peak, 14 s and
 #: 25 s), so 10^5 tilings stays within a few GB.
 LISTING_BUDGET = 100_000
-
-
-class BudgetExceeded(ValueError):
-    """An exponential computation stopped at its fixed work budget."""
 
 
 def _sweep_order(region: Region) -> list[int]:

@@ -8,16 +8,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from tritile import (
-    WalkConfig, mixed_torus_tiling, build_box, build_torus, random_walk,
-    serialize_tiling, tiling_from_dict, twist, verify,
+    RegionError, WalkConfig, mixed_torus_tiling, build_box, build_torus,
+    build_voxel_region, random_walk, serialize_tiling, tiling_from_dict, twist,
+    verify,
 )
 import tritile
 from tritile.cli import main
-from tritile.harness import SUITES
+from tritile.harness import SUITES, start_tiling
 
 
 def run(capsys, *argv):
@@ -202,6 +204,37 @@ def test_refine_rejects_negative_k(capsys):
         main(["refine", "box", "2", "2", "2", "-k", "-1"])
     assert exc.value.code == 2
     assert "nonnegative" in capsys.readouterr().err
+
+
+def test_refine_stops_at_the_cell_budget(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["refine", "box", "2", "2", "2", "-k", "3"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 2.0
+    assert ("needs 8 x 125^3 cells, more than the refinement budget of 1000000"
+            in capsys.readouterr().err)
+
+
+# balanced and face-connected, yet without a single tiling
+UNTILEABLE_CELLS = [[0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 2, 1], [1, 1, 0],
+                    [1, 1, 1], [2, 0, 0], [2, 1, 0], [2, 1, 1], [2, 2, 0]]
+
+
+def test_start_tiling_refuses_an_untileable_region():
+    with pytest.raises(RegionError, match="has no tilings") as exc:
+        start_tiling(build_voxel_region(UNTILEABLE_CELLS))
+    assert exc.value.condition == "tileable"
+
+
+@pytest.mark.parametrize("command", ["invariants", "refine", "sample"])
+def test_untileable_region_is_a_usage_error(capsys, tmp_path, command):
+    spec = tmp_path / "untileable.json"
+    spec.write_text(json.dumps({"cells": UNTILEABLE_CELLS}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "voxels", str(spec)])
+    assert exc.value.code == 2
+    assert "has no tilings" in capsys.readouterr().err
 
 
 def test_sample_walk_report(capsys):

@@ -172,20 +172,58 @@ def test_flip_connect_lengths_are_minimal():
 
 
 def flip_distances(s, cls):
-    index = {t: i for i, t in enumerate(cls.tilings)}
-    dist = {t: {t: 0} for t in cls.tilings}
-    for start in cls.tilings:
-        row = dist[start]
-        queue = deque([start])
-        while queue:
-            t = queue.popleft()
-            for f in face_flips(s, t):
-                u = apply_face_flip(s, t, f)
-                if u not in row:
-                    row[u] = row[t] + 1
-                    queue.append(u)
-        assert len(row) == len(index)
+    dist = {t: flip_distances_from(s, t) for t in cls.tilings}
+    assert all(len(row) == len(cls) for row in dist.values())
     return dist
+
+
+def flip_distances_from(s, start):
+    row = {start: 0}
+    queue = deque([start])
+    while queue:
+        t = queue.popleft()
+        for f in face_flips(s, t):
+            u = apply_face_flip(s, t, f)
+            if u not in row:
+                row[u] = row[t] + 1
+                queue.append(u)
+    return row
+
+
+def rect_6x4():
+    return rect(6, 4)
+
+
+def ring_6x6():
+    return build_planar_surface([(x, y) for x in range(6) for y in range(6)
+                                 if not (2 <= x < 4 and 2 <= y < 4)])
+
+
+def l_shape_6x6():
+    return build_planar_surface([(x, y) for x in range(6) for y in range(6)
+                                 if not (x >= 3 and y >= 2)])
+
+
+@pytest.mark.parametrize("make, size", [
+    (rect_6x4, 281), (l_shape_6x6, 175), (ring_6x6, 1_442)])
+def test_flip_connect_matches_bfs_beyond_the_square(make, size):
+    # the route from the pair's winding alone, against BFS flip distances
+    # from 10 seeded sources, 10 seeded targets each
+    s = make()
+    cls = max(tiling_classes(s), key=len)
+    assert len(cls) == size and cls.stable
+    rng = random.Random(size)
+    for t0 in rng.sample(cls.tilings, 10):
+        dist = flip_distances_from(s, t0)
+        assert len(dist) == size
+        for t1 in rng.sample(cls.tilings, 10):
+            seq = flip_connect(t0, t1, cls)
+            w = winding(t1, t0, s)
+            assert len(seq) == sum(abs(w[f]) for f in s.faces) == dist[t1]
+            cur = t0
+            for f in seq:
+                cur = apply_face_flip(s, cur, f)
+            assert cur == t1
 
 
 def test_annulus_splits_into_singleton_classes():

@@ -1,7 +1,7 @@
 import pytest
 
 from tritile import (
-    Region, RegionError, build_box, build_torus, build_voxel_region,
+    BudgetExceeded, Region, RegionError, build_box, build_torus, build_voxel_region,
     refine_region, region_from_json,
 )
 
@@ -155,6 +155,15 @@ def test_refine_identity_and_composition():
     r = build_box(2, 2, 1)
     assert refine_region(r, 0) is r
     assert refine_region(refine_region(r, 1), 1) == refine_region(r, 2)
+
+
+def test_refine_stops_at_its_cell_budget():
+    assert refine_region(build_box(3, 3, 2), 2).n_cells == 281_250
+    with pytest.raises(BudgetExceeded, match=r"8 x 125\^3 cells, more than the "
+                       r"refinement budget of 1000000"):
+        refine_region(build_box(2, 2, 2), 3)
+    with pytest.raises(BudgetExceeded):
+        refine_region(build_torus(2, 2, 2), 10**9)
 
 
 def test_refine_preserves_corner_and_center_colors():
