@@ -209,13 +209,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         region = _parse_region(args.region, parser)
         moveset = "flip" if args.moves == "flip" else "flip+trit"
         tilings = _list_tilings(region, parser)
+        if not tilings:
+            parser.error("invalid region: %r has no tilings" % (region,))
         graph = move_graph(tilings, moveset)
-        by_hash = {t.hash64: t for t in tilings}
         comps = []
         for group in graph.components():
             entry: dict = {"size": len(group)}
             if region.is_box:
-                tws = [twist(by_hash[h], 2) for h in group]
+                tws = [twist(graph.tilings[h], 2) for h in group]
                 entry["min_twist"] = min(tws)
                 entry["max_twist"] = max(tws)
             else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .regions import Cell, DIR_AXIS, Region
 from .tilings import Dimer, Tiling, _direction, _splitmix64
@@ -499,30 +499,72 @@ class MoveGraph:
         return [len(g) for g in self.components()]
 
 
+def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, ...], str, int]]:
+    """(mate array of the target, kind, sign) of each move of t, in
+    find_flips then find_trits order."""
+    region = t.region
+    lattice = _lattice(region)
+    mate = t.mate
+    if "flip" in move_set:
+        for w, b in t.pairs:
+            for _d, w2 in _flip_partners(lattice.step, mate, w, b):
+                if w2 > w:
+                    b2 = mate[w2]
+                    new = list(mate)
+                    new[w], new[b2], new[w2], new[b] = b2, w, b, w2
+                    yield tuple(new), "flip", 0
+    if "trit" in move_set:
+        index = region.index
+        seen: set[tuple] = set()
+        for a, cube in zip(lattice.anchors, lattice.cubes):
+            trio = _cube_trio(cube, mate)
+            if trio is None or trio in seen:
+                continue
+            seen.add(trio)
+            m = _trit_move(region, a, trio)
+            new = list(mate)
+            for d in m.inserted:
+                wi, bi = index[d.white], index[d.black]
+                new[wi], new[bi] = bi, wi
+            yield tuple(new), "trit", m.sign
+
+
 def move_graph(tilings: Iterable[Tiling], moves: Union[str, Iterable[str]]) -> MoveGraph:
-    """Build the move graph over a complete enumeration of a region's tilings."""
+    """Build the move graph over a complete enumeration of a region's tilings.
+
+    The scan runs in index space. Each input tiling is hashed once and
+    indexed by its exact mate array. Flips come from _flip_partners over the
+    tiling's pairs and trits from _cube_trio over the lattice cubes, in
+    find_flips and find_trits order. A neighbour's mate array is a copy with
+    the moved cells' entries rewritten, looked up exactly, so no Tiling is
+    built or hashed per edge and a hash64 collision cannot attach an edge to
+    the wrong node. Raises ValueError when two different tilings share a
+    hash64, since MoveGraph keys its nodes by it.
+    """
     move_set = _normalize_moves(moves)
     nodes: dict[int, Tiling] = {}
+    keys: dict[tuple[int, ...], int] = {}
     region = None
     for t in tilings:
         if region is None:
             region = t.region
         elif t.region != region:
             raise ValueError("tilings belong to different regions")
-        nodes[t.hash64] = t
+        h = t.hash64
+        if h in nodes:
+            if nodes[h].pairs != t.pairs:
+                raise ValueError("two different tilings share the hash %016x" % h)
+            continue
+        nodes[h] = t
+        keys[t.mate] = h
     if region is None:
         raise ValueError("no tilings given")
     edge_keys: set[tuple[int, int, str, int]] = set()
     edges: list[MoveEdge] = []
     for h, t in nodes.items():
-        outgoing: list[tuple[Tiling, str, int]] = []
-        if "flip" in move_set:
-            outgoing.extend((apply_flip(t, m), "flip", 0) for m in find_flips(t))
-        if "trit" in move_set:
-            outgoing.extend((apply_trit(t, m), "trit", m.sign) for m in find_trits(t))
-        for t2, kind, sign in outgoing:
-            h2 = t2.hash64
-            if h2 not in nodes:
+        for target, kind, sign in _move_targets(t, move_set):
+            h2 = keys.get(target)
+            if h2 is None:
                 raise ValueError("move target missing from the enumerated set")
             u, v, s = (h, h2, sign) if h <= h2 else (h2, h, -sign)
             key = (u, v, kind, s)

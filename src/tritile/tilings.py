@@ -339,9 +339,9 @@ def enumerate_tilings(region: Region,
 FRONTIER_BUDGET = 1 << 20
 
 #: Most tilings that list_tilings will build. A listed tiling of 16 dimers
-#: costs about 27 KB in an enumerate report and about 6 KB and 0.8 ms in
-#: components (box 2 4 4, 32,000 tilings: 890 MB and 204 MB peak, 14 s and
-#: 25 s), so 10^5 tilings stays within a few GB.
+#: costs about 27 KB in an enumerate report and about 3.5 KB and 0.16 ms in
+#: components (box 2 4 4, 32,000 tilings: 890 MB and 112 MB peak, 14 s and
+#: 5 s), so 10^5 tilings stays within a few GB.
 LISTING_BUDGET = 100_000
 
 

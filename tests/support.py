@@ -5,7 +5,11 @@ through the library's own adjacency tables or twist formula, so that the
 tests compare two genuinely different code paths.
 """
 
-from tritile import Tiling, build_box, refine_region
+from tritile import (
+    MoveEdge, MoveGraph, Tiling, apply_flip, apply_trit, build_box,
+    find_flips, find_trits, refine_region,
+)
+from tritile.moves import _normalize_moves
 
 
 def _wrap_delta(a: int, b: int, p) -> int:
@@ -197,3 +201,29 @@ def pinwheel_N2() -> Tiling:
     flipped = [((w[0], w[1], 1 - w[2]), (b[0], b[1], 1 - b[2]))
                for (w, b) in _PINWHEEL]
     return Tiling.from_cell_pairs(r, flipped)
+
+
+def slow_move_graph(tilings, moves) -> MoveGraph:
+    """The move graph by applying each found move to a new Tiling and
+    looking the target up by its hash64."""
+    move_set = _normalize_moves(moves)
+    nodes = {t.hash64: t for t in tilings}
+    region = next(iter(nodes.values())).region
+    edge_keys = set()
+    edges = []
+    for h, t in nodes.items():
+        outgoing = []
+        if "flip" in move_set:
+            outgoing.extend((apply_flip(t, m), "flip", 0) for m in find_flips(t))
+        if "trit" in move_set:
+            outgoing.extend((apply_trit(t, m), "trit", m.sign) for m in find_trits(t))
+        for t2, kind, sign in outgoing:
+            h2 = t2.hash64
+            assert h2 in nodes, "move target missing from the enumerated set"
+            u, v, s = (h, h2, sign) if h <= h2 else (h2, h, -sign)
+            key = (u, v, kind, s)
+            if key in edge_keys:
+                continue
+            edge_keys.add(key)
+            edges.append(MoveEdge(u, v, kind, s))
+    return MoveGraph(region, nodes, edges, move_set)

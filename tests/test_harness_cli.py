@@ -227,7 +227,7 @@ def test_start_tiling_refuses_an_untileable_region():
     assert exc.value.condition == "tileable"
 
 
-@pytest.mark.parametrize("command", ["invariants", "refine", "sample"])
+@pytest.mark.parametrize("command", ["invariants", "refine", "sample", "components"])
 def test_untileable_region_is_a_usage_error(capsys, tmp_path, command):
     spec = tmp_path / "untileable.json"
     spec.write_text(json.dumps({"cells": UNTILEABLE_CELLS}))

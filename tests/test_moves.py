@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
 from tritile import (
-    TritMove, apply_flip, apply_trit, base_tiling, bfs_trit_labeling,
-    build_box, enumerate_tilings, find_flips, find_trits, move_graph, twist,
+    RegionError, TritMove, apply_flip, apply_trit, base_tiling,
+    bfs_trit_labeling, build_box, build_torus, build_voxel_region,
+    count_tilings, enumerate_tilings, find_flips, find_trits, move_graph,
+    twist,
 )
-from support import pinwheel_N1, pinwheel_N2, tiling_tA, tiling_tB
+from support import (
+    pinwheel_N1, pinwheel_N2, slow_move_graph, tiling_tA, tiling_tB,
+)
 
 
 def test_no_flip_tilings_have_no_flips():
@@ -113,6 +119,64 @@ def test_move_graph_rejects_partial_enumeration():
     tilings = list(enumerate_tilings(build_box(2, 2, 2)))
     with pytest.raises(ValueError, match="missing from the enumerated set"):
         move_graph(tilings[:5], "flip")
+
+
+def test_move_graph_rejects_a_hash_collision():
+    tilings = list(enumerate_tilings(build_box(2, 2, 2)))
+    tilings[1]._hash64 = tilings[0].hash64
+    with pytest.raises(ValueError, match="share the hash %016x" % tilings[0].hash64):
+        move_graph(tilings, "flip")
+
+
+def test_move_graph_accepts_a_repeated_tiling():
+    tilings = list(enumerate_tilings(build_box(2, 2, 2)))
+    g = move_graph(tilings + tilings[:1], "flip")
+    assert list(g.tilings) == [t.hash64 for t in tilings]
+    assert g.edges == move_graph(tilings, "flip").edges
+
+
+def _voxel_subset(seed: int, pairs: int = 6):
+    """A tileable region left after removing `pairs` random cell pairs, one
+    of each colour, from the 4x3x3 box."""
+    rng = random.Random(seed)
+    cells = [(x, y, z) for x in range(4) for y in range(3) for z in range(3)]
+    for _ in range(pairs):
+        for _try in range(50):
+            white = rng.choice([c for c in cells if sum(c) % 2])
+            black = rng.choice([c for c in cells if not sum(c) % 2])
+            rest = [c for c in cells if c not in (white, black)]
+            try:
+                region = build_voxel_region(rest)
+            except RegionError:
+                continue
+            if count_tilings(region):
+                cells = rest
+                break
+    return build_voxel_region(cells)
+
+
+_GRAPH_REGIONS = {
+    "box-2x2x2": build_box(2, 2, 2),
+    "box-3x3x2": build_box(3, 3, 2),
+    "box-3x4x2": build_box(3, 4, 2),
+    # period-2 axes alias flip partners and trit cubes
+    "torus-2x2x2": build_torus(2, 2, 2),
+    "torus-2x2x4": build_torus(2, 2, 4),
+    "torus-2x4x2": build_torus(2, 4, 2),
+    "torus-4x2x2": build_torus(4, 2, 2),
+    **{"voxels-%d" % seed: _voxel_subset(seed) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", list(_GRAPH_REGIONS))
+def test_move_graph_matches_the_tiling_path(name):
+    region = _GRAPH_REGIONS[name]
+    tilings = list(enumerate_tilings(region))
+    for moves in ("flip", "flip+trit"):
+        fast = move_graph(tilings, moves)
+        slow = slow_move_graph(tilings, moves)
+        assert fast.edges == slow.edges
+        assert list(fast.tilings) == list(slow.tilings)
 
 
 def test_trit_labeling_matches_twist():
