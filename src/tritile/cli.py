@@ -31,36 +31,33 @@ def _parse_region(tokens: Sequence[str], parser: argparse.ArgumentParser) -> Reg
     if not tokens:
         parser.error("invalid region spec at position 0: missing region kind")
     kind = tokens[0]
-    try:
-        if kind == "box" or kind == "torus":
-            if len(tokens) != 4:
-                parser.error("invalid region spec at position %d: %s takes 3 sizes"
-                             % (len(tokens), kind))
-            sizes = []
-            for i, tok in enumerate(tokens[1:], start=1):
-                try:
-                    sizes.append(int(tok))
-                except ValueError:
-                    parser.error("invalid region spec at position %d: %r is not an integer"
-                                 % (i, tok))
-            build = build_box if kind == "box" else build_torus
-            return build(*sizes)
-        if kind == "voxels":
-            if len(tokens) != 2:
-                parser.error("invalid region spec at position %d: voxels takes a file"
-                             % (len(tokens),))
+    if kind == "box" or kind == "torus":
+        if len(tokens) != 4:
+            parser.error("invalid region spec at position %d: %s takes 3 sizes"
+                         % (len(tokens), kind))
+        sizes = []
+        for i, tok in enumerate(tokens[1:], start=1):
             try:
-                with open(tokens[1], "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, ValueError) as exc:
-                parser.error("invalid region file %s: %s" % (tokens[1], exc))
-            if isinstance(data, dict) and data.get("kind") == "voxels":
-                return _regions.region_from_dict(data)
-            if isinstance(data, dict):
-                return build_voxel_region(data.get("cells"), data.get("parity", 0))
-            return build_voxel_region(data)
-    except RegionError as exc:
-        parser.error("invalid region: %s" % exc)
+                sizes.append(int(tok))
+            except ValueError:
+                parser.error("invalid region spec at position %d: %r is not an integer"
+                             % (i, tok))
+        build = build_box if kind == "box" else build_torus
+        return build(*sizes)
+    if kind == "voxels":
+        if len(tokens) != 2:
+            parser.error("invalid region spec at position %d: voxels takes a file"
+                         % (len(tokens),))
+        try:
+            with open(tokens[1], "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            parser.error("invalid region file %s: %s" % (tokens[1], exc))
+        if isinstance(data, dict) and data.get("kind") == "voxels":
+            return _regions.region_from_dict(data)
+        if isinstance(data, dict):
+            return build_voxel_region(data.get("cells"), data.get("parity", 0))
+        return build_voxel_region(data)
     parser.error("invalid region spec at position 0: unknown kind %r" % (kind,))
     raise AssertionError("unreachable")
 
@@ -76,31 +73,12 @@ def _region_tokens(region: Region) -> str:
 def _load_tiling(path: Optional[str], region: Region,
                  parser: argparse.ArgumentParser) -> Tiling:
     if path is None:
-        try:
-            return start_tiling(region)
-        except RegionError as exc:
-            parser.error("invalid region: %s" % exc)
+        return start_tiling(region)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return deserialize_tiling(fh.read(), region)
     except (OSError, ValueError) as exc:
         parser.error("invalid tiling file %s: %s" % (path, exc))
-    raise AssertionError("unreachable")
-
-
-def _count(region: Region, parser: argparse.ArgumentParser) -> int:
-    try:
-        return count_tilings(region)
-    except BudgetExceeded as exc:
-        parser.error(str(exc))
-    raise AssertionError("unreachable")
-
-
-def _list_tilings(region: Region, parser: argparse.ArgumentParser) -> list[Tiling]:
-    try:
-        return list_tilings(region)
-    except BudgetExceeded as exc:
-        parser.error(str(exc))
     raise AssertionError("unreachable")
 
 
@@ -181,17 +159,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                             "refine", "heightfn", "all"))
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args, parser)
+    except RegionError as exc:
+        parser.error("invalid region: %s" % exc)
+    except BudgetExceeded as exc:
+        parser.error(str(exc))
+    raise AssertionError("unreachable")
 
+
+def _run(args, parser: argparse.ArgumentParser) -> int:
     if args.cmd == "enumerate":
         region = _parse_region(args.region, parser)
         flag = "--count-only" if args.count_only else ""
         if args.count_only:
-            count = _count(region, parser)
+            count = count_tilings(region)
             payload: dict = {"region": region.to_dict(), "count": count}
             rows = [[count]]
             header = ["count"]
         else:
-            tilings = _list_tilings(region, parser)
+            tilings = list_tilings(region)
             payload = {"region": region.to_dict(), "count": len(tilings)}
             payload["tilings"] = [
                 {"hash": "%016x" % t.hash64,
@@ -208,7 +195,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.cmd == "components":
         region = _parse_region(args.region, parser)
         moveset = "flip" if args.moves == "flip" else "flip+trit"
-        tilings = _list_tilings(region, parser)
+        tilings = list_tilings(region)
         if not tilings:
             parser.error("invalid region: %r has no tilings" % (region,))
         graph = move_graph(tilings, moveset)
@@ -264,10 +251,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.k < 0:
             parser.error("refinement count must be nonnegative")
         t = _load_tiling(args.tiling, region, parser)
-        try:
-            refined = refine_tiling(t, args.k)
-        except BudgetExceeded as exc:
-            parser.error(str(exc))
+        refined = refine_tiling(t, args.k)
         payload = {
             "region": region.to_dict(),
             "k": args.k,
@@ -284,13 +268,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.cmd == "sample":
         region = _parse_region(args.region, parser)
+        if args.steps < 0:
+            parser.error("steps must be nonnegative")
         moveset = "flip" if args.moves == "flip" else "flip+trit"
         cfg = WalkConfig(region=region, moves=moveset, steps=args.steps,
                          seed=args.seed)
-        try:
-            payload = random_walk(cfg)
-        except RegionError as exc:
-            parser.error("invalid region: %s" % exc)
+        payload = random_walk(cfg)
         payload["region"] = region.to_dict()
         payload["moves"] = moveset
         report = _report(

@@ -37,7 +37,6 @@ class WalkConfig:
     moves: str = "flip+trit"
     steps: int = 100
     seed: int = 0
-    record: tuple = ("twist", "flux", "visited-hash")
 
 
 def start_tiling(region: Region) -> Tiling:
@@ -78,22 +77,24 @@ def random_walk(cfg: WalkConfig) -> dict:
     each move instead of rescanning the tiling, so a step costs work in
     proportion to the move's neighbourhood. The invariants are computed once
     at the start: flips keep the twist and each trit moves it by its sign,
-    and flux is constant under both moves.
+    and flux is constant under both moves. Raises ValueError for a negative
+    step count.
     """
+    if cfg.steps < 0:
+        raise ValueError("steps must be nonnegative")
     t = start_tiling(cfg.region)
     state = WalkState(t, cfg.moves)
     visited = [state.hash64]
     seen = {visited[0]}
     histogram: Counter = Counter()
-    record_twist = cfg.region.is_box and "twist" in cfg.record
-    record_flux = cfg.region.is_torus and "flux" in cfg.record
-    tw = twist(t, 2) if record_twist else 0
-    flux_key = str(tuple(flux(t).components)) if record_flux else None
+    is_box, is_torus = cfg.region.is_box, cfg.region.is_torus
+    tw = twist(t, 2) if is_box else 0
+    flux_key = str(tuple(flux(t).components)) if is_torus else None
 
     def note() -> None:
-        if record_twist:
+        if is_box:
             histogram[str(tw)] += 1
-        elif record_flux:
+        elif is_torus:
             histogram[flux_key] += 1
 
     note()

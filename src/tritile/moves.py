@@ -3,12 +3,13 @@
 A flip exchanges two parallel dimers filling a 2x2x1 slab. A trit exchanges
 three pairwise orthogonal dimers inside a 2x2x2 cube whose two uncovered
 cells are antipodal; it carries a sign. The sign convention is calibrated so
-that applying a positive trit raises the combinatorial twist by exactly 1:
-writing the removed trio's offsets relative to the cube anchor, the move is
-positive iff the y-offset of the x-dimer, the z-offset of the y-dimer and
-the x-offset of the z-dimer sum to an odd number. That quantity is invariant
-under translations and proper rotations, so the sign is well defined on tori
-as well.
+that applying a positive trit raises the combinatorial twist by exactly 1.
+Number the cube's cells 0..7 by position bits, x = 4, y = 2, z = 1 (the
+offsets from the cube anchor; a dimer whose cells sit at positions i and
+i ^ bit runs along that bit's axis). The move is positive iff the y bit of
+the x-dimer, the z bit of the y-dimer and the x bit of the z-dimer sum to
+an odd number. That quantity is invariant under translations and proper
+rotations, so the sign is well defined on tori as well.
 """
 
 from __future__ import annotations
@@ -18,14 +19,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .regions import Cell, DIR_AXIS, Region
+from .regions import Cell, Region
 from .tilings import Dimer, Tiling, _direction, _splitmix64
 
+# cube offsets; the position of offset (dx, dy, dz) is 4 dx + 2 dy + dz
 _OFFSETS = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
 
 
-def _make_dimer(region: Region, a: Cell, b: Cell) -> Dimer:
-    white, black = (a, b) if region.color(a) == -1 else (b, a)
+def _dimer(region: Region, i: int, j: int) -> Dimer:
+    """The dimer on the adjacent cells of index i and j, white cell first."""
+    if region.colors[i] == 1:
+        i, j = j, i
+    white, black = region.cells[i], region.cells[j]
     return Dimer(white, black, _direction(region, white, black))
 
 
@@ -35,18 +40,9 @@ class FlipMove:
 
     removed: tuple[Dimer, Dimer]
     inserted: tuple[Dimer, Dimer]
-    slab_corner: Cell
-    dimer_axis: int
-    offset_axis: int
 
     def reversed(self) -> "FlipMove":
-        return FlipMove(
-            removed=self.inserted,
-            inserted=self.removed,
-            slab_corner=self.slab_corner,
-            dimer_axis=self.offset_axis,
-            offset_axis=self.dimer_axis,
-        )
+        return FlipMove(removed=self.inserted, inserted=self.removed)
 
 
 @dataclass(frozen=True)
@@ -74,15 +70,7 @@ def find_flips(t: Tiling) -> list[FlipMove]:
     dimers, then by the first direction (in DIRECTIONS order) that carries
     that dimer onto the other.
     """
-    region = t.region
-    step = _lattice(region).step
-    mate = t.mate
-    moves: list[FlipMove] = []
-    for w, b in t.pairs:
-        for d, w2 in _flip_partners(step, mate, w, b):
-            if w2 > w:
-                moves.append(_flip_move(region, w, b, d, w2, mate[w2]))
-    return moves
+    return [_flip_move(t.region, *f) for f in _flips(t)]
 
 
 def apply_flip(t: Tiling, m: FlipMove) -> Tiling:
@@ -99,18 +87,8 @@ def find_trits(t: Tiling) -> list[TritMove]:
     by a dimer that exits the cube. Trits are ordered by anchor; where two
     anchors alias one cube (period-2 torus axes) the smaller one is kept.
     """
-    region = t.region
-    lattice = _lattice(region)
-    mate = t.mate
-    moves: list[TritMove] = []
-    seen: set[tuple] = set()
-    for a, cube in zip(lattice.anchors, lattice.cubes):
-        trio = _cube_trio(cube, mate)
-        if trio is None or trio in seen:
-            continue
-        seen.add(trio)
-        moves.append(_trit_move(region, a, trio))
-    return moves
+    lattice = _lattice(t.region)
+    return [_trit_move(t.region, lattice, r, trio) for r, trio in _trits(lattice, t.mate)]
 
 
 # -- scanners shared by the full scans and WalkState ------------------------
@@ -177,17 +155,21 @@ def _flip_partners(step, mate: Sequence[int], w: int, b: int) -> list[tuple[int,
     return out
 
 
-def _flip_move(region: Region, w: int, b: int, d: int, w2: int, b2: int) -> FlipMove:
-    # w < w2: the dimer (w, b) comes first; d carries it onto (w2, b2)
-    cells = region.cells
-    first = _make_dimer(region, cells[w], cells[b])
+def _flips(t: Tiling) -> Iterator[tuple[int, int, int, int]]:
+    """(w, b, w2, b2) of each flip of t in find_flips order: the dimers
+    (w, b) and (w2, b2), white cell first, with w < w2."""
+    step = _lattice(t.region).step
+    mate = t.mate
+    for w, b in t.pairs:
+        for _d, w2 in _flip_partners(step, mate, w, b):
+            if w2 > w:
+                yield w, b, w2, mate[w2]
+
+
+def _flip_move(region: Region, w: int, b: int, w2: int, b2: int) -> FlipMove:
     return FlipMove(
-        removed=(first, _make_dimer(region, cells[w2], cells[b2])),
-        inserted=(_make_dimer(region, cells[w], cells[b2]),
-                  _make_dimer(region, cells[w2], cells[b])),
-        slab_corner=cells[min(w, b, w2, b2)],
-        dimer_axis=first.axis,
-        offset_axis=DIR_AXIS[d],
+        removed=(_dimer(region, w, b), _dimer(region, w2, b2)),
+        inserted=(_dimer(region, w, b2), _dimer(region, w2, b)),
     )
 
 
@@ -212,57 +194,51 @@ def _cube_trio(cube: tuple[int, ...], mate: Sequence[int]) -> Optional[tuple]:
     return tuple(sorted(pairs))
 
 
-def _trit_move(region: Region, a: Cell, trio: tuple) -> TritMove:
-    cells = region.cells
-    dimers = sorted(
-        (_make_dimer(region, cells[c], cells[p]) for c, p in trio),
-        key=lambda d: d.axis)
-    covered = {c for d in dimers for c in d.cells()}
-    leftover = [o for o in _OFFSETS
-                if region.reduce((a[0] + o[0], a[1] + o[1], a[2] + o[2])) not in covered]
-    assert len(leftover) == 2 and all(
-        leftover[0][m] + leftover[1][m] == 1 for m in range(3))
+def _trits(lattice: _Lattice, mate: Sequence[int]) -> Iterator[tuple[int, tuple]]:
+    """(anchor rank, trio) of each trit in find_trits order. A cube that
+    two anchors alias (period-2 torus axes) is listed under the first."""
+    seen: set[tuple] = set()
+    for r, cube in enumerate(lattice.cubes):
+        trio = _cube_trio(cube, mate)
+        if trio is not None and trio not in seen:
+            seen.add(trio)
+            yield r, trio
+
+
+def _trit_swap(cube: tuple[int, ...], trio: tuple) -> tuple[list, list, int]:
+    """(removed, inserted, sign) of the trit of this cube's trio, with the
+    removed and inserted (cell, cell) index pairs in x, y, z axis order.
+
+    The pair at positions i and i ^ bit runs along bit's axis; indexing the
+    trio by that bit raises KeyError unless it holds one dimer per axis.
+    The three pair XORs are 4, 2 and 1, so the six covered positions XOR to
+    7; all eight XOR to 0, so the two leftover positions XOR to 7 too: they
+    are antipodal. The other trio on the same six cells keeps each dimer's
+    axis and flips both transverse bits: the dimer at (i, i ^ bit) becomes
+    (i ^ 7 ^ bit, i ^ 7).
+    """
+    at = {}
+    for c, p in trio:
+        i = cube.index(c)
+        at[i ^ cube.index(p)] = i
+    removed, inserted = [], []
+    for bit in (4, 2, 1):
+        i = at[bit]
+        removed.append((cube[i], cube[i ^ bit]))
+        inserted.append((cube[i ^ 7 ^ bit], cube[i ^ 7]))
+    # y bit of the x-dimer + z bit of the y-dimer + x bit of the z-dimer
+    odd = ((at[4] >> 1) ^ at[2] ^ (at[1] >> 2)) & 1
+    return removed, inserted, 1 if odd else -1
+
+
+def _trit_move(region: Region, lattice: _Lattice, r: int, trio: tuple) -> TritMove:
+    removed, inserted, sign = _trit_swap(lattice.cubes[r], trio)
     return TritMove(
-        removed=tuple(dimers),
-        inserted=tuple(_complement_trio(region, a, dimers)),
-        anchor=a,
-        sign=1 if _chirality(region, a, dimers) else -1,
+        removed=tuple(_dimer(region, i, j) for i, j in removed),
+        inserted=tuple(_dimer(region, i, j) for i, j in inserted),
+        anchor=lattice.anchors[r],
+        sign=sign,
     )
-
-
-def _offset(region: Region, a: Cell, cell: Cell, axis: int) -> int:
-    off = cell[axis] - a[axis]
-    if region.periods is not None:
-        off %= region.periods[axis]
-    assert off in (0, 1)
-    return off
-
-
-def _chirality(region: Region, a: Cell, dimers: Sequence[Dimer]) -> int:
-    # y-offset of the x-dimer + z-offset of the y-dimer + x-offset of the
-    # z-dimer, mod 2; dimers come sorted by axis.
-    total = 0
-    for k, d in enumerate(dimers):
-        total += _offset(region, a, d.white, (k + 1) % 3)
-    return total % 2
-
-
-def _complement_trio(region: Region, a: Cell, dimers: Sequence[Dimer]) -> list[Dimer]:
-    # The only other configuration covering the same six cells: each dimer
-    # keeps its axis, both transverse offsets flip.
-    out = []
-    for k, d in enumerate(dimers):
-        u, v = [ax for ax in range(3) if ax != k]
-        cell0 = [0, 0, 0]
-        cell0[k] = a[k]
-        cell0[u] = a[u] + 1 - _offset(region, a, d.white, u)
-        cell0[v] = a[v] + 1 - _offset(region, a, d.white, v)
-        cell1 = list(cell0)
-        cell1[k] += 1
-        ca = region.reduce(tuple(cell0))
-        cb = region.reduce(tuple(cell1))
-        out.append(_make_dimer(region, ca, cb))
-    return out
 
 
 def apply_trit(t: Tiling, m: TritMove) -> Tiling:
@@ -306,8 +282,8 @@ class WalkState:
         self._flip_moves = "flip" in move_set
         self._trit_moves = "trit" in move_set
         # flips: key (white * 6 + direction) of the first removed dimer ->
-        # (w, b, direction, w2, b2); trits: anchor rank -> cube trio
-        self._flips: dict[int, tuple[int, int, int, int, int]] = {}
+        # (w, b, w2, b2); trits: anchor rank -> cube trio
+        self._flips: dict[int, tuple[int, int, int, int]] = {}
         self._flip_keys: list[int] = []
         self._flips_at: list[set[int]] = [set() for _ in range(n)]
         self._trits: dict[int, tuple] = {}
@@ -336,7 +312,7 @@ class WalkState:
         if k < nf:
             return _flip_move(self.region, *self._flips[self._flip_keys[k]])
         r = self._trit_ranks[k - nf]
-        return _trit_move(self.region, self._lattice.anchors[r], self._trits[r])
+        return _trit_move(self.region, self._lattice, r, self._trits[r])
 
     def moves(self) -> list:
         return [self.move(k) for k in range(len(self))]
@@ -405,14 +381,14 @@ class WalkState:
             if key in self._flips:
                 continue
             b2 = mate[w2]
-            self._flips[key] = (w, b, d, w2, b2)
+            self._flips[key] = (w, b, w2, b2)
             insort(self._flip_keys, key)
             for c in (w, b, w2, b2):
                 self._flips_at[c].add(key)
         return lower
 
     def _drop_flip(self, key: int) -> None:
-        w, b, _d, w2, b2 = self._flips.pop(key)
+        w, b, w2, b2 = self._flips.pop(key)
         keys = self._flip_keys
         del keys[bisect_left(keys, key)]
         for c in (w, b, w2, b2):
@@ -502,40 +478,29 @@ class MoveGraph:
 def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, ...], str, int]]:
     """(mate array of the target, kind, sign) of each move of t, in
     find_flips then find_trits order."""
-    region = t.region
-    lattice = _lattice(region)
     mate = t.mate
     if "flip" in move_set:
-        for w, b in t.pairs:
-            for _d, w2 in _flip_partners(lattice.step, mate, w, b):
-                if w2 > w:
-                    b2 = mate[w2]
-                    new = list(mate)
-                    new[w], new[b2], new[w2], new[b] = b2, w, b, w2
-                    yield tuple(new), "flip", 0
-    if "trit" in move_set:
-        index = region.index
-        seen: set[tuple] = set()
-        for a, cube in zip(lattice.anchors, lattice.cubes):
-            trio = _cube_trio(cube, mate)
-            if trio is None or trio in seen:
-                continue
-            seen.add(trio)
-            m = _trit_move(region, a, trio)
+        for w, b, w2, b2 in _flips(t):
             new = list(mate)
-            for d in m.inserted:
-                wi, bi = index[d.white], index[d.black]
-                new[wi], new[bi] = bi, wi
-            yield tuple(new), "trit", m.sign
+            new[w], new[b2], new[w2], new[b] = b2, w, b, w2
+            yield tuple(new), "flip", 0
+    if "trit" in move_set:
+        lattice = _lattice(t.region)
+        for r, trio in _trits(lattice, mate):
+            _removed, inserted, sign = _trit_swap(lattice.cubes[r], trio)
+            new = list(mate)
+            for i, j in inserted:
+                new[i], new[j] = j, i
+            yield tuple(new), "trit", sign
 
 
 def move_graph(tilings: Iterable[Tiling], moves: Union[str, Iterable[str]]) -> MoveGraph:
     """Build the move graph over a complete enumeration of a region's tilings.
 
     The scan runs in index space. Each input tiling is hashed once and
-    indexed by its exact mate array. Flips come from _flip_partners over the
-    tiling's pairs and trits from _cube_trio over the lattice cubes, in
-    find_flips and find_trits order. A neighbour's mate array is a copy with
+    indexed by its exact mate array. Moves come from the scans behind
+    find_flips and find_trits (_flips, _trits), in their order, and a trit's
+    new cells from _trit_swap. A neighbour's mate array is a copy with
     the moved cells' entries rewritten, looked up exactly, so no Tiling is
     built or hashed per edge and a hash64 collision cannot attach an edge to
     the wrong node. Raises ValueError when two different tilings share a

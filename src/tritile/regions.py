@@ -249,7 +249,7 @@ def build_voxel_region(cells: Iterable[Sequence[int]], parity: int = 0) -> Regio
             raise RegionError("dimension", "cells must be integer 3-vectors")
         if max(abs(v) for v in c) > COORD_LIMIT:
             raise RegionError("dimension", "cell coordinate exceeds range")
-    if parity not in (0, 1):
+    if not _is_int(parity) or parity not in (0, 1):
         raise RegionError("parity", "parity flag must be 0 or 1")
 
     bad_edge = _find_nonmanifold_edge(cell_set)

@@ -6,10 +6,11 @@ tests compare two genuinely different code paths.
 """
 
 from tritile import (
-    MoveEdge, MoveGraph, Tiling, apply_flip, apply_trit, build_box,
-    find_flips, find_trits, refine_region,
+    Dimer, MoveEdge, MoveGraph, Tiling, TritMove, apply_flip, apply_trit,
+    build_box, build_voxel_region, find_flips, find_trits, refine_region,
 )
 from tritile.moves import _normalize_moves
+from tritile.tilings import _direction
 
 
 def _wrap_delta(a: int, b: int, p) -> int:
@@ -203,6 +204,12 @@ def pinwheel_N2() -> Tiling:
     return Tiling.from_cell_pairs(r, flipped)
 
 
+def corner_cut_cube():
+    """The 3x3x3 box minus one corner: cubes with 7 of 8 cells in the region."""
+    return build_voxel_region([(x, y, z) for x in range(3) for y in range(3)
+                               for z in range(3) if (x, y, z) != (0, 0, 0)])
+
+
 def slow_move_graph(tilings, moves) -> MoveGraph:
     """The move graph by applying each found move to a new Tiling and
     looking the target up by its hash64."""
@@ -227,3 +234,49 @@ def slow_move_graph(tilings, moves) -> MoveGraph:
             edge_keys.add(key)
             edges.append(MoveEdge(u, v, kind, s))
     return MoveGraph(region, nodes, edges, move_set)
+
+
+_OFFSETS = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+
+
+def _cell_dimer(region, a, b) -> Dimer:
+    white, black = (a, b) if region.color(a) == -1 else (b, a)
+    return Dimer(white, black, _direction(region, white, black))
+
+
+def _offset(region, a, cell, axis: int) -> int:
+    off = cell[axis] - a[axis]
+    if region.periods is not None:
+        off %= region.periods[axis]
+    assert off in (0, 1)
+    return off
+
+
+def slow_trit_move(region, anchor, dimers) -> TritMove:
+    """The trit removing `dimers` (one per axis, in any order) from the cube
+    at `anchor`, in cell coordinates with period arithmetic: the sign from
+    the y-offset of the x-dimer, the z-offset of the y-dimer and the
+    x-offset of the z-dimer, and each inserted dimer keeping its axis with
+    both transverse offsets flipped."""
+    dimers = sorted(dimers, key=lambda d: d.axis)
+    assert [d.axis for d in dimers] == [0, 1, 2]
+    covered = {c for d in dimers for c in d.cells()}
+    leftover = [o for o in _OFFSETS
+                if region.reduce(tuple(anchor[m] + o[m] for m in range(3))) not in covered]
+    assert len(leftover) == 2 and all(
+        leftover[0][m] + leftover[1][m] == 1 for m in range(3))
+    chirality = sum(_offset(region, anchor, d.white, (k + 1) % 3)
+                    for k, d in enumerate(dimers)) % 2
+    inserted = []
+    for k, d in enumerate(dimers):
+        u, v = [ax for ax in range(3) if ax != k]
+        cell0 = [0, 0, 0]
+        cell0[k] = anchor[k]
+        cell0[u] = anchor[u] + 1 - _offset(region, anchor, d.white, u)
+        cell0[v] = anchor[v] + 1 - _offset(region, anchor, d.white, v)
+        cell1 = list(cell0)
+        cell1[k] += 1
+        inserted.append(_cell_dimer(region, region.reduce(tuple(cell0)),
+                                    region.reduce(tuple(cell1))))
+    return TritMove(removed=tuple(dimers), inserted=tuple(inserted),
+                    anchor=anchor, sign=1 if chirality else -1)

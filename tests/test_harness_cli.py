@@ -199,6 +199,27 @@ def test_refine_round_trip(capsys):
     assert twist(refined, 2) == 0
 
 
+def test_voxel_file_parity_must_be_an_integer(capsys, tmp_path):
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps({"cells": [[0, 0, 0], [1, 0, 0]], "parity": True}))
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "voxels", str(spec)])
+    assert exc.value.code == 2
+    assert "invalid region" in capsys.readouterr().err
+
+
+def test_sample_rejects_negative_steps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "box", "2", "2", "2", "--steps", "-3"])
+    assert exc.value.code == 2
+    assert "steps must be nonnegative" in capsys.readouterr().err
+
+
+def test_random_walk_rejects_negative_steps():
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_walk(WalkConfig(region=build_box(2, 2, 2), steps=-3))
+
+
 def test_refine_rejects_negative_k(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["refine", "box", "2", "2", "2", "-k", "-1"])
@@ -383,6 +404,18 @@ def test_random_walk_flip_only_box():
     assert not out["frozen"]
     assert set(out["histogram"]) == {"0"}
     assert len(out["visited_hashes"]) == out["distinct_visited"]
+
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+@pytest.mark.parametrize("demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs(demo):
+    src = os.path.dirname(os.path.dirname(tritile.__file__))
+    proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_does_not_load_numpy():

@@ -8,8 +8,11 @@ from tritile import (
     count_tilings, enumerate_tilings, find_flips, find_trits, move_graph,
     twist,
 )
+from tritile.harness import walk_states
+from tritile.moves import _trit_swap
 from support import (
-    pinwheel_N1, pinwheel_N2, slow_move_graph, tiling_tA, tiling_tB,
+    corner_cut_cube, pinwheel_N1, pinwheel_N2, slow_move_graph,
+    slow_trit_move, tiling_tA, tiling_tB,
 )
 
 
@@ -229,3 +232,39 @@ def test_trit_move_fields():
     removed_cells = {c for d in m.removed for c in (d.white, d.black)}
     inserted_cells = {c for d in m.inserted for c in (d.white, d.black)}
     assert removed_cells == inserted_cells
+
+
+_TRIT_TILINGS = {
+    **{"box-%dx%dx%d" % dims: lambda dims=dims: enumerate_tilings(build_box(*dims))
+       for dims in ((3, 3, 2), (3, 4, 2), (2, 2, 2))},
+    # period-2 axes make two anchors name one cube
+    **{"torus-%dx%dx%d" % p: lambda p=p: enumerate_tilings(build_torus(*p))
+       for p in ((2, 2, 2), (2, 2, 4), (2, 4, 2), (4, 2, 2))},
+    "corner-cut-3x3x3": lambda: enumerate_tilings(corner_cut_cube()),
+    **{"walk-box-%dx%dx%d" % dims: lambda dims=dims: walk_states(
+        build_box(*dims), "flip+trit", 300, 1) for dims in ((4, 4, 4), (5, 6, 4))},
+    **{"walk-torus-%dx%dx%d" % p: lambda p=p: walk_states(
+        build_torus(*p), "flip+trit", 300, 1)
+       for p in ((2, 4, 6), (4, 4, 4), (6, 4, 2), (2, 2, 6))},
+}
+
+
+# no trit on the 2x2x2 box or torus, nor on the walk from the 2x2x6 torus's
+# base tiling
+_TRITLESS = {"box-2x2x2", "torus-2x2x2", "walk-torus-2x2x6"}
+
+
+@pytest.mark.parametrize("name", list(_TRIT_TILINGS))
+def test_trits_match_the_coordinate_oracle(name):
+    found = 0
+    for t in _TRIT_TILINGS[name]():
+        for m in find_trits(t):
+            assert m == slow_trit_move(t.region, m.anchor, m.removed[::-1])
+            found += 1
+    assert bool(found) != (name in _TRITLESS)
+
+
+def test_trit_swap_needs_one_dimer_per_axis():
+    cube = tuple(range(8))
+    with pytest.raises(KeyError):
+        _trit_swap(cube, ((0, 4), (1, 5), (2, 3)))  # two x-dimers

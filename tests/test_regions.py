@@ -114,6 +114,13 @@ def test_voxel_parity_flag():
     assert build_voxel_region(cells, parity=1).color((0, 0, 0)) == -1
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_voxel_parity_flag_must_be_the_integer_0_or_1(bad):
+    with pytest.raises(RegionError) as exc:
+        build_voxel_region([(0, 0, 0), (1, 0, 0)], parity=bad)
+    assert exc.value.condition == "parity"
+
+
 def test_adjacency_symmetric_and_alternating():
     for r in (build_box(3, 3, 2), build_torus(2, 2, 4),
               build_voxel_region([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])):

@@ -14,12 +14,7 @@ from tritile import (
     find_flips, find_trits, flux, twist,
 )
 from tritile.harness import start_tiling, walk_states
-
-
-def _corner_cut_cube():
-    # the 3x3x3 box minus one corner: cubes with 7 of 8 cells in the region
-    return build_voxel_region([(x, y, z) for x in range(3) for y in range(3)
-                               for z in range(3) if (x, y, z) != (0, 0, 0)])
+from support import corner_cut_cube
 
 
 def _l_shape():
@@ -74,7 +69,7 @@ def check_walk(region, moves, steps, seed):
     (build_torus(2, 4, 6), "flip+trit", 300, 4, True),
     (build_torus(4, 4, 4), "flip+trit", 250, 8, True),
     (build_torus(4, 4, 4), "flip", 100, 9, False),
-    (_corner_cut_cube(), "flip+trit", 300, 10, True),
+    (corner_cut_cube(), "flip+trit", 300, 10, True),
     (_l_shape(), "flip+trit", 300, 3, False),
 ])
 def test_index_equals_full_rescan_at_every_step(region, moves, steps, seed, takes_trits):
