@@ -7,11 +7,24 @@ the squares plus one extra element INF standing for the boundary; the
 winding of a tiling difference is the unique integer field on V that
 vanishes at INF and whose boundary coboundary reproduces the difference.
 
-Height functions are averages of windings over a flux class, kept as exact
-fractions. Flip connection needs only the pair's own winding w = h1 - h0:
-the meet min(h0, h1) lies max(0, -w) below t0 and max(0, w) below t1 on
-each face, and each tiling descends to it by flipping down a face of
-largest remaining excess, so the path length is the total winding mass.
+Everything is read off one spanning tree of the face graph per surface, a
+BFS from INF built on first use. A tiling t has a potential p(t): zero at
+INF and, down each tree edge e, a step of [e in t] (negative when the
+parent face is on e's left). Every edge e off the tree has the residual
+p(t)[left] - p(t)[right] - [e in t], which is linear in t, so each edge
+carries a packed integer code and the signature of t is the sum of the
+codes of its edges. Two tilings have a winding, and so the same flux,
+exactly when their signatures agree; the winding is then p(t1) - p(t0).
+Flux classes are the groups of equal signature, and the height of a class
+member is its potential minus the class mean, kept as exact fractions.
+
+Flip connection needs only the pair's own winding w = h1 - h0: the meet
+min(h0, h1) lies max(0, -w) below t0 and max(0, w) below t1 on each face,
+and each tiling descends to it by flipping down a face of largest remaining
+excess, so the path length is the total winding mass.
+
+Listing the tilings of a surface stops with BudgetExceeded past
+tilings.LISTING_BUDGET of them.
 """
 
 from __future__ import annotations
@@ -19,7 +32,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
+
+from .regions import BudgetExceeded
+from .tilings import LISTING_BUDGET
 
 INF = "inf"
 
@@ -38,7 +54,7 @@ class CoquadSurface:
     """
 
     __slots__ = ("colors", "vertices", "edges", "faces", "vertex_edges",
-                 "face_edges", "all_faces")
+                 "face_edges", "all_faces", "_tree")
 
     def __init__(self, colors: dict, edges: Sequence[tuple],
                  faces: Iterable[FaceId]):
@@ -70,6 +86,7 @@ class CoquadSurface:
         self.face_edges = {f: tuple(es) for f, es in face_edges.items()}
         self._check_squares()
         self._check_connected()
+        self._tree = None
 
     def _check_squares(self) -> None:
         for f in self.faces:
@@ -192,34 +209,54 @@ def build_planar_surface(cells: Iterable[tuple]) -> CoquadSurface:
 
 
 def enumerate_surface_tilings(s: CoquadSurface) -> list:
-    """All perfect matchings of the surface graph, as frozensets of edge ids."""
-    order = s.vertices
-    results = []
-    matched: set = set()
+    """All perfect matchings of the surface graph, as frozensets of edge ids,
+    sorted. Counts them first and raises BudgetExceeded, before listing any,
+    when there are more than tilings.LISTING_BUDGET."""
+    count = 0
+    for _ in _matchings(s):
+        count += 1
+        if count > LISTING_BUDGET:
+            raise BudgetExceeded(
+                "surface with %d vertices has more than %d tilings, the listing budget"
+                % (len(s.vertices), LISTING_BUDGET))
+    return sorted((frozenset(m) for m in _matchings(s)), key=sorted)
+
+
+def _matchings(s: CoquadSurface) -> Iterator[list]:
+    """Yield once per perfect matching the list of its edge ids (one list,
+    reused). Backtracking without recursion: the first unmatched vertex in
+    s.vertices order tries its edges in s.vertex_edges order."""
+    index = {v: k for k, v in enumerate(s.vertices)}
+    options = [[(i, index[s.edges[i][1] if v == s.edges[i][0] else s.edges[i][0]])
+                for i in s.vertex_edges[v]] for v in s.vertices]
+    n = len(options)
+    matched = bytearray(n)
     chosen: list[int] = []
-
-    def extend(pos: int) -> None:
-        while pos < len(order) and order[pos] in matched:
-            pos += 1
-        if pos == len(order):
-            results.append(frozenset(chosen))
-            return
-        v = order[pos]
-        for i in s.vertex_edges[v]:
-            b, w = s.edges[i][0], s.edges[i][1]
-            u = w if v == b else b
-            if u in matched:
+    frames = []  # (vertex, partner, remaining options) per chosen edge
+    v, rest = 0, iter(options[0])
+    while True:
+        for i, u in rest:
+            if matched[u]:
                 continue
-            matched.add(v)
-            matched.add(u)
+            matched[v] = matched[u] = 1
             chosen.append(i)
-            extend(pos + 1)
+            nxt = v + 1
+            while nxt < n and matched[nxt]:
+                nxt += 1
+            if nxt == n:
+                yield chosen
+                chosen.pop()
+                matched[v] = matched[u] = 0
+                continue
+            frames.append((v, u, rest))
+            v, rest = nxt, iter(options[nxt])
+            break
+        else:
+            if not frames:
+                return
+            v, u, rest = frames.pop()
             chosen.pop()
-            matched.discard(v)
-            matched.discard(u)
-
-    extend(0)
-    return sorted(results, key=sorted)
+            matched[v] = matched[u] = 0
 
 
 class HeightField:
@@ -259,36 +296,87 @@ def _is_integer(x) -> bool:
     return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
 
 
+class _FaceTree:
+    """The BFS spanning tree of a surface's face graph from INF.
+
+    steps lists (face, parent, edge, sign) in BFS order: the potential of a
+    tiling t is p[face] = p[parent] + sign * [edge in t], sign -1 when the
+    parent is on the edge's left. codes[e] is edge e's share of the
+    signature: off-tree edge number k has residual p[left] - p[right]
+    - [k in t] in balanced base-`base` digit k, and base exceeds twice the
+    largest residual, so equal signatures mean equal residuals.
+    """
+
+    __slots__ = ("steps", "codes")
+
+    def __init__(self, s: CoquadSurface):
+        steps = []
+        depth = {INF: 0}
+        queue = deque([INF])
+        while queue:
+            f = queue.popleft()
+            for i in s.face_edges[f]:
+                b, w, l, r = s.edges[i]
+                g, sign = (r, -1) if f == l else (l, 1)
+                if g not in depth:
+                    depth[g] = depth[f] + 1
+                    steps.append((g, f, i, sign))
+                    queue.append(g)
+        if len(depth) != len(s.all_faces):
+            raise ValueError("face graph is not connected")
+        # |residual| <= depth[left] + depth[right] + 1 <= 2 * max depth + 1
+        base = 4 * max(depth.values()) + 3
+        in_tree = {i for (_, _, i, _) in steps}
+        net = dict.fromkeys(s.all_faces, 0)
+        codes = [0] * len(s.edges)
+        weight = 1
+        for i, (b, w, l, r) in enumerate(s.edges):
+            if i not in in_tree:
+                net[l] += weight
+                net[r] -= weight
+                codes[i] = -weight
+                weight *= base
+        # a tree edge's code is its sign times the net weight below it
+        for g, f, i, sign in reversed(steps):
+            codes[i] = sign * net[g]
+            net[f] += net[g]
+        self.steps = tuple(steps)
+        self.codes = tuple(codes)
+
+    def signature(self, t: SurfaceTiling) -> int:
+        return sum(map(self.codes.__getitem__, t))
+
+    def potential(self, t: SurfaceTiling) -> dict:
+        p = {INF: 0}
+        for g, f, i, sign in self.steps:
+            p[g] = p[f] + sign if i in t else p[f]
+        return p
+
+
+def _face_tree(s: CoquadSurface) -> _FaceTree:
+    if s._tree is None:
+        s._tree = _FaceTree(s)
+    return s._tree
+
+
 def winding(t1: SurfaceTiling, t0: SurfaceTiling,
             s: CoquadSurface) -> Optional[HeightField]:
     """wind(t1 - t0): the unique face field with w(INF) = 0 whose coboundary
-    is the tiling difference, or None when none exists (different flux)."""
-    w: dict = {INF: 0}
-    queue = deque([INF])
-    while queue:
-        f = queue.popleft()
-        for i in s.face_edges[f]:
-            b, wv, l, r = s.edges[i]
-            delta = (i in t1) - (i in t0)
-            if f == l:
-                g, value = r, w[f] - delta
-            else:
-                g, value = l, w[f] + delta
-            if g not in w:
-                w[g] = value
-                queue.append(g)
-    if len(w) != len(s.all_faces):
-        raise ValueError("face graph is not connected")
-    for i, (b, wv, l, r) in enumerate(s.edges):
-        if w[l] - w[r] != (i in t1) - (i in t0):
-            return None
-    return HeightField(s, w)
+    is the tiling difference, or None when none exists (different flux).
+
+    It exists exactly when the two signatures agree, and is then the
+    difference of the tree potentials."""
+    tree = _face_tree(s)
+    if tree.signature(t1) != tree.signature(t0):
+        return None
+    p1, p0 = tree.potential(t1), tree.potential(t0)
+    return HeightField(s, {f: p1[f] - p0[f] for f in p1})
 
 
 class TilingClass:
     """A flux class of surface tilings: windings exist between any two."""
 
-    __slots__ = ("surface", "tilings", "stable", "_members")
+    __slots__ = ("surface", "tilings", "stable", "_members", "_potential_sum")
 
     def __init__(self, surface: CoquadSurface, tilings: Sequence[SurfaceTiling]):
         self.surface = surface
@@ -298,6 +386,7 @@ class TilingClass:
         for t in self.tilings:
             covered |= t
         self.stable = covered == set(range(len(surface.edges)))
+        self._potential_sum = None
 
     def __contains__(self, t: SurfaceTiling) -> bool:
         return t in self._members
@@ -305,18 +394,31 @@ class TilingClass:
     def __len__(self) -> int:
         return len(self.tilings)
 
+    def _summed_potential(self) -> dict:
+        """The sum over the members of their tree potentials, computed once.
+        Raises ValueError when the members do not share one signature."""
+        if self._potential_sum is None:
+            tree = _face_tree(self.surface)
+            signature = tree.signature(self.tilings[0])
+            total = dict.fromkeys(self.surface.all_faces, 0)
+            for t in self.tilings:
+                if tree.signature(t) != signature:
+                    raise ValueError("class members must have mutual windings")
+                for f, v in tree.potential(t).items():
+                    total[f] += v
+            self._potential_sum = total
+        return self._potential_sum
+
 
 def tiling_classes(s: CoquadSurface) -> list[TilingClass]:
-    """Partition all tilings of s by flux (mutual winding existence)."""
-    groups: list[list[SurfaceTiling]] = []
-    for t in enumerate_surface_tilings(s):
-        for group in groups:
-            if winding(t, group[0], s) is not None:
-                group.append(t)
-                break
-        else:
-            groups.append([t])
-    return [TilingClass(s, g) for g in groups]
+    """Partition all tilings of s into flux classes by signature; classes in
+    order of their first member, tilings in enumeration order."""
+    groups: dict = {}
+    tilings = enumerate_surface_tilings(s)
+    tree = _face_tree(s)
+    for t in tilings:
+        groups.setdefault(tree.signature(t), []).append(t)
+    return [TilingClass(s, g) for g in groups.values()]
 
 
 def is_stable(cls: TilingClass) -> bool:
@@ -325,18 +427,15 @@ def is_stable(cls: TilingClass) -> bool:
 
 
 def height_function(t: SurfaceTiling, cls: TilingClass) -> HeightField:
-    """h_t, the average winding of t against every member of its class."""
+    """h_t, the average winding of t against every member of its class: its
+    tree potential minus the class mean."""
     if t not in cls:
         raise ValueError("tiling is not a member of the class")
     s = cls.surface
-    totals = {f: 0 for f in s.all_faces}
-    for other in cls.tilings:
-        w = winding(t, other, s)
-        assert w is not None, "class members must have mutual windings"
-        for f in s.all_faces:
-            totals[f] += w[f]
+    total = cls._summed_potential()
+    p = _face_tree(s).potential(t)
     n = len(cls.tilings)
-    return HeightField(s, {f: Fraction(totals[f], n) for f in s.all_faces})
+    return HeightField(s, {f: Fraction(n * p[f] - total[f], n) for f in s.all_faces})
 
 
 def _flippable(s: CoquadSurface, t: SurfaceTiling, f: FaceId) -> bool:
@@ -380,12 +479,14 @@ def flip_connect(t0: SurfaceTiling, t1: SurfaceTiling,
         raise ValueError("tilings have different flux")
     down0, t_meet0 = _descend(s, t0, {f: max(0, -w[f]) for f in s.faces})
     down1, t_meet1 = _descend(s, t1, {f: max(0, w[f]) for f in s.faces})
-    assert t_meet0 == t_meet1, "both descents must reach the meet tiling"
+    if t_meet0 != t_meet1:
+        raise RuntimeError("both descents must reach the meet tiling")
     seq = down0 + down1[::-1]
     check = t0
     for f in seq:
         check = apply_face_flip(s, check, f)
-    assert check == t1, "replayed flip sequence must reach the target"
+    if check != t1:
+        raise RuntimeError("replayed flip sequence must reach the target")
     return seq
 
 

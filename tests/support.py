@@ -5,10 +5,14 @@ through the library's own adjacency tables or twist formula, so that the
 tests compare two genuinely different code paths.
 """
 
+from collections import deque
+from fractions import Fraction
+
 from tritile import (
     Dimer, MoveEdge, MoveGraph, Tiling, TritMove, apply_flip, apply_trit,
     build_box, build_voxel_region, find_flips, find_trits, refine_region,
 )
+from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
 from tritile.moves import _normalize_moves
 from tritile.tilings import _direction
 
@@ -93,6 +97,59 @@ def count_planar_matchings(surface) -> int:
                 break
         total += (-1) ** (n - bits) * prod
     return total
+
+
+def slow_winding(t1, t0, s):
+    """wind(t1 - t0) by a BFS over the faces from INF that propagates the
+    tiling difference across each edge, then a check of every edge; None
+    when the field does not reproduce the difference (different flux)."""
+    w = {INF: 0}
+    queue = deque([INF])
+    while queue:
+        f = queue.popleft()
+        for i in s.face_edges[f]:
+            b, wv, l, r = s.edges[i]
+            delta = (i in t1) - (i in t0)
+            if f == l:
+                g, value = r, w[f] - delta
+            else:
+                g, value = l, w[f] + delta
+            if g not in w:
+                w[g] = value
+                queue.append(g)
+    if len(w) != len(s.all_faces):
+        raise ValueError("face graph is not connected")
+    for i, (b, wv, l, r) in enumerate(s.edges):
+        if w[l] - w[r] != (i in t1) - (i in t0):
+            return None
+    return HeightField(s, w)
+
+
+def slow_tiling_classes(s):
+    """Flux classes by placing each tiling, in enumeration order, in the
+    first group whose first member has a slow_winding to it."""
+    groups = []
+    for t in enumerate_surface_tilings(s):
+        for group in groups:
+            if slow_winding(t, group[0], s) is not None:
+                group.append(t)
+                break
+        else:
+            groups.append([t])
+    return [TilingClass(s, g) for g in groups]
+
+
+def slow_height_function(t, cls):
+    """h_t by its definition: the average of slow_winding(t, u) over the
+    members u of the class, as exact fractions."""
+    s = cls.surface
+    totals = dict.fromkeys(s.all_faces, 0)
+    for other in cls.tilings:
+        w = slow_winding(t, other, s)
+        for f in s.all_faces:
+            totals[f] += w[f]
+    n = len(cls.tilings)
+    return HeightField(s, {f: Fraction(totals[f], n) for f in s.all_faces})
 
 
 def _det3(a, b, c) -> int:

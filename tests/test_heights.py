@@ -4,13 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from tritile import heights
 from tritile.heights import (
     INF, CoquadSurface, HeightField, TilingClass, apply_face_flip,
     build_planar_surface, enumerate_surface_tilings, face_flips, flip_connect,
     height_function, is_stable, pointwise_max, pointwise_min, surface_from_dict,
     surface_from_json, tiling_classes, tiling_from_height, winding,
 )
-from support import count_planar_matchings
+from tritile.regions import BudgetExceeded
+from tritile.tilings import LISTING_BUDGET
+from support import (
+    count_planar_matchings, slow_height_function, slow_tiling_classes,
+    slow_winding,
+)
 
 
 def rect(nx, ny):
@@ -247,6 +253,27 @@ def test_flip_connect_rejects_flux_mismatch():
         flip_connect(t0, t1, merged)
 
 
+def test_height_function_rejects_mixed_flux_class():
+    s = annulus()
+    t0, t1 = enumerate_surface_tilings(s)
+    merged = TilingClass(s, [t0, t1])
+    with pytest.raises(ValueError, match="class members must have mutual windings"):
+        height_function(t0, merged)
+
+
+def test_flip_connect_checks_meet_and_replay(monkeypatch):
+    # with python -O too: both checks raise rather than assert
+    s = rect(4, 4)
+    cls = tiling_classes(s)[0]
+    t0, t1 = cls.tilings[0], cls.tilings[-1]
+    monkeypatch.setattr(heights, "_descend", lambda s, t, excess: ([], t))
+    with pytest.raises(RuntimeError, match="meet"):
+        flip_connect(t0, t1, cls)
+    monkeypatch.setattr(heights, "_descend", lambda s, t, excess: ([], t0))
+    with pytest.raises(RuntimeError, match="replayed flip sequence"):
+        flip_connect(t0, t1, cls)
+
+
 def test_flip_connect_rejects_unstable_class():
     cells = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1)]
     s = build_planar_surface(cells)
@@ -319,3 +346,85 @@ def test_surface_validation():
     with pytest.raises(ValueError, match="not connected"):
         CoquadSurface({"a": 1, "b": -1, "c": 1, "d": -1},
                       [("a", "b", INF, INF)], [])
+
+
+DIFFERENTIAL_SURFACES = {
+    "square2": lambda: rect(2, 2), "square4": lambda: rect(4, 4),
+    "rect6x4": rect_6x4, "ring6x6": ring_6x6, "l_shape": l_shape_6x6,
+    "annulus": annulus,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SURFACES))
+def test_signature_classes_match_pairwise_windings(name):
+    s = DIFFERENTIAL_SURFACES[name]()
+    new, old = tiling_classes(s), slow_tiling_classes(s)
+    assert [c.tilings for c in new] == [c.tilings for c in old]
+    assert [c.stable for c in new] == [c.stable for c in old]
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_SURFACES))
+def test_tree_winding_matches_bfs_winding(name):
+    s = DIFFERENTIAL_SURFACES[name]()
+    tilings = enumerate_surface_tilings(s)
+    rng = random.Random(len(tilings))
+    pairs = [(rng.choice(tilings), rng.choice(tilings)) for _ in range(40)]
+    classes = tiling_classes(s)
+    # first members of different classes: no winding
+    pairs += [(a.tilings[0], b.tilings[0]) for a in classes for b in classes
+              if a is not b]
+    for t1, t0 in pairs:
+        assert winding(t1, t0, s) == slow_winding(t1, t0, s)
+    if name in ("ring6x6", "annulus"):
+        assert len(classes) > 1
+        assert any(winding(t1, t0, s) is None for t1, t0 in pairs)
+
+
+def test_height_function_matches_averaged_windings():
+    s = rect(4, 4)
+    cls = tiling_classes(s)[0]
+    for t in cls.tilings:
+        h = height_function(t, cls)
+        assert h == slow_height_function(t, cls)
+        assert list(h.values) == list(s.all_faces)
+
+
+def torus_4x4():
+    """The 4x4 square grid on a closed torus: every edge has a square on
+    both sides, so INF touches no edge and the face graph is disconnected."""
+    n = 4
+    colors = {(x, y): 1 if (x + y) % 2 == 0 else -1
+              for x in range(n) for y in range(n)}
+    edges = []
+    for (x, y), c in colors.items():
+        for dx, dy in ((1, 0), (0, 1)):
+            nb = ((x + dx) % n, (y + dy) % n)
+            # squares named by their lower-left vertex, left/right of +x or +y
+            if dx:
+                ahead_left, ahead_right = (x, y), (x, (y - 1) % n)
+            else:
+                ahead_left, ahead_right = ((x - 1) % n, y), (x, y)
+            if c == 1:
+                edges.append(((x, y), nb, ahead_left, ahead_right))
+            else:
+                edges.append((nb, (x, y), ahead_right, ahead_left))
+    return CoquadSurface(colors, edges, list(colors))
+
+
+def test_closed_torus_face_graph_is_disconnected():
+    s = torus_4x4()
+    tilings = enumerate_surface_tilings(s)
+    assert len(tilings) == 272
+    with pytest.raises(ValueError, match="face graph is not connected"):
+        winding(tilings[0], tilings[1], s)
+    with pytest.raises(ValueError, match="face graph is not connected"):
+        tiling_classes(s)
+
+
+@pytest.mark.parametrize("nx, ny", [(1100, 2), (2, 40)])
+def test_surface_listing_stops_at_the_budget(nx, ny):
+    # 2x1100 once overflowed the recursion; 2x40 has about 1.6e8 tilings
+    s = rect(nx, ny)
+    with pytest.raises(BudgetExceeded,
+                       match="%d vertices .* %d tilings" % (nx * ny, LISTING_BUDGET)):
+        enumerate_surface_tilings(s)
