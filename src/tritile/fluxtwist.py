@@ -372,6 +372,11 @@ def cutting_surface(r: Region, axis, level: Union[int, float]) -> DiscreteSurfac
     return DiscreteSurface(r, squares)
 
 
+# modulus reads the same three surfaces of a torus on every call; the public
+# cutting_surface still builds a fresh one
+_cutting_surface_cached = lru_cache(maxsize=12)(cutting_surface)
+
+
 class FluxVector:
     """The flux of a tiling: its difference class against the base tiling.
 
@@ -436,7 +441,7 @@ def modulus(f: FluxVector, r: Optional[Region] = None) -> int:
     if r.kind == "torus":
         m = 0
         for k in range(3):
-            phi = flux_through_surface(f.witness, cutting_surface(r, k, 0))
+            phi = flux_through_surface(f.witness, _cutting_surface_cached(r, k, 0))
             m = gcd(m, abs(phi))
         return m
     raise ValueError("flux unsupported for this region kind")
@@ -561,9 +566,10 @@ def surface_predicates(t0: Tiling, t1: Tiling, s: DiscreteSurface) -> dict:
                  and flux_through_surface(t1, s) == 0)
     tangent0 = _tangent_to_surface(t0, s)
     tangent1 = _tangent_to_surface(t1, s)
-    assert tangent0 == tangent1, "tangency must not depend on the side of the pair"
-    if tangent0:
-        assert balanced and zero_flux, "a tangent surface is balanced and zero-flux"
+    if tangent0 != tangent1:
+        raise RuntimeError("tangency must not depend on the side of the pair")
+    if tangent0 and not (balanced and zero_flux):
+        raise RuntimeError("a tangent surface is balanced and zero-flux")
     return {"balanced": balanced, "zero_flux": zero_flux, "tangent": tangent0}
 
 

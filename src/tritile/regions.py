@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import operator
+from itertools import product, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 Cell = tuple[int, int, int]
@@ -35,8 +36,8 @@ AXIS_NAMES = ("x", "y", "z")
 COORD_LIMIT = 2**31 - 1
 
 #: Most cells refine_region will build. `tritile refine box 3 3 2 -k 2`
-#: (281,250 cells) peaks at 282 MB, about 1 KB per refined cell, so the
-#: budget keeps a refinement report near 1 GB.
+#: (281,250 cells) peaks at 302 MB resident (Python 3.11), about 1 KB per
+#: refined cell, so the budget keeps a refinement report near 1 GB.
 REFINE_BUDGET = 1_000_000
 
 
@@ -56,31 +57,45 @@ class Region:
     """An immutable cubiculated region with its dual graph.
 
     Do not call the constructor directly; use build_box, build_torus or
-    build_voxel_region. The dual graph (neighbor_table) is built on first
-    access, so a region that is only indexed, such as the target of a
-    refinement, never pays for it.
+    build_voxel_region. A box or torus is stored as its sizes: cell i is
+    (x, y, z) with i = (x * M + y) * N + z for sizes (L, M, N), and cells,
+    index and colors are built on first access, as the dual graph
+    (neighbor_table) is for every region. So a refined box or torus that is
+    only indexed by arithmetic, as refine_tiling does, never builds them
+    (see _UnbuiltRegion). A voxel region builds its cell tables at once.
+    Equality and hashing key a box or torus on its sizes and a voxel region
+    on its cells, so building tables never changes either.
     """
 
     __slots__ = (
-        "kind", "cells", "index", "colors", "dims", "periods", "parity",
+        "kind", "cells", "index", "colors", "dims", "periods", "parity", "n_cells",
         "_neighbor_table", "degenerate_adjacency", "_hash",
     )
 
-    def __init__(self, kind: str, cells: Sequence[Cell], parity: int,
+    def __init__(self, kind: str, cells: Optional[Sequence[Cell]], parity: int,
                  dims: Optional[Cell] = None, periods: Optional[Cell] = None):
         self.kind = kind
-        self.cells: tuple[Cell, ...] = tuple(sorted(cells))
-        self.index: dict[Cell, int] = {c: i for i, c in enumerate(self.cells)}
         self.parity = parity
         self.dims = dims
         self.periods = periods
+        if cells is None:
+            L, M, N = dims or periods
+            self.n_cells = L * M * N
+        else:
+            self._set_tables(sorted(cells))
+            self.n_cells = len(self.cells)
+        self.degenerate_adjacency = bool(periods) and min(periods) == 2
+        self._neighbor_table: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
+        self._hash = hash(self._key())
+
+    def _set_tables(self, cells: Sequence[Cell]) -> None:
+        parity = self.parity
+        self.cells: tuple[Cell, ...] = tuple(cells)
+        self.index: dict[Cell, int] = dict(zip(self.cells, range(len(self.cells))))
         self.colors: tuple[int, ...] = tuple(
             1 if (x + y + z + parity) % 2 == 0 else -1
             for (x, y, z) in self.cells
         )
-        self.degenerate_adjacency = bool(periods) and min(periods) == 2
-        self._neighbor_table: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
-        self._hash = hash((kind, self.cells, parity, periods))
 
     # -- construction helpers -------------------------------------------
 
@@ -88,7 +103,10 @@ class Region:
     def neighbor_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per cell index, its adjacent cells as (index, direction) pairs."""
         if self._neighbor_table is None:
-            self._neighbor_table = self._build_neighbors()
+            if self.kind == "voxels":
+                self._neighbor_table = self._build_neighbors()
+            else:
+                self._neighbor_table = self._lattice_neighbors()
         return self._neighbor_table
 
     def _build_neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -114,11 +132,50 @@ class Region:
             table.append(tuple(row))
         return tuple(table)
 
-    # -- basic queries ---------------------------------------------------
+    def _lattice_neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """_build_neighbors on a box or torus, by index arithmetic.
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
+        Per axis and coordinate, the (index offset, direction) entries of
+        the steps that stay in the region; a period-2 axis keeps only its
+        +axis step. Along z the entries change only at the two ends, so
+        each run of equal entries becomes rows by zipping one index range
+        per direction.
+        """
+        torus = self.periods is not None
+        L, M, N = sizes = self.dims or self.periods
+        steps = []
+        for axis, stride in enumerate((M * N, N, 1)):
+            n = sizes[axis]
+            per_coord = []
+            for c in range(n):
+                entries = []
+                if c + 1 < n or torus:
+                    entries.append((stride if c + 1 < n else stride * (1 - n), 2 * axis))
+                if (c > 0 or torus) and not (torus and n == 2):
+                    entries.append((-stride if c > 0 else stride * (n - 1), 2 * axis + 1))
+                per_coord.append(entries)
+            steps.append(per_coord)
+        xs, ys, zs = steps
+        z_runs: list[list] = []  # [first z, end z, entries] per run of equal entries
+        for z in range(N):
+            if z_runs and z_runs[-1][2] == zs[z]:
+                z_runs[-1][1] = z + 1
+            else:
+                z_runs.append([z, z + 1, zs[z]])
+        # pairs[d][j] is the entry (j, d)
+        pairs = [list(zip(range(self.n_cells), repeat(d))) for d in range(6)]
+        table: list[tuple[tuple[int, int], ...]] = []
+        for x in range(L):
+            for y in range(M):
+                xy = xs[x] + ys[y]
+                row = (x * M + y) * N
+                for z0, z1, z_entries in z_runs:
+                    entries = xy + z_entries
+                    lo, hi = row + z0, row + z1
+                    table.extend(zip(*[pairs[d][lo + o:hi + o] for o, d in entries]))
+        return tuple(table)
+
+    # -- basic queries ---------------------------------------------------
 
     @property
     def is_torus(self) -> bool:
@@ -168,7 +225,9 @@ class Region:
     # -- equality and serialization ---------------------------------------
 
     def _key(self):
-        return (self.kind, self.cells, self.parity, self.periods)
+        if self.kind == "voxels":
+            return (self.kind, self.cells, self.parity, self.periods)
+        return (self.kind, self.dims, self.parity, self.periods)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Region) and self._key() == other._key()
@@ -198,6 +257,28 @@ class Region:
         }
 
 
+class _UnbuiltRegion(Region):
+    """A box or torus whose cells, index and colors are not built yet.
+
+    The first read of any of them builds all three and turns the region into
+    a plain Region. A class with __getattr__ sends every attribute read
+    through a hook that the interpreter does not specialise, so readers of
+    a region in hot loops keep plain slot reads only once it has left this
+    class.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # reached only for unset slots and unknown names
+        if name not in ("cells", "index", "colors"):
+            raise AttributeError(name)
+        L, M, N = self.dims or self.periods
+        self._set_tables(product(range(L), range(M), range(N)))
+        self.__class__ = Region
+        return getattr(self, name)
+
+
 def _is_int(v) -> bool:
     # bool is an int subclass, but True is not a size or a coordinate
     return isinstance(v, int) and not isinstance(v, bool)
@@ -212,8 +293,7 @@ def build_box(L: int, M: int, N: int) -> Region:
         raise RegionError("balance", "unbalanced region: all box dimensions are odd")
     if max(L, M, N) > COORD_LIMIT:
         raise RegionError("dimension", "box dimension exceeds coordinate range")
-    cells = [(x, y, z) for x in range(L) for y in range(M) for z in range(N)]
-    return Region("box", cells, parity=0, dims=(L, M, N))
+    return _UnbuiltRegion("box", None, parity=0, dims=(L, M, N))
 
 
 def build_torus(a: int, b: int, c: int) -> Region:
@@ -223,8 +303,7 @@ def build_torus(a: int, b: int, c: int) -> Region:
             raise RegionError("parity", "torus periods must be even integers >= 2")
     if max(a, b, c) > COORD_LIMIT:
         raise RegionError("dimension", "torus period exceeds coordinate range")
-    cells = [(x, y, z) for x in range(a) for y in range(b) for z in range(c)]
-    return Region("torus", cells, parity=0, periods=(a, b, c))
+    return _UnbuiltRegion("torus", None, parity=0, periods=(a, b, c))
 
 
 def build_voxel_region(cells: Iterable[Sequence[int]], parity: int = 0) -> Region:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .regions import (
@@ -520,11 +521,14 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
     dimer axis every cross-section column admits exactly one parallel
     tiling, pairing cells (2m, 2m+1) counted from the white end. On axes of
     period 2 the column follows the non-wrapping lift, matching
-    Tiling.steps. Refined cells are looked up in the refined region's index
-    and each pair is oriented white to black by its colours, so adjacency
-    and colours hold by construction and only the cover is checked: a
-    refined cell matched twice or left unmatched raises ValueError. The
-    refined region's neighbour table is never built.
+    Tiling.steps. On a box or torus each column is written into the mate
+    array by index strides (_lattice_refined_mate) and the pairs are read
+    off in white-index order, so the refined region's cell tables are never
+    built; on a voxel region refined cells are looked up in its index and
+    each pair is oriented white to black by its colours. Either way
+    adjacency and colours hold by construction and only the cover is
+    checked: a refined cell matched twice or left unmatched raises
+    ValueError. The refined region's neighbour table is never built.
     """
     if k < 0:
         raise ValueError("refinement count must be nonnegative")
@@ -532,17 +536,104 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
         return t
     scale = 5 ** k
     region2 = _refine_region_cached(t.region, k)
+    mate = None if region2.kind == "voxels" else _lattice_refined_mate(t, region2, scale)
+    if mate is not None:
+        whites = _white_indices(*(region2.dims or region2.periods))
+        pairs = list(zip(whites, map(mate.__getitem__, whites)))
+    else:
+        # voxel regions, and the diagnosis of a broken cover on any region
+        pairs, mate = _indexed_refined_pairs(t, region2, scale)
+    t2 = Tiling(region2, pairs)
+    t2._mate = tuple(mate)
+    return t2
+
+
+def _brick_axis(w: Cell, b: Cell) -> tuple[int, int]:
+    """The axis of the dimer from w to b, and the sign of its step."""
+    axis = 0 if w[0] != b[0] else (1 if w[1] != b[1] else 2)
+    sign = b[axis] - w[axis]
+    if sign not in (1, -1):
+        # the step wraps around a period above 2
+        sign = -1 if sign > 0 else 1
+    return axis, sign
+
+
+@lru_cache(maxsize=4)
+def _white_indices(L: int, M: int, N: int) -> tuple[int, ...]:
+    """The white cells (x + y + z odd) of an L x M x N box or torus, by index."""
+    return tuple(i for x in range(L) for y in range(M)
+                 for i in range((x * M + y) * N + 1 - (x + y) % 2, (x * M + y + 1) * N, 2))
+
+
+def _lattice_refined_mate(t: Tiling, region2: Region,
+                          scale: int) -> Optional[tuple[int, ...]]:
+    """The refined mate array on a box or torus, by index arithmetic.
+
+    Refined cell (x, y, z) is index (x * M + y) * N + z. A brick's column
+    of 2 * scale cells pairs them from the white end, which is also from
+    its low end, as 2 * scale is even; on a torus positions wrap around the
+    periods. Each column is written as index differences, mate[i] - i =
+    +stride and -stride alternately, by two strided slice writes of
+    constant lists. Returns None when a column leaves a box or the bricks
+    do not cover every cell exactly once, for _indexed_refined_pairs to
+    diagnose.
+    """
+    sizes = region2.dims or region2.periods
+    torus = region2.periods is not None
+    strides = (sizes[1] * sizes[2], sizes[2], 1)
+    n = region2.n_cells
+    if 2 * len(t.pairs) * scale ** 3 != n:
+        return None
+    span = 2 * scale
+    # index offsets of a brick's columns from its first column, per axis
+    cross = [[du * strides[u] + dv * strides[v] for du in range(scale) for dv in range(scale)]
+             for u, v in ((1, 2), (0, 2), (0, 1))]
+    ups = [[s] * scale for s in strides]
+    downs = [[-s] * scale for s in strides]
+    delta = [0] * n
+    cells = t.region.cells
+    for wi, bi in t.pairs:
+        w, b = cells[wi], cells[bi]
+        axis, sign = _brick_axis(w, b)
+        low = (w[axis] if sign > 0 else w[axis] - 1) * scale
+        size, s = sizes[axis], strides[axis]
+        if torus:
+            low %= size
+        elif low < 0 or low + span > size:
+            return None
+        corner = sum(w[ax] * scale * strides[ax] for ax in range(3) if ax != axis)
+        if low + span <= size:
+            first, step, length = corner + low * s, 2 * s, span * s
+            up, down = ups[axis], downs[axis]
+            for o in cross[axis]:
+                a = first + o
+                delta[a:a + length:step] = up
+                delta[a + s:a + length:step] = down
+            continue
+        for o in cross[axis]:
+            for m in range(0, span, 2):
+                ia = corner + o + (low + m) % size * s
+                ib = corner + o + (low + m + 1) % size * s
+                delta[ia] = ib - ia
+                delta[ib] = ia - ib
+    # n writes that leave no cell unmatched match every cell exactly once
+    if 0 in delta:
+        return None
+    return tuple(map(add, range(n), delta))
+
+
+def _indexed_refined_pairs(t: Tiling, region2: Region,
+                           scale: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The refined pairs and mate array by lookups in region2's cell tables,
+    brick by brick; raises ValueError naming a refined cell matched twice or
+    left unmatched."""
     index2, colors2 = region2.index, region2.colors
     cells = t.region.cells
     mate = [-1] * region2.n_cells
     pairs: list[tuple[int, int]] = []
     for wi, bi in t.pairs:
         w, b = cells[wi], cells[bi]
-        axis = 0 if w[0] != b[0] else (1 if w[1] != b[1] else 2)
-        sign = b[axis] - w[axis]
-        if sign not in (1, -1):
-            # the step wraps around a period above 2
-            sign = -1 if sign > 0 else 1
+        axis, sign = _brick_axis(w, b)
         start = w[axis] * scale + (0 if sign > 0 else scale - 1)
         column = [(start + 2 * m * sign, start + (2 * m + 1) * sign) for m in range(scale)]
         if region2.periods is not None:
@@ -570,9 +661,7 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
                 raise ValueError("refined cell covered twice: %r" % (region2.cells[i],))
             seen.add(i)
         raise ValueError("refined cell uncovered: %r" % (region2.cells[mate.index(-1)],))
-    t2 = Tiling(region2, pairs)
-    t2._mate = tuple(mate)
-    return t2
+    return pairs, mate
 
 
 def serialize_tiling(t: Tiling) -> str:

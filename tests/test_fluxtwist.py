@@ -11,6 +11,7 @@ from tritile import (
     refine_tiling, relative_twist, surface_from_json, surface_predicates, twist,
     vertex_flow,
 )
+from tritile import fluxtwist
 from tritile.harness import walk_states
 from support import pinwheel_N1, slow_twist, tiling_tA, tiling_tB
 
@@ -352,6 +353,31 @@ def test_predicates_boundary_mismatch_error():
     wrong = DiscreteSurface(build_box(2, 2, 2), [Square((1, 1, 2), 2, 1)])
     with pytest.raises(ValueError, match="does not match"):
         surface_predicates(t0, t1, wrong)
+
+
+@pytest.mark.parametrize("tangent, message", [
+    (lambda t, s, first: t is first, "tangency must not depend on the side"),
+    (lambda t, s, first: True, "a tangent surface is balanced and zero-flux"),
+])
+def test_predicates_consistency_checks_raise(monkeypatch, tangent, message):
+    # checks, not asserts, so that python -O keeps them
+    tA, tB = tiling_tA(), tiling_tB()
+    s = DiscreteSurface(tA.region, [Square((0, 1, 1), 0, 1), Square((1, 2, 1), 1, -1),
+                                    Square((1, 1, 2), 2, -1)])
+    monkeypatch.setattr(fluxtwist, "_tangent_to_surface", lambda t, s: tangent(t, s, tA))
+    with pytest.raises(RuntimeError, match=message):
+        surface_predicates(tA, tB, s)
+
+
+def test_modulus_builds_each_cutting_surface_once():
+    fluxtwist._cutting_surface_cached.cache_clear()
+    tr = build_torus(4, 4, 2)
+    f = flux(base_tiling(tr, 0))
+    assert modulus(f) == modulus(f)
+    info = fluxtwist._cutting_surface_cached.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+    # the public builder still hands out a fresh surface
+    assert cutting_surface(tr, 0, 0) is not cutting_surface(tr, 0, 0)
 
 
 def test_diff_cycle_winding_matches_flux():

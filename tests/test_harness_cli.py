@@ -296,6 +296,24 @@ def test_sample_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of refine reports, pinned when refinement of boxes and tori moved
+# to index arithmetic
+@pytest.mark.parametrize("argv, digest", [
+    (["box", "3", "3", "2", "-k", "1"],
+     "01b59b8936a217ba6d618da7be6894d92c609cbc47f67bf0dc053d2ab050e949"),
+    (["box", "3", "3", "2", "-k", "1", "--format", "csv"],
+     "32f03c92c227e9bcb9f72bf5a5706c0e560647cd2b52a7921dce05cfcd3da261"),
+    (["torus", "2", "2", "4", "-k", "1"],
+     "70a7e0067287e34ff5d3a3397208527bf3f3bb76d7ded560d0151ff2993fcb89"),
+    (["torus", "2", "2", "4", "-k", "1", "--format", "csv"],
+     "ec541fb221cb19c75019f1f7ae524cee678c78e0239b0874228287526801688d"),
+])
+def test_refine_report_bytes_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, "refine", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_reports_are_deterministic(capsys):
     first = run(capsys, "sample", "torus", "2", "2", "4", "--steps", "50")
     second = run(capsys, "sample", "torus", "2", "2", "4", "--steps", "50")

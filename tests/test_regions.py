@@ -151,6 +151,48 @@ def test_neighbor_table_is_built_on_first_access():
                               (r.index[(0, 0, 1)], 4))
 
 
+@pytest.mark.parametrize("build, sizes", [
+    (build_box, (1, 2, 3)), (build_box, (2, 2, 1)), (build_box, (3, 4, 5)),
+    (build_torus, (2, 2, 2)), (build_torus, (2, 4, 6)), (build_torus, (4, 4, 4)),
+])
+def test_lattice_neighbor_table_matches_the_voxel_builder(build, sizes):
+    # same rows in the same order, period-2 axes listed once under +axis
+    r = build(*sizes)
+    assert r.neighbor_table == r._build_neighbors()
+
+
+def _built(r: Region, name: str) -> bool:
+    # read the slot itself: plain attribute access would build the table
+    try:
+        object.__getattribute__(r, name)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_box_and_torus_cell_tables_are_built_on_first_access():
+    r = build_torus(2, 4, 6)
+    assert r.n_cells == 48
+    assert not any(_built(r, name) for name in ("cells", "index", "colors"))
+    assert r.cells[17] == (0, 2, 5) and r.index[(0, 2, 5)] == 17
+    assert r.colors[17] == -1
+    assert all(_built(r, name) for name in ("cells", "index", "colors"))
+    assert r.cells == tuple(sorted(r.cells))
+    # a plain Region again: attribute reads skip the __getattr__ hook
+    assert type(r) is Region
+
+
+def test_region_equality_ignores_built_tables():
+    a, b = build_box(2, 2, 2), build_box(2, 2, 2)
+    assert a == b and hash(a) == hash(b)
+    assert a.cells and _built(a, "cells") and not _built(b, "cells")
+    assert a == b and hash(a) == hash(b)
+    box, torus = build_box(2, 2, 2), build_torus(2, 2, 2)
+    voxels = build_voxel_region(box.cells)
+    assert box != torus and box != voxels and torus != voxels
+    assert voxels == build_voxel_region(reversed(box.cells))
+
+
 def test_refine_box_dims():
     r = refine_region(build_box(2, 2, 1), 1)
     assert r.kind == "box"

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tritile import tilings
 from tritile import (
     BudgetExceeded, Region, Tiling, apply_flip, base_tiling, build_box,
     build_torus, build_voxel_region, count_tilings, deserialize_tiling,
@@ -261,6 +262,46 @@ def test_refine_rejects_a_broken_cover():
         refine_tiling(Tiling(r, [(w, b), (w, b)]), 1)
     with pytest.raises(ValueError, match="refined cell uncovered"):
         refine_tiling(Tiling(r, [(w, b)]), 1)
+
+
+def test_refine_rejects_a_black_cell_matched_twice():
+    # both whites are matched once, so only a check on black cells sees it
+    twice = [((1, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 0, 0))]
+    upper = [((0, 0, 1), (1, 0, 1)), ((1, 1, 1), (0, 1, 1))]
+    for r, cell_pairs in ((build_box(2, 2, 1), twice), (build_torus(2, 2, 2), twice + upper)):
+        pairs = [(r.index[w], r.index[b]) for w, b in cell_pairs]
+        with pytest.raises(ValueError, match="refined cell covered twice"):
+            refine_tiling(Tiling(r, pairs), 1)
+
+
+def test_refine_never_wraps_a_column_around_a_box():
+    # a hand-built pair (w, w) puts its column above w, past the box's top:
+    # the lookup fails as it always did instead of pairing z = 9 with z = 0
+    r = build_box(1, 2, 2)
+    w = r.index[(0, 0, 1)]
+    with pytest.raises(KeyError):
+        refine_tiling(Tiling(r, [(w, w), (r.index[(0, 1, 1)], r.index[(0, 1, 0)])]), 1)
+
+
+@pytest.mark.parametrize("region", [build_box(2, 1, 1), build_torus(2, 2, 2)],
+                         ids=["box211", "torus222"])
+def test_second_refinement_matches_cell_pair_oracle(region):
+    # the torus tiling has x- and z-dimers, with white ends on both sides
+    t = list(enumerate_tilings(region))[1 if region.is_torus else 0]
+    fine, slow = refine_tiling(t, 2), slow_refine(t, 2)
+    assert fine == slow and fine.mate == slow.mate
+
+
+def test_refining_a_box_leaves_the_refined_cell_tables_unbuilt():
+    tilings._refine_region_cached.cache_clear()
+    t = list(enumerate_tilings(build_box(3, 3, 2)))[100]
+    fine = refine_tiling(t, 2)
+    assert fine.region.n_cells == len(fine.mate) == 281_250
+    for name in ("cells", "index", "colors"):
+        # the slot itself: plain attribute access would build the table
+        with pytest.raises(AttributeError):
+            object.__getattribute__(fine.region, name)
+    assert fine.region._neighbor_table is None
 
 
 def test_serialize_round_trip_base():
