@@ -92,7 +92,8 @@ def _report(command: str, seed: int, payload: dict) -> dict:
     }
 
 
-def _emit(report: dict, rows: list[list], header: list[str], args) -> None:
+def _emit(report: dict, rows: list[list], header: list[str], args,
+          parser: argparse.ArgumentParser) -> None:
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
@@ -104,8 +105,11 @@ def _emit(report: dict, rows: list[list], header: list[str], args) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error("cannot write --out %s: %s" % (args.out, exc.strerror or exc))
     else:
         sys.stdout.write(text)
 
@@ -189,7 +193,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
             header = ["index", "hash"]
         report = _report(_command(args, "enumerate", _region_tokens(region), flag),
                          args.seed, payload)
-        _emit(report, rows, header, args)
+        _emit(report, rows, header, args, parser)
         return 0
 
     if args.cmd == "components":
@@ -222,7 +226,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
             args.seed, payload)
         rows = [[i, c["size"], c["min_twist"], c["max_twist"]]
                 for i, c in enumerate(comps)]
-        _emit(report, rows, ["component", "size", "min_twist", "max_twist"], args)
+        _emit(report, rows, ["component", "size", "min_twist", "max_twist"], args, parser)
         return 0
 
     if args.cmd == "invariants":
@@ -243,7 +247,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         rows = [["flux", json.dumps(list(f.components))],
                 ["modulus", payload["modulus"]],
                 ["twist", payload["twist"]]]
-        _emit(report, rows, ["key", "value"], args)
+        _emit(report, rows, ["key", "value"], args, parser)
         return 0
 
     if args.cmd == "refine":
@@ -263,7 +267,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
                      ("%s -k %d" % (tail, args.k)).strip()),
             args.seed, payload)
         rows = [["k", args.k], ["dimers", len(refined.pairs)]]
-        _emit(report, rows, ["key", "value"], args)
+        _emit(report, rows, ["key", "value"], args, parser)
         return 0
 
     if args.cmd == "sample":
@@ -284,7 +288,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
                 ["distinct_visited", payload["distinct_visited"]],
                 ["frozen", payload["frozen"]]]
         rows.extend(["hist:%s" % k, v] for k, v in payload["histogram"].items())
-        _emit(report, rows, ["key", "value"], args)
+        _emit(report, rows, ["key", "value"], args, parser)
         return 0
 
     if args.cmd == "verify":
@@ -292,7 +296,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         payload = {"suite": args.suite, "passed": passed, "checks": checks}
         report = _report(_command(args, "verify", args.suite), args.seed, payload)
         rows = [[c["id"], c["passed"], c.get("detail", "")] for c in checks]
-        _emit(report, rows, ["id", "passed", "detail"], args)
+        _emit(report, rows, ["id", "passed", "detail"], args, parser)
         return 0 if passed else 1
 
     parser.error("unknown command")

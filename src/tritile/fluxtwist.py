@@ -23,7 +23,7 @@ from math import floor, gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .regions import (
-    AXIS_NAMES, Cell, DIR_AXIS, DIR_SIGN, DIRECTIONS, Region,
+    AXIS_NAMES, Cell, DIR_AXIS, DIR_SIGN, DIRECTIONS, Region, _coordinate,
 )
 from .tilings import (
     Tiling, base_tiling, diff_cycles, list_tilings, _axis_index,
@@ -320,10 +320,11 @@ def closed_box_surface(r: Region, corner: Sequence[int], dims: Sequence[int]) ->
 
     corner and dims are in dual-vertex (cell center) coordinates: the box
     spans corner .. corner + dims along each axis and all of its dual
-    vertices must be cells of the region.
+    vertices must be cells of the region. A coordinate that is not an
+    integer raises RegionError.
     """
-    corner = tuple(int(c) for c in corner)
-    dims = tuple(int(d) for d in dims)
+    corner = tuple(map(_coordinate, corner))
+    dims = tuple(map(_coordinate, dims))
     if any(d < 1 for d in dims):
         raise ValueError("sub-box dimensions must be positive")
     if r.periods is not None and any(d >= p for d, p in zip(dims, r.periods)):

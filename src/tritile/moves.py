@@ -96,20 +96,18 @@ def find_trits(t: Tiling) -> list[TritMove]:
 class _Lattice:
     """Index tables of a region that the move scanners read.
 
-    step[i][d] is the index of the cell one step from cell i in direction d,
-    or -1 off the region. anchors are the sorted 2x2x2 cube anchors with at
-    least 7 cells in the region, cubes[r] the cell indices of anchor r's cube
-    in _OFFSETS order (-1 off the region), and cell_anchors[i] the anchors
-    whose cube holds cell i.
+    step is the region's step_table: step[i][d] is the index of the cell one
+    step from cell i in direction d, or -1 off the region. anchors are the
+    sorted 2x2x2 cube anchors with at least 7 cells in the region, cubes[r]
+    the cell indices of anchor r's cube in _OFFSETS order (-1 off the
+    region), and cell_anchors[i] the anchors whose cube holds cell i.
     """
 
     __slots__ = ("step", "anchors", "cubes", "cell_anchors")
 
     def __init__(self, region: Region):
         index = region.index
-        self.step = tuple(
-            tuple(index.get(region.step(cell, d), -1) for d in range(6))
-            for cell in region.cells)
+        self.step = region.step_table
         candidates = {region.reduce((x - o[0], y - o[1], z - o[2]))
                       for (x, y, z) in region.cells for o in _OFFSETS}
         self.anchors: list[Cell] = []
@@ -245,20 +243,18 @@ def apply_trit(t: Tiling, m: TritMove) -> Tiling:
     return t.replace(m.removed, m.inserted)
 
 
-def _normalize_moves(moves: Union[str, Iterable[str]]) -> frozenset:
-    if isinstance(moves, str):
-        aliases = {
-            "flip": {"flip"},
-            "fliptrit": {"flip", "trit"},
-            "flip+trit": {"flip", "trit"},
-        }
-        if moves not in aliases:
-            raise ValueError("moves must be 'flip' or 'flip+trit'")
-        return frozenset(aliases[moves])
-    s = frozenset(moves)
-    if not s or not s <= {"flip", "trit"}:
-        raise ValueError("moves must be a nonempty subset of {'flip', 'trit'}")
-    return s
+_MOVE_SETS = {
+    "flip": frozenset({"flip"}),
+    "trit": frozenset({"trit"}),
+    "fliptrit": frozenset({"flip", "trit"}),
+    "flip+trit": frozenset({"flip", "trit"}),
+}
+
+
+def _normalize_moves(moves: str) -> frozenset:
+    if not isinstance(moves, str) or moves not in _MOVE_SETS:
+        raise ValueError("moves must be 'flip', 'trit' or 'flip+trit'")
+    return _MOVE_SETS[moves]
 
 
 class WalkState:
@@ -272,7 +268,7 @@ class WalkState:
     proportion to the move's neighbourhood, not to the tiling.
     """
 
-    def __init__(self, t: Tiling, moves: Union[str, Iterable[str]] = "flip+trit"):
+    def __init__(self, t: Tiling, moves: str = "flip+trit"):
         move_set = _normalize_moves(moves)
         region = t.region
         self.region = region
@@ -494,7 +490,7 @@ def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, .
             yield tuple(new), "trit", sign
 
 
-def move_graph(tilings: Iterable[Tiling], moves: Union[str, Iterable[str]]) -> MoveGraph:
+def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:
     """Build the move graph over a complete enumeration of a region's tilings.
 
     The scan runs in index space. Each input tiling is hashed once and

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import operator
-from itertools import product, repeat
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 Cell = tuple[int, int, int]
@@ -59,17 +59,19 @@ class Region:
     Do not call the constructor directly; use build_box, build_torus or
     build_voxel_region. A box or torus is stored as its sizes: cell i is
     (x, y, z) with i = (x * M + y) * N + z for sizes (L, M, N), and cells,
-    index and colors are built on first access, as the dual graph
-    (neighbor_table) is for every region. So a refined box or torus that is
-    only indexed by arithmetic, as refine_tiling does, never builds them
-    (see _UnbuiltRegion). A voxel region builds its cell tables at once.
-    Equality and hashing key a box or torus on its sizes and a voxel region
-    on its cells, so building tables never changes either.
+    index and colors are built on first access. So a refined box or torus
+    that is only indexed by arithmetic, as refine_tiling does, never builds
+    them (see _UnbuiltRegion). A voxel region builds its cell tables at once.
+    The dual graph is one step table per region, built on first access: by
+    index arithmetic on a box or torus, without its cell tables, and by
+    lookups in the index on a voxel region. neighbor_table is derived from
+    it. Equality and hashing key a box or torus on its sizes and a voxel
+    region on its cells, so building tables never changes either.
     """
 
     __slots__ = (
         "kind", "cells", "index", "colors", "dims", "periods", "parity", "n_cells",
-        "_neighbor_table", "degenerate_adjacency", "_hash",
+        "_step_table", "_neighbor_table", "degenerate_adjacency", "_hash",
     )
 
     def __init__(self, kind: str, cells: Optional[Sequence[Cell]], parity: int,
@@ -85,6 +87,7 @@ class Region:
             self._set_tables(sorted(cells))
             self.n_cells = len(self.cells)
         self.degenerate_adjacency = bool(periods) and min(periods) == 2
+        self._step_table: Optional[tuple[tuple[int, ...], ...]] = None
         self._neighbor_table: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
         self._hash = hash(self._key())
 
@@ -97,83 +100,57 @@ class Region:
             for (x, y, z) in self.cells
         )
 
-    # -- construction helpers -------------------------------------------
+    # -- the dual graph --------------------------------------------------
+
+    @property
+    def step_table(self) -> tuple[tuple[int, ...], ...]:
+        """Per cell index, the index of the cell one step away in each of the
+        six DIRECTIONS, or -1 where the step leaves the region. On a
+        period-2 torus axis both steps name the same cell."""
+        if self._step_table is None:
+            if self.kind == "voxels":
+                index, step = self.index, self.step
+                self._step_table = tuple(
+                    tuple(index.get(step(cell, d), -1) for d in range(6))
+                    for cell in self.cells)
+            else:
+                self._step_table = self._lattice_steps()
+        return self._step_table
+
+    def _lattice_steps(self) -> tuple[tuple[int, ...], ...]:
+        # One column per direction, i + stride or i - stride. The cells on
+        # the face that the step leaves by are a run of stride indices in
+        # every span of stride * size; their entries are set to -1 on a box
+        # and wrapped back by one span on a torus.
+        torus = self.periods is not None
+        L, M, N = sizes = self.dims or self.periods
+        n = self.n_cells
+        columns = []
+        for axis, stride in enumerate((M * N, N, 1)):
+            span = stride * sizes[axis]
+            for sign in (1, -1):
+                column = list(range(sign * stride, n + sign * stride))
+                face = span - stride if sign > 0 else 0
+                for a in range(face, n, span):
+                    if torus:
+                        j = column[a] - sign * span
+                        column[a:a + stride] = range(j, j + stride)
+                    else:
+                        column[a:a + stride] = [-1] * stride
+                columns.append(column)
+        return tuple(zip(*columns))
 
     @property
     def neighbor_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per cell index, its adjacent cells as (index, direction) pairs."""
+        """Per cell index, its adjacent cells as (index, direction) pairs in
+        DIRECTIONS order: the step table without its -1 entries, and with a
+        period-2 axis listed once, under its +axis direction."""
         if self._neighbor_table is None:
-            if self.kind == "voxels":
-                self._neighbor_table = self._build_neighbors()
-            else:
-                self._neighbor_table = self._lattice_neighbors()
+            self._neighbor_table = tuple(
+                tuple((j, d) for d, j in enumerate(row)
+                      if j >= 0 and not (d & 1 and j == row[d - 1]))
+                for row in self.step_table)
         return self._neighbor_table
-
-    def _build_neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # One entry per unordered adjacent pair per axis: on a period-2 torus
-        # the +axis and -axis steps reach the same cell and are recorded once,
-        # under the +axis direction.
-        table = []
-        for cell in self.cells:
-            row = []
-            seen: set[tuple[int, int]] = set()
-            for d in range(6):
-                other = self.step(cell, d)
-                if other is None:
-                    continue
-                j = self.index.get(other)
-                if j is None:
-                    continue
-                key = (j, DIR_AXIS[d])
-                if key in seen:
-                    continue
-                seen.add(key)
-                row.append((j, d))
-            table.append(tuple(row))
-        return tuple(table)
-
-    def _lattice_neighbors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """_build_neighbors on a box or torus, by index arithmetic.
-
-        Per axis and coordinate, the (index offset, direction) entries of
-        the steps that stay in the region; a period-2 axis keeps only its
-        +axis step. Along z the entries change only at the two ends, so
-        each run of equal entries becomes rows by zipping one index range
-        per direction.
-        """
-        torus = self.periods is not None
-        L, M, N = sizes = self.dims or self.periods
-        steps = []
-        for axis, stride in enumerate((M * N, N, 1)):
-            n = sizes[axis]
-            per_coord = []
-            for c in range(n):
-                entries = []
-                if c + 1 < n or torus:
-                    entries.append((stride if c + 1 < n else stride * (1 - n), 2 * axis))
-                if (c > 0 or torus) and not (torus and n == 2):
-                    entries.append((-stride if c > 0 else stride * (n - 1), 2 * axis + 1))
-                per_coord.append(entries)
-            steps.append(per_coord)
-        xs, ys, zs = steps
-        z_runs: list[list] = []  # [first z, end z, entries] per run of equal entries
-        for z in range(N):
-            if z_runs and z_runs[-1][2] == zs[z]:
-                z_runs[-1][1] = z + 1
-            else:
-                z_runs.append([z, z + 1, zs[z]])
-        # pairs[d][j] is the entry (j, d)
-        pairs = [list(zip(range(self.n_cells), repeat(d))) for d in range(6)]
-        table: list[tuple[tuple[int, int], ...]] = []
-        for x in range(L):
-            for y in range(M):
-                xy = xs[x] + ys[y]
-                row = (x * M + y) * N
-                for z0, z1, z_entries in z_runs:
-                    entries = xy + z_entries
-                    lo, hi = row + z0, row + z1
-                    table.extend(zip(*[pairs[d][lo + o:hi + o] for o, d in entries]))
-        return tuple(table)
 
     # -- basic queries ---------------------------------------------------
 
@@ -199,12 +176,9 @@ class Region:
         a, b, c = self.periods
         return (cell[0] % a, cell[1] % b, cell[2] % c)
 
-    def step(self, cell: Cell, direction: int) -> Optional[Cell]:
-        """The neighboring lattice cell in the given direction, reduced.
-
-        Returns the coordinate triple whether or not it lies in the region;
-        None is never returned for tori.
-        """
+    def step(self, cell: Cell, direction: int) -> Cell:
+        """The neighboring lattice cell in the given direction, reduced,
+        whether or not it lies in the region."""
         d = DIRECTIONS[direction]
         return self.reduce((cell[0] + d[0], cell[1] + d[1], cell[2] + d[2]))
 
@@ -214,13 +188,8 @@ class Region:
 
     def boundary_faces(self) -> tuple[tuple[Cell, int], ...]:
         """Exterior unit squares as (cell, outward direction index) pairs."""
-        faces = []
-        for cell in self.cells:
-            for d in range(6):
-                other = self.step(cell, d)
-                if other not in self.index:
-                    faces.append((cell, d))
-        return tuple(faces)
+        return tuple((cell, d) for cell, row in zip(self.cells, self.step_table)
+                     for d in range(6) if row[d] < 0)
 
     # -- equality and serialization ---------------------------------------
 

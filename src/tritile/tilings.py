@@ -185,14 +185,6 @@ class Tiling:
             self._steps = tuple(steps)
         return self._steps
 
-    def dimer_at(self, cell: Cell) -> Dimer:
-        region = self.region
-        i = region.index[region.reduce(cell)]
-        j = self.mate[i]
-        wi, bi = (i, j) if region.colors[i] == -1 else (j, i)
-        w, b = region.cells[wi], region.cells[bi]
-        return Dimer(w, b, _direction(region, w, b))
-
     @property
     def hash64(self) -> int:
         """Order-independent 64-bit canonical hash (sorted fold of dimer codes)."""
@@ -206,13 +198,14 @@ class Tiling:
 
     def validate(self) -> None:
         region = self.region
+        colors, step = region.colors, region.step_table
         covered = [0] * region.n_cells
         for wi, bi in self.pairs:
             covered[wi] += 1
             covered[bi] += 1
-            if region.colors[wi] != -1 or region.colors[bi] != 1:
+            if colors[wi] != -1 or colors[bi] != 1:
                 raise ValueError("mis-colored dimer (%d, %d)" % (wi, bi))
-            if bi not in [j for j, _ in region.neighbors(wi)]:
+            if bi not in step[wi]:
                 raise ValueError("non-adjacent dimer (%d, %d)" % (wi, bi))
         for i, c in enumerate(covered):
             if c > 1:
@@ -281,27 +274,17 @@ def _axis_index(axis) -> int:
     raise ValueError("axis must be one of x, y, z")
 
 
-def enumerate_tilings(region: Region,
-                      neighbor_order: Optional[Sequence[int]] = None) -> Iterator[Tiling]:
+def enumerate_tilings(region: Region) -> Iterator[Tiling]:
     """All tilings of the region, exactly once, in a canonical order.
 
     Depth-first backtracking on the lowest-indexed uncovered cell, branching
     over its neighbors in the canonical +x,-x,+y,-y,+z,-z order. The stream is
     deterministic, so a consumer can re-run and skip a prefix to resume.
-    neighbor_order, a permutation of range(6), scrambles the branching order
-    (the emitted set is the same; used to test order independence).
     """
-    order = tuple(neighbor_order) if neighbor_order is not None else tuple(range(6))
-    if sorted(order) != list(range(6)):
-        raise ValueError("neighbor_order must be a permutation of range(6)")
     n = region.n_cells
     if n == 0 or n % 2:
         return
-    rank = {d: r for r, d in enumerate(order)}
-    nbrs = tuple(
-        tuple(j for _, j in sorted((rank[d], j) for j, d in row))
-        for row in region.neighbor_table
-    )
+    nbrs = tuple(tuple(j for j, _d in row) for row in region.neighbor_table)
     mate = [-1] * n
     frames: list[tuple[int, int]] = []
     i, pos = 0, 0
@@ -528,7 +511,7 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
     each pair is oriented white to black by its colours. Either way
     adjacency and colours hold by construction and only the cover is
     checked: a refined cell matched twice or left unmatched raises
-    ValueError. The refined region's neighbour table is never built.
+    ValueError. The refined region's step table is never built.
     """
     if k < 0:
         raise ValueError("refinement count must be nonnegative")

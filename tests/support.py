@@ -14,6 +14,7 @@ from tritile import (
 )
 from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
 from tritile.moves import _normalize_moves
+from tritile.regions import DIR_AXIS, DIRECTIONS
 from tritile.tilings import _direction
 
 
@@ -35,6 +36,45 @@ def adjacent_cells(u, v, periods) -> bool:
             d = min((v[k] - u[k]) % p, (u[k] - v[k]) % p)
         diffs.append(d)
     return sorted(diffs) == [0, 0, 1]
+
+
+def raw_step_table(region) -> tuple:
+    """Region.step_table from raw coordinates: each cell plus each unit
+    vector, wrapped by hand modulo the periods on a torus, looked up in a
+    dict of the region's cells (-1 when absent)."""
+    position = {c: i for i, c in enumerate(region.cells)}
+    periods = region.periods
+    table = []
+    for cell in region.cells:
+        row = []
+        for vec in DIRECTIONS:
+            other = [c + v for c, v in zip(cell, vec)]
+            if periods is not None:
+                other = [c % p for c, p in zip(other, periods)]
+            row.append(position.get(tuple(other), -1))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def slow_neighbor_table(region) -> tuple:
+    """Region.neighbor_table cell by cell through Region.step and the index.
+
+    One entry per unordered adjacent pair per axis: on a period-2 torus the
+    +axis and -axis steps reach the same cell and are recorded once, under
+    the +axis direction.
+    """
+    table = []
+    for cell in region.cells:
+        row = []
+        seen = set()
+        for d in range(6):
+            j = region.index.get(region.step(cell, d))
+            if j is None or (j, DIR_AXIS[d]) in seen:
+                continue
+            seen.add((j, DIR_AXIS[d]))
+            row.append((j, d))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def count_matchings(cells, periods=None, parity=0) -> int:

@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 
 from tritile import (
-    BudgetExceeded, DiscreteSurface, FluxVector, Square, apply_flip, apply_trit,
+    BudgetExceeded, DiscreteSurface, FluxVector, RegionError, Square, apply_flip, apply_trit,
     base_tiling, build_box, build_torus, build_voxel_region, closed_box_surface,
     cutting_surface, diff_cycles, enumerate_tilings, find_flips, find_trits,
     flux, flux_through_surface, mixed_torus_tiling, modulus, move_graph,
@@ -210,6 +210,15 @@ def test_closed_box_surface_boundary_guard():
         closed_box_surface(r, (0, 0, 0), (4, 2, 2))
     with pytest.raises(ValueError, match="positive"):
         closed_box_surface(r, (1, 1, 1), (0, 1, 1))
+
+
+@pytest.mark.parametrize("corner, dims", [
+    ((1.7, 1, 1), (1, 1, 1)), ((1, 1, 1), (1, 1.0, 1)), (("1", 1, 1), (1, 1, 1)),
+])
+def test_closed_box_surface_refuses_non_integer_coordinates(corner, dims):
+    # int() would quietly build the surface at x = 1
+    with pytest.raises(RegionError, match="not an integer"):
+        closed_box_surface(build_box(4, 4, 4), corner, dims)
 
 
 def test_closed_surface_phi_vanishes():

@@ -331,6 +331,53 @@ def test_out_file_has_unix_newlines(capsys, tmp_path):
     raw.decode("utf-8")
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/dir/r.json"])
+def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, target):
+    path = tmp_path / target
+    if target == "dir":
+        path.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "box", "2", "2", "1", "--out", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write --out %s" % path in captured.err
+
+
+_SMALL_L = ([[x, y, z] for x in range(3) for y in range(2) for z in range(2)]
+            + [[x, y, z] for x in range(2) for y in range(2, 4) for z in range(2)])
+
+
+# sha256 of reports whose bytes follow the enumeration order or the walk's
+# move order, both read off the region's step table; recorded before the
+# step table replaced the separate neighbour and step builders.
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "all", "--seed", "0"],
+     "09c01369fbb67bbc6e0a342aa1e9e60ce3d895b325e79aa51e6450d0c2e2864a"),
+    (["verify", "all", "--seed", "3"],
+     "cd5a163bffc6ebe825a1f4786b1ded59018a8e6247c597d0f671543280832c4a"),
+    (["components", "box", "3", "4", "2", "--moves", "flip"],
+     "28d79bb15eb8e993be41548a1e3e3f2570e8ed5bc28b1953ac6eeff4e8d33eb5"),
+    (["components", "box", "3", "4", "2", "--moves", "fliptrit"],
+     "ab826dbb47f1627ecc027c37bffdc7e3dc3f0e54ce11c81f7216ab8e6c8e5728"),
+    (["enumerate", "box", "2", "2", "2"],
+     "e46e79663764cf42e2b6475fb1691ed210b5e33c919557b5c1a1dd2dba3e902f"),
+    (["enumerate", "voxels", "SMALL_L"],
+     "d01868ee9c4478b32fbf868e3ae1ce28f80910f1c903eb1c4a93a2c3e47336c8"),
+    (["sample", "voxels", "SMALL_L", "--steps", "200", "--seed", "2"],
+     "0551c1cf69f4f4aadd76761aca4d4e873b954656b453675b6a49ac8e323564f2"),
+    (["sample", "voxels", "SMALL_L", "--moves", "flip", "--steps", "200", "--seed", "2"],
+     "43d681b5c7b446ace52a467eea508dd420b55fcc315f484ca58ddc4157704598"),
+])
+def test_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    spec = tmp_path / "small_l.json"
+    spec.write_text(json.dumps({"cells": _SMALL_L}))
+    argv = [str(spec) if a == "SMALL_L" else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_verify_counts_cli(capsys):
     doc = run_json(capsys, "verify", "counts")
     rep = doc["report"]

@@ -4,6 +4,7 @@ from tritile import (
     BudgetExceeded, Region, RegionError, build_box, build_torus, build_voxel_region,
     refine_region, region_from_json,
 )
+from support import corner_cut_cube, raw_step_table, slow_neighbor_table
 
 
 def test_box_basic():
@@ -144,9 +145,10 @@ def test_interior_edges_have_four_cells():
 
 def test_neighbor_table_is_built_on_first_access():
     r = refine_region(build_box(2, 2, 1), 1)
-    assert r._neighbor_table is None
+    assert r._step_table is None and r._neighbor_table is None
     table = r.neighbor_table
     assert len(table) == r.n_cells and r.neighbor_table is table
+    assert r.step_table is r.step_table
     assert r.neighbors(0) == ((r.index[(1, 0, 0)], 0), (r.index[(0, 1, 0)], 2),
                               (r.index[(0, 0, 1)], 4))
 
@@ -154,11 +156,35 @@ def test_neighbor_table_is_built_on_first_access():
 @pytest.mark.parametrize("build, sizes", [
     (build_box, (1, 2, 3)), (build_box, (2, 2, 1)), (build_box, (3, 4, 5)),
     (build_torus, (2, 2, 2)), (build_torus, (2, 4, 6)), (build_torus, (4, 4, 4)),
+    (build_torus, (6, 4, 2)),
 ])
 def test_lattice_neighbor_table_matches_the_voxel_builder(build, sizes):
-    # same rows in the same order, period-2 axes listed once under +axis
+    # the step table by index arithmetic, before any cell table is built;
+    # neighbor_table keeps the rows and order of the old voxel loop, with
+    # period-2 axes listed once under +axis
     r = build(*sizes)
-    assert r.neighbor_table == r._build_neighbors()
+    steps = r.step_table
+    assert not any(_built(r, name) for name in ("cells", "index", "colors"))
+    assert steps == raw_step_table(r)
+    assert r.neighbor_table == slow_neighbor_table(r)
+
+
+@pytest.mark.parametrize("region", [
+    corner_cut_cube(),
+    build_voxel_region([(x, y, z) for x in range(4) for y in range(2) for z in range(2)]
+                       + [(x, y, z) for x in range(2) for y in range(2, 6) for z in range(2)]),
+], ids=["corner-cut-cube", "l-shape"])
+def test_voxel_tables_match_the_oracles(region):
+    assert region.step_table == raw_step_table(region)
+    assert region.neighbor_table == slow_neighbor_table(region)
+
+
+def test_boundary_faces_read_the_step_table():
+    r = build_box(3, 2, 1)
+    faces = r.boundary_faces()
+    assert len(faces) == 2 * (3 * 2 + 3 * 1 + 2 * 1)
+    assert faces[:3] == (((0, 0, 0), 1), ((0, 0, 0), 3), ((0, 0, 0), 4))
+    assert all(r.step_table[r.index[c]][d] == -1 for c, d in faces)
 
 
 def _built(r: Region, name: str) -> bool:

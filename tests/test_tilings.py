@@ -11,7 +11,9 @@ from tritile import (
     serialize_tiling,
 )
 from tritile.harness import walk_states
-from support import count_matchings, pinwheel_N1, pinwheel_N2, slow_refine
+from support import (
+    count_matchings, pinwheel_N1, pinwheel_N2, slow_neighbor_table, slow_refine,
+)
 
 
 def test_enumeration_counts_match_permanent_oracle():
@@ -73,14 +75,42 @@ def test_frontier_count_stops_at_its_state_budget():
         count_tilings(build_box(6, 6, 6))
 
 
+def _pairs_in_branching_order(region, order):
+    """Every tiling's sorted (white, black) pairs, by a backtracking search
+    on the lowest uncovered cell that branches over directions in `order`,
+    with adjacency from the slow neighbour table."""
+    rank = {d: k for k, d in enumerate(order)}
+    nbrs = [[j for j, d in sorted(row, key=lambda e: rank[e[1]])]
+            for row in slow_neighbor_table(region)]
+    white = [c == -1 for c in region.colors]
+    mate = [-1] * region.n_cells
+    found = set()
+
+    def search(i):
+        while i < len(mate) and mate[i] != -1:
+            i += 1
+        if i == len(mate):
+            found.add(tuple(sorted((k, m) for k, m in enumerate(mate) if white[k])))
+            return
+        for j in nbrs[i]:
+            if mate[j] == -1:
+                mate[i], mate[j] = j, i
+                search(i + 1)
+                mate[i] = mate[j] = -1
+
+    search(0)
+    return found
+
+
 def test_enumeration_order_independent():
     r = build_box(3, 3, 2)
-    reference = {t.hash64 for t in enumerate_tilings(r)}
+    reference = [t.pairs for t in enumerate_tilings(r)]
+    assert len(set(reference)) == len(reference) == 229
     rng = random.Random(3)
     for _ in range(3):
         order = list(range(6))
         rng.shuffle(order)
-        assert {t.hash64 for t in enumerate_tilings(r, order)} == reference
+        assert _pairs_in_branching_order(r, order) == set(reference)
 
 
 def test_enumeration_hashes_distinct_and_valid():
@@ -292,6 +322,21 @@ def test_second_refinement_matches_cell_pair_oracle(region):
     assert fine == slow and fine.mate == slow.mate
 
 
+def test_validate_reads_adjacency_off_the_step_table():
+    # cells x = 0..3 in a row: (3, 0) wraps around a period-4 torus axis but
+    # not around a box
+    box = build_box(4, 1, 1)
+    with pytest.raises(ValueError, match="non-adjacent dimer"):
+        Tiling(box, [(1, 2), (3, 0)]).validate()
+    Tiling(box, [(1, 0), (3, 2)]).validate()
+    torus = build_torus(4, 2, 2)
+    wrapped = [((x + 1) % 4 * 4 + yz, x * 4 + yz) for x in (1, 3) for yz in range(4)]
+    wrapped = [(w, b) if torus.colors[w] == -1 else (b, w) for w, b in wrapped]
+    Tiling(torus, wrapped).validate()
+    with pytest.raises(ValueError, match="mis-colored dimer"):
+        Tiling(box, [(0, 1), (3, 2)]).validate()
+
+
 def test_refining_a_box_leaves_the_refined_cell_tables_unbuilt():
     tilings._refine_region_cached.cache_clear()
     t = list(enumerate_tilings(build_box(3, 3, 2)))[100]
@@ -301,6 +346,7 @@ def test_refining_a_box_leaves_the_refined_cell_tables_unbuilt():
         # the slot itself: plain attribute access would build the table
         with pytest.raises(AttributeError):
             object.__getattribute__(fine.region, name)
+    assert fine.region._step_table is None
     assert fine.region._neighbor_table is None
 
 

@@ -24,7 +24,7 @@ def _l_shape():
 
 
 def _full_scan(t, moves):
-    kinds = moves if isinstance(moves, set) else set(moves.split("+"))
+    kinds = set(moves.split("+"))
     return (find_flips(t) if "flip" in kinds else []) + \
         (find_trits(t) if "trit" in kinds else [])
 
@@ -83,7 +83,7 @@ def test_index_equals_full_rescan_on_16_cube():
 
 
 def test_trits_only_walk():
-    check_walk(build_box(4, 4, 2), {"trit"}, 20, 0)
+    check_walk(build_box(4, 4, 2), "trit", 20, 0)
 
 
 def test_aliased_cube_keeps_the_smaller_anchor():
@@ -140,3 +140,9 @@ def test_apply_rejects_a_stale_move():
 def test_unknown_move_set_rejected():
     with pytest.raises(ValueError):
         WalkState(start_tiling(build_box(2, 2, 2)), "swap")
+
+
+@pytest.mark.parametrize("moves", [{"flip"}, ["flip", "trit"], None])
+def test_move_set_must_be_a_name(moves):
+    with pytest.raises(ValueError, match="moves must be"):
+        WalkState(start_tiling(build_box(2, 2, 2)), moves)
