@@ -23,7 +23,7 @@ from math import floor, gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .regions import (
-    AXIS_NAMES, Cell, DIR_AXIS, DIR_SIGN, DIRECTIONS, Region, _coordinate,
+    AXIS_NAMES, Cell, DIR_AXIS, DIR_SIGN, DIRECTIONS, Region, RegionError, _coordinate,
 )
 from .tilings import (
     Tiling, base_tiling, diff_cycles, list_tilings, _axis_index,
@@ -425,7 +425,7 @@ def flux(t: Tiling) -> FluxVector:
     if region.kind == "torus":
         system = diff_cycles(t, base_tiling(region, 0))
         return FluxVector(system.winding(), region, t)
-    raise ValueError("flux unsupported for this region kind")
+    raise RegionError("kind", "flux unsupported for this region kind")
 
 
 def modulus(f: FluxVector, r: Optional[Region] = None) -> int:
@@ -445,7 +445,7 @@ def modulus(f: FluxVector, r: Optional[Region] = None) -> int:
             phi = flux_through_surface(f.witness, _cutting_surface_cached(r, k, 0))
             m = gcd(m, abs(phi))
         return m
-    raise ValueError("flux unsupported for this region kind")
+    raise RegionError("kind", "flux unsupported for this region kind")
 
 
 def twist(t: Tiling, axis) -> int:

@@ -16,14 +16,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .regions import Cell, Region
 from .tilings import Dimer, Tiling, _direction, _splitmix64
-
-# cube offsets; the position of offset (dx, dy, dz) is 4 dx + 2 dy + dz
-_OFFSETS = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
 
 
 def _dimer(region: Region, i: int, j: int) -> Dimer:
@@ -80,57 +76,17 @@ def apply_flip(t: Tiling, m: FlipMove) -> Tiling:
 def find_trits(t: Tiling) -> list[TritMove]:
     """Every available trit with its sign, duplicate-free, deterministic.
 
-    Anchors range over every 2x2x2 cube position with at least 7 of its 8
-    cells inside the region; a trit needs exactly three dimers of t fully
-    inside the cube, one per axis. The two leftover cube cells are then
-    automatically antipodal, and any of them lying in the region is covered
-    by a dimer that exits the cube. Trits are ordered by anchor; where two
-    anchors alias one cube (period-2 torus axes) the smaller one is kept.
+    The cubes are the region's cube_table: each 2x2x2 cube with at least 7
+    of its 8 cells in the region. A trit needs exactly three dimers of t
+    fully inside the cube, one per axis. The two leftover cube cells are
+    then antipodal, and any of them in the region is covered by a dimer that
+    exits the cube. Trits are ordered by anchor; where two anchors alias one
+    cube (period-2 torus axes) the smaller one is kept.
     """
-    lattice = _lattice(t.region)
-    return [_trit_move(t.region, lattice, r, trio) for r, trio in _trits(lattice, t.mate)]
+    return [_trit_move(t.region, r, trio) for r, trio in _trits(t.region, t.mate)]
 
 
 # -- scanners shared by the full scans and WalkState ------------------------
-
-class _Lattice:
-    """Index tables of a region that the move scanners read.
-
-    step is the region's step_table: step[i][d] is the index of the cell one
-    step from cell i in direction d, or -1 off the region. anchors are the
-    sorted 2x2x2 cube anchors with at least 7 cells in the region, cubes[r]
-    the cell indices of anchor r's cube in _OFFSETS order (-1 off the
-    region), and cell_anchors[i] the anchors whose cube holds cell i.
-    """
-
-    __slots__ = ("step", "anchors", "cubes", "cell_anchors")
-
-    def __init__(self, region: Region):
-        index = region.index
-        self.step = region.step_table
-        candidates = {region.reduce((x - o[0], y - o[1], z - o[2]))
-                      for (x, y, z) in region.cells for o in _OFFSETS}
-        self.anchors: list[Cell] = []
-        self.cubes: list[tuple[int, ...]] = []
-        cell_anchors: list[list[int]] = [[] for _ in region.cells]
-        for a in sorted(candidates):
-            cube = tuple(
-                index.get(region.reduce((a[0] + o[0], a[1] + o[1], a[2] + o[2])), -1)
-                for o in _OFFSETS)
-            if cube.count(-1) > 1:
-                continue
-            for c in cube:
-                if c >= 0:
-                    cell_anchors[c].append(len(self.cubes))
-            self.anchors.append(a)
-            self.cubes.append(cube)
-        self.cell_anchors = tuple(tuple(r) for r in cell_anchors)
-
-
-@lru_cache(maxsize=8)
-def _lattice(region: Region) -> _Lattice:
-    return _Lattice(region)
-
 
 def _flip_partners(step, mate: Sequence[int], w: int, b: int) -> list[tuple[int, int]]:
     """(direction, white cell) of each dimer parallel to the dimer (w, b)
@@ -156,7 +112,7 @@ def _flip_partners(step, mate: Sequence[int], w: int, b: int) -> list[tuple[int,
 def _flips(t: Tiling) -> Iterator[tuple[int, int, int, int]]:
     """(w, b, w2, b2) of each flip of t in find_flips order: the dimers
     (w, b) and (w2, b2), white cell first, with w < w2."""
-    step = _lattice(t.region).step
+    step = t.region.step_table
     mate = t.mate
     for w, b in t.pairs:
         for _d, w2 in _flip_partners(step, mate, w, b):
@@ -192,11 +148,11 @@ def _cube_trio(cube: tuple[int, ...], mate: Sequence[int]) -> Optional[tuple]:
     return tuple(sorted(pairs))
 
 
-def _trits(lattice: _Lattice, mate: Sequence[int]) -> Iterator[tuple[int, tuple]]:
+def _trits(region: Region, mate: Sequence[int]) -> Iterator[tuple[int, tuple]]:
     """(anchor rank, trio) of each trit in find_trits order. A cube that
     two anchors alias (period-2 torus axes) is listed under the first."""
     seen: set[tuple] = set()
-    for r, cube in enumerate(lattice.cubes):
+    for r, cube in enumerate(region.cube_table.cubes):
         trio = _cube_trio(cube, mate)
         if trio is not None and trio not in seen:
             seen.add(trio)
@@ -229,12 +185,13 @@ def _trit_swap(cube: tuple[int, ...], trio: tuple) -> tuple[list, list, int]:
     return removed, inserted, 1 if odd else -1
 
 
-def _trit_move(region: Region, lattice: _Lattice, r: int, trio: tuple) -> TritMove:
-    removed, inserted, sign = _trit_swap(lattice.cubes[r], trio)
+def _trit_move(region: Region, r: int, trio: tuple) -> TritMove:
+    table = region.cube_table
+    removed, inserted, sign = _trit_swap(table.cubes[r], trio)
     return TritMove(
         removed=tuple(_dimer(region, i, j) for i, j in removed),
         inserted=tuple(_dimer(region, i, j) for i, j in inserted),
-        anchor=lattice.anchors[r],
+        anchor=table.anchors[r],
         sign=sign,
     )
 
@@ -272,7 +229,6 @@ class WalkState:
         move_set = _normalize_moves(moves)
         region = t.region
         self.region = region
-        self._lattice = _lattice(region)
         self.mate = list(t.mate)
         n = region.n_cells
         self._flip_moves = "flip" in move_set
@@ -290,7 +246,7 @@ class WalkState:
             for w, b in t.pairs:
                 self._scan_flips(w)
         if self._trit_moves:
-            self._scan_trits(range(len(self._lattice.cubes)))
+            self._scan_trits(range(len(region.cube_table.cubes)))
         # Tiling.hash64 folds one code per dimer in white-cell order; keep the
         # codes and every prefix of the fold, so a step refolds only from the
         # first changed dimer on.
@@ -308,7 +264,7 @@ class WalkState:
         if k < nf:
             return _flip_move(self.region, *self._flips[self._flip_keys[k]])
         r = self._trit_ranks[k - nf]
-        return _trit_move(self.region, self._lattice, r, self._trits[r])
+        return _trit_move(self.region, r, self._trits[r])
 
     def moves(self) -> list:
         return [self.move(k) for k in range(len(self))]
@@ -358,8 +314,8 @@ class WalkState:
             for w in lower.difference(inserted):
                 self._scan_flips(w)
         if self._trit_moves:
-            lattice = self._lattice
-            self._scan_trits(sorted({r for c in changed for r in lattice.cell_anchors[c]}))
+            cell_anchors = self.region.cube_table.cell_anchors
+            self._scan_trits(sorted({r for c in changed for r in cell_anchors[c]}))
 
     # -- index maintenance --------------------------------------------------
 
@@ -369,7 +325,7 @@ class WalkState:
         mate = self.mate
         b = mate[w]
         lower = []
-        for d, w2 in _flip_partners(self._lattice.step, mate, w, b):
+        for d, w2 in _flip_partners(self.region.step_table, mate, w, b):
             if w2 < w:
                 lower.append(w2)
                 continue
@@ -393,7 +349,7 @@ class WalkState:
     def _scan_trits(self, ranks: Iterable[int]) -> None:
         """Index the trits of the given anchors, taken in increasing order so
         that an aliased cube keeps its smallest anchor."""
-        cubes = self._lattice.cubes
+        cubes = self.region.cube_table.cubes
         for r in ranks:
             if r in self._trits:
                 continue
@@ -481,9 +437,9 @@ def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, .
             new[w], new[b2], new[w2], new[b] = b2, w, b, w2
             yield tuple(new), "flip", 0
     if "trit" in move_set:
-        lattice = _lattice(t.region)
-        for r, trio in _trits(lattice, mate):
-            _removed, inserted, sign = _trit_swap(lattice.cubes[r], trio)
+        cubes = t.region.cube_table.cubes
+        for r, trio in _trits(t.region, mate):
+            _removed, inserted, sign = _trit_swap(cubes[r], trio)
             new = list(mate)
             for i, j in inserted:
                 new[i], new[j] = j, i

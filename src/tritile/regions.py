@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import namedtuple
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -32,6 +33,10 @@ DIR_AXIS = (0, 0, 1, 1, 2, 2)
 DIR_SIGN = (1, -1, 1, -1, 1, -1)
 
 AXIS_NAMES = ("x", "y", "z")
+
+#: Offsets of a 2x2x2 cube's cells from its anchor, in position order: the
+#: position of offset (dx, dy, dz) is 4 dx + 2 dy + dz.
+CUBE_OFFSETS: tuple[Cell, ...] = tuple(product((0, 1), repeat=3))
 
 COORD_LIMIT = 2**31 - 1
 
@@ -53,6 +58,10 @@ class BudgetExceeded(ValueError):
     """An exponential computation stopped at its fixed work budget."""
 
 
+#: Region.cube_table; see there.
+CubeTable = namedtuple("CubeTable", "anchors cubes cell_anchors")
+
+
 class Region:
     """An immutable cubiculated region with its dual graph.
 
@@ -62,16 +71,16 @@ class Region:
     index and colors are built on first access. So a refined box or torus
     that is only indexed by arithmetic, as refine_tiling does, never builds
     them (see _UnbuiltRegion). A voxel region builds its cell tables at once.
-    The dual graph is one step table per region, built on first access: by
-    index arithmetic on a box or torus, without its cell tables, and by
-    lookups in the index on a voxel region. neighbor_table is derived from
-    it. Equality and hashing key a box or torus on its sizes and a voxel
-    region on its cells, so building tables never changes either.
+    Flips read the dual graph as one step table, trits the 2x2x2 cubes as
+    one cube table. Each is built on first access: by index arithmetic on a
+    box or torus, without its cell tables, and by lookups in the index on a
+    voxel region. Equality and hashing key a box or torus on its sizes and a
+    voxel region on its cells, so building tables never changes either.
     """
 
     __slots__ = (
         "kind", "cells", "index", "colors", "dims", "periods", "parity", "n_cells",
-        "_step_table", "_neighbor_table", "degenerate_adjacency", "_hash",
+        "_step_table", "_cube_table", "degenerate_adjacency", "_hash",
     )
 
     def __init__(self, kind: str, cells: Optional[Sequence[Cell]], parity: int,
@@ -88,7 +97,7 @@ class Region:
             self.n_cells = len(self.cells)
         self.degenerate_adjacency = bool(periods) and min(periods) == 2
         self._step_table: Optional[tuple[tuple[int, ...], ...]] = None
-        self._neighbor_table: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
+        self._cube_table: Optional[CubeTable] = None
         self._hash = hash(self._key())
 
     def _set_tables(self, cells: Sequence[Cell]) -> None:
@@ -141,16 +150,46 @@ class Region:
         return tuple(zip(*columns))
 
     @property
-    def neighbor_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per cell index, its adjacent cells as (index, direction) pairs in
-        DIRECTIONS order: the step table without its -1 entries, and with a
-        period-2 axis listed once, under its +axis direction."""
-        if self._neighbor_table is None:
-            self._neighbor_table = tuple(
-                tuple((j, d) for d, j in enumerate(row)
-                      if j >= 0 and not (d & 1 and j == row[d - 1]))
-                for row in self.step_table)
-        return self._neighbor_table
+    def cube_table(self) -> CubeTable:
+        """The 2x2x2 cubes with at least 7 of their 8 cells in the region:
+        anchors are their sorted minimal corners, cubes[r] the cell indices
+        of anchor r's cube in CUBE_OFFSETS order (-1 off the region), and
+        cell_anchors[i] the ranks r, increasing, of the cubes that hold cell
+        i. On a torus every cell anchors a cube, and a period-2 axis gives
+        two anchors whose cubes hold the same cells."""
+        if self._cube_table is None:
+            anchors, cubes = (self._voxel_cubes() if self.kind == "voxels"
+                              else self._lattice_cubes())
+            cell_anchors: list[list[int]] = [[] for _ in range(self.n_cells)]
+            for r, cube in enumerate(cubes):
+                for c in cube:
+                    if c >= 0:
+                        cell_anchors[c].append(r)
+            self._cube_table = CubeTable(
+                tuple(anchors), tuple(cubes), tuple(map(tuple, cell_anchors)))
+        return self._cube_table
+
+    def _lattice_cubes(self) -> tuple[list[Cell], list[tuple[int, ...]]]:
+        # A box's cubes are its full 2x2x2 blocks; a torus anchors one at
+        # every cell and wraps it. Per axis, anchor coordinate k gives the
+        # index terms of k and k + 1, and a cube sums one term per axis.
+        torus = self.periods is not None
+        L, M, N = sizes = self.dims or self.periods
+        ranges = [range(size if torus else size - 1) for size in sizes]
+        terms = [[(k * stride, (k + 1) % size * stride) for k in span]
+                 for span, size, stride in zip(ranges, sizes, (M * N, N, 1))]
+        cubes = [tuple(x + y + z for x in xs for y in ys for z in zs)
+                 for xs, ys, zs in product(*terms)]
+        return list(product(*ranges)), cubes
+
+    def _voxel_cubes(self) -> tuple[list[Cell], list[tuple[int, ...]]]:
+        index = self.index
+        corners = sorted({(x - dx, y - dy, z - dz)
+                          for (x, y, z) in self.cells for (dx, dy, dz) in CUBE_OFFSETS})
+        cubes = [tuple(index.get((x + dx, y + dy, z + dz), -1)
+                       for (dx, dy, dz) in CUBE_OFFSETS) for (x, y, z) in corners]
+        kept = [r for r, cube in enumerate(cubes) if cube.count(-1) <= 1]
+        return [corners[r] for r in kept], [cubes[r] for r in kept]
 
     # -- basic queries ---------------------------------------------------
 
@@ -181,10 +220,6 @@ class Region:
         whether or not it lies in the region."""
         d = DIRECTIONS[direction]
         return self.reduce((cell[0] + d[0], cell[1] + d[1], cell[2] + d[2]))
-
-    def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
-        """Adjacent cell indices of cell i as (index, direction) pairs."""
-        return self.neighbor_table[i]
 
     def boundary_faces(self) -> tuple[tuple[Cell, int], ...]:
         """Exterior unit squares as (cell, outward direction index) pairs."""
@@ -366,9 +401,6 @@ def _find_nonmanifold_edge(cell_set: set[Cell]) -> Optional[tuple]:
     return None
 
 
-_OCTANTS = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
-
-
 def _octant_component_count(pattern: set[Cell]) -> int:
     seen: set[Cell] = set()
     count = 0
@@ -405,10 +437,10 @@ def _find_nonmanifold_vertex(cell_set: set[Cell]) -> Optional[Cell]:
                     corners.add((x + dx, y + dy, z + dz))
     for corner in sorted(corners):
         pattern = {
-            o for o in _OCTANTS
+            o for o in CUBE_OFFSETS
             if (corner[0] - 1 + o[0], corner[1] - 1 + o[1], corner[2] - 1 + o[2]) in cell_set
         }
-        complement = set(_OCTANTS) - pattern
+        complement = set(CUBE_OFFSETS) - pattern
         if _octant_component_count(pattern) > 1:
             return corner
         if complement and _octant_component_count(complement) > 1:

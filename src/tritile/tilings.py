@@ -274,6 +274,14 @@ def _axis_index(axis) -> int:
     raise ValueError("axis must be one of x, y, z")
 
 
+def _neighbor_rows(region: Region) -> list[tuple[int, ...]]:
+    """Per cell, its adjacent cell indices: the step table without its -1
+    entries, and with a period-2 axis listed once, under its +axis."""
+    return [tuple(j for d, j in enumerate(row)
+                  if j >= 0 and not (d & 1 and j == row[d - 1]))
+            for row in region.step_table]
+
+
 def enumerate_tilings(region: Region) -> Iterator[Tiling]:
     """All tilings of the region, exactly once, in a canonical order.
 
@@ -284,7 +292,7 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
     n = region.n_cells
     if n == 0 or n % 2:
         return
-    nbrs = tuple(tuple(j for j, _d in row) for row in region.neighbor_table)
+    nbrs = _neighbor_rows(region)
     mate = [-1] * n
     frames: list[tuple[int, int]] = []
     i, pos = 0, 0
@@ -347,7 +355,7 @@ def count_tilings(region: Region) -> int:
     is the set of cells ahead of the sweep that are already covered, as a
     bitmask relative to the current cell, mapped to its number of partial
     tilings. An uncovered current cell pairs with each uncovered later
-    neighbour in region.neighbor_table: the lowest-uncovered-cell search of
+    neighbour in _neighbor_rows: the lowest-uncovered-cell search of
     enumerate_tilings, memoised, so boxes, tori and voxel regions all work.
     Agrees with enumerate_tilings everywhere, including 0 for a region with
     no cells. Raises BudgetExceeded once more than FRONTIER_BUDGET states
@@ -360,9 +368,10 @@ def count_tilings(region: Region) -> int:
     pos = [0] * n
     for p, i in enumerate(order):
         pos[i] = p
+    nbrs = _neighbor_rows(region)
     states = {0: 1}
     for p, i in enumerate(order):
-        bits = [1 << (pos[j] - p) for j, _ in region.neighbor_table[i] if pos[j] > p]
+        bits = [1 << (pos[j] - p) for j in nbrs[i] if pos[j] > p]
         nxt: dict[int, int] = {}
         get = nxt.get
         for mask, count in states.items():

@@ -57,7 +57,8 @@ def raw_step_table(region) -> tuple:
 
 
 def slow_neighbor_table(region) -> tuple:
-    """Region.neighbor_table cell by cell through Region.step and the index.
+    """Per cell, its adjacent cells as (index, direction) pairs in DIRECTIONS
+    order, cell by cell through Region.step and the index.
 
     One entry per unordered adjacent pair per axis: on a period-2 torus the
     +axis and -axis steps reach the same cell and are recorded once, under
@@ -334,6 +335,30 @@ def slow_move_graph(tilings, moves) -> MoveGraph:
 
 
 _OFFSETS = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+
+
+def slow_cube_table(region) -> tuple:
+    """Region.cube_table from cell coordinates: every cell minus every cube
+    offset, reduced modulo the periods, is a candidate anchor; a candidate
+    whose cube has at most one cell off the region is kept, in sorted
+    order, with its cells looked up in the index one by one."""
+    index = region.index
+    candidates = {region.reduce((x - o[0], y - o[1], z - o[2]))
+                  for (x, y, z) in region.cells for o in _OFFSETS}
+    anchors, cubes = [], []
+    cell_anchors = [[] for _ in region.cells]
+    for a in sorted(candidates):
+        cube = tuple(
+            index.get(region.reduce((a[0] + o[0], a[1] + o[1], a[2] + o[2])), -1)
+            for o in _OFFSETS)
+        if cube.count(-1) > 1:
+            continue
+        for c in cube:
+            if c >= 0:
+                cell_anchors[c].append(len(cubes))
+        anchors.append(a)
+        cubes.append(cube)
+    return tuple(anchors), tuple(cubes), tuple(tuple(r) for r in cell_anchors)
 
 
 def _cell_dimer(region, a, b) -> Dimer:

@@ -258,6 +258,43 @@ def test_untileable_region_is_a_usage_error(capsys, tmp_path, command):
     assert "has no tilings" in capsys.readouterr().err
 
 
+# one region of each shape: a box, a period-2 torus, a contractible voxel
+# region, a solid torus (the 4x4x2 box minus its central 2x2 column) and a
+# 4x3x3 box with a sealed 2-cell cavity
+REGION_SHAPES = {
+    "box": ["box", "2", "2", "2"],
+    "torus": ["torus", "2", "2", "2"],
+    "contractible": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 0, 0], [3, 0, 0]],
+    "ring": [[x, y, z] for x in range(4) for y in range(4) for z in range(2)
+             if not (x in (1, 2) and y in (1, 2))],
+    "cavity": [[x, y, z] for x in range(4) for y in range(3) for z in range(3)
+               if [x, y, z] not in ([1, 1, 1], [2, 1, 1])],
+}
+
+
+# enumerate counts only: listing the cavity's 14,036 tilings writes a 45 MB
+# report, and components lists them all anyway
+@pytest.mark.parametrize("command", [["enumerate", "--count-only"], ["components"],
+                                     ["invariants"], ["refine"], ["sample"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("shape", list(REGION_SHAPES))
+def test_every_command_runs_on_every_region_shape(capsys, tmp_path, shape, command):
+    region = REGION_SHAPES[shape]
+    if not isinstance(region[0], str):
+        spec = tmp_path / "region.json"
+        spec.write_text(json.dumps(region))
+        region = ["voxels", str(spec)]
+    # flux, and so invariants, is defined on boxes and tori only
+    unsupported = command[0] == "invariants" and region[0] == "voxels"
+    if unsupported:
+        with pytest.raises(SystemExit) as exc:
+            main(command[:1] + region + command[1:])
+        assert exc.value.code == 2
+        assert "invalid region: flux unsupported" in capsys.readouterr().err
+    else:
+        assert main(command[:1] + region + command[1:]) == 0
+
+
 def test_sample_walk_report(capsys):
     doc = run_json(capsys, "sample", "box", "2", "2", "1",
                    "--steps", "100", "--seed", "7")

@@ -9,7 +9,7 @@ from tritile import (
     twist,
 )
 from tritile.harness import walk_states
-from tritile.moves import _trit_swap
+from tritile.moves import WalkState, _trit_swap
 from support import (
     corner_cut_cube, pinwheel_N1, pinwheel_N2, slow_move_graph,
     slow_trit_move, tiling_tA, tiling_tB,
@@ -262,6 +262,20 @@ def test_trits_match_the_coordinate_oracle(name):
             assert m == slow_trit_move(t.region, m.anchor, m.removed[::-1])
             found += 1
     assert bool(found) != (name in _TRITLESS)
+
+
+@pytest.mark.parametrize("region", [build_box(3, 3, 2), build_torus(2, 2, 4),
+                                    corner_cut_cube()], ids=["box", "torus", "voxels"])
+def test_flip_scans_leave_the_cube_table_unbuilt(region):
+    tilings = list(enumerate_tilings(region))
+    t = next(t for t in tilings if find_flips(t))
+    move_graph(tilings, "flip")
+    state = WalkState(t, "flip")
+    state.apply(state.move(0))
+    state.moves()
+    assert region._cube_table is None
+    find_trits(t)
+    assert region._cube_table is not None
 
 
 def test_trit_swap_needs_one_dimer_per_axis():

@@ -4,7 +4,13 @@ from tritile import (
     BudgetExceeded, Region, RegionError, build_box, build_torus, build_voxel_region,
     refine_region, region_from_json,
 )
-from support import corner_cut_cube, raw_step_table, slow_neighbor_table
+from support import corner_cut_cube, raw_step_table, slow_cube_table, slow_neighbor_table
+from tritile.tilings import _neighbor_rows
+
+
+def _indices(table):
+    """The cell indices of an (index, direction) neighbour table."""
+    return [tuple(j for j, _d in row) for row in table]
 
 
 def test_box_basic():
@@ -33,8 +39,9 @@ def test_torus_444():
     r = build_torus(4, 4, 4)
     assert r.n_cells == 64
     assert not r.degenerate_adjacency
-    for i in range(r.n_cells):
-        assert len(r.neighbors(i)) == 6
+    for row in r.step_table:
+        assert min(row) >= 0 and len(set(row)) == 6
+    assert all(len(row) == 6 for row in _neighbor_rows(r))
     assert r.boundary_faces() == ()
 
 
@@ -43,9 +50,10 @@ def test_torus_222_degenerate_simple_graph():
     assert r.n_cells == 8
     assert r.degenerate_adjacency
     # wrap in both directions reaches the same cell; one entry per axis
-    for i in range(r.n_cells):
-        assert len(r.neighbors(i)) == 3
-        assert len({j for j, _d in r.neighbors(i)}) == 3
+    for row in r.step_table:
+        assert row[0::2] == row[1::2] and len(set(row)) == 3
+    for row in _neighbor_rows(r):
+        assert len(row) == 3 and len(set(row)) == 3
 
 
 def test_torus_odd_period_rejected():
@@ -60,19 +68,18 @@ def test_voxel_cube_matches_box():
     b = build_box(2, 2, 2)
     assert v.cells == b.cells
     assert v.colors == b.colors
-    # same adjacency structure cell for cell
-    for i in range(8):
-        assert sorted(j for j, _d in v.neighbors(i)) == \
-            sorted(j for j, _d in b.neighbors(i))
+    # same adjacency structure cell for cell, direction for direction, and
+    # the same cubes from the lookup and the arithmetic builders
+    assert v.step_table == b.step_table
+    assert v.cube_table == b.cube_table
 
 
 def test_voxel_from_box_cells_isomorphic():
     b = build_box(3, 2, 2)
     v = build_voxel_region(b.cells)
     assert v.n_cells == b.n_cells
-    for i in range(b.n_cells):
-        assert sorted(j for j, _d in v.neighbors(i)) == \
-            sorted(j for j, _d in b.neighbors(i))
+    assert v.step_table == b.step_table
+    assert v.cube_table == b.cube_table
 
 
 def test_voxel_nonmanifold_edge_rejected():
@@ -125,10 +132,12 @@ def test_voxel_parity_flag_must_be_the_integer_0_or_1(bad):
 def test_adjacency_symmetric_and_alternating():
     for r in (build_box(3, 3, 2), build_torus(2, 2, 4),
               build_voxel_region([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])):
-        for i in range(r.n_cells):
-            for j, _d in r.neighbors(i):
-                assert i in {k for k, _e in r.neighbors(j)}
-                assert r.colors[i] == -r.colors[j]
+        steps = r.step_table
+        for i, row in enumerate(steps):
+            for d, j in enumerate(row):
+                if j >= 0:
+                    assert steps[j][d ^ 1] == i
+                    assert r.colors[i] == -r.colors[j]
 
 
 def test_interior_edges_have_four_cells():
@@ -144,13 +153,17 @@ def test_interior_edges_have_four_cells():
 
 
 def test_neighbor_table_is_built_on_first_access():
+    # the step table is built once, on first access; the neighbour rows that
+    # enumeration and counting read are derived from it
     r = refine_region(build_box(2, 2, 1), 1)
-    assert r._step_table is None and r._neighbor_table is None
-    table = r.neighbor_table
-    assert len(table) == r.n_cells and r.neighbor_table is table
-    assert r.step_table is r.step_table
-    assert r.neighbors(0) == ((r.index[(1, 0, 0)], 0), (r.index[(0, 1, 0)], 2),
-                              (r.index[(0, 0, 1)], 4))
+    assert r._step_table is None and r._cube_table is None
+    table = r.step_table
+    assert len(table) == r.n_cells and r.step_table is table
+    assert table[0] == (r.index[(1, 0, 0)], -1, r.index[(0, 1, 0)], -1,
+                        r.index[(0, 0, 1)], -1)
+    assert _neighbor_rows(r)[0] == (r.index[(1, 0, 0)], r.index[(0, 1, 0)],
+                                    r.index[(0, 0, 1)])
+    assert r._cube_table is None
 
 
 @pytest.mark.parametrize("build, sizes", [
@@ -160,23 +173,44 @@ def test_neighbor_table_is_built_on_first_access():
 ])
 def test_lattice_neighbor_table_matches_the_voxel_builder(build, sizes):
     # the step table by index arithmetic, before any cell table is built;
-    # neighbor_table keeps the rows and order of the old voxel loop, with
-    # period-2 axes listed once under +axis
+    # the neighbour rows derived from it keep the rows and order of the old
+    # voxel loop, with period-2 axes listed once under +axis
     r = build(*sizes)
     steps = r.step_table
     assert not any(_built(r, name) for name in ("cells", "index", "colors"))
     assert steps == raw_step_table(r)
-    assert r.neighbor_table == slow_neighbor_table(r)
+    assert _neighbor_rows(r) == _indices(slow_neighbor_table(r))
 
 
-@pytest.mark.parametrize("region", [
-    corner_cut_cube(),
-    build_voxel_region([(x, y, z) for x in range(4) for y in range(2) for z in range(2)]
-                       + [(x, y, z) for x in range(2) for y in range(2, 6) for z in range(2)]),
-], ids=["corner-cut-cube", "l-shape"])
+def _l_shape():
+    return build_voxel_region(
+        [(x, y, z) for x in range(4) for y in range(2) for z in range(2)]
+        + [(x, y, z) for x in range(2) for y in range(2, 6) for z in range(2)])
+
+
+@pytest.mark.parametrize("region", [corner_cut_cube(), _l_shape()],
+                         ids=["corner-cut-cube", "l-shape"])
 def test_voxel_tables_match_the_oracles(region):
     assert region.step_table == raw_step_table(region)
-    assert region.neighbor_table == slow_neighbor_table(region)
+    assert _neighbor_rows(region) == _indices(slow_neighbor_table(region))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_box(1, 2, 3), lambda: build_box(3, 4, 5), lambda: build_box(16, 16, 16),
+    lambda: build_torus(2, 2, 2), lambda: build_torus(2, 4, 6),
+    lambda: build_torus(6, 4, 2), lambda: build_torus(4, 4, 4),
+    corner_cut_cube, _l_shape,
+], ids=["box-1x2x3", "box-3x4x5", "box-16x16x16", "torus-2x2x2", "torus-2x4x6",
+        "torus-6x4x2", "torus-4x4x4", "corner-cut-cube", "l-shape"])
+def test_cube_table_matches_the_coordinate_oracle(make):
+    r = make()
+    table = r.cube_table
+    assert r.cube_table is table
+    if r.kind != "voxels":
+        # arithmetic on the sizes alone
+        assert not any(_built(r, name) for name in ("cells", "index", "colors"))
+        assert r._step_table is None
+    assert table == slow_cube_table(r)
 
 
 def test_boundary_faces_read_the_step_table():

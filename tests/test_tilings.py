@@ -347,7 +347,7 @@ def test_refining_a_box_leaves_the_refined_cell_tables_unbuilt():
         with pytest.raises(AttributeError):
             object.__getattribute__(fine.region, name)
     assert fine.region._step_table is None
-    assert fine.region._neighbor_table is None
+    assert fine.region._cube_table is None
 
 
 def test_serialize_round_trip_base():
