@@ -23,11 +23,9 @@ from math import floor, gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .regions import (
-    AXIS_NAMES, Cell, DIR_AXIS, DIR_SIGN, DIRECTIONS, Region, RegionError, _coordinate,
+    AXIS_NAMES, Cell, DIRECTIONS, Region, RegionError, _coordinate,
 )
-from .tilings import (
-    Tiling, base_tiling, diff_cycles, list_tilings, _axis_index,
-)
+from .tilings import Tiling, diff_cycles, list_tilings, _axis_index
 from .moves import move_graph, bfs_trit_labeling
 
 _NORMAL_TO_NAME = {(0, 1): "+x", (0, -1): "-x", (1, 1): "+y",
@@ -373,26 +371,23 @@ def cutting_surface(r: Region, axis, level: Union[int, float]) -> DiscreteSurfac
     return DiscreteSurface(r, squares)
 
 
-# modulus reads the same three surfaces of a torus on every call; the public
-# cutting_surface still builds a fresh one
-_cutting_surface_cached = lru_cache(maxsize=12)(cutting_surface)
-
-
 class FluxVector:
-    """The flux of a tiling: its difference class against the base tiling.
+    """The flux of a tiling: its class in H1 of the region.
 
-    Empty for boxes; on tori, the three winding numbers of the difference
-    cycle system against the x-axis brick tiling, one per cutting direction.
-    Keeps the tiling it was computed from so the modulus can evaluate flux
-    through generator surfaces.
+    Empty for boxes. On a torus, component k is the signed count of dimers
+    crossing the seam plane between coordinates P_k - 1 and 0 of axis k:
+    +1 for each whose white cell is at P_k - 1, -1 for each whose white cell
+    is at 0. A period-2 axis reads 0, as its dimers are lifted to the
+    non-wrapping edge (Tiling.steps). The same pass keeps, for modulus, the
+    flow through each axis's cutting surface at level 0.
     """
 
-    __slots__ = ("components", "region", "witness")
+    __slots__ = ("components", "region", "_phi")
 
-    def __init__(self, components: Sequence[int], region: Region, witness: Tiling):
+    def __init__(self, components: Sequence[int], region: Region, phi: Sequence[int]):
         self.components = tuple(components)
         self.region = region
-        self.witness = witness
+        self._phi = tuple(phi)
 
     def __iter__(self):
         return iter(self.components)
@@ -418,34 +413,52 @@ class FluxVector:
 
 
 def flux(t: Tiling) -> FluxVector:
-    """Flux(t): zero-length for boxes, three winding numbers for tori."""
+    """Flux(t): the empty vector on a box, the seam-plane counts on a torus.
+
+    On a torus one pass over t.pairs gives both the flux (see FluxVector)
+    and phi_k = flux_through_surface(t, cutting_surface(region, k, 0)): the
+    sum, over the dimers along k with an end at coordinate 0, of that end's
+    colour times its unit step toward the other end. The pass never reads
+    the region's cell tables. Raises RegionError on a voxel region.
+    """
     region = t.region
     if region.kind == "box":
-        return FluxVector((), region, t)
-    if region.kind == "torus":
-        system = diff_cycles(t, base_tiling(region, 0))
-        return FluxVector(system.winding(), region, t)
-    raise RegionError("kind", "flux unsupported for this region kind")
+        return FluxVector((), region, ())
+    if region.kind != "torus":
+        raise RegionError("kind", "flux unsupported for this region kind")
+    # Cell i is (x * M + y) * N + z, so an axis-k step changes the index by
+    # stride_k, or by (P_k - 1) * stride_k where it wraps; both are below the
+    # next larger stride. On a period-2 axis the two coincide and the step
+    # is the raw lift, which never wraps.
+    periods = region.periods
+    strides = (periods[1] * periods[2], periods[2], 1)
+    seam, phi = [0, 0, 0], [0, 0, 0]
+    for w, b in t.pairs:
+        d = b - w
+        size = abs(d)
+        k = 0 if size >= strides[0] else 1 if size >= strides[1] else 2
+        step = 1 if d > 0 else -1  # the white cell's unit step along k
+        if size != strides[k]:
+            # a wrap across the seam P_k - 1 | 0 steps against the difference
+            step = -step
+            seam[k] += step
+        elif min(w, b) // strides[k] % periods[k]:
+            continue
+        # the end at level 0 adds its colour times its step toward the other
+        # end: the white end (-1) steps +step, the black end (+1) -step
+        phi[k] -= step
+    return FluxVector(seam, region, phi)
 
 
 def modulus(f: FluxVector, r: Optional[Region] = None) -> int:
-    """gcd of |phi| over the region's stored cutting surfaces; 0 for boxes.
+    """gcd of |phi_k| over the torus's cutting surfaces at level 0, as kept
+    by flux; 0 for boxes.
 
     m = 0 encodes a twist valued in Z; m > 0 a twist valued in Z/mZ.
     """
-    if r is None:
-        r = f.region
-    elif r != f.region:
+    if r is not None and r != f.region:
         raise ValueError("flux vector belongs to a different region")
-    if r.kind == "box":
-        return 0
-    if r.kind == "torus":
-        m = 0
-        for k in range(3):
-            phi = flux_through_surface(f.witness, _cutting_surface_cached(r, k, 0))
-            m = gcd(m, abs(phi))
-        return m
-    raise RegionError("kind", "flux unsupported for this region kind")
+    return gcd(*f._phi)
 
 
 def twist(t: Tiling, axis) -> int:

@@ -16,8 +16,7 @@ from typing import Callable, Iterator
 
 from .regions import Region, RegionError, build_box, build_torus
 from .tilings import (
-    Tiling, base_tiling, count_tilings, diff_cycles, enumerate_tilings,
-    refine_tiling,
+    Tiling, base_tiling, count_tilings, enumerate_tilings, refine_tiling,
 )
 from .moves import (
     MoveGraph, TritMove, WalkState, bfs_trit_labeling, move_graph,

@@ -15,7 +15,7 @@ import json
 import operator
 from collections import namedtuple
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Cell = tuple[int, int, int]
 
@@ -80,7 +80,7 @@ class Region:
 
     __slots__ = (
         "kind", "cells", "index", "colors", "dims", "periods", "parity", "n_cells",
-        "_step_table", "_cube_table", "degenerate_adjacency", "_hash",
+        "_step_table", "_cube_table", "_hash",
     )
 
     def __init__(self, kind: str, cells: Optional[Sequence[Cell]], parity: int,
@@ -95,7 +95,6 @@ class Region:
         else:
             self._set_tables(sorted(cells))
             self.n_cells = len(self.cells)
-        self.degenerate_adjacency = bool(periods) and min(periods) == 2
         self._step_table: Optional[tuple[tuple[int, ...], ...]] = None
         self._cube_table: Optional[CubeTable] = None
         self._hash = hash(self._key())

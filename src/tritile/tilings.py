@@ -3,7 +3,7 @@
 A domino is stored as an oriented dimer from its white cell to its black
 cell. On tori the direction field records the chosen lattice representative
 of the step (the +axis step for degenerate period-2 adjacencies), which keeps
-refinement and winding computations well defined.
+refinement and surface flux well defined.
 """
 
 from __future__ import annotations
@@ -168,9 +168,10 @@ class Tiling:
 
         Along axes of period 2 the doubled adjacency is lifted to the
         non-wrapping edge (the raw coordinate delta), regardless of the
-        stored +axis direction representative: windings, flux, and surface
-        sides all read this field, and only the non-wrapping lift keeps
-        them invariant under flips and trits on degenerate tori.
+        stored +axis direction representative: difference cycles and
+        surface sides read this field, and only the non-wrapping lift keeps
+        flux through a surface invariant under flips and trits on degenerate
+        tori. flux does not read it; it takes the same lift from t.pairs.
         """
         if self._steps is None:
             periods = self.region.periods
@@ -419,29 +420,6 @@ class Cycle:
     def trivial(self) -> bool:
         return len(self.cells) == 2
 
-    def reversed(self) -> "Cycle":
-        n = len(self.cells)
-        cells = (self.cells[0],) + tuple(self.cells[:0:-1])
-        steps = tuple(
-            tuple(-v for v in self.steps[(m - 1) % n]) for m in range(n)
-        )
-        # reversing the walk swaps the roles of t1 and t0
-        sources = tuple(1 - self.sources[(m - 1) % n] for m in range(n))
-        return Cycle(cells, steps, sources)
-
-    def winding(self, region: Region) -> Cell:
-        """Signed wrap crossings per axis (the H1 class on a torus)."""
-        if region.periods is None:
-            return (0, 0, 0)
-        w = [0, 0, 0]
-        for cell, step in zip(self.cells, self.steps):
-            for k in range(3):
-                if step[k] == 1 and cell[k] == region.periods[k] - 1:
-                    w[k] += 1
-                elif step[k] == -1 and cell[k] == 0:
-                    w[k] -= 1
-        return tuple(w)
-
 
 class CycleSystem:
     """The difference t1 - t0 decomposed into disjoint oriented cycles."""
@@ -455,18 +433,6 @@ class CycleSystem:
     @property
     def nontrivial(self) -> tuple[Cycle, ...]:
         return tuple(c for c in self.cycles if not c.trivial)
-
-    @property
-    def trivial_count(self) -> int:
-        return sum(1 for c in self.cycles if c.trivial)
-
-    def winding(self) -> Cell:
-        total = [0, 0, 0]
-        for c in self.cycles:
-            w = c.winding(self.region)
-            for k in range(3):
-                total[k] += w[k]
-        return tuple(total)
 
 
 def diff_cycles(t1: Tiling, t0: Tiling) -> CycleSystem:

@@ -7,10 +7,12 @@ tests compare two genuinely different code paths.
 
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 from tritile import (
     Dimer, MoveEdge, MoveGraph, Tiling, TritMove, apply_flip, apply_trit,
-    build_box, build_voxel_region, find_flips, find_trits, refine_region,
+    base_tiling, build_box, build_voxel_region, cutting_surface, diff_cycles,
+    find_flips, find_trits, flux_through_surface, refine_region,
 )
 from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
 from tritile.moves import _normalize_moves
@@ -164,6 +166,30 @@ def slow_winding(t1, t0, s):
         if w[l] - w[r] != (i in t1) - (i in t0):
             return None
     return HeightField(s, w)
+
+
+def slow_flux(t: Tiling) -> tuple:
+    """flux(t) on a torus the long way: per axis, the signed wrap crossings
+    of the difference cycles of t against the x-axis brick tiling."""
+    periods = t.region.periods
+    w = [0, 0, 0]
+    for cycle in diff_cycles(t, base_tiling(t.region, 0)).cycles:
+        for cell, step in zip(cycle.cells, cycle.steps):
+            for k in range(3):
+                if step[k] == 1 and cell[k] == periods[k] - 1:
+                    w[k] += 1
+                elif step[k] == -1 and cell[k] == 0:
+                    w[k] -= 1
+    return tuple(w)
+
+
+def slow_modulus(t: Tiling) -> int:
+    """modulus(flux(t)) on a torus the long way: the gcd of the flows of t
+    through the three cutting surfaces at level 0, flooded vertex by vertex."""
+    m = 0
+    for k in range(3):
+        m = gcd(m, abs(flux_through_surface(t, cutting_surface(t.region, k, 0))))
+    return m
 
 
 def slow_tiling_classes(s):

@@ -1,19 +1,23 @@
 import random
 from collections import defaultdict
+from itertools import islice
 
 import pytest
 
 from tritile import (
     BudgetExceeded, DiscreteSurface, FluxVector, RegionError, Square, apply_flip, apply_trit,
     base_tiling, build_box, build_torus, build_voxel_region, closed_box_surface,
-    cutting_surface, diff_cycles, enumerate_tilings, find_flips, find_trits,
+    cutting_surface, enumerate_tilings, find_flips, find_trits,
     flux, flux_through_surface, mixed_torus_tiling, modulus, move_graph,
     refine_tiling, relative_twist, surface_from_json, surface_predicates, twist,
     vertex_flow,
 )
 from tritile import fluxtwist
 from tritile.harness import walk_states
-from support import pinwheel_N1, slow_twist, tiling_tA, tiling_tB
+from tritile.tilings import _refine_region_cached
+from support import (
+    pinwheel_N1, slow_flux, slow_modulus, slow_twist, tiling_tA, tiling_tB,
+)
 
 
 # -- twist ----------------------------------------------------------------
@@ -378,24 +382,53 @@ def test_predicates_consistency_checks_raise(monkeypatch, tangent, message):
         surface_predicates(tA, tB, s)
 
 
-def test_modulus_builds_each_cutting_surface_once():
-    fluxtwist._cutting_surface_cached.cache_clear()
+def test_cutting_surface_is_built_fresh_on_each_call():
     tr = build_torus(4, 4, 2)
-    f = flux(base_tiling(tr, 0))
-    assert modulus(f) == modulus(f)
-    info = fluxtwist._cutting_surface_cached.cache_info()
-    assert (info.misses, info.hits) == (3, 3)
-    # the public builder still hands out a fresh surface
     assert cutting_surface(tr, 0, 0) is not cutting_surface(tr, 0, 0)
 
 
 def test_diff_cycle_winding_matches_flux():
     # flux components are the windings of the difference cycle system
-    tr = build_torus(2, 2, 4)
-    base = base_tiling(tr, 0)
-    for t in list(enumerate_tilings(tr))[::13]:
-        cs = diff_cycles(t, base)
-        assert cs.winding() == flux(t).components
+    for t in list(enumerate_tilings(build_torus(2, 2, 4)))[::13]:
+        assert slow_flux(t) == flux(t).components
+
+
+_FLUX_ORACLE_SAMPLES = {
+    # period-2 axes; flux classes up to 2 along the period-4 axis, modulus 4
+    "period-2_tori_all": lambda: [
+        t for dims in ((2, 2, 2), (2, 2, 4), (2, 4, 2), (4, 2, 2))
+        for t in enumerate_tilings(build_torus(*dims))],
+    # nonzero flux along two axes at once
+    "4x4x2_2x4x4_every_211th": lambda: [
+        *islice(enumerate_tilings(build_torus(4, 4, 2)), 0, 40_000, 211),
+        *islice(enumerate_tilings(build_torus(2, 4, 4)), 0, 20_000, 211)],
+    "walks_6x4x2_4x6x8": lambda: [
+        *walk_states(build_torus(6, 4, 2), "flip+trit", 60, 1),
+        *walk_states(build_torus(4, 6, 8), "flip+trit", 60, 1)],
+    # flux (-8, 0, 0) with modulus 16, before and after refinement
+    "mixed_and_k1_refined": lambda: [
+        mixed_torus_tiling(), refine_tiling(mixed_torus_tiling(), 1)],
+}
+
+
+@pytest.mark.parametrize("sample", sorted(_FLUX_ORACLE_SAMPLES))
+def test_flux_and_modulus_match_the_slow_oracles(sample):
+    for t in _FLUX_ORACLE_SAMPLES[sample]():
+        f = flux(t)
+        assert (f.components, modulus(f)) == (slow_flux(t), slow_modulus(t)), t
+
+
+def test_flux_and_modulus_leave_the_refined_cell_tables_unbuilt():
+    _refine_region_cached.cache_clear()
+    fine = refine_tiling(mixed_torus_tiling(), 1)
+    f = flux(fine)
+    assert (f.components, modulus(f)) == ((-8, 0, 0), 16)
+    for name in ("cells", "index", "colors"):
+        # the slot itself: plain attribute access would build the table
+        with pytest.raises(AttributeError):
+            object.__getattribute__(fine.region, name)
+    assert fine.region._step_table is None
+    assert fine.region._cube_table is None
 
 
 def test_flux_vector_equality():

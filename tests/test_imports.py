@@ -1,0 +1,26 @@
+"""Every module-level import of the package is read by its own module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tritile"
+
+
+def _imported_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_module_level_imports_are_referenced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in _imported_names(tree) if name not in referenced] == []

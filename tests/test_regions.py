@@ -38,7 +38,6 @@ def test_box_one_even_dimension_accepted():
 def test_torus_444():
     r = build_torus(4, 4, 4)
     assert r.n_cells == 64
-    assert not r.degenerate_adjacency
     for row in r.step_table:
         assert min(row) >= 0 and len(set(row)) == 6
     assert all(len(row) == 6 for row in _neighbor_rows(r))
@@ -48,7 +47,6 @@ def test_torus_444():
 def test_torus_222_degenerate_simple_graph():
     r = build_torus(2, 2, 2)
     assert r.n_cells == 8
-    assert r.degenerate_adjacency
     # wrap in both directions reaches the same cell; one entry per axis
     for row in r.step_table:
         assert row[0::2] == row[1::2] and len(set(row)) == 3
@@ -290,7 +288,6 @@ def test_refine_preserves_corner_and_center_colors():
 def test_refine_torus_periods():
     fine = refine_region(build_torus(2, 2, 4), 1)
     assert fine.periods == (10, 10, 20)
-    assert not fine.degenerate_adjacency
 
 
 def test_region_json_round_trip():
