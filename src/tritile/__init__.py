@@ -16,8 +16,9 @@ from .tilings import (
     refine_tiling, serialize_tiling, tiling_from_dict, tiling_to_dict,
 )
 from .moves import (
-    FlipMove, MoveEdge, MoveGraph, TritMove, WalkState, apply_flip,
-    apply_trit, bfs_trit_labeling, find_flips, find_trits, move_graph,
+    FlipMove, LabelledComponent, MoveEdge, MoveGraph, TritMove, WalkState,
+    apply_flip, apply_trit, bfs_trit_labeling, find_flips, find_trits,
+    labelled_components, move_graph,
 )
 from .fluxtwist import (
     DiscreteSurface, FluxVector, Square, closed_box_surface, cutting_surface,
@@ -40,8 +41,9 @@ __all__ = [
     "BudgetExceeded", "Cycle", "CycleSystem", "Dimer", "Tiling", "base_tiling",
     "count_tilings", "deserialize_tiling", "diff_cycles", "enumerate_tilings",
     "refine_tiling", "serialize_tiling", "tiling_from_dict", "tiling_to_dict",
-    "FlipMove", "MoveEdge", "MoveGraph", "TritMove", "WalkState", "apply_flip",
-    "apply_trit", "bfs_trit_labeling", "find_flips", "find_trits", "move_graph",
+    "FlipMove", "LabelledComponent", "MoveEdge", "MoveGraph", "TritMove",
+    "WalkState", "apply_flip", "apply_trit", "bfs_trit_labeling", "find_flips",
+    "find_trits", "labelled_components", "move_graph",
     "DiscreteSurface", "FluxVector", "Square", "closed_box_surface",
     "cutting_surface", "flux", "flux_through_surface", "modulus",
     "relative_twist", "surface_from_json", "surface_predicates", "twist",

@@ -21,7 +21,7 @@ from .tilings import (
     BudgetExceeded, Tiling, count_tilings, deserialize_tiling, list_tilings,
     refine_tiling, tiling_to_dict,
 )
-from .moves import move_graph
+from .moves import labelled_components
 from .fluxtwist import flux, modulus, twist
 from .harness import WalkConfig, random_walk, start_tiling, verify
 from . import regions as _regions
@@ -202,14 +202,18 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         tilings = list_tilings(region)
         if not tilings:
             parser.error("invalid region: %r has no tilings" % (region,))
-        graph = move_graph(tilings, moveset)
         comps = []
-        for group in graph.components():
-            entry: dict = {"size": len(group)}
+        for group in labelled_components(tilings, moveset):
+            entry: dict = {"size": len(group.tilings)}
             if region.is_box:
-                tws = [twist(graph.tilings[h], 2) for h in group]
-                entry["min_twist"] = min(tws)
-                entry["max_twist"] = max(tws)
+                # flips keep the twist and a trit moves it by its sign, so
+                # the labels offset the twist of the component's first tiling
+                if not group.consistent:
+                    raise RuntimeError("components: inconsistent trit labels on a box"
+                                       " component of %d tilings" % len(group.tilings))
+                base = twist(group.tilings[0], 2)
+                entry["min_twist"] = base + min(group.labels)
+                entry["max_twist"] = base + max(group.labels)
             else:
                 entry["min_twist"] = None
                 entry["max_twist"] = None

@@ -472,22 +472,40 @@ def twist(t: Tiling, axis) -> int:
     The j-dimers are bucketed by their column (b_i, b_j), each sorted by
     height with prefix sums of the signs, so every i-dimer bisects at most
     four columns: O(n log n) time and O(n) memory for n dimers, read straight
-    off t.pairs. The quarter total is asserted to be divisible by 4.
+    off t.pairs by index arithmetic, without the region's cell tables. The
+    quarter total is checked to be divisible by 4.
     """
-    if not t.region.is_box:
+    region = t.region
+    if not region.is_box:
         raise ValueError("combinatorial twist requires a box region")
     k = _axis_index(axis)
     i, j = _TANGENT_AXES[k]
-    cells = t.region.cells
+    # Cell (x, y, z) has index (x * M + y) * N + z, so a dimer's index
+    # difference is the stride of its axis. An axis of size 1 gives the axis
+    # before it the same stride, but holds no dimers itself, so it is given
+    # the difference 0, which no dimer has. A column is keyed by the index
+    # of its lower cell with the k-coordinate zeroed.
+    dims = region.dims
+    strides = (dims[1] * dims[2], dims[2], 1)
+    si, sj, sk = strides[i], strides[j], strides[k]
+    nj, nk = dims[j], dims[k]
+    di = si if dims[i] > 1 else 0
+    dj = sj if nj > 1 else 0
     a_dimers = []
-    columns: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for wi, bi in t.pairs:
-        w, b = cells[wi], cells[bi]
-        if w[i] != b[i]:
-            a_dimers.append((min(w[i], b[i]), w[j], w[k], b[i] - w[i]))
-        elif w[j] != b[j]:
-            columns.setdefault((w[i], min(w[j], b[j])), []).append((w[k], b[j] - w[j]))
-    prefix: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for w, b in t.pairs:
+        d = b - w
+        if d > 0:
+            a, sign = w, 1
+        else:
+            a, sign, d = b, -1, -d
+        if d == di:
+            ak = a // sk % nk
+            a_dimers.append((a - ak * sk, a // sj % nj, ak, sign))
+        elif d == dj:
+            ak = a // sk % nk
+            columns.setdefault(a - ak * sk, []).append((ak, sign))
+    prefix: dict[int, tuple[list[int], list[int]]] = {}
     for key, col in columns.items():
         col.sort()
         sums = [0]
@@ -495,9 +513,12 @@ def twist(t: Tiling, axis) -> int:
             sums.append(sums[-1] + sign)
         prefix[key] = ([h for h, _s in col], sums)
     quarters = 0
-    for ai, aj, ak, sa in a_dimers:
+    for a0, aj, ak, sa in a_dimers:
+        # the columns (a_i or a_i + 1, a_j - 1 or a_j); a_i + 1 is the upper
+        # cell's, and a_j - 1 exists only when a_j > 0
+        keys = (a0, a0 + si, a0 - sj, a0 + si - sj) if aj else (a0, a0 + si)
         turns = 0
-        for key in ((ai, aj - 1), (ai, aj), (ai + 1, aj - 1), (ai + 1, aj)):
+        for key in keys:
             entry = prefix.get(key)
             if entry is None:
                 continue

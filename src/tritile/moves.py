@@ -15,6 +15,7 @@ rotations, so the sign is well defined on tori as well.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -490,6 +491,95 @@ def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:
             edge_keys.add(key)
             edges.append(MoveEdge(u, v, kind, s))
     return MoveGraph(region, nodes, edges, move_set)
+
+
+#: One component of labelled_components; see there.
+LabelledComponent = namedtuple("LabelledComponent", "tilings labels consistent")
+
+
+def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledComponent]:
+    """The components of the move graph over a complete enumeration, each
+    with the signed trit labels of its tilings, in one pass and without
+    building the graph.
+
+    Each distinct input tiling is keyed by its mate array, numbered in input
+    order; a repeated tiling is taken once. Every move of _move_targets is
+    merged into a weighted union-find that keeps each node's signed trit
+    count relative to its root (flips add 0, a trit its sign). An edge that
+    closes a cycle with a nonzero trit sum marks its component inconsistent;
+    on a consistent component the labels are bfs_trit_labeling's from its
+    first tiling. A move target missing from the input raises ValueError, as
+    in move_graph.
+
+    Returns one LabelledComponent(tilings, labels, consistent) per
+    component: its tilings in input order, labels[k] the signed trit count
+    of tilings[k] relative to tilings[0], and whether every edge agrees with
+    the labels. Components
+    come in MoveGraph.components order, largest first, ties broken by the
+    hash64 of the first tiling; only those first tilings are hashed.
+    """
+    move_set = _normalize_moves(moves)
+    nodes: list[Tiling] = []
+    keys: dict[tuple[int, ...], int] = {}
+    for t in tilings:
+        if nodes and t.region != nodes[0].region:
+            raise ValueError("tilings belong to different regions")
+        if t.mate not in keys:
+            keys[t.mate] = len(nodes)
+            nodes.append(t)
+    if not nodes:
+        raise ValueError("no tilings given")
+    # parent[u] and offset[u] = label(u) - label(parent[u]); size and
+    # consistency are kept at the roots
+    n = len(nodes)
+    parent = list(range(n))
+    offset = [0] * n
+    size = [1] * n
+    consistent = [True] * n
+
+    def find(u: int) -> int:
+        path = []
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
+        label = 0
+        for v in reversed(path):  # nearest the root first
+            label += offset[v]
+            parent[v], offset[v] = u, label
+        return u
+
+    for u, t in enumerate(nodes):
+        for target, _kind, sign in _move_targets(t, move_set):
+            v = keys.get(target)
+            if v is None:
+                raise ValueError("move target missing from the enumerated set")
+            # most nodes sit right below their root, where offset is final
+            ru, rv = parent[u], parent[v]
+            if parent[ru] != ru:
+                ru = find(u)
+            if parent[rv] != rv:
+                rv = find(v)
+            # label(v) = label(u) + sign, so label(rv) - label(ru) is gap
+            gap = offset[u] + sign - offset[v]
+            if ru == rv:
+                if gap:
+                    consistent[ru] = False
+                continue
+            if size[ru] < size[rv]:
+                ru, rv, gap = rv, ru, -gap
+            parent[rv], offset[rv] = ru, gap
+            size[ru] += size[rv]
+            consistent[ru] = consistent[ru] and consistent[rv]
+    groups: dict[int, list[int]] = {}
+    for u in range(n):
+        groups.setdefault(find(u), []).append(u)
+    out = []
+    for root, members in groups.items():
+        base = offset[members[0]]
+        out.append(LabelledComponent([nodes[u] for u in members],
+                                     [offset[u] - base for u in members],
+                                     consistent[root]))
+    return sorted(out, key=lambda c: (-len(c.tilings), c.tilings[0].hash64))
 
 
 def bfs_trit_labeling(g: MoveGraph, base: Union[Tiling, int]) -> tuple[dict[int, int], bool]:

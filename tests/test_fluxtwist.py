@@ -1,11 +1,12 @@
 import random
 from collections import defaultdict
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
 from tritile import (
-    BudgetExceeded, DiscreteSurface, FluxVector, RegionError, Square, apply_flip, apply_trit,
+    BudgetExceeded, DiscreteSurface, FluxVector, RegionError, Square, Tiling, TritMove,
+    WalkState, apply_flip, apply_trit,
     base_tiling, build_box, build_torus, build_voxel_region, closed_box_surface,
     cutting_surface, enumerate_tilings, find_flips, find_trits,
     flux, flux_through_surface, mixed_torus_tiling, modulus, move_graph,
@@ -47,6 +48,70 @@ def test_twist_matches_literal_shadow_sum_on_walk_states(dims):
     for t in states:
         for axis in range(3):
             assert twist(t, axis) == slow_twist(t, axis)
+
+
+@pytest.mark.parametrize("dims", [(1, 4, 6), (4, 6, 1), (6, 1, 4), (1, 1, 6), (2, 1, 1)])
+def test_twist_matches_literal_shadow_sum_on_boxes_with_a_unit_dimension(dims):
+    # a unit dimension gives two axes the same index stride
+    for t in enumerate_tilings(build_box(*dims)):
+        for axis in range(3):
+            assert twist(t, axis) == slow_twist(t, axis)
+
+
+def _mixed_brick(n: int) -> Tiling:
+    """The n^3 box tiled by x-dimer bricks below z = n/2 and y-dimer bricks above."""
+    pairs = []
+    for x, y, z in product(range(n), repeat=3):
+        if z < n // 2 and x % 2 == 0:
+            pairs.append(((x, y, z), (x + 1, y, z)))
+        elif z >= n // 2 and y % 2 == 0:
+            pairs.append(((x, y, z), (x, y + 1, z)))
+    return Tiling.from_cell_pairs(build_box(n, n, n), pairs)
+
+
+def test_twist_of_mixed_bricks():
+    # slow_twist gives 0 on every axis of the 24^3 brick too, in about 35 s each
+    assert [twist(_mixed_brick(24), axis) for axis in range(3)] == [0, 0, 0]
+    # a walk from the 8^3 brick: each trit moves the twist by its sign
+    state = WalkState(_mixed_brick(8), "flip+trit")
+    rng = random.Random(5)
+    signed_trits, values = 0, set()
+    for step in range(200):
+        # the last listed move is a trit whenever there is one; take it half
+        # the time
+        m = state.move(len(state) - 1)
+        if not (isinstance(m, TritMove) and rng.random() < 0.5):
+            m = state.move(rng.randrange(len(state)))
+        state.apply(m)
+        signed_trits += m.sign if isinstance(m, TritMove) else 0
+        values.add(signed_trits)
+        t = state.tiling()
+        assert twist(t, 2) == signed_trits
+        if step % 20 == 19:
+            assert [slow_twist(t, axis) for axis in range(3)] == [signed_trits] * 3
+            assert [twist(t, axis) for axis in range(3)] == [signed_trits] * 3
+    assert len(values) > 1
+
+
+@pytest.mark.parametrize("t", [pinwheel_N1(), tiling_tA()], ids=["pinwheel", "tA"])
+def test_twist_matches_literal_shadow_sum_on_refined_tilings(t):
+    fine = refine_tiling(t, 1)
+    value = slow_twist(fine, 2)
+    assert value == twist(t, 2) != 0
+    assert [twist(fine, axis) for axis in range(3)] == [value] * 3
+
+
+def test_twist_leaves_the_refined_cell_tables_unbuilt():
+    _refine_region_cached.cache_clear()
+    t = pinwheel_N1()
+    fine = refine_tiling(t, 2)
+    assert twist(fine, 2) == twist(t, 2) == 1
+    for name in ("cells", "index", "colors"):
+        # the slot itself: plain attribute access would build the table
+        with pytest.raises(AttributeError):
+            object.__getattribute__(fine.region, name)
+    assert fine.region._step_table is None
+    assert fine.region._cube_table is None
 
 
 def test_twist_survives_second_refinement():

@@ -13,11 +13,12 @@ import time
 import pytest
 
 from tritile import (
-    RegionError, WalkConfig, mixed_torus_tiling, build_box, build_torus,
-    build_voxel_region, random_walk, serialize_tiling, tiling_from_dict, twist,
-    verify,
+    RegionError, WalkConfig, mixed_torus_tiling, bfs_trit_labeling, build_box,
+    build_torus, build_voxel_region, enumerate_tilings, labelled_components,
+    move_graph, random_walk, serialize_tiling, tiling_from_dict, twist, verify,
 )
 import tritile
+from tritile import moves
 from tritile.cli import main
 from tritile.harness import SUITES, start_tiling
 
@@ -405,6 +406,21 @@ _SMALL_L = ([[x, y, z] for x in range(3) for y in range(2) for z in range(2)]
      "0551c1cf69f4f4aadd76761aca4d4e873b954656b453675b6a49ac8e323564f2"),
     (["sample", "voxels", "SMALL_L", "--moves", "flip", "--steps", "200", "--seed", "2"],
      "43d681b5c7b446ace52a467eea508dd420b55fcc315f484ca58ddc4157704598"),
+    # recorded while components still built the move graph and took a
+    # twist per tiling
+    (["components", "torus", "2", "2", "4", "--moves", "flip"],
+     "13ac0eb9e32e0b1499e20e74821d334ef4d3d29023c3efc34e65dbd1b4b3247a"),
+    (["components", "torus", "2", "2", "4", "--moves", "fliptrit"],
+     "534bc994722bc8235815eb77de2f0e5ba9f362343ef8fe7e706dd9c3200d8c84"),
+    (["components", "voxels", "SMALL_L", "--moves", "flip"],
+     "cae1d20b4163feba40a9a02a69ad03714691adf0c9a90b6f0270561e84093801"),
+    (["components", "voxels", "SMALL_L", "--moves", "fliptrit"],
+     "6f5004f0376ffcde72646c7a79edf5b72b2576073f5038202516ae0e81681439"),
+    (["components", "box", "1", "2", "4", "--format", "csv"],
+     "0cfb6635c5403217e0ad97fd192cc9366eed8be50c16c9e3a10564a4b3d974b8"),
+    # four components of 128 tilings, ordered by the hash tie-break alone
+    (["components", "box", "2", "4", "4", "--moves", "flip"],
+     "a1596a8a8865324032018f0b8061c656cef52382a2972aff76636156e252d177"),
 ])
 def test_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
     spec = tmp_path / "small_l.json"
@@ -413,6 +429,42 @@ def test_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _always_positive_trits(monkeypatch):
+    """Make every trit positive in both directions, so that any trit cycle
+    has a nonzero signed sum."""
+    swap = moves._trit_swap
+    monkeypatch.setattr(moves, "_trit_swap",
+                        lambda cube, trio: (*swap(cube, trio)[:2], 1))
+
+
+def test_inconsistent_trit_labels_are_flagged(monkeypatch):
+    _always_positive_trits(monkeypatch)
+    tilings = list(enumerate_tilings(build_box(3, 3, 2)))
+    comps = labelled_components(tilings, "flip+trit")
+    labels, consistent = bfs_trit_labeling(move_graph(tilings, "flip+trit"), tilings[0])
+    assert [c.consistent for c in comps] == [consistent] == [False]
+
+
+def test_components_refuses_inconsistent_labels_on_a_box(monkeypatch, capsys):
+    _always_positive_trits(monkeypatch)
+    with pytest.raises(RuntimeError, match="inconsistent trit labels"):
+        main(["components", "box", "3", "3", "2"])
+    assert capsys.readouterr().out == ""
+
+
+def test_components_refuses_inconsistent_labels_with_asserts_stripped():
+    src = os.path.dirname(os.path.dirname(tritile.__file__))
+    code = ("from tritile import moves; from tritile.cli import main; "
+            "swap = moves._trit_swap; "
+            "moves._trit_swap = lambda cube, trio: (*swap(cube, trio)[:2], 1); "
+            "main(['components', 'box', '3', '3', '2'])")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "RuntimeError: components: inconsistent trit labels" in proc.stderr
 
 
 def test_verify_counts_cli(capsys):

@@ -5,10 +5,11 @@ import pytest
 from tritile import (
     RegionError, TritMove, apply_flip, apply_trit, base_tiling,
     bfs_trit_labeling, build_box, build_torus, build_voxel_region,
-    count_tilings, enumerate_tilings, find_flips, find_trits, move_graph,
-    twist,
+    count_tilings, enumerate_tilings, find_flips, find_trits,
+    labelled_components, move_graph, twist,
 )
 from tritile.harness import walk_states
+from tritile import moves
 from tritile.moves import WalkState, _trit_swap
 from support import (
     corner_cut_cube, pinwheel_N1, pinwheel_N2, slow_move_graph,
@@ -282,3 +283,72 @@ def test_trit_swap_needs_one_dimer_per_axis():
     cube = tuple(range(8))
     with pytest.raises(KeyError):
         _trit_swap(cube, ((0, 4), (1, 5), (2, 3)))  # two x-dimers
+
+
+# -- labelled components ----------------------------------------------------
+
+# Every box shape with at most 2,000 tilings, in two orientations, and the
+# 3x3x2 and 3x4x2 boxes as the CLI spells them.
+_SMALL_SHAPES = ((1, 1, 2), (1, 1, 4), (1, 1, 6), (1, 2, 2), (1, 2, 3), (1, 2, 4),
+                 (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 4), (1, 4, 5),
+                 (1, 4, 6), (1, 5, 6), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5),
+                 (2, 2, 6), (2, 3, 3), (2, 3, 4))
+_LABELLED_REGIONS = sorted(
+    {("box", d) for shape in _SMALL_SHAPES for d in (shape, shape[::-1])}
+    | {("box", (3, 3, 2)), ("box", (3, 4, 2)), ("box", (2, 1, 4)), ("box", (4, 2, 1)),
+       ("torus", (2, 2, 4)), ("torus", (4, 2, 2))})
+
+
+@pytest.mark.parametrize("moves", ["flip", "flip+trit"])
+@pytest.mark.parametrize("kind, dims", _LABELLED_REGIONS,
+                         ids=["%s-%dx%dx%d" % (k, *d) for k, d in _LABELLED_REGIONS])
+def test_labelled_components_match_the_move_graph(kind, dims, moves):
+    region = (build_box if kind == "box" else build_torus)(*dims)
+    tilings = list(enumerate_tilings(region))
+    comps = labelled_components(tilings, moves)
+    g = move_graph(tilings, moves)
+    assert [[t.hash64 for t in c.tilings] for c in comps] == g.components()
+    for c in comps:
+        labels, consistent = bfs_trit_labeling(g, c.tilings[0])
+        assert c.consistent == consistent
+        if consistent:
+            assert c.labels == [labels[t.hash64] for t in c.tilings]
+        if region.is_box:
+            assert consistent
+            tws = [twist(t, 2) for t in c.tilings]
+            assert [tws[0] + label for label in c.labels] == tws
+
+
+def test_labelled_components_reject_a_partial_enumeration():
+    tilings = list(enumerate_tilings(build_box(3, 3, 2)))
+    with pytest.raises(ValueError, match="move target missing"):
+        labelled_components(tilings[1:], "flip")
+
+
+def test_labelled_components_take_a_repeated_tiling_once():
+    tilings = list(enumerate_tilings(build_box(3, 3, 2)))
+    once = labelled_components(tilings, "flip+trit")
+    assert labelled_components(tilings + tilings[::7], "flip+trit") == once
+    assert [len(c.tilings) for c in once] == [229]
+
+
+def test_labelled_components_keep_an_inconsistency_through_a_merge(monkeypatch):
+    # {3, 4} closes a cycle with trit sum 2, then joins the larger {0, 1, 2}
+    tilings = list(enumerate_tilings(build_box(2, 2, 2)))[:5]
+    edges = {0: [(1, 0), (2, 0)], 3: [(4, 1)], 4: [(3, 1), (0, 0)]}
+    index = {t.mate: u for u, t in enumerate(tilings)}
+    monkeypatch.setattr(moves, "_move_targets", lambda t, move_set: [
+        (tilings[v].mate, "trit", sign) for v, sign in edges.get(index[t.mate], [])])
+    [comp] = labelled_components(tilings, "flip+trit")
+    assert comp.tilings == tilings
+    assert not comp.consistent
+
+
+def test_labelled_components_input_checks():
+    with pytest.raises(ValueError, match="no tilings"):
+        labelled_components([], "flip")
+    mixed = [base_tiling(build_box(2, 2, 2), 0), base_tiling(build_box(2, 2, 4), 0)]
+    with pytest.raises(ValueError, match="different regions"):
+        labelled_components(mixed, "flip")
+    with pytest.raises(ValueError, match="moves must be"):
+        labelled_components(mixed[:1], {"flip"})
