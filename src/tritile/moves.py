@@ -19,7 +19,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .regions import Cell, Region
+from .regions import DIR_AXIS, Cell, Region
 from .tilings import Dimer, Tiling, _direction, _splitmix64
 
 
@@ -89,36 +89,52 @@ def find_trits(t: Tiling) -> list[TritMove]:
 
 # -- scanners shared by the full scans and WalkState ------------------------
 
-def _flip_partners(step, mate: Sequence[int], w: int, b: int) -> list[tuple[int, int]]:
-    """(direction, white cell) of each dimer parallel to the dimer (w, b)
-    one step away, so that the two fill a 2x2x1 slab: a flip.
+#: Per direction of a dimer (the position of its black cell in its white
+#: cell's step row), the directions across its axis, where its flip
+#: partners lie, each with whether _flip_partners lists what it meets there.
+_ACROSS = tuple(tuple((d, True) for d in range(6) if DIR_AXIS[d] != DIR_AXIS[k])
+                for k in range(6))
+#: The same, listing only the steps along an axis above the dimer's own:
+#: a flip of two a-dimers stacked along e is listed iff a < e.
+_UPWARD = tuple(tuple((d, DIR_AXIS[d] > DIR_AXIS[k]) for d, _listed in across)
+                for k, across in enumerate(_ACROSS))
 
-    Each partner is listed once, under the first direction reaching it (on
-    a period-2 axis both signs of the step reach the same dimer).
+
+def _flip_partners(step, mate: Sequence[int], pairs: Iterable[tuple[int, int]],
+                   dirs: tuple = _ACROSS) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The flips met from the dimers of pairs, (w, b) white cell first, one
+    step d away along dirs[direction of the dimer]: a dimer (w2, mate[w2])
+    parallel to (w, b) there fills a 2x2x1 slab with it.
+
+    Returns (w, b, d, w2) for each flip met along a listed direction, and
+    the number of flips with w2 > w met along the others. Each partner of a
+    dimer is met once, under the first direction reaching it (on a period-2
+    axis both signs of the step reach the same dimer); a flip is met from
+    both of its dimers.
     """
-    out: list[tuple[int, int]] = []
-    sw, sb = step[w], step[b]
-    for d in range(6):
-        pb, pw = sw[d], sb[d]
-        if pb == b or pw == w:  # d runs along the dimer
-            continue
-        if pb < 0 or pw < 0 or mate[pb] != pw:
-            continue
-        if out and out[-1][1] == pw:
-            continue
-        out.append((d, pw))
-    return out
+    out = []
+    unlisted = 0
+    for w, b in pairs:
+        sw, sb = step[w], step[b]
+        last = -1
+        for d, listed in dirs[sw.index(b)]:
+            pw = sb[d]
+            # a step off the region gives -1, which no mate entry equals
+            if pw >= 0 and mate[pw] == sw[d] and pw != last:
+                last = pw
+                if listed:
+                    out.append((w, b, d, pw))
+                elif pw > w:
+                    unlisted += 1
+    return out, unlisted
 
 
-def _flips(t: Tiling) -> Iterator[tuple[int, int, int, int]]:
+def _flips(t: Tiling) -> list[tuple[int, int, int, int]]:
     """(w, b, w2, b2) of each flip of t in find_flips order: the dimers
     (w, b) and (w2, b2), white cell first, with w < w2."""
-    step = t.region.step_table
     mate = t.mate
-    for w, b in t.pairs:
-        for _d, w2 in _flip_partners(step, mate, w, b):
-            if w2 > w:
-                yield w, b, w2, mate[w2]
+    partners, _ = _flip_partners(t.region.step_table, mate, t.pairs)
+    return [(w, b, w2, mate[w2]) for w, b, _d, w2 in partners if w2 > w]
 
 
 def _flip_move(region: Region, w: int, b: int, w2: int, b2: int) -> FlipMove:
@@ -128,34 +144,49 @@ def _flip_move(region: Region, w: int, b: int, w2: int, b2: int) -> FlipMove:
     )
 
 
-def _cube_trio(cube: tuple[int, ...], mate: Sequence[int]) -> Optional[tuple]:
-    """The sorted (cell, cell) index pairs of a trit in this cube, or None.
+def _cube_trios(cubes: Sequence[tuple[int, ...]], mate: Sequence[int],
+                ranks: Iterable[int]) -> list[tuple[int, tuple]]:
+    """(rank, trio) of each cube cubes[r], r in ranks, that holds a trit;
+    the trio is the trit's sorted (cell, cell) index pairs.
 
     A trit needs exactly three dimers inside the cube, one per axis. Two
     cube cells differ in exactly the offset bits of the axes they differ
     along, so a dimer's axis shows as the XOR of its cells' cube positions.
+    The two cells a trit leaves out are antipodal (see _trit_swap), so the
+    scan takes antipodal positions in turn and stops at a second left-out
+    cell that is not antipodal to the first.
     """
-    pairs = []
-    axes = 0
-    for i, c in enumerate(cube):
-        if c < 0:
-            continue
-        p = mate[c]
-        if c < p and p in cube:
-            axes |= i ^ cube.index(p)
-            pairs.append((c, p))
-    if len(pairs) != 3 or axes != 7:
-        return None
-    return tuple(sorted(pairs))
+    found = []
+    for r in ranks:
+        cube = cubes[r]
+        pairs = []
+        axes = 0
+        out = -1
+        for i in (0, 7, 1, 6, 2, 5, 3, 4):
+            c = cube[i]
+            if c >= 0:
+                p = mate[c]
+                if p in cube:
+                    if c < p:
+                        axes |= i ^ cube.index(p)
+                        pairs.append((c, p))
+                    continue
+            if out >= 0 and out != i ^ 7:
+                break
+            out = i
+        else:
+            if len(pairs) == 3 and axes == 7:
+                found.append((r, tuple(sorted(pairs))))
+    return found
 
 
 def _trits(region: Region, mate: Sequence[int]) -> Iterator[tuple[int, tuple]]:
     """(anchor rank, trio) of each trit in find_trits order. A cube that
     two anchors alias (period-2 torus axes) is listed under the first."""
+    cubes = region.cube_table.cubes
     seen: set[tuple] = set()
-    for r, cube in enumerate(region.cube_table.cubes):
-        trio = _cube_trio(cube, mate)
-        if trio is not None and trio not in seen:
+    for r, trio in _cube_trios(cubes, mate, range(len(cubes))):
+        if trio not in seen:
             seen.add(trio)
             yield r, trio
 
@@ -244,8 +275,8 @@ class WalkState:
         self._trio_rank: dict[tuple, int] = {}
         self._trits_at: list[set[int]] = [set() for _ in range(n)]
         if self._flip_moves:
-            for w, b in t.pairs:
-                self._scan_flips(w)
+            for pair in t.pairs:  # one dimer at a time keeps the partner lists short
+                self._scan_flips((pair,))
         if self._trit_moves:
             self._scan_trits(range(len(region.cube_table.cubes)))
         # Tiling.hash64 folds one code per dimer in white-cell order; keep the
@@ -309,31 +340,27 @@ class WalkState:
         if self._flip_moves:
             # flips are keyed by their smaller white cell, so a new flip may
             # belong to an unchanged neighbour with a smaller index
-            lower: set[int] = set()
-            for w in inserted:
-                lower.update(self._scan_flips(w))
-            for w in lower.difference(inserted):
-                self._scan_flips(w)
+            lower = set(self._scan_flips([(w, mate[w]) for w in inserted]))
+            self._scan_flips([(w, mate[w]) for w in lower.difference(inserted)])
         if self._trit_moves:
             cell_anchors = self.region.cube_table.cell_anchors
             self._scan_trits(sorted({r for c in changed for r in cell_anchors[c]}))
 
     # -- index maintenance --------------------------------------------------
 
-    def _scan_flips(self, w: int) -> list[int]:
-        """Index the flips keyed by the dimer at white cell w; return the
-        white cells of its smaller-indexed flip partners."""
-        mate = self.mate
-        b = mate[w]
+    def _scan_flips(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
+        """Index the flips keyed by these dimers, white cell first; return
+        the white cells of their smaller-indexed flip partners."""
         lower = []
-        for d, w2 in _flip_partners(self.region.step_table, mate, w, b):
+        partners, _ = _flip_partners(self.region.step_table, self.mate, pairs)
+        for w, b, d, w2 in partners:
             if w2 < w:
                 lower.append(w2)
                 continue
             key = w * 6 + d
             if key in self._flips:
                 continue
-            b2 = mate[w2]
+            b2 = self.mate[w2]
             self._flips[key] = (w, b, w2, b2)
             insort(self._flip_keys, key)
             for c in (w, b, w2, b2):
@@ -351,11 +378,8 @@ class WalkState:
         """Index the trits of the given anchors, taken in increasing order so
         that an aliased cube keeps its smallest anchor."""
         cubes = self.region.cube_table.cubes
-        for r in ranks:
-            if r in self._trits:
-                continue
-            trio = _cube_trio(cubes[r], self.mate)
-            if trio is None or trio in self._trio_rank:
+        for r, trio in _cube_trios(cubes, self.mate, (r for r in ranks if r not in self._trits)):
+            if trio in self._trio_rank:
                 continue
             self._trits[r] = trio
             self._trio_rank[trio] = r
@@ -428,23 +452,51 @@ class MoveGraph:
         return [len(g) for g in self.components()]
 
 
+def _rewired(mate: Sequence[int], inserted: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The mate array after the move that inserts these (cell, cell) pairs."""
+    new = list(mate)
+    for i, j in inserted:
+        new[i], new[j] = j, i
+    return tuple(new)
+
+
 def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, ...], str, int]]:
     """(mate array of the target, kind, sign) of each move of t, in
     find_flips then find_trits order."""
     mate = t.mate
     if "flip" in move_set:
         for w, b, w2, b2 in _flips(t):
-            new = list(mate)
-            new[w], new[b2], new[w2], new[b] = b2, w, b, w2
-            yield tuple(new), "flip", 0
+            yield _rewired(mate, ((w, b2), (w2, b))), "flip", 0
     if "trit" in move_set:
         cubes = t.region.cube_table.cubes
         for r, trio in _trits(t.region, mate):
             _removed, inserted, sign = _trit_swap(cubes[r], trio)
-            new = list(mate)
-            for i, j in inserted:
-                new[i], new[j] = j, i
-            yield tuple(new), "trit", sign
+            yield _rewired(mate, inserted), "trit", sign
+
+
+def _one_way_moves(t: Tiling, move_set: frozenset) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """The moves of t that labelled_components handles from this end, as
+    (mate array of the target, trit count), and how many it only counts:
+    flips are handled where their dimers' axis is below the axis they are
+    stacked along, trits where their sign is +1 (so their count is 1)."""
+    mate = t.mate
+    region = t.region
+    handled = []
+    counted = 0
+    if "flip" in move_set:
+        partners, counted = _flip_partners(region.step_table, mate, t.pairs, _UPWARD)
+        for w, b, _d, w2 in partners:
+            if w2 > w:
+                handled.append((_rewired(mate, ((w, mate[w2]), (w2, b))), 0))
+    if "trit" in move_set:
+        cubes = region.cube_table.cubes
+        for r, trio in _trits(region, mate):
+            _removed, inserted, sign = _trit_swap(cubes[r], trio)
+            if sign > 0:
+                handled.append((_rewired(mate, inserted), 1))
+            else:
+                counted += 1
+    return handled, counted
 
 
 def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:
@@ -503,20 +555,32 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
     building the graph.
 
     Each distinct input tiling is keyed by its mate array, numbered in input
-    order; a repeated tiling is taken once. Every move of _move_targets is
-    merged into a weighted union-find that keeps each node's signed trit
-    count relative to its root (flips add 0, a trit its sign). An edge that
-    closes a cycle with a nonzero trit sum marks its component inconsistent;
-    on a consistent component the labels are bfs_trit_labeling's from its
-    first tiling. A move target missing from the input raises ValueError, as
-    in move_graph.
+    order; a repeated tiling is taken once. Each move edge is met once, from
+    one end (_one_way_moves): a flip from the end where its dimers' axis is
+    below the axis they are stacked along, a trit from the end where its
+    sign is +1. Its target is looked up and merged into a weighted
+    union-find that keeps each node's signed trit count relative to its
+    root (flips add 0, a trit 1). At the other end the move is only
+    counted. An edge that closes a cycle with a nonzero trit sum marks its
+    component inconsistent; on a consistent component the labels are
+    bfs_trit_labeling's from its first tiling.
+
+    The input is closed under moves iff every handled target is found and
+    there are as many counted moves as handled ones: each handled move
+    u -> v is the reverse of exactly one counted move at v. A missing
+    handled target raises ValueError at once, as in move_graph; a target
+    missing on the counted side shows only in the balance, which raises the
+    same ValueError at the end of the pass. (A surplus of handled moves
+    could only come from a sign rule under which a trit and its reverse are
+    both +1; both are then merged, and the cycle they close marks the
+    component inconsistent.)
 
     Returns one LabelledComponent(tilings, labels, consistent) per
     component: its tilings in input order, labels[k] the signed trit count
     of tilings[k] relative to tilings[0], and whether every edge agrees with
-    the labels. Components
-    come in MoveGraph.components order, largest first, ties broken by the
-    hash64 of the first tiling; only those first tilings are hashed.
+    the labels. Components come in MoveGraph.components order, largest
+    first, ties broken by the hash64 of the first tiling; only those first
+    tilings are hashed.
     """
     move_set = _normalize_moves(moves)
     nodes: list[Tiling] = []
@@ -548,8 +612,12 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
             parent[v], offset[v] = u, label
         return u
 
+    handled = counted = 0
     for u, t in enumerate(nodes):
-        for target, _kind, sign in _move_targets(t, move_set):
+        targets, others = _one_way_moves(t, move_set)
+        handled += len(targets)
+        counted += others
+        for target, sign in targets:
             v = keys.get(target)
             if v is None:
                 raise ValueError("move target missing from the enumerated set")
@@ -570,6 +638,10 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
             parent[rv], offset[rv] = ru, gap
             size[ru] += size[rv]
             consistent[ru] = consistent[ru] and consistent[rv]
+    # each handled move u -> v is the reverse of one counted move at v, so
+    # a surplus of counted moves means one of them leaves the input
+    if counted > handled:
+        raise ValueError("move target missing from the enumerated set")
     groups: dict[int, list[int]] = {}
     for u in range(n):
         groups.setdefault(find(u), []).append(u)

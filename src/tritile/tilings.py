@@ -332,9 +332,10 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
 FRONTIER_BUDGET = 1 << 20
 
 #: Most tilings that list_tilings will build. A listed tiling of 16 dimers
-#: costs about 27 KB in an enumerate report and about 3.5 KB and 0.16 ms in
-#: components (box 2 4 4, 32,000 tilings: 890 MB and 112 MB peak, 14 s and
-#: 5 s), so 10^5 tilings stays within a few GB.
+#: costs about 27 KB in an enumerate report and about 1.7 KB and 0.05 ms in
+#: components (box 2 4 4, 32,000 tilings: enumerate peaks at 890 MB in
+#: 14 s; components at 73 MB, 18 MB of it a bare start, in 1.2 s with flips
+#: and 1.6 s with flips and trits), so 10^5 tilings stays within a few GB.
 LISTING_BUDGET = 100_000
 
 
@@ -361,10 +362,22 @@ def count_tilings(region: Region) -> int:
     Agrees with enumerate_tilings everywhere, including 0 for a region with
     no cells. Raises BudgetExceeded once more than FRONTIER_BUDGET states
     are alive.
+
+    On a box or torus that happens for sure when a slice across the outer
+    axis has w cells with 2^(w // 2) > FRONTIER_BUDGET: pair the slice's
+    cells into w // 2 adjacent dominoes; each may lie in the slice or push
+    both cells ahead, and those choices leave as many distinct states at
+    the end of the first slice. So that case raises before any cell table
+    is built.
     """
     n = region.n_cells
     if n == 0 or n % 2:
         return 0
+    sizes = region.dims or region.periods
+    if sizes is not None:
+        outer = max(range(3), key=lambda k: (sizes[k], -k))  # as _sweep_order
+        if 2 ** (n // sizes[outer] // 2) > FRONTIER_BUDGET:
+            raise _frontier_exceeded(region)
     order = _sweep_order(region)
     pos = [0] * n
     for p, i in enumerate(order):
@@ -385,11 +398,14 @@ def count_tilings(region: Region) -> int:
                         m = (mask | b) >> 1
                         nxt[m] = get(m, 0) + count
             if len(nxt) > FRONTIER_BUDGET:
-                raise BudgetExceeded(
-                    "counting the tilings of %r needs more than %d frontier states"
-                    % (region, FRONTIER_BUDGET))
+                raise _frontier_exceeded(region)
         states = nxt
     return states.get(0, 0)
+
+
+def _frontier_exceeded(region: Region) -> BudgetExceeded:
+    return BudgetExceeded("counting the tilings of %r needs more than %d frontier states"
+                         % (region, FRONTIER_BUDGET))
 
 
 def list_tilings(region: Region) -> list[Tiling]:

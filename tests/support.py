@@ -15,7 +15,7 @@ from tritile import (
     find_flips, find_trits, flux_through_surface, refine_region,
 )
 from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
-from tritile.moves import _normalize_moves
+from tritile.moves import LabelledComponent, _move_targets, _normalize_moves
 from tritile.regions import DIR_AXIS, DIRECTIONS
 from tritile.tilings import _direction
 
@@ -358,6 +358,66 @@ def slow_move_graph(tilings, moves) -> MoveGraph:
             edge_keys.add(key)
             edges.append(MoveEdge(u, v, kind, s))
     return MoveGraph(region, nodes, edges, move_set)
+
+
+def slow_labelled_components(tilings, moves) -> list:
+    """labelled_components as it was before it met each move edge once:
+    every move of every tiling, from both ends, is looked up and merged
+    into the weighted union-find, and a missing target raises at once."""
+    move_set = _normalize_moves(moves)
+    nodes = []
+    keys = {}
+    for t in tilings:
+        if nodes and t.region != nodes[0].region:
+            raise ValueError("tilings belong to different regions")
+        if t.mate not in keys:
+            keys[t.mate] = len(nodes)
+            nodes.append(t)
+    if not nodes:
+        raise ValueError("no tilings given")
+    n = len(nodes)
+    parent = list(range(n))
+    offset = [0] * n  # label(u) - label(parent[u])
+    size = [1] * n
+    consistent = [True] * n
+
+    def find(u):
+        path = []
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
+        label = 0
+        for v in reversed(path):
+            label += offset[v]
+            parent[v], offset[v] = u, label
+        return u
+
+    for u, t in enumerate(nodes):
+        for target, _kind, sign in _move_targets(t, move_set):
+            v = keys.get(target)
+            if v is None:
+                raise ValueError("move target missing from the enumerated set")
+            ru, rv = find(u), find(v)
+            gap = offset[u] + sign - offset[v]
+            if ru == rv:
+                if gap:
+                    consistent[ru] = False
+                continue
+            if size[ru] < size[rv]:
+                ru, rv, gap = rv, ru, -gap
+            parent[rv], offset[rv] = ru, gap
+            size[ru] += size[rv]
+            consistent[ru] = consistent[ru] and consistent[rv]
+    groups = {}
+    for u in range(n):
+        groups.setdefault(find(u), []).append(u)
+    out = []
+    for root, members in groups.items():
+        base = offset[members[0]]
+        out.append(LabelledComponent([nodes[u] for u in members],
+                                     [offset[u] - base for u in members],
+                                     consistent[root]))
+    return sorted(out, key=lambda c: (-len(c.tilings), c.tilings[0].hash64))
 
 
 _OFFSETS = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]

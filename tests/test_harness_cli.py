@@ -18,7 +18,7 @@ from tritile import (
     move_graph, random_walk, serialize_tiling, tiling_from_dict, twist, verify,
 )
 import tritile
-from tritile import moves
+from tritile import moves, tilings
 from tritile.cli import main
 from tritile.harness import SUITES, start_tiling
 
@@ -179,6 +179,23 @@ def test_enumerate_count_only_stops_at_the_state_budget(capsys):
         main(["enumerate", "box", "6", "6", "6", "--count-only"])
     assert exc.value.code == 2
     assert "more than 1048576 frontier states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "box", "1000", "1000", "2", "--count-only"],
+    ["enumerate", "torus", "1000", "1000", "2", "--count-only"],
+    ["components", "box", "1000", "1000", "2"],
+])
+def test_a_wide_slice_stops_at_the_state_budget_at_once(capsys, monkeypatch, argv):
+    def no_sweep(region):  # a sweep of 2 million cells would take about 2 GB
+        raise AssertionError("the sweep started on %r" % (region,))
+    monkeypatch.setattr(tilings, "_sweep_order", no_sweep)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert "1000x1000x2) needs more than 1048576 frontier states" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["enumerate", "components"])

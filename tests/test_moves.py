@@ -10,10 +10,10 @@ from tritile import (
 )
 from tritile.harness import walk_states
 from tritile import moves
-from tritile.moves import WalkState, _trit_swap
+from tritile.moves import WalkState, _normalize_moves, _one_way_moves, _trit_swap
 from support import (
-    corner_cut_cube, pinwheel_N1, pinwheel_N2, slow_move_graph,
-    slow_trit_move, tiling_tA, tiling_tB,
+    corner_cut_cube, pinwheel_N1, pinwheel_N2, slow_labelled_components,
+    slow_move_graph, slow_trit_move, tiling_tA, tiling_tB,
 )
 
 
@@ -287,25 +287,45 @@ def test_trit_swap_needs_one_dimer_per_axis():
 
 # -- labelled components ----------------------------------------------------
 
-# Every box shape with at most 2,000 tilings, in two orientations, and the
-# 3x3x2 and 3x4x2 boxes as the CLI spells them.
+# Every box shape with at most 2,000 tilings, in two orientations, the
+# 3x3x2, 3x4x2 and 2x4x4 boxes as the CLI spells them, tori with period-2
+# axes, and three voxel regions named by their bounding boxes: a solid torus
+# (the 4x4x2 box minus its central 2x2 column, 324 tilings), an L (the 4x4x2
+# box minus a 2x2 corner column, 1,560) and a 4x3x3 box with a sealed 2-cell
+# cavity (14,036).
 _SMALL_SHAPES = ((1, 1, 2), (1, 1, 4), (1, 1, 6), (1, 2, 2), (1, 2, 3), (1, 2, 4),
                  (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 4), (1, 4, 5),
                  (1, 4, 6), (1, 5, 6), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5),
                  (2, 2, 6), (2, 3, 3), (2, 3, 4))
+_VOXEL_CELLS = {
+    "ring": [(x, y, z) for x in range(4) for y in range(4) for z in range(2)
+             if not (x in (1, 2) and y in (1, 2))],
+    "L": [(x, y, z) for x in range(4) for y in range(4) for z in range(2)
+          if not (x >= 2 and y >= 2)],
+    "cavity": [(x, y, z) for x in range(4) for y in range(3) for z in range(3)
+               if (x, y, z) not in ((1, 1, 1), (2, 1, 1))],
+}
 _LABELLED_REGIONS = sorted(
     {("box", d) for shape in _SMALL_SHAPES for d in (shape, shape[::-1])}
-    | {("box", (3, 3, 2)), ("box", (3, 4, 2)), ("box", (2, 1, 4)), ("box", (4, 2, 1)),
-       ("torus", (2, 2, 4)), ("torus", (4, 2, 2))})
+    | {("box", (3, 3, 2)), ("box", (3, 4, 2)), ("box", (2, 4, 4)), ("box", (2, 1, 4)),
+       ("box", (4, 2, 1)), ("torus", (2, 2, 2)), ("torus", (2, 2, 4)), ("torus", (2, 4, 2)),
+       ("torus", (4, 2, 2)), ("ring", (4, 4, 2)), ("L", (4, 4, 2)), ("cavity", (4, 3, 3))})
+
+
+def _labelled_region(kind, dims):
+    if kind in _VOXEL_CELLS:
+        return build_voxel_region(_VOXEL_CELLS[kind])
+    return (build_box if kind == "box" else build_torus)(*dims)
 
 
 @pytest.mark.parametrize("moves", ["flip", "flip+trit"])
 @pytest.mark.parametrize("kind, dims", _LABELLED_REGIONS,
                          ids=["%s-%dx%dx%d" % (k, *d) for k, d in _LABELLED_REGIONS])
 def test_labelled_components_match_the_move_graph(kind, dims, moves):
-    region = (build_box if kind == "box" else build_torus)(*dims)
+    region = _labelled_region(kind, dims)
     tilings = list(enumerate_tilings(region))
     comps = labelled_components(tilings, moves)
+    assert comps == slow_labelled_components(tilings, moves)
     g = move_graph(tilings, moves)
     assert [[t.hash64 for t in c.tilings] for c in comps] == g.components()
     for c in comps:
@@ -317,6 +337,13 @@ def test_labelled_components_match_the_move_graph(kind, dims, moves):
             assert consistent
             tws = [twist(t, 2) for t in c.tilings]
             assert [tws[0] + label for label in c.labels] == tws
+    # each move edge is handled at exactly one end and counted at the other
+    handled = counted = 0
+    for t in tilings:
+        targets, others = _one_way_moves(t, _normalize_moves(moves))
+        handled += len(targets)
+        counted += others
+    assert handled == counted == len(g.edges)
 
 
 def test_labelled_components_reject_a_partial_enumeration():
@@ -337,11 +364,31 @@ def test_labelled_components_keep_an_inconsistency_through_a_merge(monkeypatch):
     tilings = list(enumerate_tilings(build_box(2, 2, 2)))[:5]
     edges = {0: [(1, 0), (2, 0)], 3: [(4, 1)], 4: [(3, 1), (0, 0)]}
     index = {t.mate: u for u, t in enumerate(tilings)}
-    monkeypatch.setattr(moves, "_move_targets", lambda t, move_set: [
-        (tilings[v].mate, "trit", sign) for v, sign in edges.get(index[t.mate], [])])
+    # every fake edge is handled from the end that lists it, none counted
+    monkeypatch.setattr(moves, "_one_way_moves", lambda t, move_set: (
+        [(tilings[v].mate, sign) for v, sign in edges.get(index[t.mate], [])], 0))
     [comp] = labelled_components(tilings, "flip+trit")
     assert comp.tilings == tilings
     assert not comp.consistent
+
+
+@pytest.mark.parametrize("move_set", ["flip", "flip+trit"])
+def test_labelled_components_refuse_each_drop_one_set_the_oracle_refuses(move_set):
+    tilings = list(enumerate_tilings(build_box(3, 3, 2)))
+    # a tiling all of whose moves are handled at itself is reached by the
+    # others only through counted moves: only the balance sees it dropped
+    assert any(targets and not others for targets, others in (
+        _one_way_moves(t, _normalize_moves(move_set)) for t in tilings))
+    for k in range(len(tilings)):
+        part = tilings[:k] + tilings[k + 1:]
+        try:
+            expected = slow_labelled_components(part, move_set)
+        except ValueError as e:
+            assert "move target missing" in str(e)
+            with pytest.raises(ValueError, match="move target missing"):
+                labelled_components(part, move_set)
+        else:
+            assert labelled_components(part, move_set) == expected
 
 
 def test_labelled_components_input_checks():

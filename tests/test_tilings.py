@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +74,28 @@ def test_frontier_count_known_values():
 def test_frontier_count_stops_at_its_state_budget():
     with pytest.raises(BudgetExceeded, match=r"box 6x6x6.* 1048576 frontier states"):
         count_tilings(build_box(6, 6, 6))
+
+
+def _no_sweep(region):
+    raise AssertionError("the sweep started on %r" % (region,))
+
+
+@pytest.mark.parametrize("build", [build_box, build_torus], ids=["box", "torus"])
+def test_frontier_count_refuses_a_wide_slice_before_building_tables(build, monkeypatch):
+    # a 1000x2 slice forces 2^1000 states: refused at once, not after the
+    # cell and step tables of 2 million cells are built (about 2 GB, so the
+    # sweep itself is made to fail fast)
+    monkeypatch.setattr(tilings, "_sweep_order", _no_sweep)
+    region = build(1000, 1000, 2)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"1000x1000x2.* 1048576 frontier states"):
+        count_tilings(region)
+    assert time.perf_counter() - start < 1
+    for name in ("cells", "index", "colors"):
+        # the slot itself: plain attribute access would build the table
+        with pytest.raises(AttributeError):
+            object.__getattribute__(region, name)
+    assert region._step_table is None
 
 
 def _pairs_in_branching_order(region, order):
