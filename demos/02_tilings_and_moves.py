@@ -9,7 +9,7 @@ from collections import Counter
 
 from tritile import (
     apply_flip, apply_trit, base_tiling, build_box, enumerate_tilings,
-    find_flips, find_trits, move_graph,
+    find_flips, find_trits, labelled_components,
 )
 
 region = build_box(3, 3, 2)
@@ -33,14 +33,18 @@ print("found a trit at anchor", m.anchor, "with sign", m.sign)
 v = apply_trit(with_trit, m)
 print("trit exchanges", len(m.removed), "dominoes for", len(m.inserted))
 
-# The move graph over all tilings: flips alone leave two frozen tilings
-# stranded, adding trits makes the space connected.
-flip_graph = move_graph(tilings, "flip")
-print("flip components:", [len(c) for c in flip_graph.components()])
-full_graph = move_graph(tilings, "flip+trit")
-print("flip+trit components:", [len(c) for c in full_graph.components()])
+# The components of the move graph over all tilings: flips alone leave two
+# frozen tilings stranded, adding trits makes the space connected.
+flip_comps = labelled_components(tilings, "flip")
+print("flip components:", [len(c.tilings) for c in flip_comps])
+full_comps = labelled_components(tilings, "flip+trit")
+print("flip+trit components:", [len(c.tilings) for c in full_comps])
 
-frozen = [flip_graph.tilings[c[0]] for c in flip_graph.components()
-          if len(c) == 1]
+frozen = [c.tilings[0] for c in flip_comps if len(c.tilings) == 1]
 print("frozen tilings admit no flips:",
       [len(find_flips(f)) for f in frozen])
+
+# Each tiling's label counts the trit signs along any path from its
+# component's first tiling; on a box it is the twist difference.
+[full] = full_comps
+print("trit labels range over", min(full.labels), "..", max(full.labels))

@@ -2,7 +2,7 @@
 
 Boxes, even tori, and voxel regions; exhaustive enumeration of tilings as
 perfect matchings of the dual graph; flip and trit moves with their move
-graphs; flux, twist, and flux through discrete surfaces; height functions
+components; flux, twist, and flux through discrete surfaces; height functions
 on coquadriculated surfaces; and a verification harness.
 """
 
@@ -16,9 +16,8 @@ from .tilings import (
     refine_tiling, serialize_tiling, tiling_from_dict, tiling_to_dict,
 )
 from .moves import (
-    FlipMove, LabelledComponent, MoveEdge, MoveGraph, TritMove, WalkState,
-    apply_flip, apply_trit, bfs_trit_labeling, find_flips, find_trits,
-    labelled_components, move_graph,
+    FlipMove, LabelledComponent, TritMove, WalkState, apply_flip, apply_trit,
+    find_flips, find_trits, labelled_components,
 )
 from .fluxtwist import (
     DiscreteSurface, FluxVector, Square, closed_box_surface, cutting_surface,
@@ -41,9 +40,8 @@ __all__ = [
     "BudgetExceeded", "Cycle", "CycleSystem", "Dimer", "Tiling", "base_tiling",
     "count_tilings", "deserialize_tiling", "diff_cycles", "enumerate_tilings",
     "refine_tiling", "serialize_tiling", "tiling_from_dict", "tiling_to_dict",
-    "FlipMove", "LabelledComponent", "MoveEdge", "MoveGraph", "TritMove",
-    "WalkState", "apply_flip", "apply_trit", "bfs_trit_labeling", "find_flips",
-    "find_trits", "labelled_components", "move_graph",
+    "FlipMove", "LabelledComponent", "TritMove", "WalkState", "apply_flip",
+    "apply_trit", "find_flips", "find_trits", "labelled_components",
     "DiscreteSurface", "FluxVector", "Square", "closed_box_surface",
     "cutting_surface", "flux", "flux_through_surface", "modulus",
     "relative_twist", "surface_from_json", "surface_predicates", "twist",

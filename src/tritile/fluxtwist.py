@@ -26,7 +26,7 @@ from .regions import (
     AXIS_NAMES, Cell, DIRECTIONS, Region, RegionError, _coordinate,
 )
 from .tilings import Tiling, diff_cycles, list_tilings, _axis_index
-from .moves import move_graph, bfs_trit_labeling
+from .moves import labelled_components
 
 _NORMAL_TO_NAME = {(0, 1): "+x", (0, -1): "-x", (1, 1): "+y",
                    (1, -1): "-y", (2, 1): "+z", (2, -1): "-z"}
@@ -537,16 +537,24 @@ def twist(t: Tiling, axis) -> int:
 
 
 @lru_cache(maxsize=4)
-def _enumerated_graph(region: Region):
-    return move_graph(list_tilings(region), "flip+trit")
+def _trit_labels(region: Region) -> dict:
+    """(component number, trit label, whether the component is consistent)
+    of each tiling of the region, keyed by its mate array, over the flip and
+    trit moves of every tiling the region has."""
+    labels = {}
+    for k, c in enumerate(labelled_components(list_tilings(region), "flip+trit")):
+        for t, label in zip(c.tilings, c.labels):
+            labels[t.mate] = (k, label, c.consistent)
+    return labels
 
 
 def relative_twist(t1: Tiling, t0: Tiling) -> int:
-    """TW(t1; t0): twist difference for boxes, BFS trit label on small tori.
+    """TW(t1; t0): twist difference for boxes, trit label difference on
+    small tori.
 
     Requires flux(t1) == flux(t0). On a torus the value is reduced modulo the
     modulus of the common flux class when that modulus is nonzero. A torus
-    is labelled over its whole move graph, so one with more than
+    is labelled over all of its tilings, so one with more than
     tilings.LISTING_BUDGET tilings raises BudgetExceeded.
     """
     if t1.region != t0.region:
@@ -558,15 +566,16 @@ def relative_twist(t1: Tiling, t0: Tiling) -> int:
     if f1 != f0:
         raise ValueError("tilings have different flux: %r vs %r"
                          % (f1.components, f0.components))
-    g = _enumerated_graph(region)
-    if t1.hash64 not in g.tilings or t0.hash64 not in g.tilings:
+    labels = _trit_labels(region)
+    if t1.mate not in labels or t0.mate not in labels:
         raise ValueError("tiling missing from the enumerated move graph")
-    labels, consistent = bfs_trit_labeling(g, t0.hash64)
+    comp1, label1, _ = labels[t1.mate]
+    comp0, label0, consistent = labels[t0.mate]
     if not consistent:
         raise ValueError("inconsistent trit labeling on this region")
-    if t1.hash64 not in labels:
+    if comp1 != comp0:
         raise ValueError("tilings are not connected by flips and trits at this scale")
-    value = labels[t1.hash64]
+    value = label1 - label0
     m = modulus(f0)
     return value % m if m else value
 

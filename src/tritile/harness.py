@@ -19,7 +19,8 @@ from .tilings import (
     Tiling, base_tiling, count_tilings, enumerate_tilings, refine_tiling,
 )
 from .moves import (
-    MoveGraph, TritMove, WalkState, bfs_trit_labeling, move_graph,
+    TritMove, WalkState, apply_flip, apply_trit, find_flips, find_trits,
+    labelled_components,
 )
 from .fluxtwist import (
     closed_box_surface, cutting_surface, flux,
@@ -177,7 +178,8 @@ def euler_suite(seed: int = 0) -> list[dict]:
 class _Box332:
     region: Region
     tilings: tuple
-    graph: MoveGraph
+    flip: list  # labelled_components of the flip moves
+    both: list  # and of the flip and trit moves
     twists: dict
 
 
@@ -188,9 +190,10 @@ def _box332() -> _Box332:
     if not _BOX332_CACHE:
         region = build_box(3, 3, 2)
         tilings = tuple(enumerate_tilings(region))
-        graph = move_graph(list(tilings), "flip+trit")
+        flip = labelled_components(tilings, "flip")
+        both = labelled_components(tilings, "flip+trit")
         twists = {t.hash64: twist(t, 2) for t in tilings}
-        _BOX332_CACHE.append(_Box332(region, tilings, graph, twists))
+        _BOX332_CACHE.append(_Box332(region, tilings, flip, both, twists))
     return _BOX332_CACHE[0]
 
 
@@ -199,18 +202,25 @@ def twist_suite(seed: int = 0) -> list[dict]:
     data = _box332()
     del seed
     flip_bad = trit_bad = flips = trits = 0
-    for e in data.graph.edges:
-        delta = data.twists[e.v] - data.twists[e.u]
-        if e.kind == "flip":
-            flips += 1
-            flip_bad += delta != 0
-        else:
-            trits += 1
-            trit_bad += delta != e.sign
+    for t in data.tilings:
+        h = t.hash64
+        # each edge once, from the end with the smaller hash
+        for m in find_flips(t):
+            h2 = apply_flip(t, m).hash64
+            if h < h2:
+                flips += 1
+                flip_bad += data.twists[h2] != data.twists[h]
+        for m in find_trits(t):
+            h2 = apply_trit(t, m).hash64
+            if h < h2:
+                trits += 1
+                trit_bad += data.twists[h2] - data.twists[h] != m.sign
     axis_bad = sum(1 for t in data.tilings
                    if not twist(t, 0) == twist(t, 1) == twist(t, 2))
     base = base_tiling(data.region, 2)
-    labels, consistent = bfs_trit_labeling(data.graph, base.hash64)
+    comp = next(c for c in data.both if base in c.tilings)
+    zero = comp.labels[comp.tilings.index(base)]
+    labels = {t.hash64: label - zero for t, label in zip(comp.tilings, comp.labels)}
     label_bad = sum(1 for t in data.tilings
                     if labels.get(t.hash64) !=
                     data.twists[t.hash64] - data.twists[base.hash64])
@@ -221,7 +231,7 @@ def twist_suite(seed: int = 0) -> list[dict]:
                "%d trit edges, %d violating the signed step" % (trits, trit_bad)),
         _check("twist/axis-independence", axis_bad == 0,
                "%d of %d tilings with axis disagreement" % (axis_bad, len(data.tilings))),
-        _check("twist/labels-consistent", consistent),
+        _check("twist/labels-consistent", comp.consistent),
         _check("twist/labels-match", label_bad == 0,
                "%d label mismatches" % label_bad),
     ]
@@ -352,11 +362,10 @@ def counts_suite(seed: int = 0) -> list[dict]:
     checks.append(_check("counts/box221", n221 == 2, "count %d" % n221))
 
     data = _box332()
-    flip_graph = move_graph(list(data.tilings), "flip")
-    sizes = flip_graph.component_sizes()
+    sizes = [len(c.tilings) for c in data.flip]
     checks.append(_check("components/flip332", sizes == [227, 1, 1],
                          "sizes %r" % (sizes,)))
-    both = data.graph.component_sizes()
+    both = [len(c.tilings) for c in data.both]
     checks.append(_check("components/fliptrit332", both == [229],
                          "sizes %r" % (both,)))
 

@@ -1,4 +1,5 @@
-"""Flips, trits, move graphs, and the signed trit labeling.
+"""Flips, trits, a walk's move index, and move components with their
+signed trit labels.
 
 A flip exchanges two parallel dimers filling a 2x2x1 slab. A trit exchanges
 three pairwise orthogonal dimers inside a 2x2x2 cube whose two uncovered
@@ -17,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .regions import DIR_AXIS, Cell, Region
 from .tilings import Dimer, Tiling, _direction, _splitmix64
@@ -398,80 +399,12 @@ class WalkState:
                 self._trits_at[c].discard(r)
 
 
-@dataclass(frozen=True)
-class MoveEdge:
-    u: int
-    v: int
-    kind: str
-    sign: int  # trit sign going u -> v; 0 for flips
-
-
-class MoveGraph:
-    """Move graph over a fully enumerated tiling set, keyed by canonical hash."""
-
-    def __init__(self, region: Region, tilings: dict[int, Tiling],
-                 edges: Sequence[MoveEdge], moves: frozenset):
-        self.region = region
-        self.tilings = tilings
-        self.edges = tuple(edges)
-        self.moves = moves
-        self._adj: Optional[dict[int, list[tuple[int, str, int]]]] = None
-
-    @property
-    def adjacency(self) -> dict[int, list[tuple[int, str, int]]]:
-        if self._adj is None:
-            adj: dict[int, list[tuple[int, str, int]]] = {h: [] for h in self.tilings}
-            for e in self.edges:
-                adj[e.u].append((e.v, e.kind, e.sign))
-                adj[e.v].append((e.u, e.kind, -e.sign))
-            self._adj = adj
-        return self._adj
-
-    def components(self) -> list[list[int]]:
-        """Connected components as hash lists, largest first."""
-        parent = {h: h for h in self.tilings}
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for e in self.edges:
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[ru] = rv
-        groups: dict[int, list[int]] = {}
-        for h in self.tilings:
-            groups.setdefault(find(h), []).append(h)
-        return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
-
-    def component_sizes(self) -> list[int]:
-        return [len(g) for g in self.components()]
-
-
 def _rewired(mate: Sequence[int], inserted: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """The mate array after the move that inserts these (cell, cell) pairs."""
     new = list(mate)
     for i, j in inserted:
         new[i], new[j] = j, i
     return tuple(new)
-
-
-def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, ...], str, int]]:
-    """(mate array of the target, kind, sign) of each move of t, in
-    find_flips then find_trits order."""
-    mate = t.mate
-    if "flip" in move_set:
-        for w, b, w2, b2 in _flips(t):
-            yield _rewired(mate, ((w, b2), (w2, b))), "flip", 0
-    if "trit" in move_set:
-        cubes = t.region.cube_table.cubes
-        for r, trio in _trits(t.region, mate):
-            _removed, inserted, sign = _trit_swap(cubes[r], trio)
-            yield _rewired(mate, inserted), "trit", sign
 
 
 def _one_way_moves(t: Tiling, move_set: frozenset) -> tuple[list[tuple[tuple[int, ...], int]], int]:
@@ -499,52 +432,6 @@ def _one_way_moves(t: Tiling, move_set: frozenset) -> tuple[list[tuple[tuple[int
     return handled, counted
 
 
-def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:
-    """Build the move graph over a complete enumeration of a region's tilings.
-
-    The scan runs in index space. Each input tiling is hashed once and
-    indexed by its exact mate array. Moves come from the scans behind
-    find_flips and find_trits (_flips, _trits), in their order, and a trit's
-    new cells from _trit_swap. A neighbour's mate array is a copy with
-    the moved cells' entries rewritten, looked up exactly, so no Tiling is
-    built or hashed per edge and a hash64 collision cannot attach an edge to
-    the wrong node. Raises ValueError when two different tilings share a
-    hash64, since MoveGraph keys its nodes by it.
-    """
-    move_set = _normalize_moves(moves)
-    nodes: dict[int, Tiling] = {}
-    keys: dict[tuple[int, ...], int] = {}
-    region = None
-    for t in tilings:
-        if region is None:
-            region = t.region
-        elif t.region != region:
-            raise ValueError("tilings belong to different regions")
-        h = t.hash64
-        if h in nodes:
-            if nodes[h].pairs != t.pairs:
-                raise ValueError("two different tilings share the hash %016x" % h)
-            continue
-        nodes[h] = t
-        keys[t.mate] = h
-    if region is None:
-        raise ValueError("no tilings given")
-    edge_keys: set[tuple[int, int, str, int]] = set()
-    edges: list[MoveEdge] = []
-    for h, t in nodes.items():
-        for target, kind, sign in _move_targets(t, move_set):
-            h2 = keys.get(target)
-            if h2 is None:
-                raise ValueError("move target missing from the enumerated set")
-            u, v, s = (h, h2, sign) if h <= h2 else (h2, h, -sign)
-            key = (u, v, kind, s)
-            if key in edge_keys:
-                continue
-            edge_keys.add(key)
-            edges.append(MoveEdge(u, v, kind, s))
-    return MoveGraph(region, nodes, edges, move_set)
-
-
 #: One component of labelled_components; see there.
 LabelledComponent = namedtuple("LabelledComponent", "tilings labels consistent")
 
@@ -562,15 +449,14 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
     union-find that keeps each node's signed trit count relative to its
     root (flips add 0, a trit 1). At the other end the move is only
     counted. An edge that closes a cycle with a nonzero trit sum marks its
-    component inconsistent; on a consistent component the labels are
-    bfs_trit_labeling's from its first tiling.
+    component inconsistent.
 
     The input is closed under moves iff every handled target is found and
     there are as many counted moves as handled ones: each handled move
     u -> v is the reverse of exactly one counted move at v. A missing
-    handled target raises ValueError at once, as in move_graph; a target
-    missing on the counted side shows only in the balance, which raises the
-    same ValueError at the end of the pass. (A surplus of handled moves
+    handled target raises ValueError at once; a target missing on the
+    counted side shows only in the balance, which raises the same
+    ValueError at the end of the pass. (A surplus of handled moves
     could only come from a sign rule under which a trit and its reverse are
     both +1; both are then merged, and the cycle they close marks the
     component inconsistent.)
@@ -578,8 +464,10 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
     Returns one LabelledComponent(tilings, labels, consistent) per
     component: its tilings in input order, labels[k] the signed trit count
     of tilings[k] relative to tilings[0], and whether every edge agrees with
-    the labels. Components come in MoveGraph.components order, largest
-    first, ties broken by the hash64 of the first tiling; only those first
+    the labels. On a consistent component labels[k] is the sum of the trit
+    signs along any path of moves from tilings[0] to tilings[k], so
+    labels[0] = 0 and flips keep the label. Components come largest first,
+    ties broken by the hash64 of their first tiling; only those first
     tilings are hashed.
     """
     move_set = _normalize_moves(moves)
@@ -652,34 +540,3 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
                                      [offset[u] - base for u in members],
                                      consistent[root]))
     return sorted(out, key=lambda c: (-len(c.tilings), c.tilings[0].hash64))
-
-
-def bfs_trit_labeling(g: MoveGraph, base: Union[Tiling, int]) -> tuple[dict[int, int], bool]:
-    """Integer labels from signed trit counts along a BFS tree from base.
-
-    label(base) = 0; flips leave the label unchanged, a trit edge adds its
-    sign. Returns (labels for base's component, consistent), with consistent
-    true iff every non-tree edge agrees with the labels, i.e. no cycle in the
-    graph has a nonzero signed trit sum.
-    """
-    start = base.hash64 if isinstance(base, Tiling) else base
-    if start not in g.tilings:
-        raise ValueError("base tiling is not a node of the graph")
-    labels = {start: 0}
-    queue = [start]
-    adj = g.adjacency
-    while queue:
-        nxt: list[int] = []
-        for u in queue:
-            for v, kind, sign in adj[u]:
-                if v not in labels:
-                    labels[v] = labels[u] + sign
-                    nxt.append(v)
-        queue = nxt
-    consistent = True
-    for e in g.edges:
-        if e.u in labels and e.v in labels:
-            if labels[e.v] - labels[e.u] != e.sign:
-                consistent = False
-                break
-    return labels, consistent

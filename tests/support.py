@@ -6,16 +6,19 @@ tests compare two genuinely different code paths.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from tritile import (
-    Dimer, MoveEdge, MoveGraph, Tiling, TritMove, apply_flip, apply_trit,
+    Dimer, Region, Tiling, TritMove, apply_flip, apply_trit,
     base_tiling, build_box, build_voxel_region, cutting_surface, diff_cycles,
     find_flips, find_trits, flux_through_surface, refine_region,
 )
+from tritile import moves as mv
 from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
-from tritile.moves import LabelledComponent, _move_targets, _normalize_moves
+from tritile.moves import LabelledComponent, _normalize_moves
 from tritile.regions import DIR_AXIS, DIRECTIONS
 from tritile.tilings import _direction
 
@@ -332,6 +335,163 @@ def corner_cut_cube():
     """The 3x3x3 box minus one corner: cubes with 7 of 8 cells in the region."""
     return build_voxel_region([(x, y, z) for x in range(3) for y in range(3)
                                for z in range(3) if (x, y, z) != (0, 0, 0)])
+
+
+# -- the move graph: labelled_components' reference ---------------------
+
+@dataclass(frozen=True)
+class MoveEdge:
+    u: int
+    v: int
+    kind: str
+    sign: int  # trit sign going u -> v; 0 for flips
+
+
+class MoveGraph:
+    """Move graph over a fully enumerated tiling set, keyed by canonical hash."""
+
+    def __init__(self, region: Region, tilings: dict[int, Tiling],
+                 edges: Sequence[MoveEdge], moves: frozenset):
+        self.region = region
+        self.tilings = tilings
+        self.edges = tuple(edges)
+        self.moves = moves
+        self._adj: Optional[dict[int, list[tuple[int, str, int]]]] = None
+
+    @property
+    def adjacency(self) -> dict[int, list[tuple[int, str, int]]]:
+        if self._adj is None:
+            adj: dict[int, list[tuple[int, str, int]]] = {h: [] for h in self.tilings}
+            for e in self.edges:
+                adj[e.u].append((e.v, e.kind, e.sign))
+                adj[e.v].append((e.u, e.kind, -e.sign))
+            self._adj = adj
+        return self._adj
+
+    def components(self) -> list[list[int]]:
+        """Connected components as hash lists, largest first."""
+        parent = {h: h for h in self.tilings}
+
+        def find(x: int) -> int:
+            root = x
+            while parent[root] != root:
+                root = parent[root]
+            while parent[x] != root:
+                parent[x], x = root, parent[x]
+            return root
+
+        for e in self.edges:
+            ru, rv = find(e.u), find(e.v)
+            if ru != rv:
+                parent[ru] = rv
+        groups: dict[int, list[int]] = {}
+        for h in self.tilings:
+            groups.setdefault(find(h), []).append(h)
+        return sorted(groups.values(), key=lambda g: (-len(g), g[0]))
+
+    def component_sizes(self) -> list[int]:
+        return [len(g) for g in self.components()]
+
+
+def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, ...], str, int]]:
+    """(mate array of the target, kind, sign) of each move of t, in
+    find_flips then find_trits order. The scans are looked up on
+    tritile.moves at call time, so a test that patches moves._trit_swap
+    reaches this oracle too."""
+    mate = t.mate
+    if "flip" in move_set:
+        for w, b, w2, b2 in mv._flips(t):
+            yield mv._rewired(mate, ((w, b2), (w2, b))), "flip", 0
+    if "trit" in move_set:
+        cubes = t.region.cube_table.cubes
+        for r, trio in mv._trits(t.region, mate):
+            _removed, inserted, sign = mv._trit_swap(cubes[r], trio)
+            yield mv._rewired(mate, inserted), "trit", sign
+
+
+def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:
+    """Build the move graph over a complete enumeration of a region's tilings.
+
+    The scan runs in index space. Each input tiling is hashed once and
+    indexed by its exact mate array. Moves come from the scans behind
+    find_flips and find_trits (_flips, _trits), in their order, and a trit's
+    new cells from _trit_swap. A neighbour's mate array is a copy with
+    the moved cells' entries rewritten, looked up exactly, so no Tiling is
+    built or hashed per edge and a hash64 collision cannot attach an edge to
+    the wrong node. Raises ValueError when two different tilings share a
+    hash64, since MoveGraph keys its nodes by it.
+    """
+    move_set = _normalize_moves(moves)
+    nodes: dict[int, Tiling] = {}
+    keys: dict[tuple[int, ...], int] = {}
+    region = None
+    for t in tilings:
+        if region is None:
+            region = t.region
+        elif t.region != region:
+            raise ValueError("tilings belong to different regions")
+        h = t.hash64
+        if h in nodes:
+            if nodes[h].pairs != t.pairs:
+                raise ValueError("two different tilings share the hash %016x" % h)
+            continue
+        nodes[h] = t
+        keys[t.mate] = h
+    if region is None:
+        raise ValueError("no tilings given")
+    edge_keys: set[tuple[int, int, str, int]] = set()
+    edges: list[MoveEdge] = []
+    for h, t in nodes.items():
+        for target, kind, sign in _move_targets(t, move_set):
+            h2 = keys.get(target)
+            if h2 is None:
+                raise ValueError("move target missing from the enumerated set")
+            u, v, s = (h, h2, sign) if h <= h2 else (h2, h, -sign)
+            key = (u, v, kind, s)
+            if key in edge_keys:
+                continue
+            edge_keys.add(key)
+            edges.append(MoveEdge(u, v, kind, s))
+    return MoveGraph(region, nodes, edges, move_set)
+
+
+def bfs_trit_labeling(g: MoveGraph, base: Union[Tiling, int]) -> tuple[dict[int, int], bool]:
+    """Integer labels from signed trit counts along a BFS tree from base.
+
+    label(base) = 0; flips leave the label unchanged, a trit edge adds its
+    sign. Returns (labels for base's component, consistent), with consistent
+    true iff every non-tree edge agrees with the labels, i.e. no cycle in the
+    graph has a nonzero signed trit sum.
+    """
+    start = base.hash64 if isinstance(base, Tiling) else base
+    if start not in g.tilings:
+        raise ValueError("base tiling is not a node of the graph")
+    labels = {start: 0}
+    queue = [start]
+    adj = g.adjacency
+    while queue:
+        nxt: list[int] = []
+        for u in queue:
+            for v, kind, sign in adj[u]:
+                if v not in labels:
+                    labels[v] = labels[u] + sign
+                    nxt.append(v)
+        queue = nxt
+    consistent = True
+    for e in g.edges:
+        if e.u in labels and e.v in labels:
+            if labels[e.v] - labels[e.u] != e.sign:
+                consistent = False
+                break
+    return labels, consistent
+
+
+def always_positive_trits(monkeypatch):
+    """Make every trit positive in both directions, so that any trit cycle
+    has a nonzero signed sum."""
+    swap = mv._trit_swap
+    monkeypatch.setattr(mv, "_trit_swap",
+                        lambda cube, trio: (*swap(cube, trio)[:2], 1))
 
 
 def slow_move_graph(tilings, moves) -> MoveGraph:

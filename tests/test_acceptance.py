@@ -8,12 +8,12 @@ from collections import deque
 from fractions import Fraction
 
 from tritile import (
-    base_tiling, bfs_trit_labeling, build_box, build_torus, cutting_surface,
-    enumerate_tilings, find_flips, flux, flux_through_surface,
-    mixed_torus_tiling, modulus, move_graph, twist, verify,
+    base_tiling, build_box, build_torus, cutting_surface, enumerate_tilings,
+    find_flips, flux, flux_through_surface, mixed_torus_tiling, modulus,
+    twist, verify,
 )
 from tritile import heights
-from support import count_matchings
+from support import bfs_trit_labeling, count_matchings, move_graph
 
 
 def verdict(num: int, ok: bool, detail: str) -> bool:

@@ -9,15 +9,15 @@ from tritile import (
     WalkState, apply_flip, apply_trit,
     base_tiling, build_box, build_torus, build_voxel_region, closed_box_surface,
     cutting_surface, enumerate_tilings, find_flips, find_trits,
-    flux, flux_through_surface, mixed_torus_tiling, modulus, move_graph,
-    refine_tiling, relative_twist, surface_from_json, surface_predicates, twist,
-    vertex_flow,
+    flux, flux_through_surface, mixed_torus_tiling, modulus, refine_tiling,
+    relative_twist, surface_from_json, surface_predicates, twist, vertex_flow,
 )
 from tritile import fluxtwist
 from tritile.harness import walk_states
 from tritile.tilings import _refine_region_cached
 from support import (
-    pinwheel_N1, slow_flux, slow_modulus, slow_twist, tiling_tA, tiling_tB,
+    always_positive_trits, bfs_trit_labeling, move_graph, pinwheel_N1, slow_flux,
+    slow_modulus, slow_twist, tiling_tA, tiling_tB,
 )
 
 
@@ -185,6 +185,56 @@ def test_relative_twist_torus_stops_at_the_listing_budget():
     t = base_tiling(build_torus(2, 4, 4), 0)
     with pytest.raises(BudgetExceeded, match="589185 tilings, more than the listing budget"):
         relative_twist(t, t)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 4), (4, 2, 2)])
+def test_relative_twist_on_tori_matches_the_move_graph_labels(dims):
+    g = move_graph(list(enumerate_tilings(build_torus(*dims))), "flip+trit")
+    # hash64 -> (component, label from the component's first tiling, consistent)
+    oracle = {}
+    for k, comp in enumerate(g.components()):
+        labels, consistent = bfs_trit_labeling(g, comp[0])
+        oracle.update((h, (k, labels[h], consistent)) for h in comp)
+    tilings = list(g.tilings.values())
+    fluxes = {t.hash64: flux(t) for t in tilings}
+    bad = []
+    for t1 in tilings:
+        comp1, label1, _ = oracle[t1.hash64]
+        f1 = fluxes[t1.hash64]
+        for t0 in tilings:
+            comp0, label0, consistent = oracle[t0.hash64]
+            f0 = fluxes[t0.hash64]
+            if f1 != f0:
+                expected = "tilings have different flux: %r vs %r" % (
+                    f1.components, f0.components)
+            elif not consistent:
+                expected = "inconsistent trit labeling on this region"
+            elif comp1 != comp0:
+                expected = "tilings are not connected by flips and trits at this scale"
+            else:
+                m = modulus(f0)
+                expected = (label1 - label0) % m if m else label1 - label0
+            try:
+                got = relative_twist(t1, t0)
+            except ValueError as e:
+                got = str(e)
+            if got != expected:
+                bad.append((t1.hash64, t0.hash64, got, expected))
+    assert bad == []
+
+
+def test_relative_twist_refuses_an_inconsistent_torus_labeling(monkeypatch):
+    # a trit that is +1 both ways closes a 2-cycle of trit sum 2
+    always_positive_trits(monkeypatch)
+    t = next(t for t in enumerate_tilings(build_torus(2, 2, 4)) if find_trits(t))
+    # a labeling cached before the patch would hide the fault, and one
+    # cached under it would leak into later tests
+    fluxtwist._trit_labels.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="inconsistent trit labeling on this region"):
+            relative_twist(t, t)
+    finally:
+        fluxtwist._trit_labels.cache_clear()
 
 
 def test_relative_twist_rejects_unequal_flux():

@@ -13,14 +13,15 @@ import time
 import pytest
 
 from tritile import (
-    RegionError, WalkConfig, mixed_torus_tiling, bfs_trit_labeling, build_box,
-    build_torus, build_voxel_region, enumerate_tilings, labelled_components,
-    move_graph, random_walk, serialize_tiling, tiling_from_dict, twist, verify,
+    RegionError, WalkConfig, mixed_torus_tiling, build_box, build_torus,
+    build_voxel_region, enumerate_tilings, labelled_components, random_walk,
+    serialize_tiling, tiling_from_dict, twist, verify,
 )
 import tritile
-from tritile import moves, tilings
+from tritile import tilings
 from tritile.cli import main
 from tritile.harness import SUITES, start_tiling
+from support import always_positive_trits, bfs_trit_labeling, move_graph
 
 
 def run(capsys, *argv):
@@ -448,16 +449,8 @@ def test_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def _always_positive_trits(monkeypatch):
-    """Make every trit positive in both directions, so that any trit cycle
-    has a nonzero signed sum."""
-    swap = moves._trit_swap
-    monkeypatch.setattr(moves, "_trit_swap",
-                        lambda cube, trio: (*swap(cube, trio)[:2], 1))
-
-
 def test_inconsistent_trit_labels_are_flagged(monkeypatch):
-    _always_positive_trits(monkeypatch)
+    always_positive_trits(monkeypatch)
     tilings = list(enumerate_tilings(build_box(3, 3, 2)))
     comps = labelled_components(tilings, "flip+trit")
     labels, consistent = bfs_trit_labeling(move_graph(tilings, "flip+trit"), tilings[0])
@@ -465,7 +458,7 @@ def test_inconsistent_trit_labels_are_flagged(monkeypatch):
 
 
 def test_components_refuses_inconsistent_labels_on_a_box(monkeypatch, capsys):
-    _always_positive_trits(monkeypatch)
+    always_positive_trits(monkeypatch)
     with pytest.raises(RuntimeError, match="inconsistent trit labels"):
         main(["components", "box", "3", "3", "2"])
     assert capsys.readouterr().out == ""

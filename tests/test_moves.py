@@ -3,17 +3,16 @@ import random
 import pytest
 
 from tritile import (
-    RegionError, TritMove, apply_flip, apply_trit, base_tiling,
-    bfs_trit_labeling, build_box, build_torus, build_voxel_region,
-    count_tilings, enumerate_tilings, find_flips, find_trits,
-    labelled_components, move_graph, twist,
+    RegionError, TritMove, apply_flip, apply_trit, base_tiling, build_box,
+    build_torus, build_voxel_region, count_tilings, enumerate_tilings,
+    find_flips, find_trits, labelled_components, twist,
 )
 from tritile.harness import walk_states
 from tritile import moves
 from tritile.moves import WalkState, _normalize_moves, _one_way_moves, _trit_swap
 from support import (
-    corner_cut_cube, pinwheel_N1, pinwheel_N2, slow_labelled_components,
-    slow_move_graph, slow_trit_move, tiling_tA, tiling_tB,
+    bfs_trit_labeling, corner_cut_cube, move_graph, pinwheel_N1, pinwheel_N2,
+    slow_labelled_components, slow_move_graph, slow_trit_move, tiling_tA, tiling_tB,
 )
 
 
