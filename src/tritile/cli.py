@@ -24,7 +24,6 @@ from .tilings import (
 from .moves import labelled_components
 from .fluxtwist import flux, modulus, twist
 from .harness import WalkConfig, random_walk, start_tiling, verify
-from . import regions as _regions
 
 
 def _parse_region(tokens: Sequence[str], parser: argparse.ArgumentParser) -> Region:
@@ -53,8 +52,6 @@ def _parse_region(tokens: Sequence[str], parser: argparse.ArgumentParser) -> Reg
                 data = json.load(fh)
         except (OSError, ValueError) as exc:
             parser.error("invalid region file %s: %s" % (tokens[1], exc))
-        if isinstance(data, dict) and data.get("kind") == "voxels":
-            return _regions.region_from_dict(data)
         if isinstance(data, dict):
             return build_voxel_region(data.get("cells"), data.get("parity", 0))
         return build_voxel_region(data)

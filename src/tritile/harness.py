@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .regions import Region, RegionError, build_box, build_torus
@@ -183,18 +184,14 @@ class _Box332:
     twists: dict
 
 
-_BOX332_CACHE: list = []
-
-
+@lru_cache(maxsize=None)
 def _box332() -> _Box332:
-    if not _BOX332_CACHE:
-        region = build_box(3, 3, 2)
-        tilings = tuple(enumerate_tilings(region))
-        flip = labelled_components(tilings, "flip")
-        both = labelled_components(tilings, "flip+trit")
-        twists = {t.hash64: twist(t, 2) for t in tilings}
-        _BOX332_CACHE.append(_Box332(region, tilings, flip, both, twists))
-    return _BOX332_CACHE[0]
+    region = build_box(3, 3, 2)
+    tilings = tuple(enumerate_tilings(region))
+    flip = labelled_components(tilings, "flip")
+    both = labelled_components(tilings, "flip+trit")
+    twists = {t.hash64: twist(t, 2) for t in tilings}
+    return _Box332(region, tilings, flip, both, twists)
 
 
 def twist_suite(seed: int = 0) -> list[dict]:

@@ -32,10 +32,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .regions import BudgetExceeded
-from .tilings import LISTING_BUDGET
+from .tilings import LISTING_BUDGET, _perfect_matchings
 
 INF = "inf"
 
@@ -211,52 +211,20 @@ def build_planar_surface(cells: Iterable[tuple]) -> CoquadSurface:
 def enumerate_surface_tilings(s: CoquadSurface) -> list:
     """All perfect matchings of the surface graph, as frozensets of edge ids,
     sorted. Counts them first and raises BudgetExceeded, before listing any,
-    when there are more than tilings.LISTING_BUDGET."""
+    when there are more than tilings.LISTING_BUDGET. The search is the one
+    enumerate_tilings runs, over s.vertices in order, each trying its edges
+    in s.vertex_edges order; matching by edge id keeps parallel edges apart."""
+    index = {v: k for k, v in enumerate(s.vertices)}
+    rows = [[(i, index[s.edges[i][1] if v == s.edges[i][0] else s.edges[i][0]])
+             for i in s.vertex_edges[v]] for v in s.vertices]
     count = 0
-    for _ in _matchings(s):
+    for _ in _perfect_matchings(rows):
         count += 1
         if count > LISTING_BUDGET:
             raise BudgetExceeded(
                 "surface with %d vertices has more than %d tilings, the listing budget"
                 % (len(s.vertices), LISTING_BUDGET))
-    return sorted((frozenset(m) for m in _matchings(s)), key=sorted)
-
-
-def _matchings(s: CoquadSurface) -> Iterator[list]:
-    """Yield once per perfect matching the list of its edge ids (one list,
-    reused). Backtracking without recursion: the first unmatched vertex in
-    s.vertices order tries its edges in s.vertex_edges order."""
-    index = {v: k for k, v in enumerate(s.vertices)}
-    options = [[(i, index[s.edges[i][1] if v == s.edges[i][0] else s.edges[i][0]])
-                for i in s.vertex_edges[v]] for v in s.vertices]
-    n = len(options)
-    matched = bytearray(n)
-    chosen: list[int] = []
-    frames = []  # (vertex, partner, remaining options) per chosen edge
-    v, rest = 0, iter(options[0])
-    while True:
-        for i, u in rest:
-            if matched[u]:
-                continue
-            matched[v] = matched[u] = 1
-            chosen.append(i)
-            nxt = v + 1
-            while nxt < n and matched[nxt]:
-                nxt += 1
-            if nxt == n:
-                yield chosen
-                chosen.pop()
-                matched[v] = matched[u] = 0
-                continue
-            frames.append((v, u, rest))
-            v, rest = nxt, iter(options[nxt])
-            break
-        else:
-            if not frames:
-                return
-            v, u, rest = frames.pop()
-            chosen.pop()
-            matched[v] = matched[u] = 0
+    return sorted((frozenset(labels) for _, labels in _perfect_matchings(rows)), key=sorted)
 
 
 class HeightField:

@@ -80,7 +80,7 @@ class Region:
 
     __slots__ = (
         "kind", "cells", "index", "colors", "dims", "periods", "parity", "n_cells",
-        "_step_table", "_cube_table", "_hash",
+        "_step_table", "_cube_table", "_hash", "__weakref__",
     )
 
     def __init__(self, kind: str, cells: Optional[Sequence[Cell]], parity: int,

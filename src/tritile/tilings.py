@@ -19,8 +19,6 @@ from .regions import (
     region_from_dict,
 )
 
-_refine_region_cached = lru_cache(maxsize=32)(refine_region)
-
 _M64 = (1 << 64) - 1
 
 
@@ -290,42 +288,53 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
     over its neighbors in the canonical +x,-x,+y,-y,+z,-z order. The stream is
     deterministic, so a consumer can re-run and skip a prefix to resume.
     """
-    n = region.n_cells
+    rows = [[(j, j) for j in row] for row in _neighbor_rows(region)]
+    for mate, _ in _perfect_matchings(rows):
+        yield Tiling._from_mate(region, mate)
+
+
+def _perfect_matchings(rows: Sequence[Sequence[tuple]]) -> Iterator[tuple[list[int], list]]:
+    """Every perfect matching of a graph on vertices 0..n-1, once each.
+
+    rows[v] lists vertex v's options as (label, partner) pairs. The search
+    matches the lowest unmatched vertex to each free partner in row order,
+    depth first, with an explicit frame stack instead of recursion. Each
+    matching is yielded as (mate, labels): mate[v] is v's partner and labels
+    holds the chosen options' labels, lowest vertex first. Both lists are
+    reused, so a consumer copies what it keeps. Labels tell parallel edges
+    apart where partners cannot.
+    """
+    n = len(rows)
     if n == 0 or n % 2:
         return
-    nbrs = _neighbor_rows(region)
     mate = [-1] * n
-    frames: list[tuple[int, int]] = []
-    i, pos = 0, 0
+    labels: list = []
+    frames = []  # (vertex, partner, remaining options) per chosen option
+    v, rest = 0, iter(rows[0])
     while True:
-        found = False
-        row = nbrs[i]
-        while pos < len(row):
-            j = row[pos]
-            pos += 1
-            if mate[j] == -1:
-                mate[i] = j
-                mate[j] = i
-                frames.append((i, pos))
-                found = True
-                break
-        if found:
-            k = i + 1
-            while k < n and mate[k] != -1:
-                k += 1
-            if k == n:
-                yield Tiling._from_mate(region, mate)
-                i, pos = frames.pop()
-                j = mate[i]
-                mate[i] = mate[j] = -1
-            else:
-                i, pos = k, 0
+        for label, u in rest:
+            if mate[u] != -1:
+                continue
+            mate[v] = u
+            mate[u] = v
+            labels.append(label)
+            nxt = v + 1
+            while nxt < n and mate[nxt] != -1:
+                nxt += 1
+            if nxt == n:
+                yield mate, labels
+                labels.pop()
+                mate[v] = mate[u] = -1
+                continue
+            frames.append((v, u, rest))
+            v, rest = nxt, iter(rows[nxt])
+            break
         else:
             if not frames:
                 return
-            i, pos = frames.pop()
-            j = mate[i]
-            mate[i] = mate[j] = -1
+            v, u, rest = frames.pop()
+            labels.pop()
+            mate[v] = mate[u] = -1
 
 
 #: Most partial-tiling states count_tilings keeps alive at once.
@@ -509,7 +518,7 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
     if k == 0:
         return t
     scale = 5 ** k
-    region2 = _refine_region_cached(t.region, k)
+    region2 = refine_region(t.region, k)
     mate = None if region2.kind == "voxels" else _lattice_refined_mate(t, region2, scale)
     if mate is not None:
         whites = _white_indices(*(region2.dims or region2.periods))

@@ -14,7 +14,6 @@ from tritile import (
 )
 from tritile import fluxtwist
 from tritile.harness import walk_states
-from tritile.tilings import _refine_region_cached
 from support import (
     always_positive_trits, bfs_trit_labeling, move_graph, pinwheel_N1, slow_flux,
     slow_modulus, slow_twist, tiling_tA, tiling_tB,
@@ -102,7 +101,6 @@ def test_twist_matches_literal_shadow_sum_on_refined_tilings(t):
 
 
 def test_twist_leaves_the_refined_cell_tables_unbuilt():
-    _refine_region_cached.cache_clear()
     t = pinwheel_N1()
     fine = refine_tiling(t, 2)
     assert twist(fine, 2) == twist(t, 2) == 1
@@ -534,7 +532,6 @@ def test_flux_and_modulus_match_the_slow_oracles(sample):
 
 
 def test_flux_and_modulus_leave_the_refined_cell_tables_unbuilt():
-    _refine_region_cached.cache_clear()
     fine = refine_tiling(mixed_torus_tiling(), 1)
     f = flux(fine)
     assert (f.components, modulus(f)) == ((-8, 0, 0), 16)

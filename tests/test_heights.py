@@ -63,6 +63,20 @@ def test_small_rectangle_counts():
     assert len(enumerate_surface_tilings(rect(4, 4))) == 36
 
 
+def test_parallel_edges_are_told_apart():
+    # the 4-cycle b0-w0-b1-w1 around face f, plus edge 4, a second b0-w0
+    # edge with the boundary on both sides. count_planar_matchings merges
+    # parallel edges, so the expected lists are written out.
+    colors = {"b0": 1, "b1": 1, "w0": -1, "w1": -1}
+    edges = [("b0", "w0", "f", INF), ("b0", "w1", INF, "f"),
+             ("b1", "w1", "f", INF), ("b1", "w0", INF, "f"),
+             ("b0", "w0", INF, INF)]
+    s = CoquadSurface(colors, edges, ["f"])
+    assert enumerate_surface_tilings(s) == [
+        frozenset({0, 2}), frozenset({1, 3}), frozenset({2, 4})]
+    assert [len(c) for c in tiling_classes(s)] == [2, 1]
+
+
 def test_counts_match_permanent_oracle():
     for s in (rect(2, 2), rect(2, 3), rect(4, 4), annulus()):
         assert len(enumerate_surface_tilings(s)) == count_planar_matchings(s)

@@ -1,9 +1,12 @@
-"""Every module-level import of the package is read by its own module."""
+"""Every module-level import of the package is read by its own module, and
+the package exports exactly what its __init__ imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import tritile
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tritile"
 
@@ -24,3 +27,8 @@ def test_module_level_imports_are_referenced(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in _imported_names(tree) if name not in referenced] == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(tritile.__all__) == sorted([*_imported_names(tree), "__version__"])

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from tritile import (
 )
 from tritile.harness import walk_states
 from support import (
-    count_matchings, pinwheel_N1, pinwheel_N2, slow_neighbor_table, slow_refine,
+    corner_cut_cube, count_matchings, pinwheel_N1, pinwheel_N2, slow_neighbor_table, slow_refine,
 )
 
 
@@ -134,6 +136,34 @@ def test_enumeration_order_independent():
         order = list(range(6))
         rng.shuffle(order)
         assert _pairs_in_branching_order(r, order) == set(reference)
+
+
+# sha256 of repr([t.pairs for t in enumerate_tilings(region)]): the order of
+# the listing, pinned so a change to the backtracking search shows.
+_ORDER_PINS = {
+    "box-3x4x2": (lambda: build_box(3, 4, 2), 1845,
+                  "82f2f8e77eca7406b84eda0b4989f6e43dcf2822864e706daef1740125edad79"),
+    "torus-2x2x2": (lambda: build_torus(2, 2, 2), 9,
+                    "700bb3f2bdcda94b9b6cf17358799742e257bf992fe3c3805feb7a683f5ca9db"),
+    "torus-4x2x2": (lambda: build_torus(4, 2, 2), 272,
+                    "488fcd4a42f510b11e2b33194ebebfab0d235b312ea8bbc2b3de865dfd43c2a0"),
+    "torus-2x4x2": (lambda: build_torus(2, 4, 2), 272,
+                    "0c363a8c8f2f74fd1410201a3cf500d62065b23ae4f3624248483005a403eb05"),
+    "corner-cut-3x3x3": (corner_cut_cube, 2664,
+                         "7706f48c1c171747c31ab1cef32692ea792c066d232b9334320729f61420cdec"),
+    # the 4x4x2 box minus a 2x2 corner column
+    "L-4x4x2": (lambda: build_voxel_region([(x, y, z) for x in range(4) for y in range(4)
+                                            for z in range(2) if not (x >= 2 and y >= 2)]),
+                1560, "053bc55de9217f227e7b2bcf22b85e26449dd7e3b3095f79f774a8dcfe40cac0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_PINS))
+def test_enumeration_order_is_pinned(name):
+    make, count, digest = _ORDER_PINS[name]
+    pairs = [t.pairs for t in enumerate_tilings(make())]
+    assert len(pairs) == count
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
 
 def test_enumeration_hashes_distinct_and_valid():
@@ -361,7 +391,6 @@ def test_validate_reads_adjacency_off_the_step_table():
 
 
 def test_refining_a_box_leaves_the_refined_cell_tables_unbuilt():
-    tilings._refine_region_cached.cache_clear()
     t = list(enumerate_tilings(build_box(3, 3, 2)))[100]
     fine = refine_tiling(t, 2)
     assert fine.region.n_cells == len(fine.mate) == 281_250
@@ -371,6 +400,18 @@ def test_refining_a_box_leaves_the_refined_cell_tables_unbuilt():
             object.__getattribute__(fine.region, name)
     assert fine.region._step_table is None
     assert fine.region._cube_table is None
+
+
+def test_a_dropped_refined_tiling_frees_its_region():
+    # nothing may keep a refined region, with the tables built on it, alive
+    # after its tiling is gone
+    t = list(enumerate_tilings(build_box(3, 3, 2)))[100]
+    fine = refine_tiling(t, 2)
+    fine.validate()
+    assert fine.region._step_table is not None
+    region = weakref.ref(fine.region)
+    del fine
+    assert region() is None
 
 
 def test_serialize_round_trip_base():
