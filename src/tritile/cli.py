@@ -18,10 +18,11 @@ from typing import Optional, Sequence
 from . import __version__
 from .regions import Region, RegionError, build_box, build_torus, build_voxel_region
 from .tilings import (
-    BudgetExceeded, Tiling, count_tilings, deserialize_tiling, list_tilings,
-    refine_tiling, tiling_to_dict,
+    COMPONENTS_BUDGET, LISTING_BUDGET, BudgetExceeded, Tiling, count_tilings,
+    deserialize_tiling, enumerate_tilings, refine_tiling, tiling_to_dict,
+    _budgeted_count, _mates,
 )
-from .moves import labelled_components
+from .moves import _key_components
 from .fluxtwist import flux, modulus, twist
 from .harness import WalkConfig, random_walk, start_tiling, verify
 
@@ -179,7 +180,8 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
             rows = [[count]]
             header = ["count"]
         else:
-            tilings = list_tilings(region)
+            _budgeted_count(region, LISTING_BUDGET, "listing")
+            tilings = list(enumerate_tilings(region))
             payload = {"region": region.to_dict(), "count": len(tilings)}
             payload["tilings"] = [
                 {"hash": "%016x" % t.hash64,
@@ -196,21 +198,22 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
     if args.cmd == "components":
         region = _parse_region(args.region, parser)
         moveset = "flip" if args.moves == "flip" else "flip+trit"
-        tilings = list_tilings(region)
-        if not tilings:
+        if not _budgeted_count(region, COMPONENTS_BUDGET, "components"):
             parser.error("invalid region: %r has no tilings" % (region,))
+        index, _component, _label, groups = _key_components(region, _mates(region), moveset)
+        firsts = [Tiling._from_mate(region, g.first) for g in groups]
         comps = []
-        for group in labelled_components(tilings, moveset):
-            entry: dict = {"size": len(group.tilings)}
+        for g, first in sorted(zip(groups, firsts), key=lambda gf: (-gf[0].size, gf[1].hash64)):
+            entry: dict = {"size": g.size}
             if region.is_box:
                 # flips keep the twist and a trit moves it by its sign, so
                 # the labels offset the twist of the component's first tiling
-                if not group.consistent:
+                if not g.consistent:
                     raise RuntimeError("components: inconsistent trit labels on a box"
-                                       " component of %d tilings" % len(group.tilings))
-                base = twist(group.tilings[0], 2)
-                entry["min_twist"] = base + min(group.labels)
-                entry["max_twist"] = base + max(group.labels)
+                                       " component of %d tilings" % g.size)
+                base = twist(first, 2)
+                entry["min_twist"] = base + g.low
+                entry["max_twist"] = base + g.high
             else:
                 entry["min_twist"] = None
                 entry["max_twist"] = None
@@ -218,7 +221,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
         payload = {
             "region": region.to_dict(),
             "moves": moveset,
-            "num_tilings": len(tilings),
+            "num_tilings": len(index),
             "components": comps,
         }
         report = _report(

@@ -25,8 +25,10 @@ from typing import Iterable, Optional, Sequence, Union
 from .regions import (
     AXIS_NAMES, Cell, DIRECTIONS, Region, RegionError, _coordinate,
 )
-from .tilings import Tiling, diff_cycles, list_tilings, _axis_index
-from .moves import labelled_components
+from .tilings import (
+    LISTING_BUDGET, Tiling, diff_cycles, _axis_index, _budgeted_count, _mates,
+)
+from .moves import _key_components, _key_struct
 
 _NORMAL_TO_NAME = {(0, 1): "+x", (0, -1): "-x", (1, 1): "+y",
                    (1, -1): "-y", (2, 1): "+z", (2, -1): "-z"}
@@ -539,13 +541,13 @@ def twist(t: Tiling, axis) -> int:
 @lru_cache(maxsize=4)
 def _trit_labels(region: Region) -> dict:
     """(component number, trit label, whether the component is consistent)
-    of each tiling of the region, keyed by its mate array, over the flip and
-    trit moves of every tiling the region has."""
-    labels = {}
-    for k, c in enumerate(labelled_components(list_tilings(region), "flip+trit")):
-        for t, label in zip(c.tilings, c.labels):
-            labels[t.mate] = (k, label, c.consistent)
-    return labels
+    of each tiling of the region, keyed by its packed mate array
+    (moves._key_struct), over the flip and trit moves of every tiling the
+    region has. Raises BudgetExceeded above tilings.LISTING_BUDGET tilings."""
+    _budgeted_count(region, LISTING_BUDGET, "listing")
+    index, component, label, groups = _key_components(region, _mates(region), "flip+trit")
+    return {key: (component[u], label[u], groups[component[u]].consistent)
+            for key, u in index.items()}
 
 
 def relative_twist(t1: Tiling, t0: Tiling) -> int:
@@ -567,10 +569,12 @@ def relative_twist(t1: Tiling, t0: Tiling) -> int:
         raise ValueError("tilings have different flux: %r vs %r"
                          % (f1.components, f0.components))
     labels = _trit_labels(region)
-    if t1.mate not in labels or t0.mate not in labels:
+    pack = _key_struct(region.n_cells).pack
+    key1, key0 = pack(*t1.mate), pack(*t0.mate)
+    if key1 not in labels or key0 not in labels:
         raise ValueError("tiling missing from the enumerated move graph")
-    comp1, label1, _ = labels[t1.mate]
-    comp0, label0, consistent = labels[t0.mate]
+    comp1, label1, _ = labels[key1]
+    comp0, label0, consistent = labels[key0]
     if not consistent:
         raise ValueError("inconsistent trit labeling on this region")
     if comp1 != comp0:

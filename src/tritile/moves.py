@@ -15,9 +15,11 @@ rotations, so the sign is well defined on tori as well.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from collections import namedtuple
 from dataclasses import dataclass
+from struct import Struct
 from typing import Iterable, Iterator, Sequence, Union
 
 from .regions import DIR_AXIS, Cell, Region
@@ -399,92 +401,98 @@ class WalkState:
                 self._trits_at[c].discard(r)
 
 
-def _rewired(mate: Sequence[int], inserted: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The mate array after the move that inserts these (cell, cell) pairs."""
-    new = list(mate)
-    for i, j in inserted:
-        new[i], new[j] = j, i
-    return tuple(new)
+def _key_struct(n_cells: int) -> Struct:
+    """The layout of a tiling's packed key: its mate array as n_cells
+    entries at the narrowest array width that holds every cell index,
+    typecode 'B' up to 256 cells, then 'H', then 'i'."""
+    code = "B" if n_cells <= 1 << 8 else "H" if n_cells <= 1 << 16 else "i"
+    return Struct("=%d%s" % (n_cells, code))
 
 
-def _one_way_moves(t: Tiling, move_set: frozenset) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """The moves of t that labelled_components handles from this end, as
-    (mate array of the target, trit count), and how many it only counts:
-    flips are handled where their dimers' axis is below the axis they are
-    stacked along, trits where their sign is +1 (so their count is 1)."""
-    mate = t.mate
-    region = t.region
-    handled = []
-    counted = 0
-    if "flip" in move_set:
-        partners, counted = _flip_partners(region.step_table, mate, t.pairs, _UPWARD)
-        for w, b, _d, w2 in partners:
-            if w2 > w:
-                handled.append((_rewired(mate, ((w, mate[w2]), (w2, b))), 0))
-    if "trit" in move_set:
+def _move_reader(region: Region, move_set: frozenset):
+    """read(key) -> (handled, counted) over the packed keys of region's
+    tilings: the moves _key_components handles from this end, as (key of
+    the target, trit count), and how many it only counts. Flips are
+    handled where their dimers' axis is below the axis they are stacked
+    along, trits where their sign is +1 (so their count is 1). Each target
+    is a copy of the key with the moved cells' entries rewritten."""
+    layout = _key_struct(region.n_cells)
+    unpack, code = layout.unpack, layout.format[-1]
+    flips, trits = "flip" in move_set, "trit" in move_set
+    if flips:
+        step = region.step_table
+        whites = [i for i, c in enumerate(region.colors) if c == -1]
+    if trits:
         cubes = region.cube_table.cubes
-        for r, trio in _trits(region, mate):
-            _removed, inserted, sign = _trit_swap(cubes[r], trio)
-            if sign > 0:
-                handled.append((_rewired(mate, inserted), 1))
-            else:
-                counted += 1
-    return handled, counted
+
+    def read(key: bytes) -> tuple[list[tuple[bytes, int]], int]:
+        mate = unpack(key)
+        base = array(code, key)
+        handled = []
+        counted = 0
+        if flips:
+            partners, counted = _flip_partners(step, mate, [(w, mate[w]) for w in whites],
+                                               _UPWARD)
+            for w, b, _d, w2 in partners:
+                if w2 > w:
+                    b2 = mate[w2]
+                    new = base[:]
+                    new[w], new[b2], new[w2], new[b] = b2, w, b, w2
+                    handled.append((new.tobytes(), 0))
+        if trits:
+            for r, trio in _trits(region, mate):
+                _removed, inserted, sign = _trit_swap(cubes[r], trio)
+                if sign < 0:
+                    counted += 1
+                    continue
+                new = base[:]
+                for i, j in inserted:
+                    new[i], new[j] = j, i
+                handled.append((new.tobytes(), 1))
+        return handled, counted
+
+    return read
 
 
-#: One component of labelled_components; see there.
-LabelledComponent = namedtuple("LabelledComponent", "tilings labels consistent")
+#: One component of _key_components: its number of tilings, the mate array
+#: of its first tiling in input order, the least and greatest trit label
+#: relative to that tiling, and whether every edge agrees with the labels.
+_KeyComponent = namedtuple("_KeyComponent", "size first low high consistent")
 
 
-def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledComponent]:
-    """The components of the move graph over a complete enumeration, each
-    with the signed trit labels of its tilings, in one pass and without
-    building the graph.
+def _key_components(region: Region, mates: Iterable[Sequence[int]], moves: str):
+    """The components of the move graph over a complete enumeration of
+    region's tilings, given as mate arrays, with each tiling's signed trit
+    label, in one pass and without building the graph or a Tiling.
 
-    Each distinct input tiling is keyed by its mate array, numbered in input
-    order; a repeated tiling is taken once. Each move edge is met once, from
-    one end (_one_way_moves): a flip from the end where its dimers' axis is
-    below the axis they are stacked along, a trit from the end where its
-    sign is +1. Its target is looked up and merged into a weighted
+    Each distinct packed mate array (_key_struct) is a node, numbered in
+    input order. Each move edge is met once, at the end where _move_reader
+    handles it; its target is looked up and merged into a weighted
     union-find that keeps each node's signed trit count relative to its
-    root (flips add 0, a trit 1). At the other end the move is only
-    counted. An edge that closes a cycle with a nonzero trit sum marks its
-    component inconsistent.
+    root (flips add 0, a trit 1). An edge that closes a cycle with a nonzero
+    trit sum marks its component inconsistent. The input is closed under
+    moves iff every handled target is found and the counted moves balance
+    the handled ones, since each handled move u -> v is the reverse of
+    exactly one counted move at v; a missing handled target raises
+    ValueError at once, and a missing counted one at the end of the pass.
 
-    The input is closed under moves iff every handled target is found and
-    there are as many counted moves as handled ones: each handled move
-    u -> v is the reverse of exactly one counted move at v. A missing
-    handled target raises ValueError at once; a target missing on the
-    counted side shows only in the balance, which raises the same
-    ValueError at the end of the pass. (A surplus of handled moves
-    could only come from a sign rule under which a trit and its reverse are
-    both +1; both are then merged, and the cycle they close marks the
-    component inconsistent.)
-
-    Returns one LabelledComponent(tilings, labels, consistent) per
-    component: its tilings in input order, labels[k] the signed trit count
-    of tilings[k] relative to tilings[0], and whether every edge agrees with
-    the labels. On a consistent component labels[k] is the sum of the trit
-    signs along any path of moves from tilings[0] to tilings[k], so
-    labels[0] = 0 and flips keep the label. Components come largest first,
-    ties broken by the hash64 of their first tiling; only those first
-    tilings are hashed.
+    Returns (index, component, label, groups): index maps each packed mate
+    array to its node u, component[u] is the number of its component and
+    label[u] its trit label relative to that component's first tiling, and
+    groups holds one _KeyComponent per component, in order of first tiling.
+    On a consistent component a label is the sum of the trit signs along
+    any path of moves from the first tiling, so flips keep the label.
     """
     move_set = _normalize_moves(moves)
-    nodes: list[Tiling] = []
-    keys: dict[tuple[int, ...], int] = {}
-    for t in tilings:
-        if nodes and t.region != nodes[0].region:
-            raise ValueError("tilings belong to different regions")
-        if t.mate not in keys:
-            keys[t.mate] = len(nodes)
-            nodes.append(t)
-    if not nodes:
-        raise ValueError("no tilings given")
+    layout = _key_struct(region.n_cells)
+    index: dict[bytes, int] = {}
+    for mate in mates:
+        index.setdefault(layout.pack(*mate), len(index))
     # parent[u] and offset[u] = label(u) - label(parent[u]); size and
-    # consistency are kept at the roots
-    n = len(nodes)
-    parent = list(range(n))
+    # consistency are kept at the roots. parent starts as the index's own
+    # numbers, so the nodes share one int object each.
+    n = len(index)
+    parent = list(index.values())
     offset = [0] * n
     size = [1] * n
     consistent = [True] * n
@@ -500,13 +508,14 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
             parent[v], offset[v] = u, label
         return u
 
+    read = _move_reader(region, move_set)
     handled = counted = 0
-    for u, t in enumerate(nodes):
-        targets, others = _one_way_moves(t, move_set)
+    for u, key in enumerate(index):
+        targets, others = read(key)
         handled += len(targets)
         counted += others
         for target, sign in targets:
-            v = keys.get(target)
+            v = index.get(target)
             if v is None:
                 raise ValueError("move target missing from the enumerated set")
             # most nodes sit right below their root, where offset is final
@@ -527,16 +536,58 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
             size[ru] += size[rv]
             consistent[ru] = consistent[ru] and consistent[rv]
     # each handled move u -> v is the reverse of one counted move at v, so
-    # a surplus of counted moves means one of them leaves the input
+    # a surplus of counted moves means one of them leaves the input (a
+    # surplus of handled ones needs a trit that is +1 both ways, and the
+    # cycle it closes already marks its component inconsistent)
     if counted > handled:
         raise ValueError("move target missing from the enumerated set")
-    groups: dict[int, list[int]] = {}
     for u in range(n):
-        groups.setdefault(find(u), []).append(u)
-    out = []
-    for root, members in groups.items():
-        base = offset[members[0]]
-        out.append(LabelledComponent([nodes[u] for u in members],
-                                     [offset[u] - base for u in members],
-                                     consistent[root]))
+        find(u)
+    # every node now hangs right below its root, or is one; rewrite parent
+    # and offset into each node's component number and label. groups[k] is
+    # [size, first key, its label from the root, low, high, consistent].
+    number: dict[int, int] = {}
+    groups = []
+    for u, key in enumerate(index):
+        root, label = parent[u], offset[u]
+        k = number.get(root)
+        if k is None:
+            k = number[root] = len(groups)
+            groups.append([size[root], key, label, 0, 0, consistent[root]])
+        g = groups[k]
+        label -= g[2]
+        g[3], g[4] = min(g[3], label), max(g[4], label)
+        parent[u], offset[u] = k, label
+    return index, parent, offset, [_KeyComponent(s, layout.unpack(key), low, high, c)
+                                   for s, key, _base, low, high, c in groups]
+
+
+#: One component of labelled_components; see there.
+LabelledComponent = namedtuple("LabelledComponent", "tilings labels consistent")
+
+
+def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledComponent]:
+    """_key_components over the distinct input tilings, in input order: one
+    LabelledComponent(tilings, labels, consistent) per component, with its
+    tilings in input order and labels[k] the trit label of tilings[k]
+    relative to tilings[0]. Components come largest first, ties broken by
+    the hash64 of their first tiling; only those first tilings are hashed.
+    """
+    region = None
+    nodes: dict[tuple[int, ...], Tiling] = {}
+    for t in tilings:
+        if region is None:
+            region = t.region
+        elif t.region != region:
+            raise ValueError("tilings belong to different regions")
+        nodes.setdefault(t.mate, t)
+    if region is None:
+        raise ValueError("no tilings given")
+    _index, component, label, groups = _key_components(region, nodes, moves)
+    members: list[list[Tiling]] = [[] for _ in groups]
+    labels: list[list[int]] = [[] for _ in groups]
+    for u, t in enumerate(nodes.values()):
+        members[component[u]].append(t)
+        labels[component[u]].append(label[u])
+    out = [LabelledComponent(ts, ls, g.consistent) for ts, ls, g in zip(members, labels, groups)]
     return sorted(out, key=lambda c: (-len(c.tilings), c.tilings[0].hash64))

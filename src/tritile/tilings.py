@@ -288,9 +288,16 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
     over its neighbors in the canonical +x,-x,+y,-y,+z,-z order. The stream is
     deterministic, so a consumer can re-run and skip a prefix to resume.
     """
+    for mate in _mates(region):
+        yield Tiling._from_mate(region, mate)
+
+
+def _mates(region: Region) -> Iterator[list[int]]:
+    """The mate array of each tiling in enumerate_tilings order, as one
+    reused list (see _perfect_matchings)."""
     rows = [[(j, j) for j in row] for row in _neighbor_rows(region)]
     for mate, _ in _perfect_matchings(rows):
-        yield Tiling._from_mate(region, mate)
+        yield mate
 
 
 def _perfect_matchings(rows: Sequence[Sequence[tuple]]) -> Iterator[tuple[list[int], list]]:
@@ -340,12 +347,18 @@ def _perfect_matchings(rows: Sequence[Sequence[tuple]]) -> Iterator[tuple[list[i
 #: Most partial-tiling states count_tilings keeps alive at once.
 FRONTIER_BUDGET = 1 << 20
 
-#: Most tilings that list_tilings will build. A listed tiling of 16 dimers
-#: costs about 27 KB in an enumerate report and about 1.7 KB and 0.05 ms in
-#: components (box 2 4 4, 32,000 tilings: enumerate peaks at 890 MB in
-#: 14 s; components at 73 MB, 18 MB of it a bare start, in 1.2 s with flips
-#: and 1.6 s with flips and trits), so 10^5 tilings stays within a few GB.
+#: Most tilings that tritile enumerate lists, and that relative_twist
+#: labels on a torus. A listed tiling of 16 dimers costs about 27 KB in an
+#: enumerate report (box 2 4 4, 32,000 tilings: enumerate peaks at 877 MB
+#: in 14 s), so 10^5 tilings stays within a few GB.
 LISTING_BUDGET = 100_000
+
+#: Most tilings that tritile components will take. It keeps a packed key
+#: per tiling, not a Tiling: about 180 bytes and 25 us with flips, 41 us
+#: with flips and trits, per tiling of 21 dimers (box 2 3 7, 880,163
+#: tilings: 178 MB peak, 18 MB of it a bare start, in 22 s and 36 s), so
+#: 10^6 tilings stays near 200 MB and 40 s.
+COMPONENTS_BUDGET = 1_000_000
 
 
 def _sweep_order(region: Region) -> list[int]:
@@ -417,15 +430,15 @@ def _frontier_exceeded(region: Region) -> BudgetExceeded:
                          % (region, FRONTIER_BUDGET))
 
 
-def list_tilings(region: Region) -> list[Tiling]:
-    """Every tiling of the region, after counting them first: raises
-    BudgetExceeded when there are more than LISTING_BUDGET, or when the
-    count itself runs out of frontier states."""
+def _budgeted_count(region: Region, budget: int, name: str) -> int:
+    """count_tilings(region), raising BudgetExceeded above budget tilings
+    (LISTING_BUDGET or COMPONENTS_BUDGET), or when the count itself runs
+    out of frontier states."""
     count = count_tilings(region)
-    if count > LISTING_BUDGET:
-        raise BudgetExceeded("%r has %d tilings, more than the listing budget of %d"
-                             % (region, count, LISTING_BUDGET))
-    return list(enumerate_tilings(region))
+    if count > budget:
+        raise BudgetExceeded("%r has %d tilings, more than the %s budget of %d"
+                             % (region, count, name, budget))
+    return count
 
 
 @dataclass(frozen=True)

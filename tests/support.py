@@ -393,6 +393,14 @@ class MoveGraph:
         return [len(g) for g in self.components()]
 
 
+def _rewired(mate: Sequence[int], inserted: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The mate array after the move that inserts these (cell, cell) pairs."""
+    new = list(mate)
+    for i, j in inserted:
+        new[i], new[j] = j, i
+    return tuple(new)
+
+
 def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, ...], str, int]]:
     """(mate array of the target, kind, sign) of each move of t, in
     find_flips then find_trits order. The scans are looked up on
@@ -401,12 +409,12 @@ def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, .
     mate = t.mate
     if "flip" in move_set:
         for w, b, w2, b2 in mv._flips(t):
-            yield mv._rewired(mate, ((w, b2), (w2, b))), "flip", 0
+            yield _rewired(mate, ((w, b2), (w2, b))), "flip", 0
     if "trit" in move_set:
         cubes = t.region.cube_table.cubes
         for r, trio in mv._trits(t.region, mate):
             _removed, inserted, sign = mv._trit_swap(cubes[r], trio)
-            yield mv._rewired(mate, inserted), "trit", sign
+            yield _rewired(mate, inserted), "trit", sign
 
 
 def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:

@@ -199,12 +199,36 @@ def test_a_wide_slice_stops_at_the_state_budget_at_once(capsys, monkeypatch, arg
     assert "1000x1000x2) needs more than 1048576 frontier states" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["enumerate", "components"])
+@pytest.mark.parametrize("command", ["enumerate"])
 def test_listing_commands_stop_at_the_tiling_budget(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "box", "2", "4", "5"])
     assert exc.value.code == 2
     assert ("has 535229 tilings, more than the listing budget of 100000"
+            in capsys.readouterr().err)
+
+
+def test_a_full_listing_stops_where_components_go_on(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "box", "3", "4", "3"])
+    assert exc.value.code == 2
+    assert ("has 117805 tilings, more than the listing budget of 100000"
+            in capsys.readouterr().err)
+    doc = run_json(capsys, "components", "box", "3", "4", "3", "--moves", "flip")
+    comps = doc["report"]["components"]
+    assert doc["report"]["num_tilings"] == 117805
+    assert [c["size"] for c in comps] == [109781, 4011, 4011, 1, 1]
+    assert [(c["min_twist"], c["max_twist"]) for c in comps] == [
+        (0, 0), (-1, -1), (1, 1), (-2, -2), (2, 2)]
+
+
+def test_components_stop_at_the_components_budget(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["components", "box", "4", "4", "4"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert ("has 5051532105 tilings, more than the components budget of 1000000"
             in capsys.readouterr().err)
 
 

@@ -9,7 +9,9 @@ from tritile import (
 )
 from tritile.harness import walk_states
 from tritile import moves
-from tritile.moves import WalkState, _normalize_moves, _one_way_moves, _trit_swap
+from tritile.moves import (
+    WalkState, _key_components, _key_struct, _move_reader, _normalize_moves, _trit_swap,
+)
 from support import (
     bfs_trit_labeling, corner_cut_cube, move_graph, pinwheel_N1, pinwheel_N2,
     slow_labelled_components, slow_move_graph, slow_trit_move, tiling_tA, tiling_tB,
@@ -303,18 +305,58 @@ _VOXEL_CELLS = {
           if not (x >= 2 and y >= 2)],
     "cavity": [(x, y, z) for x in range(4) for y in range(3) for z in range(3)
                if (x, y, z) not in ((1, 1, 1), (2, 1, 1))],
+    # 258 cells, past what one byte per cell index holds: the 3x3x2 box
+    # with a rod of 240 cells on one corner, which tiles only by itself
+    "rod": [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
+           + [(0, 0, z) for z in range(2, 242)],
 }
 _LABELLED_REGIONS = sorted(
     {("box", d) for shape in _SMALL_SHAPES for d in (shape, shape[::-1])}
     | {("box", (3, 3, 2)), ("box", (3, 4, 2)), ("box", (2, 4, 4)), ("box", (2, 1, 4)),
        ("box", (4, 2, 1)), ("torus", (2, 2, 2)), ("torus", (2, 2, 4)), ("torus", (2, 4, 2)),
-       ("torus", (4, 2, 2)), ("ring", (4, 4, 2)), ("L", (4, 4, 2)), ("cavity", (4, 3, 3))})
+       ("torus", (4, 2, 2)), ("ring", (4, 4, 2)), ("L", (4, 4, 2)), ("cavity", (4, 3, 3)),
+       ("rod", (3, 3, 242))})
 
 
 def _labelled_region(kind, dims):
     if kind in _VOXEL_CELLS:
         return build_voxel_region(_VOXEL_CELLS[kind])
     return (build_box if kind == "box" else build_torus)(*dims)
+
+
+def _read_moves(t, move_set):
+    """The (handled, counted) moves of t as the components engine reads them."""
+    return _move_reader(t.region, move_set)(_key_struct(t.region.n_cells).pack(*t.mate))
+
+
+def _assert_engine_matches_the_oracle(tilings, moves, expected=None):
+    """_key_components over the packed tilings agrees with
+    slow_labelled_components (or expected, its result), key by key and
+    component by component."""
+    pack = _key_struct(tilings[0].region.n_cells).pack
+    index, component, label, groups = _key_components(
+        tilings[0].region, (t.mate for t in tilings), moves)
+    assert list(index) == [pack(*t.mate) for t in tilings]
+    if expected is None:
+        expected = slow_labelled_components(tilings, moves)
+    assert len(groups) == len(expected)
+    for c in expected:
+        keys = [pack(*t.mate) for t in c.tilings]
+        g = groups[component[index[keys[0]]]]
+        assert (g.size, g.first, g.low, g.high, g.consistent) == (
+            len(c.tilings), c.tilings[0].mate, min(c.labels), max(c.labels), c.consistent)
+        assert [label[index[key]] for key in keys] == c.labels
+    return groups
+
+
+def test_key_components_on_two_byte_keys():
+    tilings = list(enumerate_tilings(_labelled_region("rod", None)))
+    assert len(tilings) == 229
+    assert _key_struct(tilings[0].region.n_cells).format == "=258H"
+    flip = _assert_engine_matches_the_oracle(tilings, "flip")
+    assert sorted((g.size for g in flip), reverse=True) == [227, 1, 1]
+    [both] = _assert_engine_matches_the_oracle(tilings, "flip+trit")
+    assert (both.size, both.low, both.high, both.consistent) == (229, -1, 1, True)
 
 
 @pytest.mark.parametrize("moves", ["flip", "flip+trit"])
@@ -324,9 +366,12 @@ def test_labelled_components_match_the_move_graph(kind, dims, moves):
     region = _labelled_region(kind, dims)
     tilings = list(enumerate_tilings(region))
     comps = labelled_components(tilings, moves)
-    assert comps == slow_labelled_components(tilings, moves)
+    expected = slow_labelled_components(tilings, moves)
+    assert comps == expected
+    groups = _assert_engine_matches_the_oracle(tilings, moves, expected)
     g = move_graph(tilings, moves)
     assert [[t.hash64 for t in c.tilings] for c in comps] == g.components()
+    assert sorted(grp.size for grp in groups) == sorted(g.component_sizes())
     for c in comps:
         labels, consistent = bfs_trit_labeling(g, c.tilings[0])
         assert c.consistent == consistent
@@ -339,7 +384,7 @@ def test_labelled_components_match_the_move_graph(kind, dims, moves):
     # each move edge is handled at exactly one end and counted at the other
     handled = counted = 0
     for t in tilings:
-        targets, others = _one_way_moves(t, _normalize_moves(moves))
+        targets, others = _read_moves(t, _normalize_moves(moves))
         handled += len(targets)
         counted += others
     assert handled == counted == len(g.edges)
@@ -362,10 +407,12 @@ def test_labelled_components_keep_an_inconsistency_through_a_merge(monkeypatch):
     # {3, 4} closes a cycle with trit sum 2, then joins the larger {0, 1, 2}
     tilings = list(enumerate_tilings(build_box(2, 2, 2)))[:5]
     edges = {0: [(1, 0), (2, 0)], 3: [(4, 1)], 4: [(3, 1), (0, 0)]}
-    index = {t.mate: u for u, t in enumerate(tilings)}
     # every fake edge is handled from the end that lists it, none counted
-    monkeypatch.setattr(moves, "_one_way_moves", lambda t, move_set: (
-        [(tilings[v].mate, sign) for v, sign in edges.get(index[t.mate], [])], 0))
+    pack = _key_struct(8).pack
+    keys = {pack(*t.mate): u for u, t in enumerate(tilings)}
+    packed = list(keys)
+    monkeypatch.setattr(moves, "_move_reader", lambda region, move_set: lambda key: (
+        [(packed[v], sign) for v, sign in edges.get(keys[key], [])], 0))
     [comp] = labelled_components(tilings, "flip+trit")
     assert comp.tilings == tilings
     assert not comp.consistent
@@ -377,7 +424,7 @@ def test_labelled_components_refuse_each_drop_one_set_the_oracle_refuses(move_se
     # a tiling all of whose moves are handled at itself is reached by the
     # others only through counted moves: only the balance sees it dropped
     assert any(targets and not others for targets, others in (
-        _one_way_moves(t, _normalize_moves(move_set)) for t in tilings))
+        _read_moves(t, _normalize_moves(move_set)) for t in tilings))
     for k in range(len(tilings)):
         part = tilings[:k] + tilings[k + 1:]
         try:
