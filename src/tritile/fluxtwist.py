@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import floor, gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .regions import (
     AXIS_NAMES, Cell, DIRECTIONS, Region, RegionError, _coordinate,
@@ -38,8 +37,7 @@ _NAME_TO_NORMAL = {v: k for k, v in _NORMAL_TO_NAME.items()}
 _TANGENT_AXES = ((1, 2), (2, 0), (0, 1))
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(NamedTuple):
     """One oriented unit square of the dual complex.
 
     center2 is the square's center in doubled dual coordinates (even along
@@ -87,6 +85,8 @@ class DiscreteSurface:
             normalized.append(sq)
         self.squares: tuple[Square, ...] = tuple(normalized)
         self._by_pos = by_pos
+        # flux_through_surface's vertex flows, by (vertex, step of its dimer)
+        self._flows: dict[tuple[Cell, Cell], int] = {}
         self._build()
 
     # -- doubled-coordinate helpers --------------------------------------
@@ -302,17 +302,27 @@ def flux_through_surface(t: Tiling, s: DiscreteSurface) -> int:
 
     Requires t to be tangent to s at the boundary: the dimer at every
     boundary vertex must run along a boundary edge. Vacuous for closed
-    surfaces.
+    surfaces. A vertex's flow depends only on the step of its dimer, so
+    the surface keeps each vertex_flow it computes for a tiling of its own
+    region, by vertex and step; an error is raised again on every call.
     """
     region = t.region
+    index, steps = region.index, t.steps
     for v in s.boundary_vertices:
-        i = region.index[v]
-        step = t.steps[i]
+        step = steps[index[v]]
         axis = 0 if step[0] else (1 if step[1] else 2)
         if not s.edge_on_boundary(v, axis, step[axis]):
             raise ValueError(
                 "tiling is not tangent to the surface boundary at vertex %r" % (v,))
-    return sum(vertex_flow(v, t, s) for v in s.interior_vertices)
+    flows = s._flows if region == s.region else {}
+    total = 0
+    for v in s.interior_vertices:
+        key = (v, steps[index[v]])
+        flow = flows.get(key)
+        if flow is None:
+            flow = flows[key] = vertex_flow(v, t, s)
+        total += flow
+    return total
 
 
 def closed_box_surface(r: Region, corner: Sequence[int], dims: Sequence[int]) -> DiscreteSurface:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .regions import Region, RegionError, build_box, build_torus
 from .tilings import (
@@ -30,8 +29,7 @@ from .fluxtwist import (
 from . import heights
 
 
-@dataclass(frozen=True)
-class WalkConfig:
+class WalkConfig(NamedTuple):
     """A reproducible random-walk specification."""
 
     region: Region
@@ -175,8 +173,7 @@ def euler_suite(seed: int = 0) -> list[dict]:
     return sorted(checks, key=lambda c: c["id"])
 
 
-@dataclass(frozen=True)
-class _Box332:
+class _Box332(NamedTuple):
     region: Region
     tilings: tuple
     flip: list  # labelled_components of the flip moves

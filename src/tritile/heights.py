@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .regions import BudgetExceeded
@@ -261,7 +260,8 @@ class HeightField:
 
 
 def _is_integer(x) -> bool:
-    return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
+    # ints and Fractions both carry a denominator
+    return getattr(x, "denominator", None) == 1
 
 
 class _FaceTree:
@@ -403,6 +403,7 @@ def height_function(t: SurfaceTiling, cls: TilingClass) -> HeightField:
     total = cls._summed_potential()
     p = _face_tree(s).potential(t)
     n = len(cls.tilings)
+    from fractions import Fraction
     return HeightField(s, {f: Fraction(n * p[f] - total[f], n) for f in s.all_faces})
 
 

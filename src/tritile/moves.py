@@ -18,9 +18,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, insort
 from collections import namedtuple
-from dataclasses import dataclass
 from struct import Struct
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .regions import DIR_AXIS, Cell, Region
 from .tilings import Dimer, Tiling, _direction, _splitmix64
@@ -34,8 +33,7 @@ def _dimer(region: Region, i: int, j: int) -> Dimer:
     return Dimer(white, black, _direction(region, white, black))
 
 
-@dataclass(frozen=True)
-class FlipMove:
+class FlipMove(NamedTuple):
     """Two parallel dimers swapped for the only other pair filling the slab."""
 
     removed: tuple[Dimer, Dimer]
@@ -45,8 +43,7 @@ class FlipMove:
         return FlipMove(removed=self.inserted, inserted=self.removed)
 
 
-@dataclass(frozen=True)
-class TritMove:
+class TritMove(NamedTuple):
     """Three pairwise orthogonal dimers in a 2x2x2 cube, swapped and signed."""
 
     removed: tuple[Dimer, Dimer, Dimer]

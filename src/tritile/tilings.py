@@ -9,10 +9,9 @@ refinement and surface flux well defined.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import add, sub
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .regions import (
     AXIS_NAMES, BudgetExceeded, Cell, Region, _coordinate, refine_region,
@@ -29,8 +28,7 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class Dimer:
+class Dimer(NamedTuple):
     """One domino: white cell, black cell, and the unit step white -> black."""
 
     white: Cell
@@ -82,6 +80,14 @@ def _direction(region: Region, white: Cell, black: Cell) -> Cell:
     return tuple(vec)
 
 
+def _adjacent(a: Cell, b: Cell, periods: Optional[Cell]) -> bool:
+    """Whether two cells of a region, reduced onto a torus, share a face."""
+    d = (abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]))
+    if periods is not None:
+        d = map(min, d, map(sub, periods, d))
+    return sum(d) == 1
+
+
 class Tiling:
     """An immutable perfect matching of a region's cells."""
 
@@ -108,32 +114,45 @@ class Tiling:
     @classmethod
     def from_cell_pairs(cls, region: Region,
                         cell_pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> "Tiling":
-        """Build and validate a tiling from (cell, cell) pairs in any order."""
+        """Build and validate a tiling from (cell, cell) pairs in any order.
+
+        A cell of three ints is looked up in the region as it is; any other
+        goes through _coordinate and is reduced onto a torus. Raises
+        ValueError for a cell outside the region, a pair of one colour or of
+        cells that share no face, and a cell covered twice or not at all.
+        """
+        index, colors, periods = region.index, region.colors, region.periods
+        get = index.get
         mate = [-1] * region.n_cells
         pairs = []
         for a, b in cell_pairs:
-            ca = region.reduce(tuple(map(_coordinate, a)))
-            cb = region.reduce(tuple(map(_coordinate, b)))
-            for c in (ca, cb):
-                if c not in region.index:
-                    raise ValueError("cell %r is not in the region" % (c,))
-            if region.color(ca) == -1:
-                white, black = ca, cb
-            else:
-                white, black = cb, ca
-            if region.color(white) != -1 or region.color(black) != 1:
-                raise ValueError("dimer %r-%r joins same-color cells" % (ca, cb))
-            _direction(region, white, black)  # adjacency check
-            wi, bi = region.index[white], region.index[black]
-            for i in (wi, bi):
-                if mate[i] != -1:
-                    raise ValueError("cell covered twice: %r" % (region.cells[i],))
-            mate[wi] = bi
-            mate[bi] = wi
-            pairs.append((wi, bi))
-        for i, m in enumerate(mate):
-            if m == -1:
-                raise ValueError("cell uncovered: %r" % (region.cells[i],))
+            a, b = tuple(a), tuple(b)
+            i = j = None
+            # bools and floats equal to ints would match a cell of the index
+            if (len(a) == len(b) == 3 and type(a[0]) is type(a[1]) is type(a[2]) is int
+                    and type(b[0]) is type(b[1]) is type(b[2]) is int):
+                i, j = get(a), get(b)
+            if i is None or j is None:
+                a = region.reduce(tuple(map(_coordinate, a)))
+                b = region.reduce(tuple(map(_coordinate, b)))
+                for c in (a, b):
+                    if c not in index:
+                        raise ValueError("cell %r is not in the region" % (c,))
+                i, j = index[a], index[b]
+            if colors[i] == colors[j]:
+                raise ValueError("dimer %r-%r joins same-color cells" % (a, b))
+            if colors[i] == 1:
+                a, b, i, j = b, a, j, i
+            if not _adjacent(a, b, periods):
+                raise ValueError("cells %r and %r are not adjacent" % (a, b))
+            for c, k in ((a, i), (b, j)):
+                if mate[k] != -1:
+                    raise ValueError("cell covered twice: %r" % (c,))
+            mate[i] = j
+            mate[j] = i
+            pairs.append((i, j))
+        if -1 in mate:
+            raise ValueError("cell uncovered: %r" % (region.cells[mate.index(-1)],))
         t = cls(region, pairs)
         t._mate = tuple(mate)
         return t
@@ -441,8 +460,7 @@ def _budgeted_count(region: Region, budget: int, name: str) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """One closed walk of a difference cycle system.
 
     cells[m] -> cells[m+1] is traversed with the unit vector steps[m];

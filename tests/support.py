@@ -19,7 +19,7 @@ from tritile import (
 from tritile import moves as mv
 from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
 from tritile.moves import LabelledComponent, _normalize_moves
-from tritile.regions import DIR_AXIS, DIRECTIONS
+from tritile.regions import DIR_AXIS, DIRECTIONS, _coordinate
 from tritile.tilings import _direction
 
 
@@ -257,6 +257,40 @@ def slow_twist(t: Tiling, axis: int) -> int:
                 quarters += _det3(vb, va, e)
     assert quarters % 4 == 0
     return quarters // 4
+
+
+def slow_from_cell_pairs(region, cell_pairs) -> Tiling:
+    """Tiling.from_cell_pairs' reference: every cell read through
+    _coordinate and reduced, colours read per cell, adjacency checked by
+    _direction, pair by pair."""
+    mate = [-1] * region.n_cells
+    pairs = []
+    for a, b in cell_pairs:
+        ca = region.reduce(tuple(map(_coordinate, a)))
+        cb = region.reduce(tuple(map(_coordinate, b)))
+        for c in (ca, cb):
+            if c not in region.index:
+                raise ValueError("cell %r is not in the region" % (c,))
+        if region.color(ca) == -1:
+            white, black = ca, cb
+        else:
+            white, black = cb, ca
+        if region.color(white) != -1 or region.color(black) != 1:
+            raise ValueError("dimer %r-%r joins same-color cells" % (ca, cb))
+        _direction(region, white, black)  # adjacency check
+        wi, bi = region.index[white], region.index[black]
+        for i in (wi, bi):
+            if mate[i] != -1:
+                raise ValueError("cell covered twice: %r" % (region.cells[i],))
+        mate[wi] = bi
+        mate[bi] = wi
+        pairs.append((wi, bi))
+    for i, m in enumerate(mate):
+        if m == -1:
+            raise ValueError("cell uncovered: %r" % (region.cells[i],))
+    t = Tiling(region, pairs)
+    t._mate = tuple(mate)
+    return t
 
 
 def slow_refine(t: Tiling, k: int) -> Tiling:

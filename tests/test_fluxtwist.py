@@ -13,7 +13,7 @@ from tritile import (
     relative_twist, surface_from_json, surface_predicates, twist, vertex_flow,
 )
 from tritile import fluxtwist
-from tritile.harness import walk_states
+from tritile.harness import _EULER_BOXES, walk_states
 from support import (
     always_positive_trits, bfs_trit_labeling, move_graph, pinwheel_N1, slow_flux,
     slow_modulus, slow_twist, tiling_tA, tiling_tB,
@@ -404,6 +404,58 @@ def test_flux_through_surface_requires_boundary_tangency():
     t = base_tiling(build_box(2, 2, 2), 2)
     with pytest.raises(ValueError, match="not tangent"):
         flux_through_surface(t, s)
+
+
+def _flows_oracle(t, s) -> int:
+    return sum(vertex_flow(v, t, s) for v in s.interior_vertices)
+
+
+@pytest.mark.parametrize("region", [build_box(8, 8, 8), build_torus(8, 8, 8)], ids=repr)
+def test_memoised_flux_through_surface_equals_the_vertex_flow_sum(region):
+    boxes = _EULER_BOXES + (((2, 1, 3), (5, 6, 3)),)
+    surfaces = [closed_box_surface(region, c, d) for c, d in boxes]
+    if region.is_torus:
+        surfaces += [cutting_surface(region, k, 3) for k in range(3)]
+    states = walk_states(region, "flip+trit", 30, 7)
+    for t in states:
+        for s in surfaces:
+            assert flux_through_surface(t, s) == _flows_oracle(t, s)
+    # every kept flow is the one its step gives
+    for t in states[::5]:
+        for s in surfaces:
+            for v in s.interior_vertices:
+                assert s._flows[(v, t.steps[region.index[v]])] == vertex_flow(v, t, s)
+
+
+def test_memoised_flux_through_surface_across_flux_classes():
+    tr = build_torus(4, 4, 4)
+    cut = cutting_surface(tr, 0, 0)
+    for t in (base_tiling(tr, 0), mixed_torus_tiling(), base_tiling(tr, 1), mixed_torus_tiling()):
+        assert flux_through_surface(t, cut) == _flows_oracle(t, cut)
+    assert flux_through_surface(mixed_torus_tiling(), cut) == 16
+
+
+def test_memoised_flux_through_surface_raises_on_every_call():
+    # a closed surface with one square turned over after its checks: at the
+    # square's corners, a dimer that leaves the surface meets both sides
+    r = build_box(4, 4, 4)
+    s = closed_box_surface(r, (1, 1, 1), (2, 2, 2))
+    sq = max(s.squares)  # its corners come last among the vertices
+    s._by_pos[sq.center2] = sq._replace(orientation=-sq.orientation)
+    raised = 0
+    for t in walk_states(r, "flip+trit", 40, 3):
+        try:
+            want = _flows_oracle(t, s)
+        except ValueError as exc:
+            assert "does not separate the octants" in str(exc)
+            for _ in range(2):
+                with pytest.raises(ValueError) as info:
+                    flux_through_surface(t, s)
+                assert str(info.value) == str(exc)
+            raised += 1
+            continue
+        assert flux_through_surface(t, s) == want
+    assert raised and s._flows
 
 
 def test_surface_validation_errors():

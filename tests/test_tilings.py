@@ -15,7 +15,8 @@ from tritile import (
 )
 from tritile.harness import walk_states
 from support import (
-    corner_cut_cube, count_matchings, pinwheel_N1, pinwheel_N2, slow_neighbor_table, slow_refine,
+    corner_cut_cube, count_matchings, pinwheel_N1, pinwheel_N2, slow_from_cell_pairs,
+    slow_neighbor_table, slow_refine,
 )
 
 
@@ -222,6 +223,101 @@ def test_from_cell_pairs_refuses_non_integer_coordinates():
             Tiling.from_cell_pairs(r, [(bad, (1, 0, 0)), upper])
     lower = (tuple(np.int64(v) for v in (0, 0, 0)), (1, 0, 0))
     assert Tiling.from_cell_pairs(r, [lower, upper]) == base_tiling(r, 0)
+
+
+def _same_outcome(region, cell_pairs) -> str:
+    """Tiling.from_cell_pairs and its oracle build the same tiling or raise
+    the same error; returns the error message, or "" for a tiling."""
+    try:
+        want = slow_from_cell_pairs(region, cell_pairs)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            Tiling.from_cell_pairs(region, cell_pairs)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return str(exc)
+    got = Tiling.from_cell_pairs(region, cell_pairs)
+    assert got == want and got.mate == want.mate
+    return ""
+
+
+class _Index:
+    """An integer by __index__ only: neither equal to nor hashed as an int."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_from_cell_pairs_matches_its_oracle_on_random_input():
+    rng = random.Random(5)
+    regions = [build_box(3, 3, 2), build_box(4, 4, 2), build_torus(2, 2, 4),
+               build_torus(4, 4, 4), build_torus(2, 4, 6), corner_cut_cube()]
+    seen = set()
+    for region in regions:
+        periods = region.periods or (0, 0, 0)
+        for t in walk_states(region, "flip+trit", 6, rng.randrange(100)):
+            pairs = [(d.white, d.black) if rng.random() < 0.5 else (d.black, d.white)
+                     for d in t.dimers]
+            rng.shuffle(pairs)
+            # other torus lifts, and JSON-style lists
+            pairs = [tuple(tuple(v + p * rng.randrange(-2, 3) for v, p in zip(c, periods))
+                           for c in pair) for pair in pairs]
+            assert _same_outcome(region, pairs) == ""
+            assert _same_outcome(region, [[list(a), list(b)] for a, b in pairs]) == ""
+            k = rng.randrange(len(pairs))
+            broken = [pairs[:k] + pairs[k + 1:],
+                      pairs + [pairs[k]],
+                      pairs + [pairs[k][::-1]]]
+            for _ in range(4):
+                cell = tuple(rng.randrange(-1, 5) for _ in range(3))
+                pair = list(pairs[k])
+                pair[rng.randrange(2)] = cell
+                broken.append(pairs[:k] + [tuple(pair)] + pairs[k + 1:])
+            for cell_pairs in broken:
+                seen.add(_same_outcome(region, cell_pairs).split(" ")[0])
+    assert {"", "cell", "dimer", "cells"} <= seen
+
+
+def test_from_cell_pairs_matches_its_oracle_on_odd_coordinates():
+    box, torus = build_box(2, 2, 1), build_torus(2, 2, 2)
+    upper = ((0, 1, 0), (1, 1, 0))
+    top = [((0, 0, 1), (1, 0, 1)), ((0, 1, 1), (1, 1, 1))]
+    for bad in ((True, 0, 0), (False, 0, 0), (0.0, 0, 0), (1.0, 0, 0), ("0", 0, 0),
+                ([0], 0, 0)):
+        assert "is not an integer" in _same_outcome(box, [(bad, (1, 0, 0)), upper])
+        assert "is not an integer" in _same_outcome(torus, [(bad, (1, 0, 0)), upper] + top)
+    assert _same_outcome(box, [((0, 0), (1, 0, 0)), upper]) == \
+        "cell (0, 0) is not in the region"
+    _same_outcome(box, [((0, 0, 0, 0), (1, 0, 0)), upper])
+    _same_outcome(torus, [((0, 0, 0, 0), (1, 0, 0)), upper] + top)
+    lower = (tuple(map(_Index, (0, 0, 0))), (1, 0, 0))
+    assert _same_outcome(box, [lower, upper]) == ""
+    assert Tiling.from_cell_pairs(box, [lower, upper]) == base_tiling(box, 0)
+    lifted = [((2, 0, 0), (_Index(-1), 0, 0)), ((0, 1, 0), (1, 1, 0)),
+              ((0, 0, 1), (1, 0, 1)), ((0, 1, 1), (1, 1, 1))]
+    assert _same_outcome(torus, lifted) == ""
+
+
+@pytest.mark.parametrize("region, cell_pairs, message", [
+    (build_box(2, 2, 1), [((0, 0, 0), (1, 0, 0)), ((1, 1, 0), (1, 2, 0))],
+     "cell (1, 2, 0) is not in the region"),
+    (build_box(2, 2, 1), [((0, 0, 0), (1, 1, 0)), ((1, 0, 0), (0, 1, 0))],
+     "dimer (0, 0, 0)-(1, 1, 0) joins same-color cells"),
+    (build_box(2, 2, 2), [((0, 0, 0), (1, 1, 1))],
+     "cells (1, 1, 1) and (0, 0, 0) are not adjacent"),
+    (build_torus(6, 2, 2), [((0, 0, 0), (3, 0, 0))],
+     "cells (3, 0, 0) and (0, 0, 0) are not adjacent"),
+    (build_box(2, 2, 1), [((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 1, 0))],
+     "cell covered twice: (1, 0, 0)"),
+    (build_box(2, 2, 1), [((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 0, 0))],
+     "cell covered twice: (0, 0, 0)"),
+    (build_box(2, 2, 1), [((0, 0, 0), (1, 0, 0))], "cell uncovered: (0, 1, 0)"),
+    (build_torus(2, 2, 2), [((2, 0, 0), (3, 0, 0))], "cell uncovered: (0, 0, 1)"),
+])
+def test_from_cell_pairs_error_messages(region, cell_pairs, message):
+    assert _same_outcome(region, cell_pairs) == message
 
 
 def test_dimer_direction_is_unit_step():
