@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import floor, gcd
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .regions import (
     AXIS_NAMES, Cell, DIRECTIONS, Region, RegionError, _coordinate,
@@ -35,6 +37,16 @@ _NAME_TO_NORMAL = {v: k for k, v in _NORMAL_TO_NAME.items()}
 
 #: (tangent axis pair (u, v) with (u, v, k) cyclic) per normal axis k
 _TANGENT_AXES = ((1, 2), (2, 0), (0, 1))
+
+#: a square's corners as offsets along its tangent axes (u, v) from its
+#: center, counterclockwise as seen from the + side of its normal axis
+_CORNERS = ((-1, -1), (1, -1), (1, 1), (-1, 1))
+
+#: direction index (into DIRECTIONS) of each unit step
+_DIRECTION_OF = {d: i for i, d in enumerate(DIRECTIONS)}
+
+#: the eight octants around a dual vertex, as signs along x, y, z
+_OCTANTS = tuple(product((1, -1), repeat=3))
 
 
 class Square(NamedTuple):
@@ -59,7 +71,12 @@ def _dir_index(axis: int, sign: int) -> int:
 
 
 class DiscreteSurface:
-    """An embedded, coherently oriented discrete surface in a region's dual."""
+    """An embedded, coherently oriented discrete surface in a region's dual.
+
+    A side of the surface is a dual edge of one of its squares. Each is kept
+    once, under the key _edge gives it: in _edge_set for every side, and in
+    _boundary_set for the sides that only one square has.
+    """
 
     def __init__(self, region: Region, squares: Iterable[Square]):
         self.region = region
@@ -69,7 +86,13 @@ class DiscreteSurface:
         normalized = []
         by_pos: dict[Cell, Square] = {}
         for sq in squares:
-            c2 = self._norm2(sq.center2)
+            c2 = tuple(map(_coordinate, sq.center2))
+            if len(c2) != 3:
+                raise ValueError("square center %r does not have three coordinates"
+                                 % (sq.center2,))
+            if sq.axis not in (0, 1, 2):
+                raise ValueError("square axis %r is not 0, 1 or 2" % (sq.axis,))
+            c2 = self._norm2(c2)
             for k in range(3):
                 want_even = (k == sq.axis)
                 if (c2[k] % 2 == 0) != want_even:
@@ -99,76 +122,57 @@ class DiscreteSurface:
     def _corner_cell(self, corner2: Cell) -> Cell:
         return self.region.reduce((corner2[0] // 2, corner2[1] // 2, corner2[2] // 2))
 
-    def _square_corners(self, sq: Square) -> list[Cell]:
-        """Corner cycle, counterclockwise as seen from the normal side."""
+    def _sides(self, sq: Square) -> Iterator[tuple[Cell, int]]:
+        """The square's directed sides as (corner2, direction index), walking
+        its corners counterclockwise as seen from the normal side."""
         u, v = _TANGENT_AXES[sq.axis]
-        cycle = ((-1, -1), (1, -1), (1, 1), (-1, 1))
-        if sq.orientation < 0:
-            cycle = cycle[::-1]
-        corners = []
-        for su, sv in cycle:
+        cycle = _CORNERS if sq.orientation > 0 else _CORNERS[::-1]
+        for m, (su, sv) in enumerate(cycle):
+            tu, tv = cycle[m - 3]  # the next corner
             p = list(sq.center2)
             p[u] += su
             p[v] += sv
-            corners.append(self._norm2(p))
-        return corners
+            yield self._norm2(p), _dir_index(u, tu) if tu != su else _dir_index(v, tv)
+
+    def _edge(self, cell: Cell, step: Cell) -> tuple[Cell, int]:
+        """The key of the dual edge from a cell along a unit step: the lesser
+        of its two directed forms (doubled start, direction index)."""
+        (x, y, z), (dx, dy, dz) = cell, step
+        d = _DIRECTION_OF[step]
+        return min((self._norm2((2 * x, 2 * y, 2 * z)), d),
+                   (self._norm2((2 * (x + dx), 2 * (y + dy), 2 * (z + dz))), d ^ 1))
 
     def _build(self) -> None:
-        counts: dict[tuple[Cell, int], int] = {}
-        vertex_cells: set[Cell] = set()
+        region = self.region
+        keys: dict[tuple[Cell, int], tuple[Cell, int]] = {}  # directed side -> _edge key
+        cells = set()
         for sq in self.squares:
-            corners = self._square_corners(sq)
-            for c2 in corners:
-                cell = self._corner_cell(c2)
-                if cell not in self.region.index:
+            square_sides = list(self._sides(sq))
+            for a, _d in square_sides:
+                cell = self._corner_cell(a)
+                if cell not in region.index:
                     raise ValueError("square corner %r is outside the region" % (cell,))
-                vertex_cells.add(cell)
-            for m in range(4):
-                a, b = corners[m], corners[(m + 1) % 4]
-                diridx = self._edge_direction(sq, m)
-                key = (a, diridx)
-                if key in counts:
+                cells.add(cell)
+            for m, side in enumerate(square_sides):
+                if side in keys:
                     raise ValueError(
-                        "incoherent orientation: directed edge %r appears twice" % (key,))
-                counts[key] = 1
-                del b
-        boundary = []
-        for (a, diridx) in counts:
-            u2 = self._step2(a, diridx)
-            if (u2, diridx ^ 1) not in counts:
-                boundary.append((a, diridx))
-        self.boundary_edges: tuple[tuple[Cell, int], ...] = tuple(sorted(boundary))
+                        "incoherent orientation: directed edge %r appears twice" % (side,))
+                # the side's other directed form leaves the next corner
+                keys[side] = min(side, (square_sides[m - 3][0], side[1] ^ 1))
+        # an inner side is met once in each direction, a boundary side once
+        met = Counter(keys.values())
+        boundary = sorted(side for side, key in keys.items() if met[key] == 1)
+        self.boundary_edges: tuple[tuple[Cell, int], ...] = tuple(boundary)
         bverts = set()
-        for (a, diridx) in self.boundary_edges:
-            bverts.add(self._corner_cell(a))
-            bverts.add(self._corner_cell(self._step2(a, diridx)))
+        for a, d in boundary:
+            cell = self._corner_cell(a)
+            bverts.add(cell)
+            bverts.add(region.step(cell, d))
         self.boundary_vertices: tuple[Cell, ...] = tuple(sorted(bverts))
-        self.interior_vertices: tuple[Cell, ...] = tuple(
-            sorted(c for c in vertex_cells if c not in bverts))
-        self._boundary_set = set(self.boundary_edges)
-        self._edge_set = {self._canon_edge(a, d) for (a, d) in counts}
+        self.interior_vertices: tuple[Cell, ...] = tuple(sorted(cells - bverts))
+        self._edge_set = set(met)
+        self._boundary_set = {keys[side] for side in boundary}
         self._interior_set = set(self.interior_vertices)
-
-    def _edge_direction(self, sq: Square, m: int) -> int:
-        # direction of the step from corner m to corner m+1, read off the
-        # corner cycle before normalization
-        u, v = _TANGENT_AXES[sq.axis]
-        cycle = ((-1, -1), (1, -1), (1, 1), (-1, 1))
-        if sq.orientation < 0:
-            cycle = cycle[::-1]
-        du = cycle[(m + 1) % 4][0] - cycle[m][0]
-        dv = cycle[(m + 1) % 4][1] - cycle[m][1]
-        if du:
-            return _dir_index(u, du)
-        return _dir_index(v, dv)
-
-    def _step2(self, p2: Cell, diridx: int) -> Cell:
-        d = DIRECTIONS[diridx]
-        return self._norm2((p2[0] + 2 * d[0], p2[1] + 2 * d[1], p2[2] + 2 * d[2]))
-
-    def _canon_edge(self, p2: Cell, diridx: int) -> tuple[Cell, int]:
-        rev = (self._step2(p2, diridx), diridx ^ 1)
-        return min((p2, diridx), rev)
 
     # -- queries -----------------------------------------------------------
 
@@ -176,34 +180,15 @@ class DiscreteSurface:
     def is_closed(self) -> bool:
         return not self.boundary_edges
 
-    def has_square_at(self, center2: Sequence[int]) -> bool:
-        return self._norm2(center2) in self._by_pos
-
     def square_at(self, center2: Sequence[int]) -> Optional[Square]:
         return self._by_pos.get(self._norm2(center2))
 
     def edge_in_surface(self, cell: Cell, axis: int, sign: int) -> bool:
         """Is the dual edge from the cell along the signed axis a square side?"""
-        v2 = self._norm2(tuple(2 * c for c in cell))
-        for m in range(3):
-            if m == axis:
-                continue
-            l = 3 - axis - m
-            for sl in (1, -1):
-                p = list(v2)
-                p[axis] += sign
-                p[l] += sl
-                if self.has_square_at(p):
-                    return True
-        return False
+        return self._edge(cell, DIRECTIONS[_dir_index(axis, sign)]) in self._edge_set
 
     def edge_on_boundary(self, cell: Cell, axis: int, sign: int) -> bool:
-        v2 = self._norm2(tuple(2 * c for c in cell))
-        key = (v2, _dir_index(axis, sign))
-        if key in self._boundary_set:
-            return True
-        rev = (self._step2(v2, key[1]), key[1] ^ 1)
-        return rev in self._boundary_set
+        return self._edge(cell, DIRECTIONS[_dir_index(axis, sign)]) in self._boundary_set
 
     def to_list(self) -> list[dict]:
         return [
@@ -222,8 +207,14 @@ def surface_from_json(text: str, region: Region) -> DiscreteSurface:
 def surface_from_list(items: Sequence[dict], region: Region) -> DiscreteSurface:
     squares = []
     for item in items:
-        axis, orientation = _NAME_TO_NORMAL[item["normal"]]
-        squares.append(Square(tuple(item["center"]), axis, orientation))
+        try:
+            axis, orientation = _NAME_TO_NORMAL[item["normal"]]
+            center = tuple(item["center"])
+        except (KeyError, TypeError):
+            raise ValueError(
+                "surface square %r is not {\"center\": [x, y, z], \"normal\": one of %s}"
+                % (item, ", ".join(_NAME_TO_NORMAL))) from None
+        squares.append(Square(center, axis, orientation))
     return DiscreteSurface(region, squares)
 
 
@@ -233,68 +224,43 @@ def vertex_flow(v: Cell, t: Tiling, s: DiscreteSurface) -> int:
     v must be an interior vertex of s; the side of the matched neighbor is
     found by flooding the eight octants around v, moving only between
     octants not separated by a square of s, starting from the octants that
-    contain the dimer ray.
+    contain the dimer ray. Each square the flood meets tells on which of its
+    sides the flood is.
     """
     region = t.region
     v = region.reduce(v)
     if v not in s._interior_set:
         raise ValueError("vertex %r is not an interior vertex of the surface" % (v,))
-    i = region.index[v]
-    step = t.steps[i]
-    axis = 0 if step[0] else (1 if step[1] else 2)
-    sign = step[axis]
-    if s.edge_in_surface(v, axis, sign):
+    step = t.steps[region.index[v]]
+    if s._edge(v, step) in s._edge_set:
         return 0
-    v2 = s._norm2(tuple(2 * c for c in v))
-
-    def blocked(o: tuple[int, int, int], m: int) -> bool:
-        u, w = [ax for ax in range(3) if ax != m]
-        p = list(v2)
-        p[u] += o[u]
-        p[w] += o[w]
-        return s.has_square_at(p)
-
-    start = [o for o in _octants() if o[axis] == sign]
-    flood = set(start)
-    stack = list(start)
+    v2 = s._norm2((2 * v[0], 2 * v[1], 2 * v[2]))
+    flood = {o for o in _OCTANTS
+             if o[0] * step[0] + o[1] * step[1] + o[2] * step[2] == 1}
+    stack = list(flood)
+    above = below = False
     while stack:
         o = stack.pop()
         for m in range(3):
-            if blocked(o, m):
-                continue
-            o2 = tuple(-v_ if ax == m else v_ for ax, v_ in enumerate(o))
-            if o2 not in flood:
-                flood.add(o2)
-                stack.append(o2)
-    above = below = False
-    for k in range(3):
-        u, w = _TANGENT_AXES[k]
-        for su in (1, -1):
-            for sw in (1, -1):
-                p = list(v2)
-                p[u] += su
-                p[w] += sw
-                sq = s.square_at(p)
-                if sq is None:
-                    continue
-                o_pos = [0, 0, 0]
-                o_pos[u], o_pos[w] = su, sw
-                o_pos[k] = sq.orientation
-                o_neg = list(o_pos)
-                o_neg[k] = -sq.orientation
-                if tuple(o_pos) in flood:
-                    above = True
-                if tuple(o_neg) in flood:
-                    below = True
+            # the square, if any, on the wall normal to m that parts o from
+            # its mirror image
+            p = [v2[0] + o[0], v2[1] + o[1], v2[2] + o[2]]
+            p[m] = v2[m]
+            sq = s.square_at(p)
+            if sq is None:
+                o2 = o[:m] + (-o[m],) + o[m + 1:]
+                if o2 not in flood:
+                    flood.add(o2)
+                    stack.append(o2)
+            elif o[m] == sq.orientation:
+                above = True
+            else:
+                below = True
     if above and below:
         raise ValueError("surface does not separate the octants at %r" % (v,))
     if not above and not below:
         raise ValueError("no surface square found around interior vertex %r" % (v,))
     return region.color(v) * (1 if above else -1)
-
-
-def _octants() -> list[tuple[int, int, int]]:
-    return [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
 
 
 def flux_through_surface(t: Tiling, s: DiscreteSurface) -> int:
@@ -309,9 +275,7 @@ def flux_through_surface(t: Tiling, s: DiscreteSurface) -> int:
     region = t.region
     index, steps = region.index, t.steps
     for v in s.boundary_vertices:
-        step = steps[index[v]]
-        axis = 0 if step[0] else (1 if step[1] else 2)
-        if not s.edge_on_boundary(v, axis, step[axis]):
+        if s._edge(v, steps[index[v]]) not in s._boundary_set:
             raise ValueError(
                 "tiling is not tangent to the surface boundary at vertex %r" % (v,))
     flows = s._flows if region == s.region else {}
@@ -601,19 +565,11 @@ def surface_predicates(t0: Tiling, t1: Tiling, s: DiscreteSurface) -> dict:
     equal the nontrivial cycles of t1 - t0 (as undirected edge sets).
     """
     system = diff_cycles(t1, t0)
-    cycle_edges = set()
-    for cyc in system.nontrivial:
-        n = len(cyc.cells)
-        for m in range(n):
-            cell = cyc.cells[m]
-            step = cyc.steps[m]
-            axis = 0 if step[0] else (1 if step[1] else 2)
-            v2 = s._norm2((2 * cell[0], 2 * cell[1], 2 * cell[2]))
-            cycle_edges.add(s._canon_edge(v2, _dir_index(axis, step[axis])))
-    surf_edges = {s._canon_edge(a, d) for (a, d) in s.boundary_edges}
-    if cycle_edges != surf_edges:
-        missing = sorted(cycle_edges - surf_edges)
-        extra = sorted(surf_edges - cycle_edges)
+    cycle_edges = {s._edge(cell, step) for cyc in system.nontrivial
+                   for cell, step in zip(cyc.cells, cyc.steps)}
+    if cycle_edges != s._boundary_set:
+        missing = sorted(cycle_edges - s._boundary_set)
+        extra = sorted(s._boundary_set - cycle_edges)
         raise ValueError(
             "surface boundary does not match the nontrivial difference cycles:"
             " missing %r, extra %r" % (missing[:4], extra[:4]))
@@ -632,12 +588,6 @@ def surface_predicates(t0: Tiling, t1: Tiling, s: DiscreteSurface) -> dict:
 
 
 def _tangent_to_surface(t: Tiling, s: DiscreteSurface) -> bool:
-    region = t.region
-    vertices = set(s.interior_vertices) | set(s.boundary_vertices)
-    for v in vertices:
-        step = t.steps[region.index[v]]
-        axis = 0 if step[0] else (1 if step[1] else 2)
-        v2 = s._norm2((2 * v[0], 2 * v[1], 2 * v[2]))
-        if s._canon_edge(v2, _dir_index(axis, step[axis])) not in s._edge_set:
-            return False
-    return True
+    index, steps = t.region.index, t.steps
+    return all(s._edge(v, steps[index[v]]) in s._edge_set
+               for v in s.interior_vertices + s.boundary_vertices)

@@ -117,9 +117,10 @@ class Tiling:
         """Build and validate a tiling from (cell, cell) pairs in any order.
 
         A cell of three ints is looked up in the region as it is; any other
-        goes through _coordinate and is reduced onto a torus. Raises
-        ValueError for a cell outside the region, a pair of one colour or of
-        cells that share no face, and a cell covered twice or not at all.
+        goes through _coordinate and, if it has three coordinates, is reduced
+        onto a torus. Raises ValueError for a cell outside the region (one of
+        another length included), a pair of one colour or of cells that share
+        no face, and a cell covered twice or not at all.
         """
         index, colors, periods = region.index, region.colors, region.periods
         get = index.get
@@ -133,8 +134,9 @@ class Tiling:
                     and type(b[0]) is type(b[1]) is type(b[2]) is int):
                 i, j = get(a), get(b)
             if i is None or j is None:
-                a = region.reduce(tuple(map(_coordinate, a)))
-                b = region.reduce(tuple(map(_coordinate, b)))
+                a, b = tuple(map(_coordinate, a)), tuple(map(_coordinate, b))
+                # a cell of another length is kept as it is, outside the index
+                a, b = (region.reduce(c) if len(c) == 3 else c for c in (a, b))
                 for c in (a, b):
                     if c not in index:
                         raise ValueError("cell %r is not in the region" % (c,))

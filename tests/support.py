@@ -195,6 +195,69 @@ def slow_modulus(t: Tiling) -> int:
     return m
 
 
+def slow_vertex_flow(v, t: Tiling, s) -> int:
+    """vertex_flow's reference: flood the eight octants around v between
+    walls that hold no square of s, then look at all twelve squares around
+    v and note which of their sides the flood reached."""
+    region = t.region
+    v = region.reduce(v)
+    if v not in s._interior_set:
+        raise ValueError("vertex %r is not an interior vertex of the surface" % (v,))
+    i = region.index[v]
+    step = t.steps[i]
+    axis = 0 if step[0] else (1 if step[1] else 2)
+    sign = step[axis]
+    if s.edge_in_surface(v, axis, sign):
+        return 0
+    v2 = s._norm2(tuple(2 * c for c in v))
+
+    def blocked(o: tuple[int, int, int], m: int) -> bool:
+        u, w = [ax for ax in range(3) if ax != m]
+        p = list(v2)
+        p[u] += o[u]
+        p[w] += o[w]
+        return s.square_at(p) is not None
+
+    octants = [(sx, sy, sz) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    start = [o for o in octants if o[axis] == sign]
+    flood = set(start)
+    stack = list(start)
+    while stack:
+        o = stack.pop()
+        for m in range(3):
+            if blocked(o, m):
+                continue
+            o2 = tuple(-v_ if ax == m else v_ for ax, v_ in enumerate(o))
+            if o2 not in flood:
+                flood.add(o2)
+                stack.append(o2)
+    above = below = False
+    for k in range(3):
+        u, w = ((1, 2), (2, 0), (0, 1))[k]
+        for su in (1, -1):
+            for sw in (1, -1):
+                p = list(v2)
+                p[u] += su
+                p[w] += sw
+                sq = s.square_at(p)
+                if sq is None:
+                    continue
+                o_pos = [0, 0, 0]
+                o_pos[u], o_pos[w] = su, sw
+                o_pos[k] = sq.orientation
+                o_neg = list(o_pos)
+                o_neg[k] = -sq.orientation
+                if tuple(o_pos) in flood:
+                    above = True
+                if tuple(o_neg) in flood:
+                    below = True
+    if above and below:
+        raise ValueError("surface does not separate the octants at %r" % (v,))
+    if not above and not below:
+        raise ValueError("no surface square found around interior vertex %r" % (v,))
+    return region.color(v) * (1 if above else -1)
+
+
 def slow_tiling_classes(s):
     """Flux classes by placing each tiling, in enumeration order, in the
     first group whose first member has a slow_winding to it."""

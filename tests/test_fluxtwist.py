@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import defaultdict
 from itertools import islice, product
@@ -16,7 +17,7 @@ from tritile import fluxtwist
 from tritile.harness import _EULER_BOXES, walk_states
 from support import (
     always_positive_trits, bfs_trit_labeling, move_graph, pinwheel_N1, slow_flux,
-    slow_modulus, slow_twist, tiling_tA, tiling_tB,
+    slow_modulus, slow_twist, slow_vertex_flow, tiling_tA, tiling_tB,
 )
 
 
@@ -470,12 +471,128 @@ def test_surface_validation_errors():
         DiscreteSurface(r, [Square((1, 1, 0), 2, 1), Square((3, 1, 0), 2, -1)])
 
 
+@pytest.mark.parametrize("center", ["[1.5, 1, 0]", "[true, 1, 0]"])
+def test_surface_refuses_non_integer_center_coordinates(center):
+    # floor division would quietly put the 1.5 square's corners at x = 0, 1
+    text = '[{"center": %s, "normal": "+z"}]' % center
+    with pytest.raises(RegionError, match="not an integer"):
+        surface_from_json(text, build_box(3, 3, 2))
+
+
+def test_surface_refuses_a_center_of_two_coordinates():
+    with pytest.raises(ValueError, match="does not have three coordinates"):
+        DiscreteSurface(build_box(3, 3, 2), [Square((1, 1), 2, 1)])
+
+
+def test_surface_refuses_an_axis_out_of_range():
+    with pytest.raises(ValueError, match="axis 5 is not 0, 1 or 2"):
+        DiscreteSurface(build_box(3, 3, 2), [Square((1, 1, 1), 5, 1)])
+
+
+@pytest.mark.parametrize("item", [
+    {"center": [1, 1, 0], "normal": "+q"}, {"center": [1, 1, 0]}, {"normal": "+z"},
+    [[1, 1, 0], "+z"], "+z", {"center": 1, "normal": "+z"},
+], ids=["unknown normal", "no normal", "no center", "list", "string", "scalar center"])
+def test_surface_from_list_refuses_malformed_squares(item):
+    with pytest.raises(ValueError, match="is not {\"center\": \\[x, y, z\\], \"normal\": one of"):
+        fluxtwist.surface_from_list([{"center": [1, 1, 0], "normal": "+z"}, item],
+                                    build_box(3, 3, 2))
+
+
 def test_surface_json_round_trip():
     r = build_box(4, 4, 4)
     s = closed_box_surface(r, (0, 0, 0), (2, 2, 2))
     back = surface_from_json(s.to_json(), r)
     assert {(q.center2, q.axis, q.orientation) for q in back.squares} == \
         {(q.center2, q.axis, q.orientation) for q in s.squares}
+
+
+# the two 3-square corner Seifert surfaces of the trit hexagon of tiling_tA
+_TRIT_CORNERS = (
+    [Square((0, 1, 1), 0, 1), Square((1, 2, 1), 1, -1), Square((1, 1, 2), 2, -1)],
+    [Square((2, 1, 1), 0, 1), Square((1, 0, 1), 1, -1), Square((1, 1, 0), 2, -1)],
+)
+
+
+def _surface_cases() -> list:
+    """(name, surface): closed sub-box shells on a box and on tori, every
+    cutting surface level of four tori (two with period-2 axes), and open
+    patches: a shell without its +z face, a cutting surface without one
+    square, a single square and the trit corners."""
+    box = build_box(4, 4, 4)
+    cases = [("box-4x4x4 shell %r" % (cd,), closed_box_surface(box, *cd))
+             for cd in _EULER_BOXES]
+    shell = cases[-1][1]
+    cases.append(("box-4x4x4 open shell",
+                  DiscreteSurface(box, [q for q in shell.squares if q.normal != "+z"])))
+    cases.append(("box-4x4x4 square", DiscreteSurface(box, [Square((3, 3, 4), 2, -1)])))
+    cases += [("box-3x3x2 trit corner %d" % n, DiscreteSurface(tiling_tA().region, squares))
+              for n, squares in enumerate(_TRIT_CORNERS)]
+    for periods, shell in (((4, 4, 4), ((3, 3, 3), (2, 2, 2))),
+                           ((2, 2, 4), ((1, 0, 3), (1, 1, 2))),
+                           ((4, 2, 2), ((3, 1, 1), (2, 1, 1))),
+                           ((2, 4, 6), ((0, 1, 2), (1, 3, 4)))):
+        tr = build_torus(*periods)
+        name = "torus-%dx%dx%d" % periods
+        cases.append(("%s shell %r" % (name, shell), closed_box_surface(tr, *shell)))
+        for k in range(3):
+            cases += [("%s cut %d at %d" % (name, k, level), cutting_surface(tr, k, level))
+                      for level in range(periods[k])]
+        # normal to the shortest axis, so that its other vertices stay interior
+        cut = cutting_surface(tr, periods.index(min(periods)), 1)
+        cases.append((name + " open cut", DiscreteSurface(tr, cut.squares[1:])))
+    return cases
+
+
+# sha256 of the boundary edges, boundary and interior vertices of every
+# _surface_cases surface, and of edge_in_surface / edge_on_boundary from every
+# cell along every step: pinned so a change to how surfaces store their sides
+# shows.
+_SURFACE_STRUCTURE_PIN = (
+    55, "99220c77299e32cdcbed760fa558ac40feaca2c9c89872eca4b3c302ffc19819")
+
+
+def test_surface_structure_is_pinned():
+    cases = _surface_cases()
+    rows = []
+    for name, s in cases:
+        probes = [(c, axis, sign) for c in s.region.cells for axis in range(3)
+                  for sign in (1, -1)]
+        rows.append((name, s.boundary_edges, s.boundary_vertices, s.interior_vertices,
+                     "".join("%d" % s.edge_in_surface(*p) for p in probes),
+                     "".join("%d" % s.edge_on_boundary(*p) for p in probes)))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert (len(cases), digest) == _SURFACE_STRUCTURE_PIN
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_vertex_flow_matches_its_oracle():
+    cases = _surface_cases()
+    # a shell with one square turned over after its checks, so that the flood
+    # meets both sides of the surface at that square's corners
+    r = build_box(4, 4, 4)
+    turned = closed_box_surface(r, (1, 1, 1), (2, 2, 2))
+    sq = max(turned.squares)
+    turned._by_pos[sq.center2] = sq._replace(orientation=-sq.orientation)
+    cases.append(("turned", turned))
+    states = {}
+    flows = errors = 0
+    for name, s in cases:
+        if s.region not in states:
+            states[s.region] = walk_states(s.region, "flip+trit", 30, 4)
+        for t in states[s.region]:
+            for v in s.interior_vertices:
+                want = _outcome(slow_vertex_flow, v, t, s)
+                assert _outcome(vertex_flow, v, t, s) == want, (name, v)
+                flows += 1
+                errors += isinstance(want, str)
+    assert flows > 20000 and errors
 
 
 # -- surface predicates ---------------------------------------------------
@@ -496,12 +613,7 @@ def test_predicates_trit_pair_corner_surface():
     tA, tB = tiling_tA(), tiling_tB()
     r = tA.region
     delta = twist(tB, 2) - twist(tA, 2)
-    for squares in (
-        [Square((0, 1, 1), 0, 1), Square((1, 2, 1), 1, -1),
-         Square((1, 1, 2), 2, -1)],
-        [Square((2, 1, 1), 0, 1), Square((1, 0, 1), 1, -1),
-         Square((1, 1, 0), 2, -1)],
-    ):
+    for squares in _TRIT_CORNERS:
         s = DiscreteSurface(r, squares)
         pred = surface_predicates(tA, tB, s)
         assert pred == {"balanced": False, "zero_flux": False,
@@ -540,8 +652,7 @@ def test_predicates_boundary_mismatch_error():
 def test_predicates_consistency_checks_raise(monkeypatch, tangent, message):
     # checks, not asserts, so that python -O keeps them
     tA, tB = tiling_tA(), tiling_tB()
-    s = DiscreteSurface(tA.region, [Square((0, 1, 1), 0, 1), Square((1, 2, 1), 1, -1),
-                                    Square((1, 1, 2), 2, -1)])
+    s = DiscreteSurface(tA.region, _TRIT_CORNERS[0])
     monkeypatch.setattr(fluxtwist, "_tangent_to_surface", lambda t, s: tangent(t, s, tA))
     with pytest.raises(RuntimeError, match=message):
         surface_predicates(tA, tB, s)
