@@ -90,7 +90,8 @@ class DiscreteSurface:
             if len(c2) != 3:
                 raise ValueError("square center %r does not have three coordinates"
                                  % (sq.center2,))
-            if sq.axis not in (0, 1, 2):
+            # exact ints: True == 1 and 1.0 == 1 would pass a membership test
+            if type(sq.axis) is not int or sq.axis not in (0, 1, 2):
                 raise ValueError("square axis %r is not 0, 1 or 2" % (sq.axis,))
             c2 = self._norm2(c2)
             for k in range(3):
@@ -99,7 +100,7 @@ class DiscreteSurface:
                     raise ValueError(
                         "square center %r does not match normal axis %s"
                         % (sq.center2, AXIS_NAMES[sq.axis]))
-            if sq.orientation not in (1, -1):
+            if type(sq.orientation) is not int or sq.orientation not in (1, -1):
                 raise ValueError("square orientation must be +1 or -1")
             if c2 in by_pos:
                 raise ValueError("duplicate square at %r" % (c2,))

@@ -91,50 +91,38 @@ def find_trits(t: Tiling) -> list[TritMove]:
 
 #: Per direction of a dimer (the position of its black cell in its white
 #: cell's step row), the directions across its axis, where its flip
-#: partners lie, each with whether _flip_partners lists what it meets there.
-_ACROSS = tuple(tuple((d, True) for d in range(6) if DIR_AXIS[d] != DIR_AXIS[k])
-                for k in range(6))
-#: The same, listing only the steps along an axis above the dimer's own:
-#: a flip of two a-dimers stacked along e is listed iff a < e.
-_UPWARD = tuple(tuple((d, DIR_AXIS[d] > DIR_AXIS[k]) for d, _listed in across)
-                for k, across in enumerate(_ACROSS))
+#: partners lie.
+_ACROSS = tuple(tuple(d for d in range(6) if DIR_AXIS[d] != DIR_AXIS[k]) for k in range(6))
 
 
-def _flip_partners(step, mate: Sequence[int], pairs: Iterable[tuple[int, int]],
-                   dirs: tuple = _ACROSS) -> tuple[list[tuple[int, int, int, int]], int]:
-    """The flips met from the dimers of pairs, (w, b) white cell first, one
-    step d away along dirs[direction of the dimer]: a dimer (w2, mate[w2])
-    parallel to (w, b) there fills a 2x2x1 slab with it.
-
-    Returns (w, b, d, w2) for each flip met along a listed direction, and
-    the number of flips with w2 > w met along the others. Each partner of a
+def _flip_partners(step, mate: Sequence[int],
+                   pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    """(w, b, d, w2) of each flip met from the dimers of pairs, (w, b) white
+    cell first: a dimer (w2, mate[w2]) one step d away across the axis of
+    (w, b) and parallel to it fills a 2x2x1 slab with it. Each partner of a
     dimer is met once, under the first direction reaching it (on a period-2
     axis both signs of the step reach the same dimer); a flip is met from
     both of its dimers.
     """
     out = []
-    unlisted = 0
     for w, b in pairs:
         sw, sb = step[w], step[b]
         last = -1
-        for d, listed in dirs[sw.index(b)]:
+        for d in _ACROSS[sw.index(b)]:
             pw = sb[d]
             # a step off the region gives -1, which no mate entry equals
             if pw >= 0 and mate[pw] == sw[d] and pw != last:
                 last = pw
-                if listed:
-                    out.append((w, b, d, pw))
-                elif pw > w:
-                    unlisted += 1
-    return out, unlisted
+                out.append((w, b, d, pw))
+    return out
 
 
 def _flips(t: Tiling) -> list[tuple[int, int, int, int]]:
     """(w, b, w2, b2) of each flip of t in find_flips order: the dimers
     (w, b) and (w2, b2), white cell first, with w < w2."""
     mate = t.mate
-    partners, _ = _flip_partners(t.region.step_table, mate, t.pairs)
-    return [(w, b, w2, mate[w2]) for w, b, _d, w2 in partners if w2 > w]
+    return [(w, b, w2, mate[w2])
+            for w, b, _d, w2 in _flip_partners(t.region.step_table, mate, t.pairs) if w2 > w]
 
 
 def _flip_move(region: Region, w: int, b: int, w2: int, b2: int) -> FlipMove:
@@ -352,8 +340,7 @@ class WalkState:
         """Index the flips keyed by these dimers, white cell first; return
         the white cells of their smaller-indexed flip partners."""
         lower = []
-        partners, _ = _flip_partners(self.region.step_table, self.mate, pairs)
-        for w, b, d, w2 in partners:
+        for w, b, d, w2 in _flip_partners(self.region.step_table, self.mate, pairs):
             if w2 < w:
                 lower.append(w2)
                 continue
@@ -406,46 +393,102 @@ def _key_struct(n_cells: int) -> Struct:
     return Struct("=%d%s" % (n_cells, code))
 
 
+#: The position pairs ((i, i ^ 4), (j, j ^ 2), (k, k ^ 1)) of each of the
+#: eight trios of a 2x2x2 cube: one dimer per axis on six distinct
+#: positions, so the two left out are antipodal (see _trit_swap).
+_CUBE_TRIOS = tuple(((i, i ^ 4), (j, j ^ 2), (k, k ^ 1))
+                    for i in range(4) for j in (0, 1, 4, 5) for k in (0, 2, 4, 6)
+                    if len({i, i ^ 4, j, j ^ 2, k, k ^ 1}) == 6)
+
+
 def _move_reader(region: Region, move_set: frozenset):
     """read(key) -> (handled, counted) over the packed keys of region's
     tilings: the moves _key_components handles from this end, as (key of
     the target, trit count), and how many it only counts. Flips are
     handled where their dimers' axis is below the axis they are stacked
     along, trits where their sign is +1 (so their count is 1). Each target
-    is a copy of the key with the moved cells' entries rewritten."""
+    is a copy of the key with the moved cells' entries rewritten.
+
+    The move table lists every flip and trit the region allows, once per
+    call. Per white cell w, a row maps each black neighbour b, under the
+    first direction k reaching it, to the partners (w2, b2) = (step[b][e],
+    step[w][e]) of the dimer (w, b), e across k's axis in direction order,
+    w2 > w, a period-2 alias (the same w2 again) dropped, split into those
+    handled (e's axis above k's) and those counted. Each trio of a cube,
+    three in-cube pairs on six region cells, comes under its first anchor
+    with its inserted pairs and sign from _trit_swap. A key is read by
+    comparisons alone: w's row at mate[w] names the partners to check, a
+    trit takes three checks, and handled targets come out in find_flips
+    then find_trits order. A pair of non-adjacent cells raises ValueError.
+    """
     layout = _key_struct(region.n_cells)
     unpack, code = layout.unpack, layout.format[-1]
-    flips, trits = "flip" in move_set, "trit" in move_set
-    if flips:
-        step = region.step_table
-        whites = [i for i, c in enumerate(region.colors) if c == -1]
-    if trits:
-        cubes = region.cube_table.cubes
+    flips = "flip" in move_set
+    step = region.step_table
+    rows = []
+    for w, color in enumerate(region.colors):
+        if color == 1:
+            continue
+        sw = step[w]
+        row: dict[int, tuple[tuple, tuple]] = {}
+        for k, b in enumerate(sw):
+            if b < 0 or b in row:
+                continue
+            up, across = [], []
+            last = -1
+            for e in _ACROSS[k] if flips else ():
+                w2, b2 = step[b][e], sw[e]
+                if w2 > w and b2 >= 0 and w2 != last:
+                    last = w2
+                    (up if DIR_AXIS[e] > DIR_AXIS[k] else across).append((w2, b2))
+            row[b] = tuple(up), tuple(across)
+        rows.append((w, row))
+    plus, minus = [], []
+    if "trit" in move_set:
+        seen = set()
+        for cube in region.cube_table.cubes:
+            for positions in _CUBE_TRIOS:
+                trio = tuple(sorted((min(cube[i], cube[j]), max(cube[i], cube[j]))
+                                    for i, j in positions))
+                # sorted, so a cell off the region (-1) comes first
+                if trio[0][0] < 0 or trio in seen:
+                    continue
+                seen.add(trio)
+                _removed, inserted, sign = _trit_swap(cube, trio)
+                (c1, p1), (c2, p2), (c3, p3) = trio
+                if sign < 0:
+                    minus.append((c1, p1, c2, p2, c3, p3))
+                else:
+                    plus.append((c1, p1, c2, p2, c3, p3, inserted))
 
     def read(key: bytes) -> tuple[list[tuple[bytes, int]], int]:
         mate = unpack(key)
         base = array(code, key)
         handled = []
         counted = 0
-        if flips:
-            partners, counted = _flip_partners(step, mate, [(w, mate[w]) for w in whites],
-                                               _UPWARD)
-            for w, b, _d, w2 in partners:
-                if w2 > w:
-                    b2 = mate[w2]
-                    new = base[:]
-                    new[w], new[b2], new[w2], new[b] = b2, w, b, w2
-                    handled.append((new.tobytes(), 0))
-        if trits:
-            for r, trio in _trits(region, mate):
-                _removed, inserted, sign = _trit_swap(cubes[r], trio)
-                if sign < 0:
-                    counted += 1
-                    continue
+        try:
+            for w, row in rows:
+                b = mate[w]
+                up, across = row[b]
+                for w2, b2 in up:
+                    if mate[w2] == b2:
+                        new = base[:]
+                        new[w], new[b2], new[w2], new[b] = b2, w, b, w2
+                        handled.append((new.tobytes(), 0))
+                for w2, b2 in across:
+                    if mate[w2] == b2:
+                        counted += 1
+        except KeyError:
+            raise ValueError("a tiling pairs cells that are not adjacent") from None
+        for c1, p1, c2, p2, c3, p3, inserted in plus:
+            if mate[c1] == p1 and mate[c2] == p2 and mate[c3] == p3:
                 new = base[:]
                 for i, j in inserted:
                     new[i], new[j] = j, i
                 handled.append((new.tobytes(), 1))
+        for c1, p1, c2, p2, c3, p3 in minus:
+            if mate[c1] == p1 and mate[c2] == p2 and mate[c3] == p3:
+                counted += 1
         return handled, counted
 
     return read
@@ -464,7 +507,10 @@ def _key_components(region: Region, mates: Iterable[Sequence[int]], moves: str):
 
     Each distinct packed mate array (_key_struct) is a node, numbered in
     input order. Each move edge is met once, at the end where _move_reader
-    handles it; its target is looked up and merged into a weighted
+    handles it. The reader lists every flip and trit that can occur on the
+    region once per call, in a move table, and reads a key's moves off it by
+    comparing mate entries, without rescanning the key's geometry. A
+    handled move's target is looked up and merged into a weighted
     union-find that keeps each node's signed trit count relative to its
     root (flips add 0, a trit 1). An edge that closes a cycle with a nonzero
     trit sum marks its component inconsistent. The input is closed under
@@ -486,13 +532,14 @@ def _key_components(region: Region, mates: Iterable[Sequence[int]], moves: str):
     for mate in mates:
         index.setdefault(layout.pack(*mate), len(index))
     # parent[u] and offset[u] = label(u) - label(parent[u]); size and
-    # consistency are kept at the roots. parent starts as the index's own
-    # numbers, so the nodes share one int object each.
+    # consistency are kept at the roots, consistency as one byte a node.
+    # parent starts as the index's own numbers, so the nodes share one int
+    # object each.
     n = len(index)
     parent = list(index.values())
     offset = [0] * n
     size = [1] * n
-    consistent = [True] * n
+    consistent = bytearray(b"\1") * n
 
     def find(u: int) -> int:
         path = []
@@ -550,7 +597,7 @@ def _key_components(region: Region, mates: Iterable[Sequence[int]], moves: str):
         k = number.get(root)
         if k is None:
             k = number[root] = len(groups)
-            groups.append([size[root], key, label, 0, 0, consistent[root]])
+            groups.append([size[root], key, label, 0, 0, consistent[root] == 1])
         g = groups[k]
         label -= g[2]
         g[3], g[4] = min(g[3], label), max(g[4], label)

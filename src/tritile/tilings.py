@@ -375,10 +375,10 @@ FRONTIER_BUDGET = 1 << 20
 LISTING_BUDGET = 100_000
 
 #: Most tilings that tritile components will take. It keeps a packed key
-#: per tiling, not a Tiling: about 180 bytes and 25 us with flips, 41 us
+#: per tiling, not a Tiling: about 185 bytes and 23 us with flips, 30 us
 #: with flips and trits, per tiling of 21 dimers (box 2 3 7, 880,163
-#: tilings: 178 MB peak, 18 MB of it a bare start, in 22 s and 36 s), so
-#: 10^6 tilings stays near 200 MB and 40 s.
+#: tilings: 171 MB peak, 16 MB of it a bare start, in 21 s and 27 s), so
+#: 10^6 tilings stays near 200 MB and 30 s.
 COMPONENTS_BUDGET = 1_000_000
 
 

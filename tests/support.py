@@ -5,6 +5,7 @@ through the library's own adjacency tables or twist formula, so that the
 tests compare two genuinely different code paths.
 """
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -683,6 +684,63 @@ def slow_labelled_components(tilings, moves) -> list:
                                      [offset[u] - base for u in members],
                                      consistent[root]))
     return sorted(out, key=lambda c: (-len(c.tilings), c.tilings[0].hash64))
+
+
+#: Per direction of a dimer (the position of its black cell in its white
+#: cell's step row), the directions across its axis, each with whether
+#: slow_move_reader handles the flips met there: a flip of two a-dimers
+#: stacked along e is handled iff a < e.
+_UPWARD = tuple(tuple((d, DIR_AXIS[d] > DIR_AXIS[k]) for d in range(6)
+                      if DIR_AXIS[d] != DIR_AXIS[k]) for k in range(6))
+
+
+def slow_move_reader(region, move_set):
+    """moves._move_reader as it was before its move table: each key is
+    unpacked and its geometry rescanned, the flips of every white cell's
+    dimer along _UPWARD and the trits through moves._trits and
+    moves._trit_swap, looked up at call time."""
+    layout = mv._key_struct(region.n_cells)
+    unpack, code = layout.unpack, layout.format[-1]
+    step = region.step_table
+    whites = [i for i, c in enumerate(region.colors) if c == -1]
+    cubes = region.cube_table.cubes if "trit" in move_set else None
+
+    def read(key):
+        mate = unpack(key)
+        base = array(code, key)
+        handled = []
+        counted = 0
+        if "flip" in move_set:
+            for w in whites:
+                b = mate[w]
+                sw, sb = step[w], step[b]
+                last = -1
+                for d, listed in _UPWARD[sw.index(b)]:
+                    w2 = sb[d]
+                    if w2 >= 0 and mate[w2] == sw[d] and w2 != last:
+                        last = w2
+                        if w2 <= w:
+                            continue
+                        if not listed:
+                            counted += 1
+                            continue
+                        b2 = mate[w2]
+                        new = base[:]
+                        new[w], new[b2], new[w2], new[b] = b2, w, b, w2
+                        handled.append((new.tobytes(), 0))
+        if cubes is not None:
+            for r, trio in mv._trits(region, mate):
+                _removed, inserted, sign = mv._trit_swap(cubes[r], trio)
+                if sign < 0:
+                    counted += 1
+                    continue
+                new = base[:]
+                for i, j in inserted:
+                    new[i], new[j] = j, i
+                handled.append((new.tobytes(), 1))
+        return handled, counted
+
+    return read
 
 
 _OFFSETS = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]

@@ -489,6 +489,17 @@ def test_surface_refuses_an_axis_out_of_range():
         DiscreteSurface(build_box(3, 3, 2), [Square((1, 1, 1), 5, 1)])
 
 
+@pytest.mark.parametrize("square, message", [
+    (Square((1, 1, 0), 2, True), "orientation must be"),
+    (Square((1, 1, 0), 2, 1.0), "orientation must be"),
+    (Square((1, 0, 1), True, 1), "axis True is not 0, 1 or 2"),
+], ids=["bool orientation", "float orientation", "bool axis"])
+def test_surface_refuses_an_axis_or_orientation_that_is_not_an_int(square, message):
+    # True == 1 and 1.0 == 1, so a membership test alone would keep them
+    with pytest.raises(ValueError, match=message):
+        DiscreteSurface(build_box(3, 3, 2), [square])
+
+
 @pytest.mark.parametrize("item", [
     {"center": [1, 1, 0], "normal": "+q"}, {"center": [1, 1, 0]}, {"normal": "+z"},
     [[1, 1, 0], "+z"], "+z", {"center": 1, "normal": "+z"},

@@ -463,6 +463,14 @@ _SMALL_L = ([[x, y, z] for x in range(3) for y in range(2) for z in range(2)]
     # four components of 128 tilings, ordered by the hash tie-break alone
     (["components", "box", "2", "4", "4", "--moves", "flip"],
      "a1596a8a8865324032018f0b8061c656cef52382a2972aff76636156e252d177"),
+    # tori with period-2 y and z, and x and z, axes (torus 2 2 4 above has
+    # x and y), where aliased flip partners and aliased cubes are dropped
+    (["components", "torus", "4", "2", "2", "--moves", "fliptrit"],
+     "262a5f2aca84af33fee016680cc50a68f5827a526710f1a54316cc06302c167b"),
+    (["components", "torus", "2", "4", "2", "--moves", "fliptrit"],
+     "1dd40d4ed9c22fb7a04c53a7c84c4ec199015391b71bbc552ac88682a7eb25b1"),
+    (["components", "box", "2", "4", "4", "--moves", "fliptrit"],
+     "c361dd5edc2b0cedb1c23d74af9ba3e724822face7c433f10e7c102c0979743f"),
 ])
 def test_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
     spec = tmp_path / "small_l.json"

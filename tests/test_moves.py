@@ -3,18 +3,20 @@ import random
 import pytest
 
 from tritile import (
-    RegionError, TritMove, apply_flip, apply_trit, base_tiling, build_box,
+    RegionError, Tiling, TritMove, apply_flip, apply_trit, base_tiling, build_box,
     build_torus, build_voxel_region, count_tilings, enumerate_tilings,
     find_flips, find_trits, labelled_components, twist,
 )
 from tritile.harness import walk_states
+from tritile.tilings import _mates
 from tritile import moves
 from tritile.moves import (
     WalkState, _key_components, _key_struct, _move_reader, _normalize_moves, _trit_swap,
 )
 from support import (
     bfs_trit_labeling, corner_cut_cube, move_graph, pinwheel_N1, pinwheel_N2,
-    slow_labelled_components, slow_move_graph, slow_trit_move, tiling_tA, tiling_tB,
+    slow_labelled_components, slow_move_graph, slow_move_reader, slow_trit_move, tiling_tA,
+    tiling_tB,
 )
 
 
@@ -290,10 +292,10 @@ def test_trit_swap_needs_one_dimer_per_axis():
 
 # Every box shape with at most 2,000 tilings, in two orientations, the
 # 3x3x2, 3x4x2 and 2x4x4 boxes as the CLI spells them, tori with period-2
-# axes, and three voxel regions named by their bounding boxes: a solid torus
+# axes, and four voxel regions named by their bounding boxes: a solid torus
 # (the 4x4x2 box minus its central 2x2 column, 324 tilings), an L (the 4x4x2
-# box minus a 2x2 corner column, 1,560) and a 4x3x3 box with a sealed 2-cell
-# cavity (14,036).
+# box minus a 2x2 corner column, 1,560), a 4x3x3 box with a sealed 2-cell
+# cavity (14,036) and a 3x2x2 box minus two corners (6).
 _SMALL_SHAPES = ((1, 1, 2), (1, 1, 4), (1, 1, 6), (1, 2, 2), (1, 2, 3), (1, 2, 4),
                  (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 4), (1, 4, 5),
                  (1, 4, 6), (1, 5, 6), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5),
@@ -305,6 +307,10 @@ _VOXEL_CELLS = {
           if not (x >= 2 and y >= 2)],
     "cavity": [(x, y, z) for x in range(4) for y in range(3) for z in range(3)
                if (x, y, z) not in ((1, 1, 1), (2, 1, 1))],
+    # two corners off the 3x2x2 box: a 7-cell cube whose off-region cell
+    # (-1) would index the last cell if a move read it
+    "notch": [(x, y, z) for x in range(3) for y in range(2) for z in range(2)
+              if (x, y, z) not in ((0, 0, 1), (2, 0, 0))],
     # 258 cells, past what one byte per cell index holds: the 3x3x2 box
     # with a rod of 240 cells on one corner, which tiles only by itself
     "rod": [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
@@ -315,7 +321,7 @@ _LABELLED_REGIONS = sorted(
     | {("box", (3, 3, 2)), ("box", (3, 4, 2)), ("box", (2, 4, 4)), ("box", (2, 1, 4)),
        ("box", (4, 2, 1)), ("torus", (2, 2, 2)), ("torus", (2, 2, 4)), ("torus", (2, 4, 2)),
        ("torus", (4, 2, 2)), ("ring", (4, 4, 2)), ("L", (4, 4, 2)), ("cavity", (4, 3, 3)),
-       ("rod", (3, 3, 242))})
+       ("notch", (3, 2, 2)), ("rod", (3, 3, 242))})
 
 
 def _labelled_region(kind, dims):
@@ -327,6 +333,29 @@ def _labelled_region(kind, dims):
 def _read_moves(t, move_set):
     """The (handled, counted) moves of t as the components engine reads them."""
     return _move_reader(t.region, move_set)(_key_struct(t.region.n_cells).pack(*t.mate))
+
+
+@pytest.mark.parametrize("kind, dims", _LABELLED_REGIONS,
+                         ids=["%s-%dx%dx%d" % (k, *d) for k, d in _LABELLED_REGIONS])
+def test_move_table_reads_what_the_scan_reads(kind, dims):
+    """The move table reads every key's handled targets, in order, and its
+    count exactly as the old rescan of each key's geometry does."""
+    region = _labelled_region(kind, dims)
+    pack = _key_struct(region.n_cells).pack
+    keys = [pack(*mate) for mate in _mates(region)]
+    for moves in ("flip", "trit", "flip+trit"):
+        move_set = _normalize_moves(moves)
+        fast, slow = _move_reader(region, move_set), slow_move_reader(region, move_set)
+        for key in keys:
+            assert fast(key) == slow(key), moves
+
+
+@pytest.mark.parametrize("move_set", ["flip", "trit", "flip+trit"])
+def test_labelled_components_name_a_non_adjacent_pair(move_set):
+    # (0, 0, 0) and (1, 1, 1) have opposite colours but share no face
+    t = Tiling(build_box(2, 2, 2), [(0, 7), (1, 3), (2, 6), (4, 5)])
+    with pytest.raises(ValueError, match="not adjacent"):
+        labelled_components([t], move_set)
 
 
 def _assert_engine_matches_the_oracle(tilings, moves, expected=None):
