@@ -10,7 +10,9 @@ offsets from the cube anchor; a dimer whose cells sit at positions i and
 i ^ bit runs along that bit's axis). The move is positive iff the y bit of
 the x-dimer, the z bit of the y-dimer and the x bit of the z-dimer sum to
 an odd number. That quantity is invariant under translations and proper
-rotations, so the sign is well defined on tori as well.
+rotations, so the sign is well defined on tori as well. A cube holds eight
+such trios; _TRIOS lists them once, with their inserted trios and signs,
+and every trit scan reads that one table.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from array import array
 from bisect import bisect_left, insort
 from collections import namedtuple
 from struct import Struct
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .regions import DIR_AXIS, Cell, Region
 from .tilings import Dimer, Tiling, _direction, _splitmix64
@@ -84,10 +86,10 @@ def find_trits(t: Tiling) -> list[TritMove]:
     exits the cube. Trits are ordered by anchor; where two anchors alias one
     cube (period-2 torus axes) the smaller one is kept.
     """
-    return [_trit_move(t.region, r, trio) for r, trio in _trits(t.region, t.mate)]
+    return [_trit_move(t.region, r, entry) for r, entry in _trits(t.region, t.mate)]
 
 
-# -- scanners shared by the full scans and WalkState ------------------------
+# -- scanners shared by the full scans, WalkState and the move table ---------
 
 #: Per direction of a dimer (the position of its black cell in its white
 #: cell's step row), the directions across its axis, where its flip
@@ -95,34 +97,27 @@ def find_trits(t: Tiling) -> list[TritMove]:
 _ACROSS = tuple(tuple(d for d in range(6) if DIR_AXIS[d] != DIR_AXIS[k]) for k in range(6))
 
 
-def _flip_partners(step, mate: Sequence[int],
-                   pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
-    """(w, b, d, w2) of each flip met from the dimers of pairs, (w, b) white
-    cell first: a dimer (w2, mate[w2]) one step d away across the axis of
-    (w, b) and parallel to it fills a 2x2x1 slab with it. Each partner of a
-    dimer is met once, under the first direction reaching it (on a period-2
-    axis both signs of the step reach the same dimer); a flip is met from
-    both of its dimers.
-    """
-    out = []
-    for w, b in pairs:
-        sw, sb = step[w], step[b]
-        last = -1
-        for d in _ACROSS[sw.index(b)]:
-            pw = sb[d]
-            # a step off the region gives -1, which no mate entry equals
-            if pw >= 0 and mate[pw] == sw[d] and pw != last:
-                last = pw
-                out.append((w, b, d, pw))
-    return out
+def _slab_partners(step, w: int, b: int) -> Iterator[tuple[int, int, int]]:
+    """(e, w2, b2) of each dimer (w2, b2), white cell first, that would fill
+    a 2x2x1 slab with the dimer (w, b): one step e away across its axis,
+    e in direction order. Steps off the region are dropped, and so is a
+    partner that the previous direction reached (on a period-2 axis both
+    signs of the step reach the same cells)."""
+    sw, sb = step[w], step[b]
+    last = -1
+    for e in _ACROSS[sw.index(b)]:
+        w2, b2 = sb[e], sw[e]
+        if w2 >= 0 and b2 >= 0 and w2 != last:
+            last = w2
+            yield e, w2, b2
 
 
 def _flips(t: Tiling) -> list[tuple[int, int, int, int]]:
     """(w, b, w2, b2) of each flip of t in find_flips order: the dimers
     (w, b) and (w2, b2), white cell first, with w < w2."""
-    mate = t.mate
-    return [(w, b, w2, mate[w2])
-            for w, b, _d, w2 in _flip_partners(t.region.step_table, mate, t.pairs) if w2 > w]
+    step, mate = t.region.step_table, t.mate
+    return [(w, b, w2, b2) for w, b in t.pairs
+            for _e, w2, b2 in _slab_partners(step, w, b) if w2 > w and mate[w2] == b2]
 
 
 def _flip_move(region: Region, w: int, b: int, w2: int, b2: int) -> FlipMove:
@@ -132,85 +127,84 @@ def _flip_move(region: Region, w: int, b: int, w2: int, b2: int) -> FlipMove:
     )
 
 
-def _cube_trios(cubes: Sequence[tuple[int, ...]], mate: Sequence[int],
-                ranks: Iterable[int]) -> list[tuple[int, tuple]]:
-    """(rank, trio) of each cube cubes[r], r in ranks, that holds a trit;
-    the trio is the trit's sorted (cell, cell) index pairs.
+def _trio_table() -> tuple[tuple[tuple, tuple, int], ...]:
+    """The eight trios of a 2x2x2 cube as (removed, inserted, sign), pairs
+    of cube positions in x, y, z axis order.
 
-    A trit needs exactly three dimers inside the cube, one per axis. Two
-    cube cells differ in exactly the offset bits of the axes they differ
-    along, so a dimer's axis shows as the XOR of its cells' cube positions.
-    The two cells a trit leaves out are antipodal (see _trit_swap), so the
-    scan takes antipodal positions in turn and stops at a second left-out
-    cell that is not antipodal to the first.
+    A trio is one dimer per axis on six distinct positions: the x-dimer at
+    (i, i ^ 4), the y-dimer at (j, j ^ 2) and the z-dimer at (k, k ^ 1). The
+    three pair XORs are 4, 2 and 1, so the six positions XOR to 7; all
+    eight XOR to 0, so the two left out XOR to 7 too: they are antipodal.
+    The other trio on the same six cells keeps each dimer's axis and flips
+    both transverse bits, (i, i ^ bit) becoming (i ^ 7 ^ bit, i ^ 7). The
+    sign is the bit rule of the module docstring.
     """
+    table = []
+    for i in range(4):
+        for j in (0, 1, 4, 5):
+            for k in (0, 2, 4, 6):
+                removed = ((i, i ^ 4), (j, j ^ 2), (k, k ^ 1))
+                if len({p for pair in removed for p in pair}) < 6:
+                    continue
+                inserted = tuple((p ^ 7 ^ bit, p ^ 7) for (p, _q), bit in zip(removed, (4, 2, 1)))
+                # y bit of the x-dimer + z bit of the y-dimer + x bit of the z-dimer
+                odd = ((i >> 1) ^ j ^ (k >> 2)) & 1
+                table.append((removed, inserted, 1 if odd else -1))
+    return tuple(table)
+
+
+#: The eight trios of a cube, each (removed, inserted, sign); see _trio_table.
+_TRIOS = _trio_table()
+
+
+def _trio(cube: tuple[int, ...], positions: tuple) -> tuple[int, ...]:
+    """The cells of a cube's trio at positions: its (cell, cell) index
+    pairs, each and all sorted, run together."""
+    (c1, p1), (c2, p2), (c3, p3) = sorted(
+        (min(cube[i], cube[j]), max(cube[i], cube[j])) for i, j in positions)
+    return c1, p1, c2, p2, c3, p3
+
+
+def _cube_trios(cubes: Sequence[tuple[int, ...]], mate: Sequence[int],
+                ranks: Iterable[int]) -> list[tuple[int, tuple, tuple]]:
+    """(rank, trio, entry) of each cube cubes[r], r in ranks, that holds a
+    trit: its cells (see _trio) and the _TRIOS entry that matches them.
+    Three in-cube dimers, one per axis, on six cells leave two antipodal
+    ones, which share no face; so at most one entry matches a cube, and the
+    scan stops there."""
     found = []
     for r in ranks:
         cube = cubes[r]
-        pairs = []
-        axes = 0
-        out = -1
-        for i in (0, 7, 1, 6, 2, 5, 3, 4):
-            c = cube[i]
-            if c >= 0:
-                p = mate[c]
-                if p in cube:
-                    if c < p:
-                        axes |= i ^ cube.index(p)
-                        pairs.append((c, p))
-                    continue
-            if out >= 0 and out != i ^ 7:
+        for entry in _TRIOS:
+            for i, j in entry[0]:
+                c = cube[i]
+                # a cell off the region is -1, which would index the last cell
+                if c < 0 or mate[c] != cube[j]:
+                    break
+            else:
+                found.append((r, _trio(cube, entry[0]), entry))
                 break
-            out = i
-        else:
-            if len(pairs) == 3 and axes == 7:
-                found.append((r, tuple(sorted(pairs))))
     return found
 
 
 def _trits(region: Region, mate: Sequence[int]) -> Iterator[tuple[int, tuple]]:
-    """(anchor rank, trio) of each trit in find_trits order. A cube that
-    two anchors alias (period-2 torus axes) is listed under the first."""
+    """(anchor rank, _TRIOS entry) of each trit in find_trits order. A cube
+    that two anchors alias (period-2 torus axes) is listed under the first."""
     cubes = region.cube_table.cubes
     seen: set[tuple] = set()
-    for r, trio in _cube_trios(cubes, mate, range(len(cubes))):
+    for r, trio, entry in _cube_trios(cubes, mate, range(len(cubes))):
         if trio not in seen:
             seen.add(trio)
-            yield r, trio
+            yield r, entry
 
 
-def _trit_swap(cube: tuple[int, ...], trio: tuple) -> tuple[list, list, int]:
-    """(removed, inserted, sign) of the trit of this cube's trio, with the
-    removed and inserted (cell, cell) index pairs in x, y, z axis order.
-
-    The pair at positions i and i ^ bit runs along bit's axis; indexing the
-    trio by that bit raises KeyError unless it holds one dimer per axis.
-    The three pair XORs are 4, 2 and 1, so the six covered positions XOR to
-    7; all eight XOR to 0, so the two leftover positions XOR to 7 too: they
-    are antipodal. The other trio on the same six cells keeps each dimer's
-    axis and flips both transverse bits: the dimer at (i, i ^ bit) becomes
-    (i ^ 7 ^ bit, i ^ 7).
-    """
-    at = {}
-    for c, p in trio:
-        i = cube.index(c)
-        at[i ^ cube.index(p)] = i
-    removed, inserted = [], []
-    for bit in (4, 2, 1):
-        i = at[bit]
-        removed.append((cube[i], cube[i ^ bit]))
-        inserted.append((cube[i ^ 7 ^ bit], cube[i ^ 7]))
-    # y bit of the x-dimer + z bit of the y-dimer + x bit of the z-dimer
-    odd = ((at[4] >> 1) ^ at[2] ^ (at[1] >> 2)) & 1
-    return removed, inserted, 1 if odd else -1
-
-
-def _trit_move(region: Region, r: int, trio: tuple) -> TritMove:
+def _trit_move(region: Region, r: int, entry: tuple) -> TritMove:
     table = region.cube_table
-    removed, inserted, sign = _trit_swap(table.cubes[r], trio)
+    cube = table.cubes[r]
+    removed, inserted, sign = entry
     return TritMove(
-        removed=tuple(_dimer(region, i, j) for i, j in removed),
-        inserted=tuple(_dimer(region, i, j) for i, j in inserted),
+        removed=tuple(_dimer(region, cube[i], cube[j]) for i, j in removed),
+        inserted=tuple(_dimer(region, cube[i], cube[j]) for i, j in inserted),
         anchor=table.anchors[r],
         sign=sign,
     )
@@ -253,18 +247,18 @@ class WalkState:
         n = region.n_cells
         self._flip_moves = "flip" in move_set
         self._trit_moves = "trit" in move_set
-        # flips: key (white * 6 + direction) of the first removed dimer ->
-        # (w, b, w2, b2); trits: anchor rank -> cube trio
-        self._flips: dict[int, tuple[int, int, int, int]] = {}
-        self._flip_keys: list[int] = []
-        self._flips_at: list[set[int]] = [set() for _ in range(n)]
-        self._trits: dict[int, tuple] = {}
-        self._trit_ranks: list[int] = []
+        # One index of both kinds. A flip is keyed white * 6 + direction by
+        # its first removed dimer, a trit 6 * n_cells + anchor rank, so the
+        # sorted keys list flips then trits in find_flips/find_trits order.
+        # key -> (the cells it removes, its _TRIOS entry or None): a flip's
+        # (w, b, w2, b2), a trit's trio (see _trio)
+        self._moves: dict[int, tuple[tuple[int, ...], Optional[tuple]]] = {}
+        self._keys: list[int] = []
+        self._keys_at: list[set[int]] = [set() for _ in range(n)]
+        self._trit_base = 6 * n
         self._trio_rank: dict[tuple, int] = {}
-        self._trits_at: list[set[int]] = [set() for _ in range(n)]
         if self._flip_moves:
-            for pair in t.pairs:  # one dimer at a time keeps the partner lists short
-                self._scan_flips((pair,))
+            self._scan_flips(t.pairs)
         if self._trit_moves:
             self._scan_trits(range(len(region.cube_table.cubes)))
         # Tiling.hash64 folds one code per dimer in white-cell order; keep the
@@ -276,15 +270,15 @@ class WalkState:
         self._stale = 0
 
     def __len__(self) -> int:
-        return len(self._flip_keys) + len(self._trit_ranks)
+        return len(self._keys)
 
     def move(self, k: int):
         """The k-th available move, 0 <= k < len(self)."""
-        nf = len(self._flip_keys)
-        if k < nf:
-            return _flip_move(self.region, *self._flips[self._flip_keys[k]])
-        r = self._trit_ranks[k - nf]
-        return _trit_move(self.region, r, self._trits[r])
+        key = self._keys[k]
+        cells, entry = self._moves[key]
+        if entry is None:
+            return _flip_move(self.region, *cells)
+        return _trit_move(self.region, key - self._trit_base, entry)
 
     def moves(self) -> list:
         return [self.move(k) for k in range(len(self))]
@@ -313,10 +307,8 @@ class WalkState:
             raise ValueError("stale move: a removed dimer is absent from the tiling")
         changed = [c for pair in removed for c in pair]
         for c in changed:
-            for key in list(self._flips_at[c]):
-                self._drop_flip(key)
-            for r in list(self._trits_at[c]):
-                self._drop_trit(r)
+            for key in list(self._keys_at[c]):
+                self._drop(key)
         inserted = [index[d.white] for d in m.inserted]
         n = self.region.n_cells
         for d, w in zip(m.inserted, inserted):
@@ -339,50 +331,41 @@ class WalkState:
     def _scan_flips(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
         """Index the flips keyed by these dimers, white cell first; return
         the white cells of their smaller-indexed flip partners."""
+        step, mate = self.region.step_table, self.mate
         lower = []
-        for w, b, d, w2 in _flip_partners(self.region.step_table, self.mate, pairs):
-            if w2 < w:
-                lower.append(w2)
-                continue
-            key = w * 6 + d
-            if key in self._flips:
-                continue
-            b2 = self.mate[w2]
-            self._flips[key] = (w, b, w2, b2)
-            insort(self._flip_keys, key)
-            for c in (w, b, w2, b2):
-                self._flips_at[c].add(key)
+        for w, b in pairs:
+            for e, w2, b2 in _slab_partners(step, w, b):
+                if mate[w2] != b2:
+                    continue
+                if w2 < w:
+                    lower.append(w2)
+                elif w * 6 + e not in self._moves:
+                    self._add(w * 6 + e, (w, b, w2, b2), None)
         return lower
-
-    def _drop_flip(self, key: int) -> None:
-        w, b, w2, b2 = self._flips.pop(key)
-        keys = self._flip_keys
-        del keys[bisect_left(keys, key)]
-        for c in (w, b, w2, b2):
-            self._flips_at[c].discard(key)
 
     def _scan_trits(self, ranks: Iterable[int]) -> None:
         """Index the trits of the given anchors, taken in increasing order so
         that an aliased cube keeps its smallest anchor."""
-        cubes = self.region.cube_table.cubes
-        for r, trio in _cube_trios(cubes, self.mate, (r for r in ranks if r not in self._trits)):
-            if trio in self._trio_rank:
-                continue
-            self._trits[r] = trio
-            self._trio_rank[trio] = r
-            insort(self._trit_ranks, r)
-            for pair in trio:
-                for c in pair:
-                    self._trits_at[c].add(r)
+        base = self._trit_base
+        ranks = (r for r in ranks if base + r not in self._moves)
+        for r, trio, entry in _cube_trios(self.region.cube_table.cubes, self.mate, ranks):
+            if trio not in self._trio_rank:
+                self._trio_rank[trio] = r
+                self._add(base + r, trio, entry)
 
-    def _drop_trit(self, r: int) -> None:
-        trio = self._trits.pop(r)
-        del self._trio_rank[trio]
-        ranks = self._trit_ranks
-        del ranks[bisect_left(ranks, r)]
-        for pair in trio:
-            for c in pair:
-                self._trits_at[c].discard(r)
+    def _add(self, key: int, cells: tuple[int, ...], entry: Optional[tuple]) -> None:
+        self._moves[key] = cells, entry
+        insort(self._keys, key)
+        for c in cells:
+            self._keys_at[c].add(key)
+
+    def _drop(self, key: int) -> None:
+        cells, entry = self._moves.pop(key)
+        del self._keys[bisect_left(self._keys, key)]
+        for c in cells:
+            self._keys_at[c].discard(key)
+        if entry is not None:
+            del self._trio_rank[cells]
 
 
 def _key_struct(n_cells: int) -> Struct:
@@ -391,14 +374,6 @@ def _key_struct(n_cells: int) -> Struct:
     typecode 'B' up to 256 cells, then 'H', then 'i'."""
     code = "B" if n_cells <= 1 << 8 else "H" if n_cells <= 1 << 16 else "i"
     return Struct("=%d%s" % (n_cells, code))
-
-
-#: The position pairs ((i, i ^ 4), (j, j ^ 2), (k, k ^ 1)) of each of the
-#: eight trios of a 2x2x2 cube: one dimer per axis on six distinct
-#: positions, so the two left out are antipodal (see _trit_swap).
-_CUBE_TRIOS = tuple(((i, i ^ 4), (j, j ^ 2), (k, k ^ 1))
-                    for i in range(4) for j in (0, 1, 4, 5) for k in (0, 2, 4, 6)
-                    if len({i, i ^ 4, j, j ^ 2, k, k ^ 1}) == 6)
 
 
 def _move_reader(region: Region, move_set: frozenset):
@@ -412,11 +387,10 @@ def _move_reader(region: Region, move_set: frozenset):
     The move table lists every flip and trit the region allows, once per
     call. Per white cell w, a row maps each black neighbour b, under the
     first direction k reaching it, to the partners (w2, b2) = (step[b][e],
-    step[w][e]) of the dimer (w, b), e across k's axis in direction order,
-    w2 > w, a period-2 alias (the same w2 again) dropped, split into those
-    handled (e's axis above k's) and those counted. Each trio of a cube,
-    three in-cube pairs on six region cells, comes under its first anchor
-    with its inserted pairs and sign from _trit_swap. A key is read by
+    step[w][e]) of the dimer (w, b) from _slab_partners with w2 > w, split
+    into those handled (e's axis above k's) and those counted. Each trio of
+    a cube, a _TRIOS entry on six region cells, comes under its first
+    anchor with its inserted pairs and sign from the table. A key is read by
     comparisons alone: w's row at mate[w] names the partners to check, a
     trit takes three checks, and handled targets come out in find_flips
     then find_trits order. A pair of non-adjacent cells raises ValueError.
@@ -435,11 +409,8 @@ def _move_reader(region: Region, move_set: frozenset):
             if b < 0 or b in row:
                 continue
             up, across = [], []
-            last = -1
-            for e in _ACROSS[k] if flips else ():
-                w2, b2 = step[b][e], sw[e]
-                if w2 > w and b2 >= 0 and w2 != last:
-                    last = w2
+            for e, w2, b2 in _slab_partners(step, w, b) if flips else ():
+                if w2 > w:
                     (up if DIR_AXIS[e] > DIR_AXIS[k] else across).append((w2, b2))
             row[b] = tuple(up), tuple(across)
         rows.append((w, row))
@@ -447,19 +418,16 @@ def _move_reader(region: Region, move_set: frozenset):
     if "trit" in move_set:
         seen = set()
         for cube in region.cube_table.cubes:
-            for positions in _CUBE_TRIOS:
-                trio = tuple(sorted((min(cube[i], cube[j]), max(cube[i], cube[j]))
-                                    for i, j in positions))
+            for removed, inserted, sign in _TRIOS:
+                trio = _trio(cube, removed)
                 # sorted, so a cell off the region (-1) comes first
-                if trio[0][0] < 0 or trio in seen:
+                if trio[0] < 0 or trio in seen:
                     continue
                 seen.add(trio)
-                _removed, inserted, sign = _trit_swap(cube, trio)
-                (c1, p1), (c2, p2), (c3, p3) = trio
                 if sign < 0:
-                    minus.append((c1, p1, c2, p2, c3, p3))
+                    minus.append(trio)
                 else:
-                    plus.append((c1, p1, c2, p2, c3, p3, inserted))
+                    plus.append((*trio, [(cube[i], cube[j]) for i, j in inserted]))
 
     def read(key: bytes) -> tuple[list[tuple[bytes, int]], int]:
         mate = unpack(key)
@@ -616,6 +584,8 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
     tilings in input order and labels[k] the trit label of tilings[k]
     relative to tilings[0]. Components come largest first, ties broken by
     the hash64 of their first tiling; only those first tilings are hashed.
+    A tiling that leaves a cell uncovered or covers one twice raises
+    ValueError.
     """
     region = None
     nodes: dict[tuple[int, ...], Tiling] = {}
@@ -624,7 +594,12 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
             region = t.region
         elif t.region != region:
             raise ValueError("tilings belong to different regions")
-        nodes.setdefault(t.mate, t)
+        mate = t.mate
+        # -1 marks an uncovered cell, which no key of _key_struct stands
+        # for; with every cell covered, n_cells / 2 pairs cover each once
+        if -1 in mate or 2 * len(t.pairs) != len(mate):
+            raise ValueError("a tiling does not cover each cell exactly once")
+        nodes.setdefault(mate, t)
     if region is None:
         raise ValueError("no tilings given")
     _index, component, label, groups = _key_components(region, nodes, moves)

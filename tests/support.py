@@ -502,7 +502,7 @@ def _rewired(mate: Sequence[int], inserted: Iterable[tuple[int, int]]) -> tuple[
 def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, ...], str, int]]:
     """(mate array of the target, kind, sign) of each move of t, in
     find_flips then find_trits order. The scans are looked up on
-    tritile.moves at call time, so a test that patches moves._trit_swap
+    tritile.moves at call time, so a test that patches moves._TRIOS
     reaches this oracle too."""
     mate = t.mate
     if "flip" in move_set:
@@ -510,9 +510,9 @@ def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, .
             yield _rewired(mate, ((w, b2), (w2, b))), "flip", 0
     if "trit" in move_set:
         cubes = t.region.cube_table.cubes
-        for r, trio in mv._trits(t.region, mate):
-            _removed, inserted, sign = mv._trit_swap(cubes[r], trio)
-            yield _rewired(mate, inserted), "trit", sign
+        for r, (_removed, inserted, sign) in mv._trits(t.region, mate):
+            cube = cubes[r]
+            yield _rewired(mate, ((cube[i], cube[j]) for i, j in inserted)), "trit", sign
 
 
 def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:
@@ -521,7 +521,7 @@ def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:
     The scan runs in index space. Each input tiling is hashed once and
     indexed by its exact mate array. Moves come from the scans behind
     find_flips and find_trits (_flips, _trits), in their order, and a trit's
-    new cells from _trit_swap. A neighbour's mate array is a copy with
+    new cells from its _TRIOS entry. A neighbour's mate array is a copy with
     the moved cells' entries rewritten, looked up exactly, so no Tiling is
     built or hashed per edge and a hash64 collision cannot attach an edge to
     the wrong node. Raises ValueError when two different tilings share a
@@ -595,9 +595,8 @@ def bfs_trit_labeling(g: MoveGraph, base: Union[Tiling, int]) -> tuple[dict[int,
 def always_positive_trits(monkeypatch):
     """Make every trit positive in both directions, so that any trit cycle
     has a nonzero signed sum."""
-    swap = mv._trit_swap
-    monkeypatch.setattr(mv, "_trit_swap",
-                        lambda cube, trio: (*swap(cube, trio)[:2], 1))
+    monkeypatch.setattr(mv, "_TRIOS", tuple((removed, inserted, 1)
+                                            for removed, inserted, _sign in mv._TRIOS))
 
 
 def slow_move_graph(tilings, moves) -> MoveGraph:
@@ -697,8 +696,8 @@ _UPWARD = tuple(tuple((d, DIR_AXIS[d] > DIR_AXIS[k]) for d in range(6)
 def slow_move_reader(region, move_set):
     """moves._move_reader as it was before its move table: each key is
     unpacked and its geometry rescanned, the flips of every white cell's
-    dimer along _UPWARD and the trits through moves._trits and
-    moves._trit_swap, looked up at call time."""
+    dimer along _UPWARD and the trits through moves._trits and the
+    moves._TRIOS entries it yields, looked up at call time."""
     layout = mv._key_struct(region.n_cells)
     unpack, code = layout.unpack, layout.format[-1]
     step = region.step_table
@@ -729,14 +728,14 @@ def slow_move_reader(region, move_set):
                         new[w], new[b2], new[w2], new[b] = b2, w, b, w2
                         handled.append((new.tobytes(), 0))
         if cubes is not None:
-            for r, trio in mv._trits(region, mate):
-                _removed, inserted, sign = mv._trit_swap(cubes[r], trio)
+            for r, (_removed, inserted, sign) in mv._trits(region, mate):
                 if sign < 0:
                     counted += 1
                     continue
                 new = base[:]
+                cube = cubes[r]
                 for i, j in inserted:
-                    new[i], new[j] = j, i
+                    new[cube[i]], new[cube[j]] = cube[j], cube[i]
                 handled.append((new.tobytes(), 1))
         return handled, counted
 

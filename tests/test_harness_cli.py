@@ -471,6 +471,21 @@ _SMALL_L = ([[x, y, z] for x in range(3) for y in range(2) for z in range(2)]
      "1dd40d4ed9c22fb7a04c53a7c84c4ec199015391b71bbc552ac88682a7eb25b1"),
     (["components", "box", "2", "4", "4", "--moves", "fliptrit"],
      "c361dd5edc2b0cedb1c23d74af9ba3e724822face7c433f10e7c102c0979743f"),
+    # seeded walks under both move sets, recorded before the trio table
+    # and the one WalkState index; the tori have period-2 axes, where
+    # aliased flip partners and aliased cubes are dropped
+    (["sample", "box", "4", "4", "4", "--moves", "flip", "--seed", "1"],
+     "ec7be1695dc9bbf6f479142af3b808598e7280d73b6c79a0988c4ef54666a6b0"),
+    (["sample", "box", "4", "4", "4", "--moves", "fliptrit", "--seed", "1"],
+     "73669253e3db976e6f9cb61309b025cafb0222df52303ae8558619e042990935"),
+    (["sample", "torus", "2", "4", "6", "--moves", "flip", "--seed", "1"],
+     "44d6a69c1d941eddad23c3585ea8f13bca1fae8e10ddebff892410d4ca61929a"),
+    (["sample", "torus", "2", "4", "6", "--moves", "fliptrit", "--seed", "1"],
+     "f38ae6e53100057d912ee77040f6ee9d5c5760c1ad8109f42364d141b3ddd3bd"),
+    (["sample", "torus", "2", "2", "6", "--moves", "flip", "--seed", "1"],
+     "9063d6de1a578d896eea644eb6331c61972853557e6532075eb3f0569970c742"),
+    (["sample", "torus", "2", "2", "6", "--moves", "fliptrit", "--seed", "1"],
+     "2db65065385711580de83a05f3a1ef353eff13238af6a258bca1e4de61d00cdd"),
 ])
 def test_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
     spec = tmp_path / "small_l.json"
@@ -499,8 +514,8 @@ def test_components_refuses_inconsistent_labels_on_a_box(monkeypatch, capsys):
 def test_components_refuses_inconsistent_labels_with_asserts_stripped():
     src = os.path.dirname(os.path.dirname(tritile.__file__))
     code = ("from tritile import moves; from tritile.cli import main; "
-            "swap = moves._trit_swap; "
-            "moves._trit_swap = lambda cube, trio: (*swap(cube, trio)[:2], 1); "
+            "moves._TRIOS = tuple((removed, inserted, 1) "
+            "for removed, inserted, _sign in moves._TRIOS); "
             "main(['components', 'box', '3', '3', '2'])")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))

@@ -11,7 +11,7 @@ from tritile.harness import walk_states
 from tritile.tilings import _mates
 from tritile import moves
 from tritile.moves import (
-    WalkState, _key_components, _key_struct, _move_reader, _normalize_moves, _trit_swap,
+    _TRIOS, WalkState, _key_components, _key_struct, _move_reader, _normalize_moves,
 )
 from support import (
     bfs_trit_labeling, corner_cut_cube, move_graph, pinwheel_N1, pinwheel_N2,
@@ -282,10 +282,26 @@ def test_flip_scans_leave_the_cube_table_unbuilt(region):
     assert region._cube_table is not None
 
 
-def test_trit_swap_needs_one_dimer_per_axis():
-    cube = tuple(range(8))
-    with pytest.raises(KeyError):
-        _trit_swap(cube, ((0, 4), (1, 5), (2, 3)))  # two x-dimers
+def test_trio_table_lists_each_trio_of_a_cube_once():
+    trios = {}
+    for removed, inserted, sign in _TRIOS:
+        # one dimer per axis, in x, y, z order, on six distinct positions
+        assert [i ^ j for i, j in removed] == [4, 2, 1]
+        cells = {p for pair in removed for p in pair}
+        assert len(cells) == 6
+        # the two positions left out are antipodal
+        left = set(range(8)) - cells
+        assert sorted(i ^ j for i in left for j in left) == [0, 0, 7, 7]
+        # the inserted pattern is the other trio on the same cells
+        assert [i ^ j for i, j in inserted] == [4, 2, 1]
+        assert {p for pair in inserted for p in pair} == cells
+        assert {frozenset(pair) for pair in inserted}.isdisjoint(map(frozenset, removed))
+        assert sign in (1, -1)
+        trios[frozenset(map(frozenset, removed))] = (frozenset(map(frozenset, inserted)), sign)
+    assert len(trios) == len(_TRIOS) == 8
+    # ... which the table lists with the opposite sign
+    for removed, (inserted, sign) in trios.items():
+        assert trios[inserted] == (removed, -sign)
 
 
 # -- labelled components ----------------------------------------------------
@@ -330,9 +346,13 @@ def _labelled_region(kind, dims):
     return (build_box if kind == "box" else build_torus)(*dims)
 
 
-def _read_moves(t, move_set):
-    """The (handled, counted) moves of t as the components engine reads them."""
-    return _move_reader(t.region, move_set)(_key_struct(t.region.n_cells).pack(*t.mate))
+def _read_moves(tilings, move_set):
+    """The (handled, counted) moves of each of a region's tilings as the
+    components engine reads them, off one move table."""
+    region = tilings[0].region
+    read, pack = _move_reader(region, move_set), _key_struct(region.n_cells).pack
+    for t in tilings:
+        yield read(pack(*t.mate))
 
 
 @pytest.mark.parametrize("kind, dims", _LABELLED_REGIONS,
@@ -412,8 +432,7 @@ def test_labelled_components_match_the_move_graph(kind, dims, moves):
             assert [tws[0] + label for label in c.labels] == tws
     # each move edge is handled at exactly one end and counted at the other
     handled = counted = 0
-    for t in tilings:
-        targets, others = _read_moves(t, _normalize_moves(moves))
+    for targets, others in _read_moves(tilings, _normalize_moves(moves)):
         handled += len(targets)
         counted += others
     assert handled == counted == len(g.edges)
@@ -447,13 +466,28 @@ def test_labelled_components_keep_an_inconsistency_through_a_merge(monkeypatch):
     assert not comp.consistent
 
 
+# keys of one, two and four bytes a cell: the last box has more cells
+# than two bytes index
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 65, 2), (2, 16385, 2)])
+def test_labelled_components_name_an_uncovered_cell(dims):
+    region = build_box(*dims)
+    # z-dimers on every cell but the last two
+    pairs = [(i, i + 1) for i in range(0, region.n_cells - 2, 2)]
+    with pytest.raises(ValueError, match="cover each cell exactly once"):
+        labelled_components([Tiling(region, pairs)], "flip+trit")
+    # every cell covered, two of them twice
+    pairs.append((region.n_cells - 2, region.n_cells - 1))
+    with pytest.raises(ValueError, match="cover each cell exactly once"):
+        labelled_components([Tiling(region, pairs + [(1, 2)])], "flip")
+
+
 @pytest.mark.parametrize("move_set", ["flip", "flip+trit"])
 def test_labelled_components_refuse_each_drop_one_set_the_oracle_refuses(move_set):
     tilings = list(enumerate_tilings(build_box(3, 3, 2)))
     # a tiling all of whose moves are handled at itself is reached by the
     # others only through counted moves: only the balance sees it dropped
-    assert any(targets and not others for targets, others in (
-        _read_moves(t, _normalize_moves(move_set)) for t in tilings))
+    assert any(targets and not others for targets, others in
+               _read_moves(tilings, _normalize_moves(move_set)))
     for k in range(len(tilings)):
         part = tilings[:k] + tilings[k + 1:]
         try:

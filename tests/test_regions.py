@@ -89,6 +89,17 @@ def test_voxel_nonmanifold_edge_rejected():
     assert exc.value.condition == "non-manifold edge"
 
 
+def test_voxel_nonmanifold_vertex_rejected():
+    # the 2x2x2 cube minus two antipodal cells: the six left are
+    # face-connected, but the two missing octants around the centre vertex
+    # are not
+    cells = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)
+             if (x, y, z) not in ((0, 0, 0), (1, 1, 1))]
+    with pytest.raises(RegionError) as exc:
+        build_voxel_region(cells)
+    assert exc.value.condition == "non-manifold vertex"
+
+
 def test_voxel_unbalanced_rejected():
     cells = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
     cells.remove((1, 1, 1))

@@ -79,6 +79,18 @@ def test_frontier_count_stops_at_its_state_budget():
         count_tilings(build_box(6, 6, 6))
 
 
+def test_frontier_count_succeeds_at_its_peak_state_count_and_no_lower(monkeypatch):
+    # the 3x4x4 box's cells as a voxel region, so that the wide-slice
+    # refusal of boxes and tori does not fire first; at most 924 partial
+    # tilings are alive at once
+    region = build_voxel_region(build_box(3, 4, 4).cells)
+    monkeypatch.setattr(tilings, "FRONTIER_BUDGET", 924)
+    assert count_tilings(region) == 10885344
+    monkeypatch.setattr(tilings, "FRONTIER_BUDGET", 923)
+    with pytest.raises(BudgetExceeded, match=r"voxels.* 923 frontier states"):
+        count_tilings(region)
+
+
 def _no_sweep(region):
     raise AssertionError("the sweep started on %r" % (region,))
 
