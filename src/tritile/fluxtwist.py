@@ -16,7 +16,6 @@ axes contribute, which the implementation exploits.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -446,11 +445,13 @@ def twist(t: Tiling, axis) -> int:
     open-shadow crossing rule. An i-dimer with lower cell a crosses a j-dimer
     with lower cell b when b_i is a_i or a_i + 1 and b_j is a_j - 1 or a_j,
     and the pair counts -sign(b_k - a_k) times the product of their signs.
-    The j-dimers are bucketed by their column (b_i, b_j), each sorted by
-    height with prefix sums of the signs, so every i-dimer bisects at most
-    four columns: O(n log n) time and O(n) memory for n dimers, read straight
-    off t.pairs by index arithmetic, without the region's cell tables. The
-    quarter total is checked to be divisible by 4.
+    The dimers are bucketed by their level along k, and one sweep up the
+    levels keeps, per column (b_i, b_j), the signs of the j-dimers above the
+    level minus those below it; each i-dimer reads two or four columns.
+    That is O(n) time and memory for n dimers, read straight off t.pairs by
+    index arithmetic, without the region's cell tables. The quarter total is
+    checked to be divisible by 4; a tiling that fails the check is named by
+    its hash64.
     """
     region = t.region
     if not region.is_box:
@@ -468,8 +469,11 @@ def twist(t: Tiling, axis) -> int:
     nj, nk = dims[j], dims[k]
     di = si if dims[i] > 1 else 0
     dj = sj if nj > 1 else 0
-    a_dimers = []
-    columns: dict[int, list[tuple[int, int]]] = {}
+    i_levels = [[] for _ in range(nk)]
+    j_levels = [[] for _ in range(nk)]
+    # per column: the j-signs above the swept level minus those below it;
+    # before the sweep every j-dimer is above
+    rest = [0] * region.n_cells
     for w, b in t.pairs:
         d = b - w
         if d > 0:
@@ -478,38 +482,33 @@ def twist(t: Tiling, axis) -> int:
             a, sign, d = b, -1, -d
         if d == di:
             ak = a // sk % nk
-            a_dimers.append((a - ak * sk, a // sj % nj, ak, sign))
+            i_levels[ak].append((a - ak * sk, a // sj % nj, sign))
         elif d == dj:
             ak = a // sk % nk
-            columns.setdefault(a - ak * sk, []).append((ak, sign))
-    prefix: dict[int, tuple[list[int], list[int]]] = {}
-    for key, col in columns.items():
-        col.sort()
-        sums = [0]
-        for _h, sign in col:
-            sums.append(sums[-1] + sign)
-        prefix[key] = ([h for h, _s in col], sums)
+            key = a - ak * sk
+            rest[key] += sign
+            j_levels[ak].append((key, sign))
     quarters = 0
-    for a0, aj, ak, sa in a_dimers:
-        # the columns (a_i or a_i + 1, a_j - 1 or a_j); a_i + 1 is the upper
-        # cell's, and a_j - 1 exists only when a_j > 0
-        keys = (a0, a0 + si, a0 - sj, a0 + si - sj) if aj else (a0, a0 + si)
-        turns = 0
-        for key in keys:
-            entry = prefix.get(key)
-            if entry is None:
-                continue
-            heights, sums = entry
-            below = sums[bisect_left(heights, ak)]
-            above = sums[-1] - sums[bisect_right(heights, ak)]
-            turns += above - below
-        quarters -= sa * turns
+    for a_dimers, j_dimers in zip(i_levels, j_levels):
+        # a j-dimer at the level counts neither way while the level is read
+        for key, sign in j_dimers:
+            rest[key] -= sign
+        for a0, aj, sa in a_dimers:
+            # the columns (a_i or a_i + 1, a_j - 1 or a_j); a_i + 1 is the
+            # upper cell's, and a_j - 1 exists only when a_j > 0
+            if aj:
+                quarters -= sa * (rest[a0] + rest[a0 + si]
+                                  + rest[a0 - sj] + rest[a0 + si - sj])
+            else:
+                quarters -= sa * (rest[a0] + rest[a0 + si])
+        for key, sign in j_dimers:
+            rest[key] -= sign
     if quarters % 4:
         raise RuntimeError(
             "twist internal consistency failure: quarter total %d for %d %s-dimers,"
-            " %d %s-dimers around axis %s"
-            % (quarters, len(a_dimers), AXIS_NAMES[i],
-               sum(len(c) for c in columns.values()), AXIS_NAMES[j], AXIS_NAMES[k]))
+            " %d %s-dimers around axis %s, tiling hash64 %016x"
+            % (quarters, sum(map(len, i_levels)), AXIS_NAMES[i],
+               sum(map(len, j_levels)), AXIS_NAMES[j], AXIS_NAMES[k], t.hash64))
     return quarters // 4
 
 

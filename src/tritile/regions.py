@@ -462,15 +462,15 @@ def _face_connected(cell_set: set[Cell]) -> bool:
 
 
 def refine_region(r: Region, k: int) -> Region:
-    """Subdivide every cell into 5x5x5 subcells, k times.
+    """Subdivide every cell into 5x5x5 subcells, k times, for an int k >= 0.
 
     Corner subcells keep the color of the original cell, so the global
     parity flag carries over unchanged. Raises BudgetExceeded, before
     building anything, when the result would have more than REFINE_BUDGET
     cells.
     """
-    if k < 0:
-        raise ValueError("refinement count must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise ValueError("refinement count must be a nonnegative int, not %r" % (k,))
     # one factor at a time, so a huge k stops at once instead of raising
     # 125 to the k-th power
     n_cells = r.n_cells

@@ -102,14 +102,19 @@ class Tiling:
         self._steps: Optional[tuple[Cell, ...]] = None
 
     @classmethod
+    def _sorted(cls, region: Region, pairs: Iterable[tuple[int, int]],
+                mate: Sequence[int]) -> "Tiling":
+        """Pairs already in white-index order, and their mate array, taken
+        as they are: no sort and no check."""
+        t = cls.__new__(cls)
+        t.region, t.pairs, t._mate = region, tuple(pairs), tuple(mate)
+        t._dimers = t._hash64 = t._steps = None
+        return t
+
+    @classmethod
     def _from_mate(cls, region: Region, mate: Sequence[int]) -> "Tiling":
         colors = region.colors
-        pairs = [
-            (i, mate[i]) for i in range(len(mate)) if colors[i] == -1
-        ]
-        t = cls(region, pairs)
-        t._mate = tuple(mate)
-        return t
+        return cls._sorted(region, [(i, m) for i, m in enumerate(mate) if colors[i] == -1], mate)
 
     @classmethod
     def from_cell_pairs(cls, region: Region,
@@ -287,9 +292,10 @@ def base_tiling(region: Region, axis) -> Tiling:
 
 
 def _axis_index(axis) -> int:
-    if axis in (0, 1, 2):
+    # exact ints and names: True == 1 and 1.0 == 1 would pass a membership test
+    if type(axis) is int and 0 <= axis <= 2:
         return axis
-    if axis in AXIS_NAMES:
+    if type(axis) is str and axis in AXIS_NAMES:
         return AXIS_NAMES.index(axis)
     raise ValueError("axis must be one of x, y, z")
 
@@ -546,19 +552,16 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
     checked: a refined cell matched twice or left unmatched raises
     ValueError. The refined region's step table is never built.
     """
-    if k < 0:
-        raise ValueError("refinement count must be nonnegative")
+    region2 = refine_region(t.region, k)  # checks k
     if k == 0:
         return t
     scale = 5 ** k
-    region2 = refine_region(t.region, k)
     mate = None if region2.kind == "voxels" else _lattice_refined_mate(t, region2, scale)
     if mate is not None:
         whites = _white_indices(*(region2.dims or region2.periods))
-        pairs = list(zip(whites, map(mate.__getitem__, whites)))
-    else:
-        # voxel regions, and the diagnosis of a broken cover on any region
-        pairs, mate = _indexed_refined_pairs(t, region2, scale)
+        return Tiling._sorted(region2, list(zip(whites, map(mate.__getitem__, whites))), mate)
+    # voxel regions, and the diagnosis of a broken cover on any region
+    pairs, mate = _indexed_refined_pairs(t, region2, scale)
     t2 = Tiling(region2, pairs)
     t2._mate = tuple(mate)
     return t2
@@ -589,8 +592,8 @@ def _lattice_refined_mate(t: Tiling, region2: Region,
     of 2 * scale cells pairs them from the white end, which is also from
     its low end, as 2 * scale is even; on a torus positions wrap around the
     periods. Each column is written as index differences, mate[i] - i =
-    +stride and -stride alternately, by two strided slice writes of
-    constant lists. Returns None when a column leaves a box or the bricks
+    +stride and -stride alternately, by one strided slice write of a
+    constant list. Returns None when a column leaves a box or the bricks
     do not cover every cell exactly once, for _indexed_refined_pairs to
     diagnose.
     """
@@ -604,8 +607,7 @@ def _lattice_refined_mate(t: Tiling, region2: Region,
     # index offsets of a brick's columns from its first column, per axis
     cross = [[du * strides[u] + dv * strides[v] for du in range(scale) for dv in range(scale)]
              for u, v in ((1, 2), (0, 2), (0, 1))]
-    ups = [[s] * scale for s in strides]
-    downs = [[-s] * scale for s in strides]
+    alternating = [[s, -s] * scale for s in strides]
     delta = [0] * n
     cells = t.region.cells
     for wi, bi in t.pairs:
@@ -619,12 +621,10 @@ def _lattice_refined_mate(t: Tiling, region2: Region,
             return None
         corner = sum(w[ax] * scale * strides[ax] for ax in range(3) if ax != axis)
         if low + span <= size:
-            first, step, length = corner + low * s, 2 * s, span * s
-            up, down = ups[axis], downs[axis]
+            first, length, pattern = corner + low * s, span * s, alternating[axis]
             for o in cross[axis]:
                 a = first + o
-                delta[a:a + length:step] = up
-                delta[a + s:a + length:step] = down
+                delta[a:a + length:s] = pattern
             continue
         for o in cross[axis]:
             for m in range(0, span, 2):

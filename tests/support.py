@@ -6,6 +6,7 @@ tests compare two genuinely different code paths.
 """
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +21,9 @@ from tritile import (
 from tritile import moves as mv
 from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
 from tritile.moves import LabelledComponent, _normalize_moves
-from tritile.regions import DIR_AXIS, DIRECTIONS, _coordinate
-from tritile.tilings import _direction
+from tritile.fluxtwist import _TANGENT_AXES
+from tritile.regions import AXIS_NAMES, DIR_AXIS, DIRECTIONS, _coordinate
+from tritile.tilings import _axis_index, _direction
 
 
 def _wrap_delta(a: int, b: int, p) -> int:
@@ -320,6 +322,82 @@ def slow_twist(t: Tiling, axis: int) -> int:
             if hit:
                 quarters += _det3(vb, va, e)
     assert quarters % 4 == 0
+    return quarters // 4
+
+
+def bisect_twist(t: Tiling, axis) -> int:
+    """twist's reference for tilings too large for slow_twist: the same
+    crossing rule, column by column.
+
+    Quarter turns are accumulated exactly in integers; only dimer pairs along
+    the two axes i, j other than the twist axis k interact, via the
+    open-shadow crossing rule. An i-dimer with lower cell a crosses a j-dimer
+    with lower cell b when b_i is a_i or a_i + 1 and b_j is a_j - 1 or a_j,
+    and the pair counts -sign(b_k - a_k) times the product of their signs.
+    The j-dimers are bucketed by their column (b_i, b_j), each sorted by
+    height with prefix sums of the signs, so every i-dimer bisects at most
+    four columns: O(n log n) time and O(n) memory for n dimers, read straight
+    off t.pairs by index arithmetic, without the region's cell tables. The
+    quarter total is checked to be divisible by 4.
+    """
+    region = t.region
+    if not region.is_box:
+        raise ValueError("combinatorial twist requires a box region")
+    k = _axis_index(axis)
+    i, j = _TANGENT_AXES[k]
+    # Cell (x, y, z) has index (x * M + y) * N + z, so a dimer's index
+    # difference is the stride of its axis. An axis of size 1 gives the axis
+    # before it the same stride, but holds no dimers itself, so it is given
+    # the difference 0, which no dimer has. A column is keyed by the index
+    # of its lower cell with the k-coordinate zeroed.
+    dims = region.dims
+    strides = (dims[1] * dims[2], dims[2], 1)
+    si, sj, sk = strides[i], strides[j], strides[k]
+    nj, nk = dims[j], dims[k]
+    di = si if dims[i] > 1 else 0
+    dj = sj if nj > 1 else 0
+    a_dimers = []
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for w, b in t.pairs:
+        d = b - w
+        if d > 0:
+            a, sign = w, 1
+        else:
+            a, sign, d = b, -1, -d
+        if d == di:
+            ak = a // sk % nk
+            a_dimers.append((a - ak * sk, a // sj % nj, ak, sign))
+        elif d == dj:
+            ak = a // sk % nk
+            columns.setdefault(a - ak * sk, []).append((ak, sign))
+    prefix: dict[int, tuple[list[int], list[int]]] = {}
+    for key, col in columns.items():
+        col.sort()
+        sums = [0]
+        for _h, sign in col:
+            sums.append(sums[-1] + sign)
+        prefix[key] = ([h for h, _s in col], sums)
+    quarters = 0
+    for a0, aj, ak, sa in a_dimers:
+        # the columns (a_i or a_i + 1, a_j - 1 or a_j); a_i + 1 is the upper
+        # cell's, and a_j - 1 exists only when a_j > 0
+        keys = (a0, a0 + si, a0 - sj, a0 + si - sj) if aj else (a0, a0 + si)
+        turns = 0
+        for key in keys:
+            entry = prefix.get(key)
+            if entry is None:
+                continue
+            heights, sums = entry
+            below = sums[bisect_left(heights, ak)]
+            above = sums[-1] - sums[bisect_right(heights, ak)]
+            turns += above - below
+        quarters -= sa * turns
+    if quarters % 4:
+        raise RuntimeError(
+            "twist internal consistency failure: quarter total %d for %d %s-dimers,"
+            " %d %s-dimers around axis %s"
+            % (quarters, len(a_dimers), AXIS_NAMES[i],
+               sum(len(c) for c in columns.values()), AXIS_NAMES[j], AXIS_NAMES[k]))
     return quarters // 4
 
 

@@ -16,7 +16,7 @@ from tritile import (
 from tritile import fluxtwist
 from tritile.harness import _EULER_BOXES, walk_states
 from support import (
-    always_positive_trits, bfs_trit_labeling, move_graph, pinwheel_N1, slow_flux,
+    always_positive_trits, bfs_trit_labeling, bisect_twist, move_graph, pinwheel_N1, slow_flux,
     slow_modulus, slow_twist, slow_vertex_flow, tiling_tA, tiling_tB,
 )
 
@@ -118,6 +118,41 @@ def test_twist_survives_second_refinement():
         fine = refine_tiling(t, 2)
         assert len(fine.pairs) == 125 ** 2 * len(t.pairs)
         assert twist(fine, 2) == twist(t, 2) == expected
+
+
+def test_twist_matches_the_column_bisect_on_every_tiling_of_box_2x4x4():
+    values = set()
+    for t in enumerate_tilings(build_box(2, 4, 4)):
+        for axis in range(3):
+            value = twist(t, axis)
+            assert value == bisect_twist(t, axis)
+            values.add(value)
+    assert values == {-2, -1, 0, 1, 2}
+
+
+def test_twist_matches_the_column_bisect_on_refined_and_large_tilings():
+    for t in enumerate_tilings(build_box(3, 3, 2)):
+        fine = refine_tiling(t, 1)
+        for axis in range(3):
+            assert twist(fine, axis) == bisect_twist(fine, axis)
+    for t in (refine_tiling(pinwheel_N1(), 2), _mixed_brick(24)):
+        for axis in range(3):
+            assert twist(t, axis) == bisect_twist(t, axis)
+
+
+def test_twist_names_the_tiling_that_fails_its_quarter_check():
+    # not a tiling: three pairs that cross with a quarter total of 2 about z
+    t = Tiling(build_box(2, 2, 3), [(6, 0), (1, 4), (5, 11)])
+    with pytest.raises(RuntimeError, match="quarter total 2 for 2 x-dimers, 1 y-dimers "
+                       "around axis z, tiling hash64 %016x" % t.hash64):
+        twist(t, "z")
+
+
+@pytest.mark.parametrize("axis", [1.0, 2.0, True, "xy", None])
+def test_twist_refuses_an_axis_that_is_not_an_int_or_a_name(axis):
+    # True == 1 and 1.0 == 1, so a membership test alone would keep them
+    with pytest.raises(ValueError, match="axis must be one of x, y, z"):
+        twist(base_tiling(build_box(2, 2, 2), 0), axis)
 
 
 def test_twist_axis_independent():
@@ -367,6 +402,12 @@ def test_cutting_surface_counts():
     assert len(cutting_surface(build_torus(2, 4, 6), 2, 0).squares) == 8
     with pytest.raises(ValueError, match="torus"):
         cutting_surface(build_box(2, 2, 2), 0, 0)
+
+
+@pytest.mark.parametrize("axis", [1.0, True, "q"])
+def test_cutting_surface_refuses_an_axis_that_is_not_an_int_or_a_name(axis):
+    with pytest.raises(ValueError, match="axis must be one of x, y, z"):
+        cutting_surface(build_torus(2, 2, 4), axis, 0)
 
 
 def test_phi_through_cuts_of_base_tiling():

@@ -275,6 +275,12 @@ def test_refine_identity_and_composition():
     assert refine_region(refine_region(r, 1), 1) == refine_region(r, 2)
 
 
+@pytest.mark.parametrize("k", [True, 1.0, -1, None])
+def test_refine_region_refuses_a_count_that_is_not_a_nonnegative_int(k):
+    with pytest.raises(ValueError, match="refinement count must be a nonnegative int"):
+        refine_region(build_box(2, 2, 1), k)
+
+
 def test_refine_stops_at_its_cell_budget():
     assert refine_region(build_box(3, 3, 2), 2).n_cells == 281_250
     with pytest.raises(BudgetExceeded, match=r"8 x 125\^3 cells, more than the "

@@ -210,6 +210,13 @@ def test_base_tiling_odd_extent_rejected():
         base_tiling(build_box(3, 3, 2), 0)
 
 
+@pytest.mark.parametrize("axis", [2.0, True, 3, "w"])
+def test_base_tiling_refuses_an_axis_that_is_not_an_int_or_a_name(axis):
+    # True == 1 would build y-bricks, and 2.0 == 2 would index a tuple
+    with pytest.raises(ValueError, match="axis must be one of x, y, z"):
+        base_tiling(build_box(2, 2, 2), axis)
+
+
 def test_from_cell_pairs_validation():
     r = build_box(2, 2, 1)
     good = [((0, 0, 0), (1, 0, 0)), ((1, 1, 0), (0, 1, 0))]
@@ -403,6 +410,13 @@ def test_diff_cycles_cover_disagreement():
 def test_refine_identity():
     t = base_tiling(build_box(3, 3, 2), 2)
     assert refine_tiling(t, 0) is t
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 0.0, -1, "1"])
+def test_refine_tiling_refuses_a_count_that_is_not_a_nonnegative_int(k):
+    t = base_tiling(build_box(2, 2, 2), 0)
+    with pytest.raises(ValueError, match="refinement count must be a nonnegative int"):
+        refine_tiling(t, k)
 
 
 def test_refine_base_tiling():
