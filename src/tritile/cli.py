@@ -20,7 +20,7 @@ from .regions import Region, RegionError, build_box, build_torus, build_voxel_re
 from .tilings import (
     COMPONENTS_BUDGET, LISTING_BUDGET, BudgetExceeded, Tiling, count_tilings,
     deserialize_tiling, enumerate_tilings, refine_tiling, tiling_to_dict,
-    _budgeted_count, _mates,
+    _budgeted_count, _cell_pairs, _mates,
 )
 from .moves import _key_components
 from .fluxtwist import flux, modulus, twist
@@ -113,7 +113,7 @@ def _emit(report: dict, rows: list[list], header: list[str], args,
 
 
 def _command(args, *parts: str) -> str:
-    tail = " ".join(str(p) for p in parts if p != "")
+    tail = " ".join(p for p in parts if p)
     return ("tritile %s --seed %d --format %s" % (tail, args.seed, args.format))
 
 
@@ -171,33 +171,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(args, parser: argparse.ArgumentParser) -> int:
+    # Each command builds only its command-line tail, its payload and its
+    # CSV rows and header; the report envelope is written once, at the end.
+    region = None if args.cmd == "verify" else _parse_region(args.region, parser)
+    tail = [] if region is None else [_region_tokens(region)]
+    if args.cmd in ("components", "sample"):
+        moveset = "flip" if args.moves == "flip" else "flip+trit"
+        tail.append("--moves %s" % args.moves)
+    if args.cmd in ("invariants", "refine"):
+        if args.cmd == "refine" and args.k < 0:
+            parser.error("refinement count must be nonnegative")
+        t = _load_tiling(args.tiling, region, parser)
+        tail.append("--tiling %s" % args.tiling if args.tiling else "")
+    header = ["key", "value"]
+
     if args.cmd == "enumerate":
-        region = _parse_region(args.region, parser)
-        flag = "--count-only" if args.count_only else ""
         if args.count_only:
+            tail.append("--count-only")
             count = count_tilings(region)
-            payload: dict = {"region": region.to_dict(), "count": count}
+            payload: dict = {"count": count}
             rows = [[count]]
             header = ["count"]
         else:
             _budgeted_count(region, LISTING_BUDGET, "listing")
             tilings = list(enumerate_tilings(region))
-            payload = {"region": region.to_dict(), "count": len(tilings)}
-            payload["tilings"] = [
-                {"hash": "%016x" % t.hash64,
-                 "dimers": tiling_to_dict(t)["dimers"]}
-                for t in tilings
-            ]
+            payload = {"count": len(tilings), "tilings": [
+                {"hash": "%016x" % t.hash64, "dimers": _cell_pairs(t)} for t in tilings]}
             rows = [[i, "%016x" % t.hash64] for i, t in enumerate(tilings)]
             header = ["index", "hash"]
-        report = _report(_command(args, "enumerate", _region_tokens(region), flag),
-                         args.seed, payload)
-        _emit(report, rows, header, args, parser)
-        return 0
 
-    if args.cmd == "components":
-        region = _parse_region(args.region, parser)
-        moveset = "flip" if args.moves == "flip" else "flip+trit"
+    elif args.cmd == "components":
         if not _budgeted_count(region, COMPONENTS_BUDGET, "components"):
             parser.error("invalid region: %r has no tilings" % (region,))
         index, _component, _label, groups = _key_components(region, _mates(region), moveset)
@@ -218,93 +221,54 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
                 entry["min_twist"] = None
                 entry["max_twist"] = None
             comps.append(entry)
-        payload = {
-            "region": region.to_dict(),
-            "moves": moveset,
-            "num_tilings": len(index),
-            "components": comps,
-        }
-        report = _report(
-            _command(args, "components", _region_tokens(region),
-                     "--moves %s" % args.moves),
-            args.seed, payload)
+        payload = {"moves": moveset, "num_tilings": len(index), "components": comps}
         rows = [[i, c["size"], c["min_twist"], c["max_twist"]]
                 for i, c in enumerate(comps)]
-        _emit(report, rows, ["component", "size", "min_twist", "max_twist"], args, parser)
-        return 0
+        header = ["component", "size", "min_twist", "max_twist"]
 
-    if args.cmd == "invariants":
-        region = _parse_region(args.region, parser)
-        t = _load_tiling(args.tiling, region, parser)
+    elif args.cmd == "invariants":
         f = flux(t)
         payload = {
-            "region": region.to_dict(),
             "hash": "%016x" % t.hash64,
             "flux": list(f.components),
             "modulus": modulus(f),
             "twist": twist(t, 2) if region.is_box else None,
         }
-        tail = "--tiling %s" % args.tiling if args.tiling else ""
-        report = _report(
-            _command(args, "invariants", _region_tokens(region), tail),
-            args.seed, payload)
         rows = [["flux", json.dumps(list(f.components))],
                 ["modulus", payload["modulus"]],
                 ["twist", payload["twist"]]]
-        _emit(report, rows, ["key", "value"], args, parser)
-        return 0
 
-    if args.cmd == "refine":
-        region = _parse_region(args.region, parser)
-        if args.k < 0:
-            parser.error("refinement count must be nonnegative")
-        t = _load_tiling(args.tiling, region, parser)
+    elif args.cmd == "refine":
+        tail.append("-k %d" % args.k)
         refined = refine_tiling(t, args.k)
-        payload = {
-            "region": region.to_dict(),
-            "k": args.k,
-            "refined": tiling_to_dict(refined),
-        }
-        tail = "--tiling %s" % args.tiling if args.tiling else ""
-        report = _report(
-            _command(args, "refine", _region_tokens(region),
-                     ("%s -k %d" % (tail, args.k)).strip()),
-            args.seed, payload)
+        payload = {"k": args.k, "refined": tiling_to_dict(refined)}
         rows = [["k", args.k], ["dimers", len(refined.pairs)]]
-        _emit(report, rows, ["key", "value"], args, parser)
-        return 0
 
-    if args.cmd == "sample":
-        region = _parse_region(args.region, parser)
+    elif args.cmd == "sample":
         if args.steps < 0:
             parser.error("steps must be nonnegative")
-        moveset = "flip" if args.moves == "flip" else "flip+trit"
+        tail.append("--steps %d" % args.steps)
         cfg = WalkConfig(region=region, moves=moveset, steps=args.steps,
                          seed=args.seed)
         payload = random_walk(cfg)
-        payload["region"] = region.to_dict()
         payload["moves"] = moveset
-        report = _report(
-            _command(args, "sample", _region_tokens(region),
-                     "--moves %s --steps %d" % (args.moves, args.steps)),
-            args.seed, payload)
         rows = [["steps_taken", payload["steps_taken"]],
                 ["distinct_visited", payload["distinct_visited"]],
                 ["frozen", payload["frozen"]]]
         rows.extend(["hist:%s" % k, v] for k, v in payload["histogram"].items())
-        _emit(report, rows, ["key", "value"], args, parser)
-        return 0
 
-    if args.cmd == "verify":
+    else:  # verify
         checks, passed = verify(args.suite, args.seed)
+        tail.append(args.suite)
         payload = {"suite": args.suite, "passed": passed, "checks": checks}
-        report = _report(_command(args, "verify", args.suite), args.seed, payload)
         rows = [[c["id"], c["passed"], c.get("detail", "")] for c in checks]
-        _emit(report, rows, ["id", "passed", "detail"], args, parser)
-        return 0 if passed else 1
+        header = ["id", "passed", "detail"]
 
-    parser.error("unknown command")
-    return 2
+    if region is not None:
+        payload["region"] = region.to_dict()
+    report = _report(_command(args, args.cmd, *tail), args.seed, payload)
+    _emit(report, rows, header, args, parser)
+    return 1 if args.cmd == "verify" and not payload["passed"] else 0
 
 
 if __name__ == "__main__":

@@ -295,10 +295,14 @@ def closed_box_surface(r: Region, corner: Sequence[int], dims: Sequence[int]) ->
     corner and dims are in dual-vertex (cell center) coordinates: the box
     spans corner .. corner + dims along each axis and all of its dual
     vertices must be cells of the region. A coordinate that is not an
-    integer raises RegionError.
+    integer raises RegionError, and a corner or dims without three
+    coordinates ValueError.
     """
     corner = tuple(map(_coordinate, corner))
     dims = tuple(map(_coordinate, dims))
+    if len(corner) != 3 or len(dims) != 3:
+        raise ValueError("sub-box corner %r and dims %r need three coordinates each"
+                         % (corner, dims))
     if any(d < 1 for d in dims):
         raise ValueError("sub-box dimensions must be positive")
     if r.periods is not None and any(d >= p for d, p in zip(dims, r.periods)):

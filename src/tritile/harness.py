@@ -52,6 +52,12 @@ def start_tiling(region: Region) -> Tiling:
     return t
 
 
+def _check_steps(steps) -> None:
+    # bool is an int subclass, but True is not a step count
+    if type(steps) is not int or steps < 0:
+        raise ValueError("steps must be a nonnegative int, not %r" % (steps,))
+
+
 def _walk(state: WalkState, steps: int, seed: int) -> Iterator:
     """Apply up to `steps` moves to the state, each drawn uniformly from the
     available ones, and yield each move once it is applied. Stops early at
@@ -76,11 +82,10 @@ def random_walk(cfg: WalkConfig) -> dict:
     each move instead of rescanning the tiling, so a step costs work in
     proportion to the move's neighbourhood. The invariants are computed once
     at the start: flips keep the twist and each trit moves it by its sign,
-    and flux is constant under both moves. Raises ValueError for a negative
-    step count.
+    and flux is constant under both moves. Raises ValueError for a step
+    count that is not a nonnegative int.
     """
-    if cfg.steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _check_steps(cfg.steps)
     t = start_tiling(cfg.region)
     state = WalkState(t, cfg.moves)
     visited = [state.hash64]
@@ -118,7 +123,9 @@ def random_walk(cfg: WalkConfig) -> dict:
 
 
 def walk_states(region: Region, moves: str, steps: int, seed: int) -> list[Tiling]:
-    """The tiling after each of the first `steps` moves of a seeded walk."""
+    """The tiling after each of the first `steps` moves of a seeded walk.
+    Raises ValueError for a step count that is not a nonnegative int."""
+    _check_steps(steps)
     state = WalkState(start_tiling(region), moves)
     return [state.tiling() for _m in _walk(state, steps, seed)]
 

@@ -33,7 +33,7 @@ import json
 from collections import deque
 from typing import Iterable, Optional, Sequence, Union
 
-from .regions import BudgetExceeded
+from .regions import BudgetExceeded, _is_int
 from .tilings import LISTING_BUDGET, _perfect_matchings
 
 INF = "inf"
@@ -141,19 +141,48 @@ def _id_out(v):
 
 
 def _id_in(v):
-    return tuple(_id_in(x) for x in v) if isinstance(v, list) else v
+    v = tuple(_id_in(x) for x in v) if isinstance(v, list) else v
+    hash(v)  # an id must be hashable: TypeError for a JSON object
+    return v
+
+
+def _surface_items(data: dict, key: str, read, shape: str) -> list:
+    """read(item) of each item of the list data[key]; a missing list or an
+    item that read cannot take raises ValueError naming it."""
+    items = data.get(key)
+    if not isinstance(items, list):
+        raise ValueError("a surface needs a %r list, not %r" % (key, items))
+    out = []
+    for item in items:
+        try:
+            out.append(read(item))
+        except (KeyError, TypeError):
+            raise ValueError("surface %s item %r is not %s" % (key, item, shape)) from None
+    return out
 
 
 def surface_from_dict(data: dict) -> CoquadSurface:
-    colors = {_id_in(item["id"]): item["color"] for item in data["vertices"]}
-    edges = [(_id_in(e["black"]), _id_in(e["white"]),
-              _id_in(e["left"]), _id_in(e["right"])) for e in data["edges"]]
-    faces = [_id_in(f) for f in data["faces"]]
-    return CoquadSurface(colors, edges, faces)
+    """The surface that to_dict wrote. Malformed input raises ValueError
+    naming the bad part."""
+    if not isinstance(data, dict):
+        raise ValueError("a surface must be a JSON object, not %r" % (data,))
+    vertices = _surface_items(data, "vertices", lambda v: (_id_in(v["id"]), v["color"]),
+                              '{"id": id, "color": 1 or -1}')
+    edges = _surface_items(
+        data, "edges", lambda e: tuple(_id_in(e[k]) for k in ("black", "white", "left", "right")),
+        '{"black": id, "white": id, "left": face, "right": face}')
+    faces = _surface_items(data, "faces", _id_in, "a face id")
+    return CoquadSurface(dict(vertices), edges, faces)
 
 
 def surface_from_json(text: str) -> CoquadSurface:
     return surface_from_dict(json.loads(text))
+
+
+def _planar_cell(c) -> tuple:
+    if not (isinstance(c, (tuple, list)) and len(c) == 2 and all(map(_is_int, c))):
+        raise ValueError("planar cell %r is not a pair of ints" % (c,))
+    return tuple(c)
 
 
 def build_planar_surface(cells: Iterable[tuple]) -> CoquadSurface:
@@ -161,9 +190,10 @@ def build_planar_surface(cells: Iterable[tuple]) -> CoquadSurface:
 
     Vertices are the cells, black when the coordinate sum is even. Faces are
     the unit squares with all four surrounding cells present; every other
-    side of an edge is the boundary element INF.
+    side of an edge is the boundary element INF. A cell that is not a pair
+    of ints raises ValueError.
     """
-    cell_list = sorted(set(cells))
+    cell_list = sorted(set(map(_planar_cell, cells)))
     if not cell_list:
         raise ValueError("empty region")
     cell_set = set(cell_list)

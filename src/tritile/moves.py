@@ -83,8 +83,7 @@ def find_trits(t: Tiling) -> list[TritMove]:
     of its 8 cells in the region. A trit needs exactly three dimers of t
     fully inside the cube, one per axis. The two leftover cube cells are
     then antipodal, and any of them in the region is covered by a dimer that
-    exits the cube. Trits are ordered by anchor; where two anchors alias one
-    cube (period-2 torus axes) the smaller one is kept.
+    exits the cube. Trits are ordered by anchor.
     """
     return [_trit_move(t.region, r, entry) for r, entry in _trits(t.region, t.mate)]
 
@@ -188,14 +187,10 @@ def _cube_trios(cubes: Sequence[tuple[int, ...]], mate: Sequence[int],
 
 
 def _trits(region: Region, mate: Sequence[int]) -> Iterator[tuple[int, tuple]]:
-    """(anchor rank, _TRIOS entry) of each trit in find_trits order. A cube
-    that two anchors alias (period-2 torus axes) is listed under the first."""
+    """(anchor rank, _TRIOS entry) of each trit in find_trits order."""
     cubes = region.cube_table.cubes
-    seen: set[tuple] = set()
-    for r, trio, entry in _cube_trios(cubes, mate, range(len(cubes))):
-        if trio not in seen:
-            seen.add(trio)
-            yield r, entry
+    for r, _trio, entry in _cube_trios(cubes, mate, range(len(cubes))):
+        yield r, entry
 
 
 def _trit_move(region: Region, r: int, entry: tuple) -> TritMove:
@@ -256,7 +251,6 @@ class WalkState:
         self._keys: list[int] = []
         self._keys_at: list[set[int]] = [set() for _ in range(n)]
         self._trit_base = 6 * n
-        self._trio_rank: dict[tuple, int] = {}
         if self._flip_moves:
             self._scan_flips(t.pairs)
         if self._trit_moves:
@@ -324,7 +318,7 @@ class WalkState:
             self._scan_flips([(w, mate[w]) for w in lower.difference(inserted)])
         if self._trit_moves:
             cell_anchors = self.region.cube_table.cell_anchors
-            self._scan_trits(sorted({r for c in changed for r in cell_anchors[c]}))
+            self._scan_trits({r for c in changed for r in cell_anchors[c]})
 
     # -- index maintenance --------------------------------------------------
 
@@ -344,14 +338,11 @@ class WalkState:
         return lower
 
     def _scan_trits(self, ranks: Iterable[int]) -> None:
-        """Index the trits of the given anchors, taken in increasing order so
-        that an aliased cube keeps its smallest anchor."""
+        """Index the trits of the given anchors."""
         base = self._trit_base
         ranks = (r for r in ranks if base + r not in self._moves)
         for r, trio, entry in _cube_trios(self.region.cube_table.cubes, self.mate, ranks):
-            if trio not in self._trio_rank:
-                self._trio_rank[trio] = r
-                self._add(base + r, trio, entry)
+            self._add(base + r, trio, entry)
 
     def _add(self, key: int, cells: tuple[int, ...], entry: Optional[tuple]) -> None:
         self._moves[key] = cells, entry
@@ -360,12 +351,10 @@ class WalkState:
             self._keys_at[c].add(key)
 
     def _drop(self, key: int) -> None:
-        cells, entry = self._moves.pop(key)
+        cells, _entry = self._moves.pop(key)
         del self._keys[bisect_left(self._keys, key)]
         for c in cells:
             self._keys_at[c].discard(key)
-        if entry is not None:
-            del self._trio_rank[cells]
 
 
 def _key_struct(n_cells: int) -> Struct:
@@ -389,11 +378,11 @@ def _move_reader(region: Region, move_set: frozenset):
     first direction k reaching it, to the partners (w2, b2) = (step[b][e],
     step[w][e]) of the dimer (w, b) from _slab_partners with w2 > w, split
     into those handled (e's axis above k's) and those counted. Each trio of
-    a cube, a _TRIOS entry on six region cells, comes under its first
-    anchor with its inserted pairs and sign from the table. A key is read by
-    comparisons alone: w's row at mate[w] names the partners to check, a
-    trit takes three checks, and handled targets come out in find_flips
-    then find_trits order. A pair of non-adjacent cells raises ValueError.
+    a cube, a _TRIOS entry on six region cells, comes with its inserted
+    pairs and sign from the table. A key is read by comparisons alone: w's
+    row at mate[w] names the partners to check, a trit takes three checks,
+    and handled targets come out in find_flips then find_trits order. A
+    pair of non-adjacent cells raises ValueError.
     """
     layout = _key_struct(region.n_cells)
     unpack, code = layout.unpack, layout.format[-1]
@@ -416,14 +405,12 @@ def _move_reader(region: Region, move_set: frozenset):
         rows.append((w, row))
     plus, minus = [], []
     if "trit" in move_set:
-        seen = set()
         for cube in region.cube_table.cubes:
             for removed, inserted, sign in _TRIOS:
                 trio = _trio(cube, removed)
                 # sorted, so a cell off the region (-1) comes first
-                if trio[0] < 0 or trio in seen:
+                if trio[0] < 0:
                     continue
-                seen.add(trio)
                 if sign < 0:
                     minus.append(trio)
                 else:

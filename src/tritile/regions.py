@@ -41,7 +41,7 @@ CUBE_OFFSETS: tuple[Cell, ...] = tuple(product((0, 1), repeat=3))
 COORD_LIMIT = 2**31 - 1
 
 #: Most cells refine_region will build. `tritile refine box 3 3 2 -k 2`
-#: (281,250 cells) peaks at 302 MB resident (Python 3.11), about 1 KB per
+#: (281,250 cells) peaks at 270 MB resident (Python 3.11), about 1 KB per
 #: refined cell, so the budget keeps a refinement report near 1 GB.
 REFINE_BUDGET = 1_000_000
 
@@ -154,8 +154,9 @@ class Region:
         anchors are their sorted minimal corners, cubes[r] the cell indices
         of anchor r's cube in CUBE_OFFSETS order (-1 off the region), and
         cell_anchors[i] the ranks r, increasing, of the cubes that hold cell
-        i. On a torus every cell anchors a cube, and a period-2 axis gives
-        two anchors whose cubes hold the same cells."""
+        i. On a torus every cell anchors a cube, except along a period-2
+        axis, where anchor coordinates 0 and 1 span the same cells and only
+        0 is kept; so no two cubes hold the same cells."""
         if self._cube_table is None:
             anchors, cubes = (self._voxel_cubes() if self.kind == "voxels"
                               else self._lattice_cubes())
@@ -170,11 +171,13 @@ class Region:
 
     def _lattice_cubes(self) -> tuple[list[Cell], list[tuple[int, ...]]]:
         # A box's cubes are its full 2x2x2 blocks; a torus anchors one at
-        # every cell and wraps it. Per axis, anchor coordinate k gives the
-        # index terms of k and k + 1, and a cube sums one term per axis.
+        # every cell and wraps it, but once along a period-2 axis, whose
+        # second anchor would span the first one's cells. Per axis, anchor
+        # coordinate k gives the index terms of k and k + 1, and a cube sums
+        # one term per axis.
         torus = self.periods is not None
         L, M, N = sizes = self.dims or self.periods
-        ranges = [range(size if torus else size - 1) for size in sizes]
+        ranges = [range(size if torus and size > 2 else size - 1) for size in sizes]
         terms = [[(k * stride, (k + 1) % size * stride) for k in span]
                  for span, size, stride in zip(ranges, sizes, (M * N, N, 1))]
         cubes = [tuple(x + y + z for x in xs for y in ys for z in zs)

@@ -375,9 +375,9 @@ def _perfect_matchings(rows: Sequence[Sequence[tuple]]) -> Iterator[tuple[list[i
 FRONTIER_BUDGET = 1 << 20
 
 #: Most tilings that tritile enumerate lists, and that relative_twist
-#: labels on a torus. A listed tiling of 16 dimers costs about 27 KB in an
-#: enumerate report (box 2 4 4, 32,000 tilings: enumerate peaks at 877 MB
-#: in 14 s), so 10^5 tilings stays within a few GB.
+#: labels on a torus. A listed tiling of 16 dimers costs about 24 KB in an
+#: enumerate report (box 2 4 4, 32,000 tilings: enumerate peaks at 783 MB
+#: in 8-10 s), so 10^5 tilings stays within a few GB.
 LISTING_BUDGET = 100_000
 
 #: Most tilings that tritile components will take. It keeps a packed key
@@ -685,10 +685,14 @@ def serialize_tiling(t: Tiling) -> str:
 
 
 def tiling_to_dict(t: Tiling) -> dict:
-    return {
-        "region": t.region.to_dict(),
-        "dimers": [[list(d.white), list(d.black)] for d in t.dimers],
-    }
+    return {"region": t.region.to_dict(), "dimers": _cell_pairs(t)}
+
+
+def _cell_pairs(t: Tiling) -> list:
+    """The [white cell, black cell] list of each dimer of t, as reports
+    write them, read off t.pairs without building its Dimers."""
+    cells = t.region.cells
+    return [[list(cells[w]), list(cells[b])] for w, b in t.pairs]
 
 
 def deserialize_tiling(text: str, region: Optional[Region] = None) -> Tiling:

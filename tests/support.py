@@ -10,6 +10,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -823,22 +824,31 @@ def slow_move_reader(region, move_set):
 _OFFSETS = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
 
 
+def _cube_cells(region, anchor) -> list:
+    """The coordinates of the cube at anchor, in _OFFSETS order, reduced
+    modulo the periods."""
+    return [region.reduce((anchor[0] + o[0], anchor[1] + o[1], anchor[2] + o[2]))
+            for o in _OFFSETS]
+
+
 def slow_cube_table(region) -> tuple:
     """Region.cube_table from cell coordinates: every cell minus every cube
     offset, reduced modulo the periods, is a candidate anchor; a candidate
-    whose cube has at most one cell off the region is kept, in sorted
-    order, with its cells looked up in the index one by one."""
+    whose cube has at most one cell off the region, and whose set of cell
+    coordinates no earlier candidate's cube has, is kept, in sorted order,
+    with its cells looked up in the index one by one."""
     index = region.index
     candidates = {region.reduce((x - o[0], y - o[1], z - o[2]))
                   for (x, y, z) in region.cells for o in _OFFSETS}
     anchors, cubes = [], []
     cell_anchors = [[] for _ in region.cells]
+    spans = set()
     for a in sorted(candidates):
-        cube = tuple(
-            index.get(region.reduce((a[0] + o[0], a[1] + o[1], a[2] + o[2])), -1)
-            for o in _OFFSETS)
-        if cube.count(-1) > 1:
+        cells = _cube_cells(region, a)
+        cube = tuple(index.get(c, -1) for c in cells)
+        if cube.count(-1) > 1 or frozenset(cells) in spans:
             continue
+        spans.add(frozenset(cells))
         for c in cube:
             if c >= 0:
                 cell_anchors[c].append(len(cubes))
@@ -850,6 +860,27 @@ def slow_cube_table(region) -> tuple:
 def _cell_dimer(region, a, b) -> Dimer:
     white, black = (a, b) if region.color(a) == -1 else (b, a)
     return Dimer(white, black, _direction(region, white, black))
+
+
+def aliased_torus_trits(t: Tiling) -> list:
+    """find_trits of a torus tiling from the cube list that anchors a cube
+    at every cell, so that along a period-2 axis anchors 0 and 1 both span
+    the same cells. Each cube's trit is read from cell coordinates: exactly
+    three dimers of t inside it, one per axis. A trio that an earlier
+    anchor already holds is skipped, so each trio keeps its first anchor."""
+    region = t.region
+    mate = {}
+    for d in t.dimers:
+        mate[d.white], mate[d.black] = d.black, d.white
+    found, held = [], set()
+    for anchor in sorted(product(*(range(p) for p in region.periods))):
+        cells = set(_cube_cells(region, anchor))
+        inside = {_cell_dimer(region, c, mate[c]) for c in cells if mate[c] in cells}
+        if sorted(d.axis for d in inside) != [0, 1, 2] or frozenset(inside) in held:
+            continue
+        held.add(frozenset(inside))
+        found.append(slow_trit_move(region, anchor, inside))
+    return found
 
 
 def _offset(region, a, cell, axis: int) -> int:

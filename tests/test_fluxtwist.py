@@ -374,6 +374,14 @@ def test_closed_box_surface_refuses_non_integer_coordinates(corner, dims):
         closed_box_surface(build_box(4, 4, 4), corner, dims)
 
 
+@pytest.mark.parametrize("corner, dims", [((1, 1, 1), (1, 1)), ((1, 1), (1, 1, 1))])
+def test_closed_box_surface_needs_three_coordinates(corner, dims):
+    # indexing the short tuple raises IndexError, which names neither
+    with pytest.raises(ValueError, match=r"sub-box corner \(1, 1(, 1)?\) and dims "
+                                         r"\(1, 1(, 1)?\) need three coordinates each"):
+        closed_box_surface(build_box(4, 4, 4), corner, dims)
+
+
 def test_closed_surface_phi_vanishes():
     r = build_box(4, 4, 4)
     s1 = closed_box_surface(r, (0, 0, 0), (2, 2, 2))

@@ -6,6 +6,7 @@ SystemExit and reports can be parsed straight from captured stdout.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from tritile import (
 import tritile
 from tritile import tilings
 from tritile.cli import main
-from tritile.harness import SUITES, start_tiling
+from tritile.harness import SUITES, start_tiling, walk_states
 from support import always_positive_trits, bfs_trit_labeling, move_graph
 
 
@@ -263,6 +264,18 @@ def test_random_walk_rejects_negative_steps():
         random_walk(WalkConfig(region=build_box(2, 2, 2), steps=-3))
 
 
+@pytest.mark.parametrize("steps", [2.5, True, -3])
+def test_walks_refuse_a_step_count_that_is_not_a_nonnegative_int(steps):
+    # unchecked, 2.5 raises TypeError mid-walk, True walks one step, and
+    # walk_states returns [] for -3
+    region = build_box(3, 3, 2)
+    message = re.escape("steps must be a nonnegative int, not %r" % (steps,))
+    with pytest.raises(ValueError, match=message):
+        random_walk(WalkConfig(region=region, steps=steps))
+    with pytest.raises(ValueError, match=message):
+        walk_states(region, "flip", steps, 0)
+
+
 def test_refine_rejects_negative_k(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["refine", "box", "2", "2", "2", "-k", "-1"])
@@ -486,14 +499,47 @@ _SMALL_L = ([[x, y, z] for x in range(3) for y in range(2) for z in range(2)]
      "9063d6de1a578d896eea644eb6331c61972853557e6532075eb3f0569970c742"),
     (["sample", "torus", "2", "2", "6", "--moves", "fliptrit", "--seed", "1"],
      "2db65065385711580de83a05f3a1ef353eff13238af6a258bca1e4de61d00cdd"),
+    # the command and format pairs not pinned above, recorded before the
+    # report envelope was written once for every command; mixed.json holds
+    # mixed_torus_tiling()
+    (["invariants", "box", "3", "3", "2"],
+     "4fab96e691e4603638d0e8c4ea9885110ccf27f8ef2a9fc30482d2f505736ba5"),
+    (["invariants", "box", "3", "3", "2", "--format", "csv"],
+     "6f9f715949a4013c130617eca5b5230d534250fd358fdc720039d00bd9ac4233"),
+    (["invariants", "torus", "4", "4", "4", "--tiling", "mixed.json"],
+     "346bfa191eb0ff56b4dadc0515d046401479980bbc36750ca8a9f8f4809e0084"),
+    (["invariants", "torus", "4", "4", "4", "--tiling", "mixed.json", "--format", "csv"],
+     "9773a6a4c7e2306e8bc8cd4efe67f77a338da2c4f6e054030ae506dbbe18cbfc"),
+    (["sample", "box", "3", "3", "2", "--format", "csv"],
+     "f23d3ab12057ae61765967ec704e58878646bcd2452fdc2a36fd2ae33c6bfff9"),
+    (["verify", "counts", "--format", "csv"],
+     "ec9d6ea0b4908cf42aa7a9da75bfcfc6aa46e0db9fa0b50353b2bb4dbdabdd0a"),
+    (["enumerate", "box", "3", "3", "2", "--count-only", "--format", "csv"],
+     "c2a7c1a182c6f1b64b445b1fcb8eb82a6eba4bb3cb397cb0833783ac4ff98f02"),
 ])
-def test_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
+def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv, digest):
     spec = tmp_path / "small_l.json"
     spec.write_text(json.dumps({"cells": _SMALL_L}))
+    # a tiling file's name is part of the embedded command, so it is named
+    # relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mixed.json").write_text(serialize_tiling(mixed_torus_tiling()))
     argv = [str(spec) if a == "SMALL_L" else a for a in argv]
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_out_file_bytes_equal_the_stdout_bytes(capsys, tmp_path):
+    argv = ["invariants", "box", "3", "3", "2", "--format", "csv"]
+    path = tmp_path / "report.csv"
+    code, out = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (0, "")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert path.read_bytes() == out.encode("utf-8")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "6f9f715949a4013c130617eca5b5230d534250fd358fdc720039d00bd9ac4233"
 
 
 def test_inconsistent_trit_labels_are_flagged(monkeypatch):

@@ -348,6 +348,38 @@ def test_planar_builder_guards():
         build_planar_surface([(0, 0), (1, 0), (5, 5), (6, 5)])
 
 
+_VERTEX = {"id": [0, 0], "color": 1}
+
+
+@pytest.mark.parametrize("data, named", [
+    ({}, "'vertices' list, not None"),
+    ({"vertices": 5, "edges": [], "faces": []}, "'vertices' list, not 5"),
+    ([_VERTEX], "must be a JSON object"),
+    ({"vertices": [{"id": [0, 0]}], "edges": [], "faces": []},
+     "vertices item {'id': [0, 0]}"),
+    ({"vertices": [{"id": {"x": 0}, "color": 1}], "edges": [], "faces": []},
+     "vertices item {'id': {'x': 0}, 'color': 1}"),
+    ({"vertices": [_VERTEX], "edges": [{"black": [0, 0], "left": "inf", "right": "inf"}],
+      "faces": []}, "edges item {'black': [0, 0], 'left': 'inf', 'right': 'inf'}"),
+    ({"vertices": [_VERTEX], "edges": [], "faces": [{}]}, "faces item {}"),
+])
+def test_surface_from_dict_names_the_bad_item(data, named):
+    # a bare lookup raises KeyError or TypeError, which names no item
+    with pytest.raises(ValueError) as exc:
+        surface_from_dict(data)
+    assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("cells, named", [
+    ([(0,), (1,)], "(0,)"), ([(0, 0, 0), (1, 0, 0)], "(0, 0, 0)"),
+    (["ab", "cd"], "'ab'"), ([(0, 0), (1, True)], "(1, True)"),
+])
+def test_planar_builder_names_a_cell_that_is_not_a_pair_of_ints(cells, named):
+    with pytest.raises(ValueError, match="planar cell .* is not a pair of ints") as exc:
+        build_planar_surface(cells)
+    assert named in str(exc.value)
+
+
 def test_surface_validation():
     with pytest.raises(ValueError, match="color"):
         CoquadSurface({"a": 2, "b": -1}, [("a", "b", INF, INF)], [])

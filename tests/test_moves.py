@@ -14,7 +14,7 @@ from tritile.moves import (
     _TRIOS, WalkState, _key_components, _key_struct, _move_reader, _normalize_moves,
 )
 from support import (
-    bfs_trit_labeling, corner_cut_cube, move_graph, pinwheel_N1, pinwheel_N2,
+    aliased_torus_trits, bfs_trit_labeling, corner_cut_cube, move_graph, pinwheel_N1, pinwheel_N2,
     slow_labelled_components, slow_move_graph, slow_move_reader, slow_trit_move, tiling_tA,
     tiling_tB,
 )
@@ -241,7 +241,7 @@ def test_trit_move_fields():
 _TRIT_TILINGS = {
     **{"box-%dx%dx%d" % dims: lambda dims=dims: enumerate_tilings(build_box(*dims))
        for dims in ((3, 3, 2), (3, 4, 2), (2, 2, 2))},
-    # period-2 axes make two anchors name one cube
+    # on a period-2 axis anchors 0 and 1 would span the same cells
     **{"torus-%dx%dx%d" % p: lambda p=p: enumerate_tilings(build_torus(*p))
        for p in ((2, 2, 2), (2, 2, 4), (2, 4, 2), (4, 2, 2))},
     "corner-cut-3x3x3": lambda: enumerate_tilings(corner_cut_cube()),
@@ -265,6 +265,27 @@ def test_trits_match_the_coordinate_oracle(name):
         for m in find_trits(t):
             assert m == slow_trit_move(t.region, m.anchor, m.removed[::-1])
             found += 1
+    assert bool(found) != (name in _TRITLESS)
+
+
+# tori with period-2 axes, where the cube table anchors one cube per
+# period-2 axis instead of two on the same cells
+_ALIASED_TORI = {
+    **{"torus-%dx%dx%d" % p: lambda p=p: enumerate_tilings(build_torus(*p))
+       for p in ((2, 2, 2), (2, 2, 4), (2, 4, 2), (4, 2, 2))},
+    **{"walk-torus-%dx%dx%d" % p: lambda p=p, steps=steps: walk_states(
+        build_torus(*p), "flip+trit", steps, 1)
+       for p, steps in (((2, 4, 4), 3000), ((2, 4, 6), 2000), ((2, 2, 6), 2000))},
+}
+
+
+@pytest.mark.parametrize("name", list(_ALIASED_TORI))
+def test_trits_match_the_aliased_cube_list(name):
+    found = 0
+    for t in _ALIASED_TORI[name]():
+        trits = find_trits(t)
+        assert trits == aliased_torus_trits(t)
+        found += len(trits)
     assert bool(found) != (name in _TRITLESS)
 
 

@@ -87,9 +87,9 @@ def test_trits_only_walk():
 
 
 def test_aliased_cube_keeps_the_smaller_anchor():
-    # on a period-2 axis two anchors name one cube; the step-87 state of this
-    # walk has a trit at anchor (0, 2, 5) whose alias (1, 2, 5) must not be
-    # listed beside it
+    # on a period-2 axis anchors 0 and 1 span the same cells, and only 0
+    # anchors a cube; the step-87 state of this walk has a trit at anchor
+    # (0, 2, 5), which (1, 2, 5) must not list a second time
     region = build_torus(2, 4, 6)
     state = WalkState(start_tiling(region))
     rng = random.Random(4)
