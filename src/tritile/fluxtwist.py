@@ -519,9 +519,10 @@ def twist(t: Tiling, axis) -> int:
 @lru_cache(maxsize=4)
 def _trit_labels(region: Region) -> dict:
     """(component number, trit label, whether the component is consistent)
-    of each tiling of the region, keyed by its packed mate array
-    (moves._key_struct), over the flip and trit moves of every tiling the
-    region has. Raises BudgetExceeded above tilings.LISTING_BUDGET tilings."""
+    of each tiling of the region, keyed by its packed mate array read as one
+    little-endian int (moves._key_struct), over the flip and trit moves of
+    every tiling the region has. Raises BudgetExceeded above
+    tilings.LISTING_BUDGET tilings."""
     _budgeted_count(region, LISTING_BUDGET, "listing")
     index, component, label, groups = _key_components(region, _mates(region), "flip+trit")
     return {key: (component[u], label[u], groups[component[u]].consistent)
@@ -548,7 +549,7 @@ def relative_twist(t1: Tiling, t0: Tiling) -> int:
                          % (f1.components, f0.components))
     labels = _trit_labels(region)
     pack = _key_struct(region.n_cells).pack
-    key1, key0 = pack(*t1.mate), pack(*t0.mate)
+    key1, key0 = (int.from_bytes(pack(*t.mate), "little") for t in (t1, t0))
     if key1 not in labels or key0 not in labels:
         raise ValueError("tiling missing from the enumerated move graph")
     comp1, label1, _ = labels[key1]

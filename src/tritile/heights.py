@@ -72,9 +72,15 @@ class CoquadSurface:
         self.edges = tuple((b, w, l, r) for (b, w, l, r) in edges)
         vertex_edges: dict = {v: [] for v in self.vertices}
         face_edges: dict = {f: [] for f in self.all_faces}
+        records: set = set()
         for i, (b, w, l, r) in enumerate(self.edges):
             if self.colors.get(b) != 1 or self.colors.get(w) != -1:
                 raise ValueError("edge %d is not black-to-white" % i)
+            # parallel edges have different sides; a repeated record would
+            # list the same domino twice
+            if (b, w, l, r) in records:
+                raise ValueError("edge %d repeats the edge from %r to %r" % (i, b, w))
+            records.add((b, w, l, r))
             for f in (l, r):
                 if f != INF and f not in face_set:
                     raise ValueError("edge %d names unknown face %r" % (i, f))

@@ -17,7 +17,6 @@ and every trit scan reads that one table.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, insort
 from collections import namedtuple
 from struct import Struct
@@ -88,7 +87,7 @@ def find_trits(t: Tiling) -> list[TritMove]:
     return [_trit_move(t.region, r, entry) for r, entry in _trits(t.region, t.mate)]
 
 
-# -- scanners shared by the full scans, WalkState and the move table ---------
+# -- scanners shared by the full scans, WalkState and the components engine -
 
 #: Per direction of a dimer (the position of its black cell in its white
 #: cell's step row), the directions across its axis, where its flip
@@ -359,94 +358,145 @@ class WalkState:
 
 def _key_struct(n_cells: int) -> Struct:
     """The layout of a tiling's packed key: its mate array as n_cells
-    entries at the narrowest array width that holds every cell index,
-    typecode 'B' up to 256 cells, then 'H', then 'i'."""
+    little-endian entries at the narrowest width that holds every cell
+    index, typecode 'B' up to 256 cells, then 'H', then 'i'. Read as one
+    little-endian int, a key is the sum of mate[c] << (8 * width * c), so
+    a move that rewrites some entries adds a fixed delta to every key it
+    applies to."""
     code = "B" if n_cells <= 1 << 8 else "H" if n_cells <= 1 << 16 else "i"
-    return Struct("=%d%s" % (n_cells, code))
+    return Struct("<%d%s" % (n_cells, code))
 
 
-def _move_reader(region: Region, move_set: frozenset):
-    """read(key) -> (handled, counted) over the packed keys of region's
-    tilings: the moves _key_components handles from this end, as (key of
-    the target, trit count), and how many it only counts. Flips are
-    handled where their dimers' axis is below the axis they are stacked
-    along, trits where their sign is +1 (so their count is 1). Each target
-    is a copy of the key with the moved cells' entries rewritten.
+def _neighbour_bits(row: Sequence[int]) -> dict[int, int]:
+    """{b: i} over the distinct cells b of a step row that lie in the
+    region, in direction order: bit i of a column byte stands for b."""
+    return {b: i for i, b in enumerate(dict.fromkeys(b for b in row if b >= 0))}
 
-    The move table lists every flip and trit the region allows, once per
-    call. Per white cell w, a row maps each black neighbour b, under the
-    first direction k reaching it, to the partners (w2, b2) = (step[b][e],
-    step[w][e]) of the dimer (w, b) from _slab_partners with w2 > w, split
-    into those handled (e's axis above k's) and those counted. Each trio of
-    a cube, a _TRIOS entry on six region cells, comes with its inserted
-    pairs and sign from the table. A key is read by comparisons alone: w's
-    row at mate[w] names the partners to check, a trit takes three checks,
-    and handled targets come out in find_flips then find_trits order. A
-    pair of non-adjacent cells raises ValueError.
+
+#: Most keys _pack_keys joins into one run of bytes before cutting it.
+_RUN = 1 << 16
+
+
+def _pack_keys(region: Region, mates: Iterable[Sequence[int]], layout: Struct):
+    """(index, columns) of the distinct mate arrays packed with layout.
+
+    index maps each key, read as one little-endian int, to its node number
+    u, in input order. columns[w] of a white cell w is an int with one byte
+    per node: bit i of byte u is set iff node u pairs w with the i-th cell
+    of _neighbour_bits(step[w]) (a black cell's column is 0). Up to _RUN
+    new keys are joined into one run of bytes; cell w's byte lane j is
+    run[w * width + j :: layout.size], translated to the neighbour bits its
+    byte values allow, and the lanes of a wider key are ANDed. A key that
+    pairs a white cell with a cell that is not its neighbour leaves a zero
+    byte there, and raises ValueError before any move is read.
     """
-    layout = _key_struct(region.n_cells)
-    unpack, code = layout.unpack, layout.format[-1]
-    flips = "flip" in move_set
+    size = layout.size
+    width = size // region.n_cells
+    pack, from_bytes = layout.pack, int.from_bytes
     step = region.step_table
-    rows = []
-    for w, color in enumerate(region.colors):
-        if color == 1:
-            continue
-        sw = step[w]
-        row: dict[int, tuple[tuple, tuple]] = {}
-        for k, b in enumerate(sw):
-            if b < 0 or b in row:
+    whites = [w for w, color in enumerate(region.colors) if color == -1]
+    # per white cell and byte lane, the neighbour bits of each byte value
+    tables = []
+    for w in whites:
+        lanes = [bytearray(256) for _ in range(width)]
+        for b, i in _neighbour_bits(step[w]).items():
+            for j, lane in enumerate(lanes):
+                lane[b >> 8 * j & 255] |= 1 << i
+        tables.append(lanes)
+    parts = [bytearray() for _ in whites]
+
+    def cut(run: bytearray) -> None:
+        for w, lanes, part in zip(whites, tables, parts):
+            column = -1
+            for j, lane in enumerate(lanes):
+                column &= from_bytes(run[w * width + j::size].translate(lane), "little")
+            column = column.to_bytes(len(run) // size, "little")
+            if column.count(0):
+                raise ValueError("a tiling pairs cells that are not adjacent")
+            part += column
+
+    index: dict[int, int] = {}
+    run = bytearray()
+    for mate in mates:
+        key = pack(*mate)
+        u = len(index)
+        if index.setdefault(from_bytes(key, "little"), u) == u:
+            run += key
+            if len(run) == _RUN * size:
+                cut(run)
+                run.clear()
+    cut(run)
+    columns = [0] * region.n_cells
+    for w, part in zip(whites, parts):
+        columns[w] = from_bytes(part, "little")
+        part.clear()
+    return index, columns
+
+
+def _handled_moves(region: Region, move_set: frozenset) -> Iterator[tuple[tuple, tuple, int]]:
+    """(removed, inserted, sign) of each move of the region that
+    _key_components handles, its dimers as (cell, cell) index pairs.
+
+    A flip is handled where its two dimers' axis is below the axis they are
+    stacked along: per white cell w, each black neighbour b under the first
+    direction k reaching it, and each partner (w2, b2) of the dimer (w, b)
+    from _slab_partners with w2 > w along a direction e whose axis is above
+    k's. A trit is handled where its sign is +1: each _TRIOS entry of sign
+    +1 on six region cells of a cube, looked up at call time. Every other
+    move of the region is the reverse of exactly one handled move.
+    """
+    step = region.step_table
+    if "flip" in move_set:
+        for w, color in enumerate(region.colors):
+            if color == 1:
                 continue
-            up, across = [], []
-            for e, w2, b2 in _slab_partners(step, w, b) if flips else ():
-                if w2 > w:
-                    (up if DIR_AXIS[e] > DIR_AXIS[k] else across).append((w2, b2))
-            row[b] = tuple(up), tuple(across)
-        rows.append((w, row))
-    plus, minus = [], []
+            sw = step[w]
+            for k, b in enumerate(sw):
+                if b < 0 or sw.index(b) != k:
+                    continue
+                for e, w2, b2 in _slab_partners(step, w, b):
+                    if w2 > w and DIR_AXIS[e] > DIR_AXIS[k]:
+                        yield ((w, b), (w2, b2)), ((w, b2), (w2, b)), 0
     if "trit" in move_set:
         for cube in region.cube_table.cubes:
             for removed, inserted, sign in _TRIOS:
-                trio = _trio(cube, removed)
-                # sorted, so a cell off the region (-1) comes first
-                if trio[0] < 0:
-                    continue
-                if sign < 0:
-                    minus.append(trio)
-                else:
-                    plus.append((*trio, [(cube[i], cube[j]) for i, j in inserted]))
+                if sign > 0 and min(cube[i] for pair in removed for i in pair) >= 0:
+                    yield (tuple((cube[i], cube[j]) for i, j in removed),
+                           tuple((cube[i], cube[j]) for i, j in inserted), sign)
 
-    def read(key: bytes) -> tuple[list[tuple[bytes, int]], int]:
-        mate = unpack(key)
-        base = array(code, key)
-        handled = []
-        counted = 0
-        try:
-            for w, row in rows:
-                b = mate[w]
-                up, across = row[b]
-                for w2, b2 in up:
-                    if mate[w2] == b2:
-                        new = base[:]
-                        new[w], new[b2], new[w2], new[b] = b2, w, b, w2
-                        handled.append((new.tobytes(), 0))
-                for w2, b2 in across:
-                    if mate[w2] == b2:
-                        counted += 1
-        except KeyError:
-            raise ValueError("a tiling pairs cells that are not adjacent") from None
-        for c1, p1, c2, p2, c3, p3, inserted in plus:
-            if mate[c1] == p1 and mate[c2] == p2 and mate[c3] == p3:
-                new = base[:]
-                for i, j in inserted:
-                    new[i], new[j] = j, i
-                handled.append((new.tobytes(), 1))
-        for c1, p1, c2, p2, c3, p3 in minus:
-            if mate[c1] == p1 and mate[c2] == p2 and mate[c3] == p3:
-                counted += 1
-        return handled, counted
 
-    return read
+def _move_edges(region: Region, move_set: frozenset, columns: Sequence[int], n: int,
+                width: int) -> Iterator[tuple[int, int, bytes, int]]:
+    """(delta, sign, hits, counted) of each _handled_moves move over n keys
+    with the given columns (_pack_keys) and key width in bytes: byte u of
+    hits is 1 iff key u holds the move's removed dimers, the move takes key
+    u to key u + delta, whose trit count is the key's plus sign, and
+    counted keys hold its inserted dimers, so they meet its reverse.
+
+    The keys holding a dimer are one bit of each byte of its white cell's
+    column; a move's dimers are ANDed over all keys at once, one big-int
+    operation each. delta is the packed inserted dimers less the packed
+    removed ones: a dimer (c, d) packs as d << (8 * width * c) plus
+    c << (8 * width * d).
+    """
+    colors = region.colors
+    bits = [_neighbour_bits(row) for row in region.step_table]
+    ones = int.from_bytes(b"\1" * n, "little")
+    shift = 8 * width
+
+    def holding(pairs: tuple) -> int:
+        m = -1
+        for c, d in pairs:
+            w, b = (c, d) if colors[c] == -1 else (d, c)
+            m &= columns[w] >> bits[w][b]
+        return m & ones
+
+    def packed(pairs: tuple) -> int:
+        return sum((d << shift * c) + (c << shift * d) for c, d in pairs)
+
+    for removed, inserted, sign in _handled_moves(region, move_set):
+        yield (packed(inserted) - packed(removed), sign,
+               holding(removed).to_bytes(n, "little"), holding(inserted).bit_count())
 
 
 #: One component of _key_components: its number of tilings, the mate array
@@ -460,32 +510,32 @@ def _key_components(region: Region, mates: Iterable[Sequence[int]], moves: str):
     region's tilings, given as mate arrays, with each tiling's signed trit
     label, in one pass and without building the graph or a Tiling.
 
-    Each distinct packed mate array (_key_struct) is a node, numbered in
-    input order. Each move edge is met once, at the end where _move_reader
-    handles it. The reader lists every flip and trit that can occur on the
-    region once per call, in a move table, and reads a key's moves off it by
-    comparing mate entries, without rescanning the key's geometry. A
-    handled move's target is looked up and merged into a weighted
-    union-find that keeps each node's signed trit count relative to its
-    root (flips add 0, a trit 1). An edge that closes a cycle with a nonzero
-    trit sum marks its component inconsistent. The input is closed under
-    moves iff every handled target is found and the counted moves balance
+    Each distinct packed mate array (_key_struct), read as one int, is a
+    node, numbered in input order. The moves are read a move at a time over
+    all keys at once (_move_edges): each move the region allows is handled
+    at one end, and the keys that hold its removed dimers come out of an
+    AND of per-cell columns. Each handled edge's target key is the key plus
+    the move's delta, looked up and merged into a weighted union-find that
+    keeps each node's signed trit count relative to its root (flips add 0,
+    a trit 1). An edge that closes a cycle with a nonzero trit sum marks
+    its component inconsistent. The input is closed under moves iff every
+    handled target is found and the keys that meet a move's reverse balance
     the handled ones, since each handled move u -> v is the reverse of
     exactly one counted move at v; a missing handled target raises
     ValueError at once, and a missing counted one at the end of the pass.
 
-    Returns (index, component, label, groups): index maps each packed mate
-    array to its node u, component[u] is the number of its component and
-    label[u] its trit label relative to that component's first tiling, and
-    groups holds one _KeyComponent per component, in order of first tiling.
-    On a consistent component a label is the sum of the trit signs along
-    any path of moves from the first tiling, so flips keep the label.
+    Returns (index, component, label, groups): index maps each key int to
+    its node u, component[u] is the number of its component and label[u]
+    its trit label relative to that component's first tiling, and groups
+    holds one _KeyComponent per component, in order of first tiling. On a
+    consistent component a label is the sum of the trit signs along any
+    path of moves from the first tiling, so flips keep the label; all of
+    these are the same whatever order the edges merge in.
     """
     move_set = _normalize_moves(moves)
     layout = _key_struct(region.n_cells)
-    index: dict[bytes, int] = {}
-    for mate in mates:
-        index.setdefault(layout.pack(*mate), len(index))
+    index, columns = _pack_keys(region, mates, layout)
+    keys = list(index)
     # parent[u] and offset[u] = label(u) - label(parent[u]); size and
     # consistency are kept at the roots, consistency as one byte a node.
     # parent starts as the index's own numbers, so the nodes share one int
@@ -497,6 +547,11 @@ def _key_components(region: Region, mates: Iterable[Sequence[int]], moves: str):
     consistent = bytearray(b"\1") * n
 
     def find(u: int) -> int:
+        p = parent[u]
+        r = parent[p]
+        if parent[r] == r:  # two below the root, as a merge leaves most nodes
+            parent[u], offset[u] = r, offset[u] + offset[p]
+            return r
         path = []
         while parent[u] != u:
             path.append(u)
@@ -507,14 +562,14 @@ def _key_components(region: Region, mates: Iterable[Sequence[int]], moves: str):
             parent[v], offset[v] = u, label
         return u
 
-    read = _move_reader(region, move_set)
     handled = counted = 0
-    for u, key in enumerate(index):
-        targets, others = read(key)
-        handled += len(targets)
+    width = layout.size // region.n_cells
+    for delta, sign, hits, others in _move_edges(region, move_set, columns, n, width):
         counted += others
-        for target, sign in targets:
-            v = index.get(target)
+        handled += hits.count(1)
+        u = hits.find(1)
+        while u >= 0:
+            v = index.get(keys[u] + delta)
             if v is None:
                 raise ValueError("move target missing from the enumerated set")
             # most nodes sit right below their root, where offset is final
@@ -528,12 +583,13 @@ def _key_components(region: Region, mates: Iterable[Sequence[int]], moves: str):
             if ru == rv:
                 if gap:
                     consistent[ru] = False
-                continue
-            if size[ru] < size[rv]:
-                ru, rv, gap = rv, ru, -gap
-            parent[rv], offset[rv] = ru, gap
-            size[ru] += size[rv]
-            consistent[ru] = consistent[ru] and consistent[rv]
+            else:
+                if size[ru] < size[rv]:
+                    ru, rv, gap = rv, ru, -gap
+                parent[rv], offset[rv] = ru, gap
+                size[ru] += size[rv]
+                consistent[ru] = consistent[ru] and consistent[rv]
+            u = hits.find(1, u + 1)
     # each handled move u -> v is the reverse of one counted move at v, so
     # a surplus of counted moves means one of them leaves the input (a
     # surplus of handled ones needs a trit that is +1 both ways, and the
@@ -541,24 +597,29 @@ def _key_components(region: Region, mates: Iterable[Sequence[int]], moves: str):
     if counted > handled:
         raise ValueError("move target missing from the enumerated set")
     for u in range(n):
-        find(u)
+        if parent[parent[u]] != parent[u]:
+            find(u)
     # every node now hangs right below its root, or is one; rewrite parent
     # and offset into each node's component number and label. groups[k] is
-    # [size, first key, its label from the root, low, high, consistent].
+    # [size, first node, its label from the root, low, high, consistent].
     number: dict[int, int] = {}
     groups = []
-    for u, key in enumerate(index):
+    for u in range(n):
         root, label = parent[u], offset[u]
         k = number.get(root)
         if k is None:
             k = number[root] = len(groups)
-            groups.append([size[root], key, label, 0, 0, consistent[root] == 1])
+            groups.append([size[root], u, label, 0, 0, consistent[root] == 1])
         g = groups[k]
         label -= g[2]
-        g[3], g[4] = min(g[3], label), max(g[4], label)
+        if label < g[3]:
+            g[3] = label
+        elif label > g[4]:
+            g[4] = label
         parent[u], offset[u] = k, label
-    return index, parent, offset, [_KeyComponent(s, layout.unpack(key), low, high, c)
-                                   for s, key, _base, low, high, c in groups]
+    return index, parent, offset, [
+        _KeyComponent(s, layout.unpack(keys[u].to_bytes(layout.size, "little")), low, high, c)
+        for s, u, _base, low, high, c in groups]
 
 
 #: One component of labelled_components; see there.

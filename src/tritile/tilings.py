@@ -381,10 +381,10 @@ FRONTIER_BUDGET = 1 << 20
 LISTING_BUDGET = 100_000
 
 #: Most tilings that tritile components will take. It keeps a packed key
-#: per tiling, not a Tiling: about 185 bytes and 23 us with flips, 30 us
-#: with flips and trits, per tiling of 21 dimers (box 2 3 7, 880,163
-#: tilings: 171 MB peak, 16 MB of it a bare start, in 21 s and 27 s), so
-#: 10^6 tilings stays near 200 MB and 30 s.
+#: per tiling, not a Tiling: about 225 bytes and 13-16 us with either move
+#: set per tiling of 21 dimers (box 2 3 7, 880,163 tilings: 206 MB peak,
+#: 16 MB of it a bare start, in 11.7-14.1 s), so 10^6 tilings stays near
+#: 250 MB and 20 s.
 COMPONENTS_BUDGET = 1_000_000
 
 

@@ -773,10 +773,11 @@ _UPWARD = tuple(tuple((d, DIR_AXIS[d] > DIR_AXIS[k]) for d in range(6)
 
 
 def slow_move_reader(region, move_set):
-    """moves._move_reader as it was before its move table: each key is
-    unpacked and its geometry rescanned, the flips of every white cell's
-    dimer along _UPWARD and the trits through moves._trits and the
-    moves._TRIOS entries it yields, looked up at call time."""
+    """read(key) -> (handled, counted): the moves the components engine
+    handles at one packed key, as (target key, trit count), and how many
+    it only counts, by rescanning the key's geometry: the flips of every
+    white cell's dimer along _UPWARD and the trits through moves._trits
+    and the moves._TRIOS entries it yields, looked up at call time."""
     layout = mv._key_struct(region.n_cells)
     unpack, code = layout.unpack, layout.format[-1]
     step = region.step_table

@@ -15,6 +15,7 @@ from tritile import (
 )
 from tritile import fluxtwist
 from tritile.harness import _EULER_BOXES, walk_states
+from tritile.tilings import _mates
 from support import (
     always_positive_trits, bfs_trit_labeling, bisect_twist, move_graph, pinwheel_N1, slow_flux,
     slow_modulus, slow_twist, slow_vertex_flow, tiling_tA, tiling_tB,
@@ -255,6 +256,26 @@ def test_relative_twist_on_tori_matches_the_move_graph_labels(dims):
             if got != expected:
                 bad.append((t1.hash64, t0.hash64, got, expected))
     assert bad == []
+
+
+#: (t1, t0, relative_twist(t1, t0)) on torus 2x2x8, each tiling its place
+#: in enumeration order, chosen with random.Random(2) among the tilings of
+#: nonzero trit label (-2..2 in the flux (0, 0, +-1) classes, of modulus 2)
+#: and recorded before the components engine read moves over all keys at once
+_TORUS_228_TWISTS = [
+    (9507, 10925, 0), (10780, 32870, 0), (17200, 39363, 0), (9670, 398, 1),
+    (9670, 20163, 0), (30579, 23081, 0), (18179, 29781, 0), (14480, 29781, 0),
+    (7532, 298, 1), (7532, 14023, 0),
+]
+
+
+def test_relative_twist_on_torus_228_is_pinned():
+    region = build_torus(2, 2, 8)
+    wanted = {k for t1, t0, _value in _TORUS_228_TWISTS for k in (t1, t0)}
+    tilings = {k: Tiling._from_mate(region, mate) for k, mate in enumerate(_mates(region))
+               if k in wanted}
+    assert [relative_twist(tilings[t1], tilings[t0]) for t1, t0, _value in _TORUS_228_TWISTS] \
+        == [value for _t1, _t0, value in _TORUS_228_TWISTS]
 
 
 def test_relative_twist_refuses_an_inconsistent_torus_labeling(monkeypatch):

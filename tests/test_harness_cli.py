@@ -516,6 +516,13 @@ _SMALL_L = ([[x, y, z] for x in range(3) for y in range(2) for z in range(2)]
      "ec9d6ea0b4908cf42aa7a9da75bfcfc6aa46e0db9fa0b50353b2bb4dbdabdd0a"),
     (["enumerate", "box", "3", "3", "2", "--count-only", "--format", "csv"],
      "c2a7c1a182c6f1b64b445b1fcb8eb82a6eba4bb3cb397cb0833783ac4ff98f02"),
+    # torus 2x2x8, 39,952 tilings whose flip+trit components hold nonzero
+    # trit labels, recorded before the engine read each move over all keys
+    # at once
+    (["components", "torus", "2", "2", "8", "--moves", "flip"],
+     "e2855f778e9b162d60fac76fb0f63edaea07aa50d26f6646567e190c6915a990"),
+    (["components", "torus", "2", "2", "8", "--moves", "fliptrit"],
+     "be29b6be74d96c0181b0f33f9d0f9079f0ea641b5fac644d6ef4efd6839aadda"),
 ])
 def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv, digest):
     spec = tmp_path / "small_l.json"

@@ -370,6 +370,14 @@ def test_surface_from_dict_names_the_bad_item(data, named):
     assert named in str(exc.value)
 
 
+def test_surface_from_dict_refuses_a_repeated_edge():
+    data = build_planar_surface([(0, 0), (1, 0)]).to_dict()
+    assert len(enumerate_surface_tilings(surface_from_dict(data))) == 1
+    data["edges"] = data["edges"] * 2
+    with pytest.raises(ValueError, match=r"edge 1 repeats the edge from \(0, 0\) to \(1, 0\)"):
+        surface_from_dict(data)
+
+
 @pytest.mark.parametrize("cells, named", [
     ([(0,), (1,)], "(0,)"), ([(0, 0, 0), (1, 0, 0)], "(0, 0, 0)"),
     (["ab", "cd"], "'ab'"), ([(0, 0), (1, True)], "(1, True)"),

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from struct import Struct
 
 import pytest
 
@@ -11,7 +13,8 @@ from tritile.harness import walk_states
 from tritile.tilings import _mates
 from tritile import moves
 from tritile.moves import (
-    _TRIOS, WalkState, _key_components, _key_struct, _move_reader, _normalize_moves,
+    _TRIOS, WalkState, _key_components, _key_struct, _move_edges, _normalize_moves,
+    _pack_keys,
 )
 from support import (
     aliased_torus_trits, bfs_trit_labeling, corner_cut_cube, move_graph, pinwheel_N1, pinwheel_N2,
@@ -367,28 +370,99 @@ def _labelled_region(kind, dims):
     return (build_box if kind == "box" else build_torus)(*dims)
 
 
-def _read_moves(tilings, move_set):
-    """The (handled, counted) moves of each of a region's tilings as the
-    components engine reads them, off one move table."""
-    region = tilings[0].region
-    read, pack = _move_reader(region, move_set), _key_struct(region.n_cells).pack
-    for t in tilings:
-        yield read(pack(*t.mate))
+def _key(layout, mate):
+    """A packed key read as the engine's int."""
+    return int.from_bytes(layout.pack(*mate), "little")
+
+
+def _read_moves(region, mates, move_set, layout=None):
+    """The edge source of the components engine over these mate arrays:
+    each key's handled moves as a Counter of (target key, trit count), and
+    how many keys in all meet a counted move. layout defaults to the
+    region's own key layout."""
+    layout = layout or _key_struct(region.n_cells)
+    index, columns = _pack_keys(region, mates, layout)
+    keys = list(index)
+    handled = [Counter() for _ in keys]
+    counted = 0
+    for delta, sign, hits, others in _move_edges(region, move_set, columns, len(keys),
+                                                 layout.size // region.n_cells):
+        counted += others
+        for u, hit in enumerate(hits):
+            if hit:
+                handled[u][(keys[u] + delta).to_bytes(layout.size, "little"), sign] += 1
+    return handled, counted
 
 
 @pytest.mark.parametrize("kind, dims", _LABELLED_REGIONS,
                          ids=["%s-%dx%dx%d" % (k, *d) for k, d in _LABELLED_REGIONS])
 def test_move_table_reads_what_the_scan_reads(kind, dims):
-    """The move table reads every key's handled targets, in order, and its
-    count exactly as the old rescan of each key's geometry does."""
+    """The engine's edge source hands each key the multiset of targets and
+    trit counts that the old rescan of the key's geometry handles, and
+    counts exactly as many moves in all (it reads all keys at once, so a
+    key's moves come in no order of their own)."""
     region = _labelled_region(kind, dims)
     pack = _key_struct(region.n_cells).pack
-    keys = [pack(*mate) for mate in _mates(region)]
+    mates = [tuple(mate) for mate in _mates(region)]
     for moves in ("flip", "trit", "flip+trit"):
         move_set = _normalize_moves(moves)
-        fast, slow = _move_reader(region, move_set), slow_move_reader(region, move_set)
-        for key in keys:
-            assert fast(key) == slow(key), moves
+        handled, counted = _read_moves(region, mates, move_set)
+        slow = [slow_move_reader(region, move_set)(pack(*mate)) for mate in mates]
+        assert handled == [Counter(targets) for targets, _others in slow], moves
+        assert counted == sum(others for _targets, others in slow), moves
+
+
+def test_move_edges_at_four_bytes_a_cell():
+    """Columns and deltas of keys four bytes a cell wide, packed by hand,
+    read the same moves as the one-byte keys of the same tilings."""
+    region = build_box(3, 3, 2)
+    mates = [tuple(mate) for mate in _mates(region)]
+    wide = Struct("<18i")
+    index, columns = _pack_keys(region, mates, wide)
+    assert list(index) == [sum(m << 32 * c for c, m in enumerate(mate)) for mate in mates]
+    step = region.step_table
+    for w, column in enumerate(columns):
+        if region.colors[w] == 1:
+            assert column == 0
+            continue
+        nbrs = list(dict.fromkeys(b for b in step[w] if b >= 0))
+        held = column.to_bytes(len(mates), "little")
+        assert list(held) == [1 << nbrs.index(mate[w]) for mate in mates]
+    narrow = _key_struct(region.n_cells)
+    for moves in ("flip", "flip+trit"):
+        move_set = _normalize_moves(moves)
+        handled, counted = _read_moves(region, mates, move_set, wide)
+        expected, total = _read_moves(region, mates, move_set, narrow)
+        assert counted == total
+        assert handled == [Counter({(wide.pack(*narrow.unpack(key)), sign): k
+                                    for (key, sign), k in c.items()}) for c in expected]
+    # one hand-packed flip: the z-dimers (0, 1) and (2, 3) of 3x3x2 side by
+    # side along y, turned into the y-dimers (0, 2) and (1, 3); it is
+    # handled at the y-dimers, whose axis is below z
+    base = list(base_tiling(region, 2).mate)
+    assert base[:4] == [1, 0, 3, 2]
+    flipped = [2, 3, 0, 1] + base[4:]
+    index, columns = _pack_keys(region, [base, flipped], wide)
+    assert index == {sum(m << 32 * c for c, m in enumerate(mate)): u
+                     for u, mate in enumerate([base, flipped])}
+    edges = [(u, delta, sign) for delta, sign, hits, _others in _move_edges(
+        region, _normalize_moves("flip"), columns, 2, 4) for u, hit in enumerate(hits) if hit]
+    back = (1 - 2 << 0) + (0 - 3 << 32) + (3 - 0 << 64) + (2 - 1 << 96)
+    assert (1, back, 0) in edges
+    assert (0, -back, 0) not in edges
+
+
+@pytest.mark.parametrize("n_cells, width", [(8, 1), (300, 2), (70_000, 4)])
+def test_key_struct_is_little_endian(n_cells, width):
+    layout = _key_struct(n_cells)
+    assert layout.size == n_cells * width
+    # mostly zeros, so the sum of shifted entries stays cheap on 70,000 cells
+    rng = random.Random(n_cells)
+    mate = [0] * n_cells
+    for c in rng.sample(range(n_cells - 1), min(20, n_cells - 1)) + [n_cells - 1]:
+        mate[c] = rng.randrange(n_cells)
+    key = layout.pack(*mate)
+    assert int.from_bytes(key, "little") == sum(m << 8 * width * c for c, m in enumerate(mate) if m)
 
 
 @pytest.mark.parametrize("move_set", ["flip", "trit", "flip+trit"])
@@ -403,15 +477,15 @@ def _assert_engine_matches_the_oracle(tilings, moves, expected=None):
     """_key_components over the packed tilings agrees with
     slow_labelled_components (or expected, its result), key by key and
     component by component."""
-    pack = _key_struct(tilings[0].region.n_cells).pack
+    layout = _key_struct(tilings[0].region.n_cells)
     index, component, label, groups = _key_components(
         tilings[0].region, (t.mate for t in tilings), moves)
-    assert list(index) == [pack(*t.mate) for t in tilings]
+    assert list(index) == [_key(layout, t.mate) for t in tilings]
     if expected is None:
         expected = slow_labelled_components(tilings, moves)
     assert len(groups) == len(expected)
     for c in expected:
-        keys = [pack(*t.mate) for t in c.tilings]
+        keys = [_key(layout, t.mate) for t in c.tilings]
         g = groups[component[index[keys[0]]]]
         assert (g.size, g.first, g.low, g.high, g.consistent) == (
             len(c.tilings), c.tilings[0].mate, min(c.labels), max(c.labels), c.consistent)
@@ -422,7 +496,7 @@ def _assert_engine_matches_the_oracle(tilings, moves, expected=None):
 def test_key_components_on_two_byte_keys():
     tilings = list(enumerate_tilings(_labelled_region("rod", None)))
     assert len(tilings) == 229
-    assert _key_struct(tilings[0].region.n_cells).format == "=258H"
+    assert _key_struct(tilings[0].region.n_cells).format == "<258H"
     flip = _assert_engine_matches_the_oracle(tilings, "flip")
     assert sorted((g.size for g in flip), reverse=True) == [227, 1, 1]
     [both] = _assert_engine_matches_the_oracle(tilings, "flip+trit")
@@ -452,11 +526,8 @@ def test_labelled_components_match_the_move_graph(kind, dims, moves):
             tws = [twist(t, 2) for t in c.tilings]
             assert [tws[0] + label for label in c.labels] == tws
     # each move edge is handled at exactly one end and counted at the other
-    handled = counted = 0
-    for targets, others in _read_moves(tilings, _normalize_moves(moves)):
-        handled += len(targets)
-        counted += others
-    assert handled == counted == len(g.edges)
+    handled, counted = _read_moves(region, [t.mate for t in tilings], _normalize_moves(moves))
+    assert sum(sum(c.values()) for c in handled) == counted == len(g.edges)
 
 
 def test_labelled_components_reject_a_partial_enumeration():
@@ -476,12 +547,16 @@ def test_labelled_components_keep_an_inconsistency_through_a_merge(monkeypatch):
     # {3, 4} closes a cycle with trit sum 2, then joins the larger {0, 1, 2}
     tilings = list(enumerate_tilings(build_box(2, 2, 2)))[:5]
     edges = {0: [(1, 0), (2, 0)], 3: [(4, 1)], 4: [(3, 1), (0, 0)]}
-    # every fake edge is handled from the end that lists it, none counted
-    pack = _key_struct(8).pack
-    keys = {pack(*t.mate): u for u, t in enumerate(tilings)}
-    packed = list(keys)
-    monkeypatch.setattr(moves, "_move_reader", lambda region, move_set: lambda key: (
-        [(packed[v], sign) for v, sign in edges.get(keys[key], [])], 0))
+    # every fake edge is handled from the end that lists it, none counted;
+    # each is a move of its own, held by one key
+    keys = [_key(_key_struct(8), t.mate) for t in tilings]
+
+    def fake_edges(region, move_set, columns, n, width):
+        for u, out in edges.items():
+            for v, sign in out:
+                yield keys[v] - keys[u], sign, bytes(u) + b"\1" + bytes(n - u - 1), 0
+
+    monkeypatch.setattr(moves, "_move_edges", fake_edges)
     [comp] = labelled_components(tilings, "flip+trit")
     assert comp.tilings == tilings
     assert not comp.consistent
@@ -507,8 +582,10 @@ def test_labelled_components_refuse_each_drop_one_set_the_oracle_refuses(move_se
     tilings = list(enumerate_tilings(build_box(3, 3, 2)))
     # a tiling all of whose moves are handled at itself is reached by the
     # others only through counted moves: only the balance sees it dropped
+    read = slow_move_reader(tilings[0].region, _normalize_moves(move_set))
+    pack = _key_struct(tilings[0].region.n_cells).pack
     assert any(targets and not others for targets, others in
-               _read_moves(tilings, _normalize_moves(move_set)))
+               (read(pack(*t.mate)) for t in tilings))
     for k in range(len(tilings)):
         part = tilings[:k] + tilings[k + 1:]
         try:
@@ -519,6 +596,24 @@ def test_labelled_components_refuse_each_drop_one_set_the_oracle_refuses(move_se
                 labelled_components(part, move_set)
         else:
             assert labelled_components(part, move_set) == expected
+
+
+@pytest.mark.parametrize("moves", ["flip", "flip+trit"])
+def test_key_components_miss_a_dropped_target_handled_or_counted(moves):
+    """A dropped tiling is missed both where another key handles a move to
+    it and where the moves that reach it are only counted."""
+    region = build_box(3, 3, 2)
+    mates = [tuple(mate) for mate in _mates(region)]
+    layout = _key_struct(region.n_cells)
+    handled, _counted = _read_moves(region, mates, _normalize_moves(moves))
+    targets = {key for c in handled for key, _sign in c}
+    # a handled target, and a tiling that no key handles a move to
+    reached = next(u for u, mate in enumerate(mates) if layout.pack(*mate) in targets)
+    counted_only = next(u for u, mate in enumerate(mates)
+                        if layout.pack(*mate) not in targets and handled[u])
+    for k in (reached, counted_only):
+        with pytest.raises(ValueError, match="move target missing"):
+            _key_components(region, mates[:k] + mates[k + 1:], moves)
 
 
 def test_labelled_components_input_checks():
