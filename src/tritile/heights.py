@@ -30,6 +30,7 @@ tilings.LISTING_BUDGET of them.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from typing import Iterable, Optional, Sequence, Union
 
@@ -243,22 +244,40 @@ def build_planar_surface(cells: Iterable[tuple]) -> CoquadSurface:
     return CoquadSurface(colors, edges, faces)
 
 
+def _log_matching_bound(s: CoquadSurface) -> float:
+    """The log of an upper bound on the perfect matchings of s, from the
+    degrees of its black vertices: Bregman's prod (d!)^(1/d) when no two
+    edges join the same pair, else the plain product of the degrees, which
+    also bounds a multigraph (k parallel edges are k matchings, more than
+    (k!)^(1/k)); -inf when some vertex has no edge."""
+    if not all(s.vertex_edges.values()):
+        return -math.inf
+    degrees = [len(s.vertex_edges[v]) for v in s.vertices if s.colors[v] == 1]
+    if len({e[:2] for e in s.edges}) == len(s.edges):
+        return sum(math.lgamma(d + 1) / d for d in degrees)
+    return sum(map(math.log, degrees))
+
+
 def enumerate_surface_tilings(s: CoquadSurface) -> list:
     """All perfect matchings of the surface graph, as frozensets of edge ids,
-    sorted. Counts them first and raises BudgetExceeded, before listing any,
-    when there are more than tilings.LISTING_BUDGET. The search is the one
-    enumerate_tilings runs, over s.vertices in order, each trying its edges
-    in s.vertex_edges order; matching by edge id keeps parallel edges apart."""
+    sorted. When the bound of _log_matching_bound is within
+    tilings.LISTING_BUDGET it lists them in one pass; otherwise it counts
+    them first and raises BudgetExceeded, before listing any, when there are
+    more than the budget. The search is the one enumerate_tilings runs, over
+    s.vertices in order, each trying its edges in s.vertex_edges order;
+    matching by edge id keeps parallel edges apart."""
     index = {v: k for k, v in enumerate(s.vertices)}
     rows = [[(i, index[s.edges[i][1] if v == s.edges[i][0] else s.edges[i][0]])
              for i in s.vertex_edges[v]] for v in s.vertices]
-    count = 0
-    for _ in _perfect_matchings(rows):
-        count += 1
-        if count > LISTING_BUDGET:
-            raise BudgetExceeded(
-                "surface with %d vertices has more than %d tilings, the listing budget"
-                % (len(s.vertices), LISTING_BUDGET))
+    # the margin sends a bound that rounding put at the budget to the count
+    if _log_matching_bound(s) > math.log(LISTING_BUDGET) - 1e-9:
+        count = 0
+        for _ in _perfect_matchings(rows):
+            count += 1
+            if count > LISTING_BUDGET:
+                raise BudgetExceeded(
+                    "surface with %d vertices has more than %d tilings, the listing budget"
+                    % (len(s.vertices), LISTING_BUDGET))
     return sorted((frozenset(labels) for _, labels in _perfect_matchings(rows)), key=sorted)
 
 

@@ -332,15 +332,18 @@ def _perfect_matchings(rows: Sequence[Sequence[tuple]]) -> Iterator[tuple[list[i
 
     rows[v] lists vertex v's options as (label, partner) pairs. The search
     matches the lowest unmatched vertex to each free partner in row order,
-    depth first, with an explicit frame stack instead of recursion. Each
-    matching is yielded as (mate, labels): mate[v] is v's partner and labels
-    holds the chosen options' labels, lowest vertex first. Both lists are
-    reused, so a consumer copies what it keeps. Labels tell parallel edges
-    apart where partners cannot.
+    depth first, with an explicit frame stack instead of recursion. When v
+    branches every vertex below it is matched, so each row keeps only its
+    partners above v, dropped once before the search. Each matching is
+    yielded as (mate, labels): mate[v] is v's partner and labels holds the
+    chosen options' labels, lowest vertex first. Both lists are reused, so a
+    consumer copies what it keeps. Labels tell parallel edges apart where
+    partners cannot.
     """
     n = len(rows)
     if n == 0 or n % 2:
         return
+    rows = [[(label, u) for label, u in row if u > v] for v, row in enumerate(rows)]
     mate = [-1] * n
     labels: list = []
     frames = []  # (vertex, partner, remaining options) per chosen option
@@ -374,10 +377,12 @@ def _perfect_matchings(rows: Sequence[Sequence[tuple]]) -> Iterator[tuple[list[i
 #: Most partial-tiling states count_tilings keeps alive at once.
 FRONTIER_BUDGET = 1 << 20
 
-#: Most tilings that tritile enumerate lists, and that relative_twist
-#: labels on a torus. A listed tiling of 16 dimers costs about 24 KB in an
-#: enumerate report (box 2 4 4, 32,000 tilings: enumerate peaks at 783 MB
-#: in 8-10 s), so 10^5 tilings stays within a few GB.
+#: Most tilings that tritile enumerate lists, that relative_twist labels on
+#: a torus, and that heights.enumerate_surface_tilings lists (it skips its
+#: count pass when a Bregman bound is under this). A listed tiling of 16
+#: dimers costs about 24 KB in an enumerate report (box 2 4 4, 32,000
+#: tilings: enumerate peaks at 783 MB in 8-10 s), so 10^5 tilings stays
+#: within a few GB.
 LISTING_BUDGET = 100_000
 
 #: Most tilings that tritile components will take. It keeps a packed key

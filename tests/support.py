@@ -20,10 +20,11 @@ from tritile import (
     find_flips, find_trits, flux_through_surface, refine_region,
 )
 from tritile import moves as mv
+from tritile import heights
 from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
 from tritile.moves import LabelledComponent, _normalize_moves
 from tritile.fluxtwist import _TANGENT_AXES
-from tritile.regions import AXIS_NAMES, DIR_AXIS, DIRECTIONS, _coordinate
+from tritile.regions import AXIS_NAMES, DIR_AXIS, DIRECTIONS, BudgetExceeded, _coordinate
 from tritile.tilings import _axis_index, _direction
 
 
@@ -147,6 +148,65 @@ def count_planar_matchings(surface) -> int:
                 break
         total += (-1) ** (n - bits) * prod
     return total
+
+
+def slow_perfect_matchings(rows):
+    """The matching search as it was before it dropped matched partners
+    from its rows: each option is skipped while its partner is matched.
+    Yields the same reused (mate, labels) lists, in the same order."""
+    n = len(rows)
+    if n == 0 or n % 2:
+        return
+    mate = [-1] * n
+    labels: list = []
+    frames = []  # (vertex, partner, remaining options) per chosen option
+    v, rest = 0, iter(rows[0])
+    while True:
+        for label, u in rest:
+            if mate[u] != -1:
+                continue
+            mate[v] = u
+            mate[u] = v
+            labels.append(label)
+            nxt = v + 1
+            while nxt < n and mate[nxt] != -1:
+                nxt += 1
+            if nxt == n:
+                yield mate, labels
+                labels.pop()
+                mate[v] = mate[u] = -1
+                continue
+            frames.append((v, u, rest))
+            v, rest = nxt, iter(rows[nxt])
+            break
+        else:
+            if not frames:
+                return
+            v, u, rest = frames.pop()
+            labels.pop()
+            mate[v] = mate[u] = -1
+
+
+def surface_rows(s) -> list:
+    """The (edge id, partner index) rows of a surface's matching search."""
+    index = {v: k for k, v in enumerate(s.vertices)}
+    return [[(i, index[s.edges[i][1] if v == s.edges[i][0] else s.edges[i][0]])
+             for i in s.vertex_edges[v]] for v in s.vertices]
+
+
+def slow_enumerate_surface_tilings(s) -> list:
+    """enumerate_surface_tilings as it was before its matching bound: always
+    a count pass against heights.LISTING_BUDGET, then the listing pass, both
+    by slow_perfect_matchings."""
+    rows = surface_rows(s)
+    count = 0
+    for _ in slow_perfect_matchings(rows):
+        count += 1
+        if count > heights.LISTING_BUDGET:
+            raise BudgetExceeded(
+                "surface with %d vertices has more than %d tilings, the listing budget"
+                % (len(s.vertices), heights.LISTING_BUDGET))
+    return sorted((frozenset(labels) for _, labels in slow_perfect_matchings(rows)), key=sorted)
 
 
 def slow_winding(t1, t0, s):

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -12,10 +13,10 @@ from tritile.heights import (
     surface_from_json, tiling_classes, tiling_from_height, winding,
 )
 from tritile.regions import BudgetExceeded
-from tritile.tilings import LISTING_BUDGET
+from tritile.tilings import LISTING_BUDGET, _perfect_matchings
 from support import (
-    count_planar_matchings, slow_height_function, slow_tiling_classes,
-    slow_winding,
+    count_planar_matchings, slow_enumerate_surface_tilings, slow_height_function,
+    slow_perfect_matchings, slow_tiling_classes, slow_winding, surface_rows,
 )
 
 
@@ -63,15 +64,36 @@ def test_small_rectangle_counts():
     assert len(enumerate_surface_tilings(rect(4, 4))) == 36
 
 
+def four_vertex_surface(edges, faces):
+    # black b0, b1 and white w0, w1, read through surface_from_dict
+    return surface_from_dict({
+        "vertices": [{"id": v, "color": c} for v, c in
+                     (("b0", 1), ("b1", 1), ("w0", -1), ("w1", -1))],
+        "edges": [{"black": b, "white": w, "left": l, "right": r} for b, w, l, r in edges],
+        "faces": faces})
+
+
+def square_sides(f):
+    # the 4-cycle b0-w0-b1-w1 around face f
+    return [("b0", "w0", f, INF), ("b0", "w1", INF, f),
+            ("b1", "w1", f, INF), ("b1", "w0", INF, f)]
+
+
+def parallel_square():
+    # the square f plus edge 4, a second b0-w0 edge with the boundary on both sides
+    return four_vertex_surface(square_sides("f") + [("b0", "w0", INF, INF)], ["f"])
+
+
+def pillow():
+    # two squares f and g on the same four vertices: every pair is joined
+    # twice, so 8 tilings, above Bregman's simple-graph value 24^(1/2)
+    return four_vertex_surface(square_sides("f") + square_sides("g"), ["f", "g"])
+
+
 def test_parallel_edges_are_told_apart():
-    # the 4-cycle b0-w0-b1-w1 around face f, plus edge 4, a second b0-w0
-    # edge with the boundary on both sides. count_planar_matchings merges
-    # parallel edges, so the expected lists are written out.
-    colors = {"b0": 1, "b1": 1, "w0": -1, "w1": -1}
-    edges = [("b0", "w0", "f", INF), ("b0", "w1", INF, "f"),
-             ("b1", "w1", "f", INF), ("b1", "w0", INF, "f"),
-             ("b0", "w0", INF, INF)]
-    s = CoquadSurface(colors, edges, ["f"])
+    # count_planar_matchings merges parallel edges, so the expected lists
+    # are written out
+    s = parallel_square()
     assert enumerate_surface_tilings(s) == [
         frozenset({0, 2}), frozenset({1, 3}), frozenset({2, 4})]
     assert [len(c) for c in tiling_classes(s)] == [2, 1]
@@ -482,3 +504,68 @@ def test_surface_listing_stops_at_the_budget(nx, ny):
     with pytest.raises(BudgetExceeded,
                        match="%d vertices .* %d tilings" % (nx * ny, LISTING_BUDGET)):
         enumerate_surface_tilings(s)
+
+
+def square4_with_parallel_edges():
+    # the 4x4 square with two boundary-to-boundary copies of its edges
+    data = rect(4, 4).to_dict()
+    data["edges"] += [dict(data["edges"][k], left=INF, right=INF) for k in (0, 5)]
+    return surface_from_dict(data)
+
+
+LISTING_SURFACES = dict(
+    {"rect%dx%d" % (nx, ny): (lambda nx=nx, ny=ny: rect(nx, ny))
+     for nx in range(2, 7) for ny in range(2, 5) if nx * ny % 2 == 0},
+    domino=lambda: rect(1, 2), ring6x6=ring_6x6, l_shape=l_shape_6x6,
+    annulus=annulus, torus4x4=torus_4x4, parallel_square=parallel_square,
+    pillow=pillow, square4_parallel=square4_with_parallel_edges)
+
+
+@pytest.mark.parametrize("name", sorted(LISTING_SURFACES))
+def test_surface_listing_matches_the_count_then_list_oracle(name):
+    s = LISTING_SURFACES[name]()
+    assert enumerate_surface_tilings(s) == slow_enumerate_surface_tilings(s)
+
+
+@pytest.mark.parametrize("name", sorted(LISTING_SURFACES))
+def test_matching_bound_is_at_least_the_count(name):
+    s = LISTING_SURFACES[name]()
+    log_bound = heights._log_matching_bound(s)
+    assert log_bound >= math.log(len(enumerate_surface_tilings(s))) - 1e-9
+    if sum(c == -1 for c in s.colors.values()) <= 20:
+        # Ryser merges parallel edges, so it may count fewer than are listed
+        assert log_bound >= math.log(count_planar_matchings(s)) - 1e-9
+
+
+@pytest.mark.parametrize("name", ["parallel_square", "pillow", "square4_parallel",
+                                  "ring6x6", "l_shape"])
+def test_surface_search_yields_what_the_old_search_yields(name):
+    rows = surface_rows(LISTING_SURFACES[name]())
+    new = [(list(m), list(l)) for m, l in _perfect_matchings(rows)]
+    assert new == [(list(m), list(l)) for m, l in slow_perfect_matchings(rows)]
+
+
+def test_ring_lists_at_a_budget_of_its_count_and_refuses_one_below(monkeypatch):
+    s = ring_6x6()
+    assert math.exp(heights._log_matching_bound(s)) > 1444  # so the count pass runs
+    monkeypatch.setattr(heights, "LISTING_BUDGET", 1444)
+    assert len(enumerate_surface_tilings(s)) == 1444
+    monkeypatch.setattr(heights, "LISTING_BUDGET", 1443)
+    with pytest.raises(BudgetExceeded, match="32 vertices has more than 1443 tilings"):
+        enumerate_surface_tilings(s)
+
+
+def test_parallel_edges_raise_the_bound_past_bregman(monkeypatch):
+    # Bregman's simple-graph product gives sqrt(24) < 5 for the pillow's
+    # degrees; a bound that ignored multiplicity would list 8 under a budget of 6
+    s = pillow()
+    assert len(enumerate_surface_tilings(s)) == 8
+    monkeypatch.setattr(heights, "LISTING_BUDGET", 6)
+    with pytest.raises(BudgetExceeded, match="4 vertices has more than 6 tilings"):
+        enumerate_surface_tilings(s)
+
+
+def test_a_vertex_without_edges_lists_nothing():
+    s = CoquadSurface({"b": 1}, [], [])
+    assert heights._log_matching_bound(s) == -math.inf
+    assert enumerate_surface_tilings(s) == []

@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 import weakref
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from tritile import (
 from tritile.harness import walk_states
 from support import (
     corner_cut_cube, count_matchings, pinwheel_N1, pinwheel_N2, slow_from_cell_pairs,
-    slow_neighbor_table, slow_refine,
+    slow_neighbor_table, slow_perfect_matchings, slow_refine,
 )
 
 
@@ -177,6 +178,29 @@ def test_enumeration_order_is_pinned(name):
     pairs = [t.pairs for t in enumerate_tilings(make())]
     assert len(pairs) == count
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+
+_SEARCH_REGIONS = {
+    "box-3x3x2": (lambda: build_box(3, 3, 2), 229),
+    "box-2x4x4": (lambda: build_box(2, 4, 4), 32_000),
+    "torus-2x2x4": (lambda: build_torus(2, 2, 4), 272),
+    "torus-4x2x2": (lambda: build_torus(4, 2, 2), 272),
+    "L-4x4x2": (_ORDER_PINS["L-4x4x2"][0], 1560),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_REGIONS))
+def test_matching_search_yields_what_the_old_search_yields(name):
+    # labels that differ from partners, so the label sequence is compared too
+    make, count = _SEARCH_REGIONS[name]
+    rows = [[((v, d), j) for d, j in enumerate(row)]
+            for v, row in enumerate(tilings._neighbor_rows(make()))]
+    pairs = zip_longest(slow_perfect_matchings(rows), tilings._perfect_matchings(rows))
+    seen = 0
+    for old, new in pairs:
+        assert old is not None and new is not None and old == new
+        seen += 1
+    assert seen == count
 
 
 def test_enumeration_hashes_distinct_and_valid():
