@@ -19,8 +19,8 @@ from .tilings import (
     Tiling, base_tiling, count_tilings, enumerate_tilings, refine_tiling,
 )
 from .moves import (
-    TritMove, WalkState, apply_flip, apply_trit, find_flips, find_trits,
-    labelled_components,
+    TritMove, VisitedHashes, WalkState, apply_flip, apply_trit, find_flips,
+    find_trits, labelled_components,
 )
 from .fluxtwist import (
     closed_box_surface, cutting_surface, flux,
@@ -80,7 +80,9 @@ def random_walk(cfg: WalkConfig) -> dict:
 
     The walk runs on a moves.WalkState, which updates its move index around
     each move instead of rescanning the tiling, so a step costs work in
-    proportion to the move's neighbourhood. The invariants are computed once
+    proportion to the move's neighbourhood. The visited states are hashed
+    in batches by a moves.VisitedHashes, each batch in one pass over the
+    dimers, and deduplicated batch by batch. The invariants are computed once
     at the start: flips keep the twist and each trit moves it by its sign,
     and flux is constant under both moves. Raises ValueError for a step
     count that is not a nonnegative int.
@@ -88,8 +90,7 @@ def random_walk(cfg: WalkConfig) -> dict:
     _check_steps(cfg.steps)
     t = start_tiling(cfg.region)
     state = WalkState(t, cfg.moves)
-    visited = [state.hash64]
-    seen = {visited[0]}
+    visited = VisitedHashes(state)
     histogram: Counter = Counter()
     is_box, is_torus = cfg.region.is_box, cfg.region.is_torus
     tw = twist(t, 2) if is_box else 0
@@ -107,17 +108,15 @@ def random_walk(cfg: WalkConfig) -> dict:
         steps_taken += 1
         if isinstance(m, TritMove):
             tw += m.sign
-        h = state.hash64
-        if h not in seen:
-            seen.add(h)
-            visited.append(h)
+        visited.add()
         note()
+    hashes = visited.hashes()
     return {
         "steps_requested": cfg.steps,
         "steps_taken": steps_taken,
         "frozen": steps_taken < cfg.steps,
-        "distinct_visited": len(seen),
-        "visited_hashes": ["%016x" % h for h in visited],
+        "distinct_visited": len(hashes),
+        "visited_hashes": ["%016x" % h for h in hashes],
         "histogram": {k: histogram[k] for k in sorted(histogram)},
     }
 

@@ -174,14 +174,18 @@ class Region:
         # every cell and wraps it, but once along a period-2 axis, whose
         # second anchor would span the first one's cells. Per axis, anchor
         # coordinate k gives the index terms of k and k + 1, and a cube sums
-        # one term per axis.
+        # one term per axis, written out in CUBE_OFFSETS order.
         torus = self.periods is not None
         L, M, N = sizes = self.dims or self.periods
         ranges = [range(size if torus and size > 2 else size - 1) for size in sizes]
-        terms = [[(k * stride, (k + 1) % size * stride) for k in span]
-                 for span, size, stride in zip(ranges, sizes, (M * N, N, 1))]
-        cubes = [tuple(x + y + z for x in xs for y in ys for z in zs)
-                 for xs, ys, zs in product(*terms)]
+        xs, ys, zs = [[(k * stride, (k + 1) % size * stride) for k in span]
+                      for span, size, stride in zip(ranges, sizes, (M * N, N, 1))]
+        cubes = []
+        for x0, x1 in xs:
+            for y0, y1 in ys:
+                a, b, c, d = x0 + y0, x0 + y1, x1 + y0, x1 + y1
+                cubes += [(a + z0, a + z1, b + z0, b + z1, c + z0, c + z1, d + z0, d + z1)
+                          for z0, z1 in zs]
         return list(product(*ranges)), cubes
 
     def _voxel_cubes(self) -> tuple[list[Cell], list[tuple[int, ...]]]:

@@ -19,13 +19,27 @@ from .regions import (
 )
 
 _M64 = (1 << 64) - 1
+# splitmix64's increment and its two multipliers
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D649BB133111EB
 
 
 def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-    z = (z ^ (z >> 27)) * 0x94D649BB133111EB & _M64
+    x = (x + _GAMMA) & _M64
+    z = (x ^ (x >> 30)) * _MIX1 & _M64
+    z = (z ^ (z >> 27)) * _MIX2 & _M64
     return z ^ (z >> 31)
+
+
+def _fold_codes(n_cells: int, codes: Iterable[int]) -> int:
+    """The hash64 fold: h = splitmix64(n_cells), then h = splitmix64(h ^ c)
+    for each dimer code c, in white-cell order (splitmix64 written out)."""
+    h = _splitmix64(n_cells)
+    for c in codes:
+        x = ((h ^ c) + _GAMMA) & _M64
+        z = (x ^ (x >> 30)) * _MIX1 & _M64
+        z = (z ^ (z >> 27)) * _MIX2 & _M64
+        h = z ^ (z >> 31)
+    return h
 
 
 class Dimer(NamedTuple):
@@ -215,10 +229,7 @@ class Tiling:
         """Order-independent 64-bit canonical hash (sorted fold of dimer codes)."""
         if self._hash64 is None:
             n = self.region.n_cells
-            h = _splitmix64(n)
-            for wi, bi in self.pairs:
-                h = _splitmix64(h ^ _splitmix64(wi * n + bi))
-            self._hash64 = h
+            self._hash64 = _fold_codes(n, (_splitmix64(w * n + b) for w, b in self.pairs))
         return self._hash64
 
     def validate(self) -> None:

@@ -5,9 +5,10 @@ through the library's own adjacency tables or twist formula, so that the
 tests compare two genuinely different code paths.
 """
 
+import random
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -15,15 +16,16 @@ from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from tritile import (
-    Dimer, Region, Tiling, TritMove, apply_flip, apply_trit,
+    Dimer, Region, Tiling, TritMove, WalkState, apply_flip, apply_trit,
     base_tiling, build_box, build_voxel_region, cutting_surface, diff_cycles,
-    find_flips, find_trits, flux_through_surface, refine_region,
+    find_flips, find_trits, flux, flux_through_surface, refine_region, twist,
 )
 from tritile import moves as mv
 from tritile import heights
 from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
 from tritile.moves import LabelledComponent, _normalize_moves
 from tritile.fluxtwist import _TANGENT_AXES
+from tritile.harness import start_tiling
 from tritile.regions import AXIS_NAMES, DIR_AXIS, DIRECTIONS, BudgetExceeded, _coordinate
 from tritile.tilings import _axis_index, _direction
 
@@ -980,3 +982,61 @@ def slow_trit_move(region, anchor, dimers) -> TritMove:
                                     region.reduce(tuple(cell1))))
     return TritMove(removed=tuple(dimers), inserted=tuple(inserted),
                     anchor=anchor, sign=1 if chirality else -1)
+
+
+def slow_lattice_cubes(region) -> tuple:
+    """Region.cube_table of a box or torus as it was built with one
+    generator per cube: per axis, anchor coordinate k gives the index terms
+    of k and k + 1, each cube is the sums of one term per axis, and
+    cell_anchors lists, per cell, the ranks of the cubes that hold it."""
+    torus = region.periods is not None
+    L, M, N = sizes = region.dims or region.periods
+    ranges = [range(size if torus and size > 2 else size - 1) for size in sizes]
+    terms = [[(k * stride, (k + 1) % size * stride) for k in span]
+             for span, size, stride in zip(ranges, sizes, (M * N, N, 1))]
+    cubes = [tuple(x + y + z for x in xs for y in ys for z in zs)
+             for xs, ys, zs in product(*terms)]
+    cell_anchors = [[] for _ in range(region.n_cells)]
+    for r, cube in enumerate(cubes):
+        for c in cube:
+            cell_anchors[c].append(r)
+    return tuple(product(*ranges)), tuple(cubes), tuple(map(tuple, cell_anchors))
+
+
+def slow_random_walk(cfg) -> dict:
+    """harness.random_walk as a plain loop: after every step, take a Tiling
+    snapshot of the walk state and read its hash64, keeping the first visit
+    of each hash."""
+    t = start_tiling(cfg.region)
+    state = WalkState(t, cfg.moves)
+    rng = random.Random(cfg.seed)
+    visited = [t.hash64]
+    seen = set(visited)
+    histogram = Counter()
+    tw = twist(t, 2) if cfg.region.is_box else 0
+    flux_key = str(tuple(flux(t).components)) if cfg.region.is_torus else None
+    steps_taken = 0
+    while True:
+        if cfg.region.is_box:
+            histogram[str(tw)] += 1
+        elif cfg.region.is_torus:
+            histogram[flux_key] += 1
+        if steps_taken == cfg.steps or not len(state):
+            break
+        m = state.move(rng.randrange(len(state)))
+        state.apply(m)
+        steps_taken += 1
+        if isinstance(m, TritMove):
+            tw += m.sign
+        h = state.tiling().hash64
+        if h not in seen:
+            seen.add(h)
+            visited.append(h)
+    return {
+        "steps_requested": cfg.steps,
+        "steps_taken": steps_taken,
+        "frozen": steps_taken < cfg.steps,
+        "distinct_visited": len(seen),
+        "visited_hashes": ["%016x" % h for h in visited],
+        "histogram": {k: histogram[k] for k in sorted(histogram)},
+    }

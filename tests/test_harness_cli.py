@@ -523,6 +523,12 @@ _SMALL_L = ([[x, y, z] for x in range(3) for y in range(2) for z in range(2)]
      "e2855f778e9b162d60fac76fb0f63edaea07aa50d26f6646567e190c6915a990"),
     (["components", "torus", "2", "2", "8", "--moves", "fliptrit"],
      "be29b6be74d96c0181b0f33f9d0f9079f0ea641b5fac644d6ef4efd6839aadda"),
+    # walks of 301 and 501 states, recorded while every state was hashed
+    # on its own after each step
+    (["sample", "box", "16", "16", "16", "--steps", "300", "--seed", "2"],
+     "f7389ca53466a60c635fbe8bbbcda91641d4ee51fa0971bb2ea4726f4cd09139"),
+    (["sample", "torus", "4", "4", "4", "--steps", "500", "--seed", "3"],
+     "1c18ca96eb0ec400cd02a47ead2ea903a53377ad44b591b605e4b3a644379a8d"),
 ])
 def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, argv, digest):
     spec = tmp_path / "small_l.json"

@@ -4,7 +4,9 @@ from tritile import (
     BudgetExceeded, Region, RegionError, build_box, build_torus, build_voxel_region,
     refine_region, region_from_json,
 )
-from support import corner_cut_cube, raw_step_table, slow_cube_table, slow_neighbor_table
+from support import (
+    corner_cut_cube, raw_step_table, slow_cube_table, slow_lattice_cubes, slow_neighbor_table,
+)
 from tritile.tilings import _neighbor_rows
 
 
@@ -221,6 +223,17 @@ def test_cube_table_matches_the_coordinate_oracle(make):
         assert r._step_table is None
     assert table == slow_cube_table(r)
 
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_box(16, 16, 16), lambda: build_box(1, 4, 3), lambda: build_box(3, 1, 2),
+    lambda: build_box(2, 5, 1), lambda: build_box(2, 2, 2), lambda: build_box(2, 3, 4),
+    lambda: build_torus(2, 2, 4), lambda: build_torus(4, 2, 2), lambda: build_torus(2, 4, 2),
+    lambda: build_torus(2, 4, 6),
+], ids=["box-16x16x16", "box-1x4x3", "box-3x1x2", "box-2x5x1", "box-2x2x2", "box-2x3x4",
+        "torus-2x2x4", "torus-4x2x2", "torus-2x4x2", "torus-2x4x6"])
+def test_cube_table_matches_the_generator_per_cube_build(make):
+    assert tuple(make().cube_table) == slow_lattice_cubes(make())
 
 def test_boundary_faces_read_the_step_table():
     r = build_box(3, 2, 1)

@@ -3,18 +3,21 @@
 At every step of seeded walks, WalkState's move list must equal
 find_flips + find_trits of a freshly built snapshot, its hash must equal
 the snapshot's, and the invariants the walk tracks incrementally (twist on
-boxes, flux on tori) must equal a full recompute.
+boxes, flux on tori) must equal a full recompute. The walk's batched
+hashes must equal a snapshot's hash64 read after every step.
 """
 import random
 
 import pytest
 
 from tritile import (
-    TritMove, WalkState, build_box, build_torus, build_voxel_region,
-    find_flips, find_trits, flux, twist,
+    TritMove, WalkConfig, WalkState, build_box, build_torus, build_voxel_region,
+    find_flips, find_trits, flux, random_walk, twist,
 )
 from tritile.harness import start_tiling, walk_states
-from support import corner_cut_cube
+from tritile.moves import _lane_hashes
+from tritile.tilings import _splitmix64
+from support import corner_cut_cube, slow_random_walk
 
 
 def _l_shape():
@@ -146,3 +149,52 @@ def test_unknown_move_set_rejected():
 def test_move_set_must_be_a_name(moves):
     with pytest.raises(ValueError, match="moves must be"):
         WalkState(start_tiling(build_box(2, 2, 2)), moves)
+
+
+# (region, moves, steps, seed, distinct states or None)
+@pytest.mark.parametrize("region, moves, steps, seed, distinct", [
+    # 201 states, hashed in four batches of 64
+    (build_box(16, 16, 16), "flip+trit", 200, 1, None),
+    (build_torus(4, 4, 4), "flip+trit", 500, 3, 470),
+    (build_box(3, 3, 2), "flip", 200, 1, 109),
+    (build_torus(2, 2, 6), "flip+trit", 300, 1, None),
+    (_l_shape(), "flip+trit", 300, 3, None),
+    (build_box(4, 4, 4), "flip+trit", 0, 0, 1),
+    # no trit fits in the 2x2x2 box, so the walk freezes at step 0
+    (build_box(2, 2, 2), "trit", 20, 0, 1),
+], ids=["box-16x16x16", "torus-4x4x4", "box-3x3x2-flip", "torus-2x2x6", "l-shape",
+        "zero-steps", "frozen-at-start"])
+def test_random_walk_matches_the_snapshot_oracle(region, moves, steps, seed, distinct):
+    cfg = WalkConfig(region, moves, steps, seed)
+    report = random_walk(cfg)
+    assert report == slow_random_walk(cfg)
+    if distinct is not None:
+        assert report["distinct_visited"] == distinct
+    assert report["frozen"] == (region.dims == (2, 2, 2))
+
+
+def _codes(t):
+    n = t.region.n_cells
+    return [_splitmix64(w * n + b) for w, b in t.pairs]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 63, 64, 65])
+def test_lane_fold_equals_tiling_hash64(lanes):
+    # every third move undoes the one before, so lane 1 returns to the base
+    # codes; lane 0 also names a rank whose code does not change
+    state = WalkState(start_tiling(build_box(4, 4, 4)))
+    base = _codes(state.tiling())
+    rng = random.Random(lanes)
+    previous, changes, snapshots = base, [], []
+    for lane in range(lanes):
+        m = m.reversed() if lane % 3 == 1 else state.move(rng.randrange(len(state)))
+        state.apply(m)
+        snapshots.append(state.tiling())
+        codes = _codes(snapshots[-1])
+        changes.append({k: c for k, (c, p) in enumerate(zip(codes, previous)) if c != p})
+        previous = codes
+    assert changes[0] and 5 not in changes[0]
+    changes[0][5] = base[5]
+    if lanes > 1:
+        assert _codes(snapshots[1]) == base
+    assert _lane_hashes(64, base, changes) == [t.hash64 for t in snapshots]
