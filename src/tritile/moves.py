@@ -25,7 +25,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .regions import DIR_AXIS, Cell, Region
 from .tilings import (
-    _GAMMA, _M64, _MIX1, _MIX2, Dimer, Tiling, _direction, _fold_codes, _splitmix64,
+    _M64, Dimer, Tiling, _dimer_codes, _direction, _fold_codes, _lane_masks, _mix_lanes,
+    _splitmix64,
 )
 
 
@@ -266,7 +267,7 @@ class WalkState:
         # codes by rank, and the ranks whose codes apply() changed since
         # VisitedHashes last cleared them
         self._rank = {w: k for k, (w, _b) in enumerate(t.pairs)}
-        self._codes = [_splitmix64(w * n + b) for w, b in t.pairs]
+        self._codes = list(_dimer_codes(n, t.pairs))
         self._changed: set[int] = set()
 
     def __len__(self) -> int:
@@ -423,16 +424,12 @@ def _lane_hashes(n_cells: int, base: Sequence[int],
 
     Tiling l is lane l: bits 128 * l to 128 * l + 127 of one int, with its
     fold in the low 64. Each step of the fold acts on every lane in one
-    big-int operation: the increment is added in every lane, and the whole
-    int is multiplied by each plain 64-bit multiplier. A lane's sum stays
-    under 2**65 and its product under 2**128, so neither carries into the
-    next lane; the bits that a right shift moves down from the next lane
-    land above bit 64 of a lane, and the next mask clears them.
+    big-int operation: the increment is added in every lane, where a sum
+    stays under 2**65 and so never carries into the next lane, and
+    _mix_lanes does the rest of splitmix64.
     """
     lanes = len(changes)
-    rep = ((1 << 128 * lanes) - 1) // ((1 << 128) - 1)  # 1 in every lane
-    mask = _M64 * rep
-    gamma = _GAMMA * rep
+    rep, mask, gamma = _lane_masks(lanes)
     # a changed rank's input is its run of codes, lane by lane; any other
     # rank's is its base code times rep
     runs: dict[int, list[tuple[int, int]]] = {}
@@ -448,11 +445,8 @@ def _lane_hashes(n_cells: int, base: Sequence[int],
     h = _splitmix64(n_cells) * rep
     for k, c in enumerate(base):
         x = inputs.get(k)
-        x = ((h ^ (c * rep if x is None else x)) + gamma) & mask
-        z = ((x ^ x >> 30) & mask) * _MIX1 & mask
-        z = ((z ^ z >> 27) & mask) * _MIX2 & mask
-        # bits from the next lane stay above bit 96 until the next mask
-        h = z ^ z >> 31
+        # bits from the next lane stay above bit 96 of h until this mask
+        h = _mix_lanes(((h ^ (c * rep if x is None else x)) + gamma) & mask, mask)
     return [h >> 128 * lane & _M64 for lane in range(lanes)]
 
 

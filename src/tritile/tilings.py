@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain
 from operator import add, sub
+from struct import pack, unpack
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .regions import (
@@ -28,6 +30,57 @@ def _splitmix64(x: int) -> int:
     z = (x ^ (x >> 30)) * _MIX1 & _M64
     z = (z ^ (z >> 27)) * _MIX2 & _M64
     return z ^ (z >> 31)
+
+
+# Pairs whose codes _dimer_codes computes in one int of 128-bit lanes.
+# Hashing the k=2 refinement of box 3x3x2 (140,625 pairs) took about the
+# same time at 512 to 4096 lanes; a chunk of 1024 lanes is a 16 KB int.
+_CHUNK = 1024
+
+
+@lru_cache(maxsize=8)
+def _lane_masks(lanes: int) -> tuple[int, int, int]:
+    """(rep, mask, gamma) for an int of `lanes` 128-bit lanes: 1, 2**64 - 1
+    and splitmix64's increment in the low 64 bits of every lane."""
+    rep = ((1 << 128 * lanes) - 1) // ((1 << 128) - 1)
+    return rep, _M64 * rep, _GAMMA * rep
+
+
+def _mix_lanes(x: int, mask: int) -> int:
+    """splitmix64 after its increment, on every 128-bit lane of x at once.
+
+    Each lane of x holds a value under 2**64. A lane's product stays under
+    2**128, so it never carries into the next lane; the bits that a right
+    shift moves down from the next lane land above bit 64 of a lane, where
+    the next mask clears them. Bits 97 and up of each lane of the result
+    are such bits, so a reader takes the low 64 of each lane.
+    """
+    z = ((x ^ x >> 30) & mask) * _MIX1 & mask
+    z = ((z ^ z >> 27) & mask) * _MIX2 & mask
+    return z ^ z >> 31
+
+
+def _dimer_codes(n_cells: int, pairs: Sequence[tuple[int, int]]) -> Iterator[int]:
+    """splitmix64(w * n_cells + b) for each pair (w, b), in order.
+
+    The pairs go _CHUNK at a time into one int, pair l in lane l (bits
+    128 * l to 128 * l + 127): w in the low 64 bits, b in the high 64.
+    Every lane's input w * n_cells + b + gamma is formed and mixed by a few
+    big-int operations on the whole int (_mix_lanes), and the low 64 bits
+    of each lane are read off. Lanes are packed and read as little-endian
+    64-bit words ("<Q"), whatever the host's byte order. Only one chunk's
+    codes are held.
+    """
+    for i in range(0, len(pairs), _CHUNK):
+        part = pairs[i:i + _CHUNK]
+        lanes = len(part)
+        _rep, mask, gamma = _lane_masks(lanes)
+        layout = "<%dQ" % (2 * lanes)
+        x = int.from_bytes(pack(layout, *chain.from_iterable(part)), "little")
+        # x >> 64 puts b in the low half of each lane, and the next pair's w
+        # in the high half, where the mask after the sum clears it
+        x = ((x & mask) * n_cells + (x >> 64) + gamma) & mask
+        yield from unpack(layout, _mix_lanes(x, mask).to_bytes(16 * lanes, "little"))[::2]
 
 
 def _fold_codes(n_cells: int, codes: Iterable[int]) -> int:
@@ -128,7 +181,8 @@ class Tiling:
     @classmethod
     def _from_mate(cls, region: Region, mate: Sequence[int]) -> "Tiling":
         colors = region.colors
-        return cls._sorted(region, [(i, m) for i, m in enumerate(mate) if colors[i] == -1], mate)
+        return cls._sorted(region, tuple((i, m) for i, m in enumerate(mate) if colors[i] == -1),
+                           mate)
 
     @classmethod
     def from_cell_pairs(cls, region: Region,
@@ -226,10 +280,14 @@ class Tiling:
 
     @property
     def hash64(self) -> int:
-        """Order-independent 64-bit canonical hash (sorted fold of dimer codes)."""
+        """64-bit canonical hash: the fold of the dimer codes
+        splitmix64(w * n_cells + b) over the pairs in white-cell order
+        (_fold_codes). The codes come from _dimer_codes, a chunk of pairs
+        at a time in the 128-bit lanes of one int, and are folded one by
+        one as they come."""
         if self._hash64 is None:
             n = self.region.n_cells
-            self._hash64 = _fold_codes(n, (_splitmix64(w * n + b) for w, b in self.pairs))
+            self._hash64 = _fold_codes(n, _dimer_codes(n, self.pairs))
         return self._hash64
 
     def validate(self) -> None:
@@ -326,8 +384,10 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
     over its neighbors in the canonical +x,-x,+y,-y,+z,-z order. The stream is
     deterministic, so a consumer can re-run and skip a prefix to resume.
     """
+    # the white cells once per region, not once per tiling as _from_mate finds them
+    whites = [i for i, c in enumerate(region.colors) if c == -1]
     for mate in _mates(region):
-        yield Tiling._from_mate(region, mate)
+        yield Tiling._sorted(region, tuple(zip(whites, map(mate.__getitem__, whites))), mate)
 
 
 def _mates(region: Region) -> Iterator[list[int]]:
@@ -575,7 +635,7 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
     mate = None if region2.kind == "voxels" else _lattice_refined_mate(t, region2, scale)
     if mate is not None:
         whites = _white_indices(*(region2.dims or region2.periods))
-        return Tiling._sorted(region2, list(zip(whites, map(mate.__getitem__, whites))), mate)
+        return Tiling._sorted(region2, tuple(zip(whites, map(mate.__getitem__, whites))), mate)
     # voxel regions, and the diagnosis of a broken cover on any region
     pairs, mate = _indexed_refined_pairs(t, region2, scale)
     t2 = Tiling(region2, pairs)

@@ -544,6 +544,13 @@ _PINWHEEL = (((1, 0, 0), (0, 0, 0)), ((2, 1, 0), (2, 0, 0)),
              ((1, 1, 1), (1, 1, 0)))
 
 
+def l_shape_region() -> Region:
+    """The L-shaped voxel region: a 4x2x2 bar and a 2x4x2 bar on its end."""
+    return build_voxel_region(
+        [(x, y, z) for x in range(4) for y in range(2) for z in range(2)]
+        + [(x, y, z) for x in range(2) for y in range(2, 6) for z in range(2)])
+
+
 def tiling_tA() -> Tiling:
     """3x3x2 tiling holding a one-dimer-per-axis trio in the low cube."""
     r = build_box(3, 3, 2)
@@ -1040,3 +1047,26 @@ def slow_random_walk(cfg) -> dict:
         "visited_hashes": ["%016x" % h for h in visited],
         "histogram": {k: histogram[k] for k in sorted(histogram)},
     }
+
+
+def _slow_splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) % 2 ** 64
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2 ** 64
+    x = (x ^ x >> 27) * 0x94D649BB133111EB % 2 ** 64
+    return x ^ x >> 31
+
+
+def slow_dimer_codes(n_cells: int, pairs) -> list:
+    """The dimer codes of Tiling.hash64, one scalar
+    splitmix64(w * n_cells + b) per pair (w, b), in order."""
+    return [_slow_splitmix64(w * n_cells + b) for w, b in pairs]
+
+
+def slow_hash64(t: Tiling) -> int:
+    """Tiling.hash64 as the scalar fold: h = splitmix64(n), then
+    h = splitmix64(h ^ c) for each dimer code c (slow_dimer_codes), with
+    splitmix64 written out from its constants rather than the library's."""
+    h = _slow_splitmix64(t.region.n_cells)
+    for c in slow_dimer_codes(t.region.n_cells, t.pairs):
+        h = _slow_splitmix64(h ^ c)
+    return h

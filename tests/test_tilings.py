@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from tritile import tilings
 from tritile import (
-    BudgetExceeded, Region, Tiling, apply_flip, base_tiling, build_box,
+    BudgetExceeded, Region, Tiling, WalkState, apply_flip, base_tiling, build_box,
     build_torus, build_voxel_region, count_tilings, deserialize_tiling,
     diff_cycles, enumerate_tilings, find_flips, refine_region, refine_tiling,
     serialize_tiling,
 )
-from tritile.harness import walk_states
+from tritile.harness import start_tiling, walk_states
 from support import (
-    corner_cut_cube, count_matchings, pinwheel_N1, pinwheel_N2, slow_from_cell_pairs,
-    slow_neighbor_table, slow_perfect_matchings, slow_refine,
+    corner_cut_cube, count_matchings, l_shape_region, pinwheel_N1, pinwheel_N2,
+    slow_dimer_codes, slow_from_cell_pairs, slow_hash64, slow_neighbor_table,
+    slow_perfect_matchings, slow_refine,
 )
 
 
@@ -620,3 +621,57 @@ def test_flip_is_an_involution(seed):
         return
     m = flips[seed % len(flips)]
     assert apply_flip(apply_flip(t, m), m.reversed()) == t
+
+
+# -- hash64 -------------------------------------------------------------------
+
+# a tiling of box 3x3x2, and the hash64 of its k=2 refinement (140,625 pairs)
+# as recorded with one scalar splitmix64 call per dimer code
+_PAIRS_332 = [(1, 7), (2, 8), (5, 11), (6, 0), (9, 3), (10, 4), (13, 15), (14, 12), (17, 16)]
+_REFINED_332_HASH = 0x3C57BCC5BD3CA540
+
+
+def _rod(pairs: int) -> Tiling:
+    """A walked tiling of the 2 x 1 x pairs box, which has `pairs` pairs."""
+    t = walk_states(build_box(2, 1, pairs), "flip", 40, pairs)[-1]
+    assert len(t.pairs) == pairs
+    return t
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Tiling(build_box(2, 2, 2), []),
+    lambda: Tiling(build_box(1, 1, 2), [(1, 0)]),
+    lambda: _rod(tilings._CHUNK - 1),
+    lambda: _rod(tilings._CHUNK),
+    lambda: _rod(tilings._CHUNK + 1),
+    lambda: _rod(3 * tilings._CHUNK + 7),
+    lambda: walk_states(build_torus(2, 4, 6), "flip+trit", 50, 4)[-1],
+    lambda: walk_states(l_shape_region(), "flip+trit", 30, 2)[-1],
+], ids=["0-pairs", "1-pair", "chunk-1", "chunk", "chunk+1", "3-chunks+7",
+        "torus-2x4x6", "l-shape"])
+def test_hash64_equals_the_scalar_fold(make):
+    t = make()
+    n = t.region.n_cells
+    assert list(tilings._dimer_codes(n, t.pairs)) == slow_dimer_codes(n, t.pairs)
+    assert t.hash64 == slow_hash64(t)
+
+
+def test_hash64_of_a_refined_tiling_is_pinned():
+    t = refine_tiling(Tiling(build_box(3, 3, 2), _PAIRS_332), 2)
+    assert len(t.pairs) == 140_625
+    assert t.hash64 == slow_hash64(t) == _REFINED_332_HASH
+
+
+def test_walk_state_codes_equal_the_scalar_codes():
+    state = WalkState(start_tiling(build_box(16, 16, 16)))
+    assert state._codes == slow_dimer_codes(state.region.n_cells, state.tiling().pairs)
+
+
+@pytest.mark.parametrize("n_cells", [3, 2 ** 32 + 1, 2 ** 62 - 1])
+def test_dimer_codes_hold_for_any_cell_count(n_cells):
+    # past 2**32 cells a lane's high half times n_cells passes 2**128, so a
+    # lane not masked before the product would carry into the next lane
+    rng = random.Random(n_cells)
+    pairs = [(rng.randrange(n_cells), rng.randrange(n_cells))
+             for _ in range(tilings._CHUNK + 3)]
+    assert list(tilings._dimer_codes(n_cells, pairs)) == slow_dimer_codes(n_cells, pairs)

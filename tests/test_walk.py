@@ -11,19 +11,12 @@ import random
 import pytest
 
 from tritile import (
-    TritMove, WalkConfig, WalkState, build_box, build_torus, build_voxel_region,
+    TritMove, WalkConfig, WalkState, build_box, build_torus,
     find_flips, find_trits, flux, random_walk, twist,
 )
 from tritile.harness import start_tiling, walk_states
 from tritile.moves import _lane_hashes
-from tritile.tilings import _splitmix64
-from support import corner_cut_cube, slow_random_walk
-
-
-def _l_shape():
-    return build_voxel_region(
-        [(x, y, z) for x in range(4) for y in range(2) for z in range(2)]
-        + [(x, y, z) for x in range(2) for y in range(2, 6) for z in range(2)])
+from support import corner_cut_cube, l_shape_region, slow_dimer_codes, slow_random_walk
 
 
 def _full_scan(t, moves):
@@ -73,7 +66,7 @@ def check_walk(region, moves, steps, seed):
     (build_torus(4, 4, 4), "flip+trit", 250, 8, True),
     (build_torus(4, 4, 4), "flip", 100, 9, False),
     (corner_cut_cube(), "flip+trit", 300, 10, True),
-    (_l_shape(), "flip+trit", 300, 3, False),
+    (l_shape_region(), "flip+trit", 300, 3, False),
 ])
 def test_index_equals_full_rescan_at_every_step(region, moves, steps, seed, takes_trits):
     kinds = check_walk(region, moves, steps, seed)
@@ -158,7 +151,7 @@ def test_move_set_must_be_a_name(moves):
     (build_torus(4, 4, 4), "flip+trit", 500, 3, 470),
     (build_box(3, 3, 2), "flip", 200, 1, 109),
     (build_torus(2, 2, 6), "flip+trit", 300, 1, None),
-    (_l_shape(), "flip+trit", 300, 3, None),
+    (l_shape_region(), "flip+trit", 300, 3, None),
     (build_box(4, 4, 4), "flip+trit", 0, 0, 1),
     # no trit fits in the 2x2x2 box, so the walk freezes at step 0
     (build_box(2, 2, 2), "trit", 20, 0, 1),
@@ -174,8 +167,7 @@ def test_random_walk_matches_the_snapshot_oracle(region, moves, steps, seed, dis
 
 
 def _codes(t):
-    n = t.region.n_cells
-    return [_splitmix64(w * n + b) for w, b in t.pairs]
+    return slow_dimer_codes(t.region.n_cells, t.pairs)
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 63, 64, 65])
