@@ -60,15 +60,14 @@ def _check_steps(steps) -> None:
 
 def _walk(state: WalkState, steps: int, seed: int) -> Iterator:
     """Apply up to `steps` moves to the state, each drawn uniformly from the
-    available ones, and yield each move once it is applied. Stops early at
-    a tiling with no moves."""
+    available ones, and yield (move, what apply returned) for each. Stops
+    early at a tiling with no moves."""
     rng = random.Random(seed)
     for _ in range(steps):
         if not len(state):
             return
         m = state.move(rng.randrange(len(state)))
-        state.apply(m)
-        yield m
+        yield m, state.apply(m)
 
 
 def random_walk(cfg: WalkConfig) -> dict:
@@ -80,17 +79,17 @@ def random_walk(cfg: WalkConfig) -> dict:
 
     The walk runs on a moves.WalkState, which updates its move index around
     each move instead of rescanning the tiling, so a step costs work in
-    proportion to the move's neighbourhood. The visited states are hashed
-    in batches by a moves.VisitedHashes, each batch in one pass over the
-    dimers, and deduplicated batch by batch. The invariants are computed once
-    at the start: flips keep the twist and each trit moves it by its sign,
-    and flux is constant under both moves. Raises ValueError for a step
-    count that is not a nonnegative int.
+    proportion to the move's neighbourhood. A moves.VisitedHashes takes the
+    dimers each step inserts and hashes the states in batches, each in one
+    pass over the dimers, deduplicated batch by batch. The invariants are
+    computed once at the start: flips keep the twist and each trit moves it
+    by its sign, and flux is constant under both moves. Raises ValueError
+    for a step count that is not a nonnegative int.
     """
     _check_steps(cfg.steps)
     t = start_tiling(cfg.region)
     state = WalkState(t, cfg.moves)
-    visited = VisitedHashes(state)
+    visited = VisitedHashes(t)
     histogram: Counter = Counter()
     is_box, is_torus = cfg.region.is_box, cfg.region.is_torus
     tw = twist(t, 2) if is_box else 0
@@ -104,11 +103,11 @@ def random_walk(cfg: WalkConfig) -> dict:
 
     note()
     steps_taken = 0
-    for m in _walk(state, cfg.steps, cfg.seed):
+    for m, inserted in _walk(state, cfg.steps, cfg.seed):
         steps_taken += 1
         if isinstance(m, TritMove):
             tw += m.sign
-        visited.add()
+        visited.add(inserted)
         note()
     hashes = visited.hashes()
     return {
@@ -126,7 +125,7 @@ def walk_states(region: Region, moves: str, steps: int, seed: int) -> list[Tilin
     Raises ValueError for a step count that is not a nonnegative int."""
     _check_steps(steps)
     state = WalkState(start_tiling(region), moves)
-    return [state.tiling() for _m in _walk(state, steps, seed)]
+    return [state.tiling() for _step in _walk(state, steps, seed)]
 
 
 # -- verification suites -------------------------------------------------

@@ -21,12 +21,11 @@ from bisect import bisect_left, insort
 from collections import namedtuple
 from itertools import islice
 from struct import Struct
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .regions import DIR_AXIS, Cell, Region
 from .tilings import (
-    _M64, Dimer, Tiling, _dimer_codes, _direction, _fold_codes, _lane_masks, _mix_lanes,
-    _splitmix64,
+    _M64, Dimer, Tiling, _dimer_codes, _direction, _lane_masks, _mix_lanes, _splitmix64,
 )
 
 
@@ -159,21 +158,12 @@ def _trio_table() -> tuple[tuple[tuple, tuple, int], ...]:
 _TRIOS = _trio_table()
 
 
-def _trio(cube: tuple[int, ...], positions: tuple) -> tuple[int, ...]:
-    """The cells of a cube's trio at positions: its (cell, cell) index
-    pairs, each and all sorted, run together."""
-    (c1, p1), (c2, p2), (c3, p3) = sorted(
-        (min(cube[i], cube[j]), max(cube[i], cube[j])) for i, j in positions)
-    return c1, p1, c2, p2, c3, p3
-
-
 def _cube_trios(cubes: Sequence[tuple[int, ...]], mate: Sequence[int],
-                ranks: Iterable[int]) -> list[tuple[int, tuple, tuple]]:
-    """(rank, trio, entry) of each cube cubes[r], r in ranks, that holds a
-    trit: its cells (see _trio) and the _TRIOS entry that matches them.
-    Three in-cube dimers, one per axis, on six cells leave two antipodal
-    ones, which share no face; so at most one entry matches a cube, and the
-    scan stops there."""
+                ranks: Iterable[int]) -> list[tuple[int, tuple]]:
+    """(rank, entry) of each cube cubes[r], r in ranks, that holds a trit,
+    with the _TRIOS entry that matches it. Three in-cube dimers, one per
+    axis, on six cells leave two antipodal ones, which share no face; so at
+    most one entry matches a cube, and the scan stops there."""
     found = []
     for r in ranks:
         cube = cubes[r]
@@ -184,16 +174,15 @@ def _cube_trios(cubes: Sequence[tuple[int, ...]], mate: Sequence[int],
                 if c < 0 or mate[c] != cube[j]:
                     break
             else:
-                found.append((r, _trio(cube, entry[0]), entry))
+                found.append((r, entry))
                 break
     return found
 
 
-def _trits(region: Region, mate: Sequence[int]) -> Iterator[tuple[int, tuple]]:
+def _trits(region: Region, mate: Sequence[int]) -> list[tuple[int, tuple]]:
     """(anchor rank, _TRIOS entry) of each trit in find_trits order."""
     cubes = region.cube_table.cubes
-    for r, _trio, entry in _cube_trios(cubes, mate, range(len(cubes))):
-        yield r, entry
+    return _cube_trios(cubes, mate, range(len(cubes)))
 
 
 def _trit_move(region: Region, r: int, entry: tuple) -> TritMove:
@@ -231,15 +220,14 @@ class WalkState:
 
     The index lists the same moves as find_flips + find_trits of the current
     tiling, in the same order (flips only or trits only when `moves` says
-    so). A move changes at most 6 cells, so apply() drops the indexed moves
-    that touch them and rescans only the inserted dimers for flips and the
-    cubes around the changed cells for trits: a step costs work in
-    proportion to the move's neighbourhood, not to the tiling.
+    so). A move is stale exactly when it uses a dimer that a step removes,
+    so apply() drops the moves keyed by the removed dimers and rescans only
+    the inserted dimers for flips and the cubes around the changed cells for
+    trits: a step costs work in proportion to the move's neighbourhood, not
+    to the tiling.
 
-    Hashing is not part of a step: apply() only updates the dimer codes of
-    Tiling.hash64 and notes the ranks it changed. hash64 folds every code
-    on each read; a walk that hashes every state records them in a
-    VisitedHashes, which hashes them in batches.
+    Hashing is not part of a step: apply() returns the inserted dimers, and
+    a walk that hashes every state hands them to a VisitedHashes.
     """
 
     def __init__(self, t: Tiling, moves: str = "flip+trit"):
@@ -247,28 +235,19 @@ class WalkState:
         region = t.region
         self.region = region
         self.mate = list(t.mate)
-        n = region.n_cells
         self._flip_moves = "flip" in move_set
         self._trit_moves = "trit" in move_set
         # One index of both kinds. A flip is keyed white * 6 + direction by
         # its first removed dimer, a trit 6 * n_cells + anchor rank, so the
         # sorted keys list flips then trits in find_flips/find_trits order.
-        # key -> (the cells it removes, its _TRIOS entry or None): a flip's
-        # (w, b, w2, b2), a trit's trio (see _trio)
-        self._moves: dict[int, tuple[tuple[int, ...], Optional[tuple]]] = {}
-        self._keys_at: list[set[int]] = [set() for _ in range(n)]
-        self._trit_base = 6 * n
+        # key -> a flip's cells (w, b, w2, b2) or a trit's _TRIOS entry
+        self._moves: dict[int, tuple] = {}
+        self._trit_base = 6 * region.n_cells
         if self._flip_moves:
             self._scan_flips(t.pairs)
         if self._trit_moves:
             self._scan_trits(range(len(region.cube_table.cubes)))
         self._keys = sorted(self._moves)
-        # Tiling.hash64 folds one code per dimer in white-cell order; keep the
-        # codes by rank, and the ranks whose codes apply() changed since
-        # VisitedHashes last cleared them
-        self._rank = {w: k for k, (w, _b) in enumerate(t.pairs)}
-        self._codes = list(_dimer_codes(n, t.pairs))
-        self._changed: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -276,10 +255,9 @@ class WalkState:
     def move(self, k: int):
         """The k-th available move, 0 <= k < len(self)."""
         key = self._keys[k]
-        cells, entry = self._moves[key]
-        if entry is None:
-            return _flip_move(self.region, *cells)
-        return _trit_move(self.region, key - self._trit_base, entry)
+        if key < self._trit_base:
+            return _flip_move(self.region, *self._moves[key])
+        return _trit_move(self.region, key - self._trit_base, self._moves[key])
 
     def moves(self) -> list:
         return [self.move(k) for k in range(len(self))]
@@ -288,49 +266,56 @@ class WalkState:
         """An immutable snapshot of the current tiling."""
         return Tiling._from_mate(self.region, self.mate)
 
-    @property
-    def hash64(self) -> int:
-        """Tiling.hash64 of the current tiling, folded in full on each read."""
-        return _fold_codes(self.region.n_cells, self._codes)
+    def apply(self, m: Union[FlipMove, TritMove]) -> list[tuple[int, int]]:
+        """Apply a move available in the current tiling; return its inserted
+        dimers as (white, black) cell index pairs.
 
-    def apply(self, m: Union[FlipMove, TritMove]) -> None:
-        """Apply a move available in the current tiling."""
-        index = self.region.index
-        mate = self.mate
+        A removed dimer (w, b) is first in the flips keyed 6w to 6w + 5 and
+        second in those keyed 6 * step[b][e ^ 1] + e, whose first white cell
+        is one step from b against direction e (negative off the region).
+        Stale trits anchor on the cubes around the removed cells, rescanned
+        below.
+        """
+        index, mate, moves, keys = self.region.index, self.mate, self._moves, self._keys
         removed = [(index[d.white], index[d.black]) for d in m.removed]
         if any(mate[w] != b for w, b in removed):
             raise ValueError("stale move: a removed dimer is absent from the tiling")
-        changed = [c for pair in removed for c in pair]
-        for c in changed:
-            for key in list(self._keys_at[c]):
-                self._drop(key)
-        inserted = [index[d.white] for d in m.inserted]
-        n = self.region.n_cells
-        for d, w in zip(m.inserted, inserted):
-            b = index[d.black]
+        stale: list[int] = []
+        if self._flip_moves:
+            step = self.region.step_table
+            for w, b in removed:
+                stale += range(6 * w, 6 * w + 6)
+                stale += (6 * step[b][e ^ 1] + e for e in range(6))
+        if self._trit_moves:
+            cell_anchors = self.region.cube_table.cell_anchors
+            anchors = {r for pair in removed for c in pair for r in cell_anchors[c]}
+            stale += (self._trit_base + r for r in anchors)
+        for key in stale:
+            if moves.pop(key, None) is not None:
+                del keys[bisect_left(keys, key)]
+        inserted = [(index[d.white], index[d.black]) for d in m.inserted]
+        for w, b in inserted:
             mate[w], mate[b] = b, w
-            k = self._rank[w]
-            self._codes[k] = _splitmix64(w * n + b)
-            self._changed.add(k)
-        kept = len(self._moves)
+        kept = len(moves)
         if self._flip_moves:
             # flips are keyed by their smaller white cell, so a new flip may
             # belong to an unchanged neighbour with a smaller index
-            lower = set(self._scan_flips([(w, mate[w]) for w in inserted]))
-            self._scan_flips([(w, mate[w]) for w in lower.difference(inserted)])
+            lower = set(self._scan_flips(inserted))
+            lower.difference_update(w for w, _b in inserted)
+            self._scan_flips([(w, mate[w]) for w in lower])
         if self._trit_moves:
-            cell_anchors = self.region.cube_table.cell_anchors
-            self._scan_trits({r for c in changed for r in cell_anchors[c]})
+            self._scan_trits(anchors)
         # _moves keeps insertion order, so the moves just indexed are its last
-        for key in islice(reversed(self._moves), len(self._moves) - kept):
-            insort(self._keys, key)
+        for key in islice(reversed(moves), len(moves) - kept):
+            insort(keys, key)
+        return inserted
 
     # -- index maintenance --------------------------------------------------
 
     def _scan_flips(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
         """Index the flips keyed by these dimers, white cell first; return
         the white cells of their smaller-indexed flip partners."""
-        step, mate = self.region.step_table, self.mate
+        step, mate, moves = self.region.step_table, self.mate, self._moves
         lower = []
         for w, b in pairs:
             for e, w2, b2 in _slab_partners(step, w, b):
@@ -338,28 +323,15 @@ class WalkState:
                     continue
                 if w2 < w:
                     lower.append(w2)
-                elif w * 6 + e not in self._moves:
-                    self._add(w * 6 + e, (w, b, w2, b2), None)
+                elif w * 6 + e not in moves:
+                    moves[w * 6 + e] = w, b, w2, b2
         return lower
 
     def _scan_trits(self, ranks: Iterable[int]) -> None:
-        """Index the trits of the given anchors."""
+        """Index the trits of the given anchors, none of them indexed yet."""
         base = self._trit_base
-        ranks = (r for r in ranks if base + r not in self._moves)
-        for r, trio, entry in _cube_trios(self.region.cube_table.cubes, self.mate, ranks):
-            self._add(base + r, trio, entry)
-
-    def _add(self, key: int, cells: tuple[int, ...], entry: Optional[tuple]) -> None:
-        # the caller puts the key into _keys
-        self._moves[key] = cells, entry
-        for c in cells:
-            self._keys_at[c].add(key)
-
-    def _drop(self, key: int) -> None:
-        cells, _entry = self._moves.pop(key)
-        del self._keys[bisect_left(self._keys, key)]
-        for c in cells:
-            self._keys_at[c].discard(key)
+        for r, entry in _cube_trios(self.region.cube_table.cubes, self.mate, ranks):
+            self._moves[base + r] = entry
 
 
 # Tilings that VisitedHashes hashes at once. A tiling of the 16^3 box took
@@ -370,29 +342,30 @@ _LANES = 64
 
 
 class VisitedHashes:
-    """Tiling.hash64 of each distinct tiling that a WalkState passes
-    through, in first-visit order.
+    """Tiling.hash64 of each distinct tiling that a walk passes through, in
+    first-visit order.
 
-    Build it on the state at the start of a walk, call add() after each
-    apply(), and read hashes() at the end. Each tiling is recorded as the
-    codes that changed since the one before, and _LANES tilings at a time
-    are hashed by _lane_hashes and deduplicated, so memory holds the
-    distinct hashes and one batch of changes.
+    Build it on the walk's first tiling, call add() with what each
+    WalkState.apply() returns, and read hashes() at the end. It keeps the
+    dimer codes of Tiling.hash64 by white-cell rank and records each tiling
+    as the codes its step changed; _LANES tilings at a time are hashed by
+    _lane_hashes and deduplicated, so memory holds the distinct hashes and
+    one batch of changes.
     """
 
-    def __init__(self, state: WalkState):
-        self._state = state
-        self._base = list(state._codes)
-        state._changed.clear()
+    def __init__(self, t: Tiling):
+        self._n_cells = n = t.region.n_cells
+        self._rank = {w: k for k, (w, _b) in enumerate(t.pairs)}
+        self._base = list(_dimer_codes(n, t.pairs))
         self._batch: list[dict[int, int]] = [{}]
         self._seen: set[int] = set()
         self._hashes: list[int] = []
 
-    def add(self) -> None:
-        """Record the state's current tiling."""
-        codes, changed = self._state._codes, self._state._changed
-        self._batch.append({k: codes[k] for k in changed})
-        changed.clear()
+    def add(self, inserted: Iterable[tuple[int, int]]) -> None:
+        """Record the next tiling of the walk, given the (white, black) cell
+        index pairs that its step inserted."""
+        n, rank = self._n_cells, self._rank
+        self._batch.append({rank[w]: _splitmix64(w * n + b) for w, b in inserted})
         if len(self._batch) == _LANES:
             self._fold()
 
@@ -405,7 +378,7 @@ class VisitedHashes:
         batch, base = self._batch, self._base
         if not batch:
             return
-        for h in _lane_hashes(self._state.region.n_cells, base, batch):
+        for h in _lane_hashes(self._n_cells, base, batch):
             if h not in self._seen:
                 self._seen.add(h)
                 self._hashes.append(h)

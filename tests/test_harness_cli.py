@@ -367,7 +367,8 @@ _L_SHAPE = ([[x, y, z] for x in range(4) for y in range(2) for z in range(2)]
 
 
 # sha256 of the JSON report of each seeded walk. The torus 2 4 6 walk meets
-# cubes named by two anchors along its period-2 axis.
+# cubes named by two anchors along its period-2 axis; on torus 2 2 2 every
+# axis has period 2, so both steps along an axis reach the same cell.
 @pytest.mark.parametrize("argv, digest", [
     (["box", "4", "4", "4", "--steps", "300", "--seed", "1"],
      "c94ed4a1d31ffd9ae6b738076b37b7fa0c338ffec2bdad25831c29e7c63fa98f"),
@@ -379,6 +380,8 @@ _L_SHAPE = ([[x, y, z] for x in range(4) for y in range(2) for z in range(2)]
      "9a59dcbc73a65a72da9e99d62abecdc4520e40963362c4599ceeb9b2202b5a73"),
     (["voxels", "L_SHAPE", "--steps", "300", "--seed", "3"],
      "4901b5adb8b917138c440cdd7b5c201a286df639c414fc7d6fb7e1fea939722c"),
+    (["torus", "2", "2", "2", "--steps", "200", "--seed", "6"],
+     "0d1cbaf59d105fcb330139cd51592cf702fd93011bb045babef834ddcd6963f7"),
 ])
 def test_sample_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
     spec = tmp_path / "l_shape.json"

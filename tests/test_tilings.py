@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from tritile import tilings
 from tritile import (
-    BudgetExceeded, Region, Tiling, WalkState, apply_flip, base_tiling, build_box,
+    BudgetExceeded, Region, Tiling, apply_flip, base_tiling, build_box,
     build_torus, build_voxel_region, count_tilings, deserialize_tiling,
     diff_cycles, enumerate_tilings, find_flips, refine_region, refine_tiling,
     serialize_tiling,
 )
 from tritile.harness import start_tiling, walk_states
+from tritile.moves import VisitedHashes
 from support import (
     corner_cut_cube, count_matchings, l_shape_region, pinwheel_N1, pinwheel_N2,
     slow_dimer_codes, slow_from_cell_pairs, slow_hash64, slow_neighbor_table,
@@ -663,8 +664,8 @@ def test_hash64_of_a_refined_tiling_is_pinned():
 
 
 def test_walk_state_codes_equal_the_scalar_codes():
-    state = WalkState(start_tiling(build_box(16, 16, 16)))
-    assert state._codes == slow_dimer_codes(state.region.n_cells, state.tiling().pairs)
+    t = start_tiling(build_box(16, 16, 16))
+    assert VisitedHashes(t)._base == slow_dimer_codes(t.region.n_cells, t.pairs)
 
 
 @pytest.mark.parametrize("n_cells", [3, 2 ** 32 + 1, 2 ** 62 - 1])
