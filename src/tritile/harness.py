@@ -19,8 +19,8 @@ from .tilings import (
     Tiling, base_tiling, count_tilings, enumerate_tilings, refine_tiling,
 )
 from .moves import (
-    TritMove, VisitedHashes, WalkState, apply_flip, apply_trit, find_flips,
-    find_trits, labelled_components,
+    VisitedHashes, WalkState, apply_flip, apply_trit, find_flips, find_trits,
+    labelled_components,
 )
 from .fluxtwist import (
     closed_box_surface, cutting_surface, flux,
@@ -60,14 +60,13 @@ def _check_steps(steps) -> None:
 
 def _walk(state: WalkState, steps: int, seed: int) -> Iterator:
     """Apply up to `steps` moves to the state, each drawn uniformly from the
-    available ones, and yield (move, what apply returned) for each. Stops
-    early at a tiling with no moves."""
+    available ones, and yield (sign, inserted) of each, as WalkState.step
+    returns them. Stops early at a tiling with no moves."""
     rng = random.Random(seed)
     for _ in range(steps):
         if not len(state):
             return
-        m = state.move(rng.randrange(len(state)))
-        yield m, state.apply(m)
+        yield state.step(rng.randrange(len(state)))
 
 
 def random_walk(cfg: WalkConfig) -> dict:
@@ -79,12 +78,15 @@ def random_walk(cfg: WalkConfig) -> dict:
 
     The walk runs on a moves.WalkState, which updates its move index around
     each move instead of rescanning the tiling, so a step costs work in
-    proportion to the move's neighbourhood. A moves.VisitedHashes takes the
-    dimers each step inserts and hashes the states in batches, each in one
-    pass over the dimers, deduplicated batch by batch. The invariants are
-    computed once at the start: flips keep the twist and each trit moves it
-    by its sign, and flux is constant under both moves. Raises ValueError
-    for a step count that is not a nonnegative int.
+    proportion to the move's neighbourhood. Each step is taken in index
+    space (WalkState.step): no move or Dimer is built, and on a box or
+    torus neither the region's cell tables nor per-cell cube anchors are
+    (the base tiling comes from index arithmetic too). A moves.VisitedHashes
+    takes the dimers each step inserts and hashes the states in batches,
+    each in one pass over the dimers, deduplicated batch by batch. The
+    invariants are computed once at the start: flips keep the twist and
+    each trit moves it by its sign, and flux is constant under both moves.
+    Raises ValueError for a step count that is not a nonnegative int.
     """
     _check_steps(cfg.steps)
     t = start_tiling(cfg.region)
@@ -103,10 +105,9 @@ def random_walk(cfg: WalkConfig) -> dict:
 
     note()
     steps_taken = 0
-    for m, inserted in _walk(state, cfg.steps, cfg.seed):
+    for sign, inserted in _walk(state, cfg.steps, cfg.seed):
         steps_taken += 1
-        if isinstance(m, TritMove):
-            tw += m.sign
+        tw += sign
         visited.add(inserted)
         note()
     hashes = visited.hashes()

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 from .regions import DIR_AXIS, Cell, Region
 from .tilings import (
     _M64, Dimer, Tiling, _dimer_codes, _direction, _lane_masks, _mix_lanes, _splitmix64,
+    _white_cells,
 )
 
 
@@ -185,6 +186,25 @@ def _trits(region: Region, mate: Sequence[int]) -> list[tuple[int, tuple]]:
     return _cube_trios(cubes, mate, range(len(cubes)))
 
 
+def _is_white(region: Region, c: int) -> bool:
+    """Whether cell c is white: on a box or torus from the parity of its
+    coordinates, read off its index without the cell tables; on a voxel
+    region from its colour."""
+    if region.kind == "voxels":
+        return region.colors[c] == -1
+    _L, M, N = region.dims or region.periods
+    xy, z = divmod(c, N)
+    x, y = divmod(xy, M)
+    return (x + y + z) % 2 == 1
+
+
+def _oriented(region: Region, cube: Sequence[int],
+              pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The cube's position pairs as (white, black) cell index pairs."""
+    return [(cube[p], cube[q]) if _is_white(region, cube[p]) else (cube[q], cube[p])
+            for p, q in pairs]
+
+
 def _trit_move(region: Region, r: int, entry: tuple) -> TritMove:
     table = region.cube_table
     cube = table.cubes[r]
@@ -221,13 +241,19 @@ class WalkState:
     The index lists the same moves as find_flips + find_trits of the current
     tiling, in the same order (flips only or trits only when `moves` says
     so). A move is stale exactly when it uses a dimer that a step removes,
-    so apply() drops the moves keyed by the removed dimers and rescans only
+    so a step drops the moves keyed by the removed dimers and rescans only
     the inserted dimers for flips and the cubes around the changed cells for
     trits: a step costs work in proportion to the move's neighbourhood, not
     to the tiling.
 
-    Hashing is not part of a step: apply() returns the inserted dimers, and
-    a walk that hashes every state hands them to a VisitedHashes.
+    A walk steps in index space: step(k) reads the k-th move's entry in the
+    index and applies it as (white, black) cell index pairs, so it builds no
+    FlipMove, TritMove or Dimer, and on a box or torus it reads neither the
+    cell tables nor per-cell cube anchors built in advance (see
+    Region.cube_table). apply(m) takes a move as find_flips and find_trits
+    list it, turns its dimers into index pairs and goes through the same
+    update. Hashing is not part of a step: both return the inserted dimers,
+    and a walk that hashes every state hands them to a VisitedHashes.
     """
 
     def __init__(self, t: Tiling, moves: str = "flip+trit"):
@@ -266,9 +292,39 @@ class WalkState:
         """An immutable snapshot of the current tiling."""
         return Tiling._from_mate(self.region, self.mate)
 
+    def step(self, k: int) -> tuple[int, list[tuple[int, int]]]:
+        """Apply the k-th available move, 0 <= k < len(self), as apply(
+        self.move(k)) would; return its sign (0 for a flip) and its inserted
+        dimers as (white, black) cell index pairs, in the move's order.
+
+        A flip (w, b, w2, b2) inserts (w, b2) and (w2, b). A trit's dimers
+        are pairs of positions in its cube (_TRIOS), turned into cell pairs
+        by _oriented.
+        """
+        key = self._keys[k]
+        entry = self._moves[key]
+        if key < self._trit_base:
+            w, b, w2, b2 = entry
+            return 0, self._update([(w, b), (w2, b2)], [(w, b2), (w2, b)])
+        cube = self.region.cube_table.cubes[key - self._trit_base]
+        removed, inserted, sign = entry
+        return sign, self._update(_oriented(self.region, cube, removed),
+                                  _oriented(self.region, cube, inserted))
+
     def apply(self, m: Union[FlipMove, TritMove]) -> list[tuple[int, int]]:
         """Apply a move available in the current tiling; return its inserted
-        dimers as (white, black) cell index pairs.
+        dimers as (white, black) cell index pairs. Raises ValueError for a
+        move that removes a dimer the tiling does not hold."""
+        index = self.region.index
+        return self._update([(index[d.white], index[d.black]) for d in m.removed],
+                            [(index[d.white], index[d.black]) for d in m.inserted])
+
+    # -- index maintenance --------------------------------------------------
+
+    def _update(self, removed: list[tuple[int, int]],
+                inserted: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """Swap the removed dimers for the inserted ones, all (white, black)
+        index pairs, and bring the index up to date; return inserted.
 
         A removed dimer (w, b) is first in the flips keyed 6w to 6w + 5 and
         second in those keyed 6 * step[b][e ^ 1] + e, whose first white cell
@@ -276,8 +332,7 @@ class WalkState:
         Stale trits anchor on the cubes around the removed cells, rescanned
         below.
         """
-        index, mate, moves, keys = self.region.index, self.mate, self._moves, self._keys
-        removed = [(index[d.white], index[d.black]) for d in m.removed]
+        mate, moves, keys = self.mate, self._moves, self._keys
         if any(mate[w] != b for w, b in removed):
             raise ValueError("stale move: a removed dimer is absent from the tiling")
         stale: list[int] = []
@@ -293,7 +348,6 @@ class WalkState:
         for key in stale:
             if moves.pop(key, None) is not None:
                 del keys[bisect_left(keys, key)]
-        inserted = [(index[d.white], index[d.black]) for d in m.inserted]
         for w, b in inserted:
             mate[w], mate[b] = b, w
         kept = len(moves)
@@ -309,8 +363,6 @@ class WalkState:
         for key in islice(reversed(moves), len(moves) - kept):
             insort(keys, key)
         return inserted
-
-    # -- index maintenance --------------------------------------------------
 
     def _scan_flips(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
         """Index the flips keyed by these dimers, white cell first; return
@@ -461,7 +513,7 @@ def _pack_keys(region: Region, mates: Iterable[Sequence[int]], layout: Struct):
     width = size // region.n_cells
     pack, from_bytes = layout.pack, int.from_bytes
     step = region.step_table
-    whites = [w for w, color in enumerate(region.colors) if color == -1]
+    whites = _white_cells(region)
     # per white cell and byte lane, the neighbour bits of each byte value
     tables = []
     for w in whites:

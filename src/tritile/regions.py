@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import operator
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 Cell = tuple[int, int, int]
 
@@ -156,20 +157,16 @@ class Region:
         cell_anchors[i] the ranks r, increasing, of the cubes that hold cell
         i. On a torus every cell anchors a cube, except along a period-2
         axis, where anchor coordinates 0 and 1 span the same cells and only
-        0 is kept; so no two cubes hold the same cells."""
+        0 is kept; so no two cubes hold the same cells. On a box or torus
+        anchors and cell_anchors are sequences that answer each read by
+        index arithmetic (_LatticeAnchors, _LatticeCellAnchors), so only the
+        cubes are built; a voxel region builds all three as tuples."""
         if self._cube_table is None:
-            anchors, cubes = (self._voxel_cubes() if self.kind == "voxels"
-                              else self._lattice_cubes())
-            cell_anchors: list[list[int]] = [[] for _ in range(self.n_cells)]
-            for r, cube in enumerate(cubes):
-                for c in cube:
-                    if c >= 0:
-                        cell_anchors[c].append(r)
-            self._cube_table = CubeTable(
-                tuple(anchors), tuple(cubes), tuple(map(tuple, cell_anchors)))
+            self._cube_table = (self._voxel_cubes() if self.kind == "voxels"
+                                else self._lattice_cubes())
         return self._cube_table
 
-    def _lattice_cubes(self) -> tuple[list[Cell], list[tuple[int, ...]]]:
+    def _lattice_cubes(self) -> CubeTable:
         # A box's cubes are its full 2x2x2 blocks; a torus anchors one at
         # every cell and wraps it, but once along a period-2 axis, whose
         # second anchor would span the first one's cells. Per axis, anchor
@@ -177,25 +174,32 @@ class Region:
         # one term per axis, written out in CUBE_OFFSETS order.
         torus = self.periods is not None
         L, M, N = sizes = self.dims or self.periods
-        ranges = [range(size if torus and size > 2 else size - 1) for size in sizes]
-        xs, ys, zs = [[(k * stride, (k + 1) % size * stride) for k in span]
-                      for span, size, stride in zip(ranges, sizes, (M * N, N, 1))]
+        counts = [size if torus and size > 2 else size - 1 for size in sizes]
+        xs, ys, zs = [[(k * stride, (k + 1) % size * stride) for k in range(count)]
+                      for count, size, stride in zip(counts, sizes, (M * N, N, 1))]
         cubes = []
         for x0, x1 in xs:
             for y0, y1 in ys:
                 a, b, c, d = x0 + y0, x0 + y1, x1 + y0, x1 + y1
                 cubes += [(a + z0, a + z1, b + z0, b + z1, c + z0, c + z1, d + z0, d + z1)
                           for z0, z1 in zs]
-        return list(product(*ranges)), cubes
+        return CubeTable(_LatticeAnchors(counts), tuple(cubes),
+                         _LatticeCellAnchors(sizes, counts))
 
-    def _voxel_cubes(self) -> tuple[list[Cell], list[tuple[int, ...]]]:
+    def _voxel_cubes(self) -> CubeTable:
         index = self.index
         corners = sorted({(x - dx, y - dy, z - dz)
                           for (x, y, z) in self.cells for (dx, dy, dz) in CUBE_OFFSETS})
         cubes = [tuple(index.get((x + dx, y + dy, z + dz), -1)
                        for (dx, dy, dz) in CUBE_OFFSETS) for (x, y, z) in corners]
         kept = [r for r, cube in enumerate(cubes) if cube.count(-1) <= 1]
-        return [corners[r] for r in kept], [cubes[r] for r in kept]
+        anchors, cubes = [corners[r] for r in kept], [cubes[r] for r in kept]
+        cell_anchors: list[list[int]] = [[] for _ in range(self.n_cells)]
+        for r, cube in enumerate(cubes):
+            for c in cube:
+                if c >= 0:
+                    cell_anchors[c].append(r)
+        return CubeTable(tuple(anchors), tuple(cubes), tuple(map(tuple, cell_anchors)))
 
     # -- basic queries ---------------------------------------------------
 
@@ -265,6 +269,59 @@ class Region:
             "cells": [list(c) for c in self.cells],
             "parity": self.parity,
         }
+
+
+class _LatticeAnchors(Sequence):
+    """Region.cube_table's anchors on a box or torus, each read by index
+    arithmetic: with counts[k] anchor coordinates along axis k, rank r is
+    the anchor (a, b, c) with r = (a * counts[1] + b) * counts[2] + c, in
+    the order of itertools.product over the three ranges."""
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, counts: Sequence[int]):
+        self._counts = tuple(counts)
+
+    def __len__(self) -> int:
+        a, b, c = self._counts
+        return a * b * c
+
+    def __getitem__(self, r: int) -> Cell:
+        _a, b, c = self._counts
+        ab, z = divmod(range(len(self))[r], c)
+        return (*divmod(ab, b), z)
+
+
+class _LatticeCellAnchors(Sequence):
+    """Region.cube_table's cell_anchors on a box or torus, each read by
+    index arithmetic. Along an axis of the given size with count anchor
+    coordinates, the cubes over coordinate x are anchored at x - 1 and at
+    x, wrapped on a torus and kept where below count (on a box, -1 wraps to
+    size - 1, which is never below count). Cell (x, y, z) lies in the cubes
+    of each choice of one such anchor coordinate per axis, and with each
+    axis's choices sorted their ranks (see _LatticeAnchors) come out
+    increasing."""
+
+    __slots__ = ("_sizes", "_counts", "_options")
+
+    def __init__(self, sizes: Sequence[int], counts: Sequence[int]):
+        self._sizes, self._counts = tuple(sizes), tuple(counts)
+        self._options = tuple(
+            tuple(tuple(sorted({k for k in ((x - 1) % size, x) if k < count}))
+                  for x in range(size))
+            for size, count in zip(sizes, counts))
+
+    def __len__(self) -> int:
+        L, M, N = self._sizes
+        return L * M * N
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        _L, M, N = self._sizes
+        xy, z = divmod(range(len(self))[i], N)
+        x, y = divmod(xy, M)
+        xs, ys, zs = self._options
+        _a, b, c = self._counts
+        return tuple((p * b + q) * c + r for p in xs[x] for q in ys[y] for r in zs[z])
 
 
 class _UnbuiltRegion(Region):

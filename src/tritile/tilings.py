@@ -180,9 +180,7 @@ class Tiling:
 
     @classmethod
     def _from_mate(cls, region: Region, mate: Sequence[int]) -> "Tiling":
-        colors = region.colors
-        return cls._sorted(region, tuple((i, m) for i, m in enumerate(mate) if colors[i] == -1),
-                           mate)
+        return cls._sorted(region, _white_pairs(_white_cells(region), mate), mate)
 
     @classmethod
     def from_cell_pairs(cls, region: Region,
@@ -338,26 +336,27 @@ class Tiling:
 def base_tiling(region: Region, axis) -> Tiling:
     """The brick tiling along an axis: all dimers parallel, offsets (2i, 2i+1).
 
-    This is the flux-zero, twist-zero reference tiling.
+    This is the flux-zero, twist-zero reference tiling. Cell (x, y, z) is
+    index (x * M + y) * N + z, so the mate array is written by index
+    arithmetic: along the axis, with stride s, mate[i] - i is +s where the
+    coordinate is even and -s where it is odd, and the white cells come
+    from _white_indices; the region's cell tables are never built. Raises
+    ValueError for an axis that is not 0, 1, 2 or a name, for a voxel
+    region, and for an odd extent along the axis.
     """
     k = _axis_index(axis)
-    if region.kind == "box":
-        extent = region.dims[k]
-    elif region.kind == "torus":
-        extent = region.periods[k]
-    else:
+    if region.kind == "voxels":
         raise ValueError("base tiling requires a box or torus region")
+    sizes = region.dims or region.periods
+    extent = sizes[k]
     if extent % 2:
         raise ValueError("odd extent along axis %s" % AXIS_NAMES[k])
-    mate = [-1] * region.n_cells
-    for i, cell in enumerate(region.cells):
-        if cell[k] % 2 == 0:
-            other = list(cell)
-            other[k] += 1
-            j = region.index[tuple(other)]
-            mate[i] = j
-            mate[j] = i
-    return Tiling._from_mate(region, mate)
+    stride = (sizes[1] * sizes[2], sizes[2], 1)[k]
+    # one span of the axis, stride cells per coordinate, repeated
+    span = ([stride] * stride + [-stride] * stride) * (extent // 2)
+    n = region.n_cells
+    mate = tuple(map(add, range(n), span * (n // len(span))))
+    return Tiling._sorted(region, _white_pairs(_white_indices(*sizes), mate), mate)
 
 
 def _axis_index(axis) -> int:
@@ -384,8 +383,9 @@ def enumerate_tilings(region: Region) -> Iterator[Tiling]:
     over its neighbors in the canonical +x,-x,+y,-y,+z,-z order. The stream is
     deterministic, so a consumer can re-run and skip a prefix to resume.
     """
-    # the white cells once per region, not once per tiling as _from_mate finds them
-    whites = [i for i, c in enumerate(region.colors) if c == -1]
+    # the white cells once per region, not once per tiling as _from_mate
+    # finds them; a tiling's few pairs gain nothing from _white_pairs
+    whites = _white_cells(region)
     for mate in _mates(region):
         yield Tiling._sorted(region, tuple(zip(whites, map(mate.__getitem__, whites))), mate)
 
@@ -634,8 +634,7 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
     scale = 5 ** k
     mate = None if region2.kind == "voxels" else _lattice_refined_mate(t, region2, scale)
     if mate is not None:
-        whites = _white_indices(*(region2.dims or region2.periods))
-        return Tiling._sorted(region2, tuple(zip(whites, map(mate.__getitem__, whites))), mate)
+        return Tiling._sorted(region2, _white_pairs(_white_cells(region2), mate), mate)
     # voxel regions, and the diagnosis of a broken cover on any region
     pairs, mate = _indexed_refined_pairs(t, region2, scale)
     t2 = Tiling(region2, pairs)
@@ -658,6 +657,39 @@ def _white_indices(L: int, M: int, N: int) -> tuple[int, ...]:
     """The white cells (x + y + z odd) of an L x M x N box or torus, by index."""
     return tuple(i for x in range(L) for y in range(M)
                  for i in range((x * M + y) * N + 1 - (x + y) % 2, (x * M + y + 1) * N, 2))
+
+
+def _white_cells(region: Region) -> Sequence[int]:
+    """The white cells of a region by increasing index: _white_indices on a
+    box or torus, read off the colours on a voxel region."""
+    if region.kind == "voxels":
+        return [i for i, c in enumerate(region.colors) if c == -1]
+    return _white_indices(*(region.dims or region.periods))
+
+
+class _Sized:
+    """An iterable of known length. tuple() allocates its result once for
+    an argument with a __len__; from a bare zip, which gives no length
+    hint, it grows by resizes, and each resize hands the growing tuple back
+    to the garbage collector's youngest generation, whose next collections
+    walk all of it."""
+
+    __slots__ = ("_items", "_length")
+
+    def __init__(self, items: Iterable, length: int):
+        self._items, self._length = items, length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+
+def _white_pairs(whites: Sequence[int], mate: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(w, mate[w]) for each white cell w, in the order given, as one tuple
+    allocated at its final length (see _Sized)."""
+    return tuple(_Sized(zip(whites, map(mate.__getitem__, whites)), len(whites)))
 
 
 def _lattice_refined_mate(t: Tiling, region2: Region,

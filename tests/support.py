@@ -991,6 +991,44 @@ def slow_trit_move(region, anchor, dimers) -> TritMove:
                     anchor=anchor, sign=1 if chirality else -1)
 
 
+def built(r: Region, name: str) -> bool:
+    """Whether the region's table `name` ("cells", "index" or "colors") is
+    built, read from the slot itself: plain attribute access would build
+    it."""
+    try:
+        object.__getattribute__(r, name)
+    except AttributeError:
+        return False
+    return True
+
+
+def slow_base_tiling(region: Region, axis) -> Tiling:
+    """tilings.base_tiling as it was before it wrote the mate array by
+    index arithmetic: a loop over the cell coordinates that pairs each cell
+    at an even coordinate along the axis with the next one, looked up in the
+    index, and the pairs read off by colour as Tiling._from_mate did."""
+    k = _axis_index(axis)
+    if region.kind == "box":
+        extent = region.dims[k]
+    elif region.kind == "torus":
+        extent = region.periods[k]
+    else:
+        raise ValueError("base tiling requires a box or torus region")
+    if extent % 2:
+        raise ValueError("odd extent along axis %s" % AXIS_NAMES[k])
+    mate = [-1] * region.n_cells
+    for i, cell in enumerate(region.cells):
+        if cell[k] % 2 == 0:
+            other = list(cell)
+            other[k] += 1
+            j = region.index[tuple(other)]
+            mate[i] = j
+            mate[j] = i
+    colors = region.colors
+    return Tiling._sorted(region, tuple((i, m) for i, m in enumerate(mate) if colors[i] == -1),
+                          mate)
+
+
 def slow_lattice_cubes(region) -> tuple:
     """Region.cube_table of a box or torus as it was built with one
     generator per cube: per axis, anchor coordinate k gives the index terms

@@ -5,7 +5,8 @@ from tritile import (
     refine_region, region_from_json,
 )
 from support import (
-    corner_cut_cube, raw_step_table, slow_cube_table, slow_lattice_cubes, slow_neighbor_table,
+    built, corner_cut_cube, raw_step_table, slow_cube_table, slow_lattice_cubes,
+    slow_neighbor_table,
 )
 from tritile.tilings import _neighbor_rows
 
@@ -71,7 +72,7 @@ def test_voxel_cube_matches_box():
     # same adjacency structure cell for cell, direction for direction, and
     # the same cubes from the lookup and the arithmetic builders
     assert v.step_table == b.step_table
-    assert v.cube_table == b.cube_table
+    assert_same_cube_table(b.cube_table, v.cube_table)
 
 
 def test_voxel_from_box_cells_isomorphic():
@@ -79,7 +80,19 @@ def test_voxel_from_box_cells_isomorphic():
     v = build_voxel_region(b.cells)
     assert v.n_cells == b.n_cells
     assert v.step_table == b.step_table
-    assert v.cube_table == b.cube_table
+    assert_same_cube_table(b.cube_table, v.cube_table)
+
+
+def assert_same_cube_table(table, expected):
+    """table equals expected, an (anchors, cubes, cell_anchors) triple,
+    element by element: on a box or torus table.anchors and
+    table.cell_anchors answer each read by index arithmetic."""
+    anchors, cubes, cell_anchors = expected
+    assert table.cubes == tuple(cubes)
+    assert len(table.anchors) == len(anchors)
+    assert [table.anchors[r] for r in range(len(anchors))] == list(anchors)
+    assert len(table.cell_anchors) == len(cell_anchors)
+    assert [table.cell_anchors[i] for i in range(len(cell_anchors))] == list(cell_anchors)
 
 
 def test_voxel_nonmanifold_edge_rejected():
@@ -188,7 +201,7 @@ def test_lattice_neighbor_table_matches_the_voxel_builder(build, sizes):
     # voxel loop, with period-2 axes listed once under +axis
     r = build(*sizes)
     steps = r.step_table
-    assert not any(_built(r, name) for name in ("cells", "index", "colors"))
+    assert not any(built(r, name) for name in ("cells", "index", "colors"))
     assert steps == raw_step_table(r)
     assert _neighbor_rows(r) == _indices(slow_neighbor_table(r))
 
@@ -219,10 +232,27 @@ def test_cube_table_matches_the_coordinate_oracle(make):
     assert r.cube_table is table
     if r.kind != "voxels":
         # arithmetic on the sizes alone
-        assert not any(_built(r, name) for name in ("cells", "index", "colors"))
+        assert not any(built(r, name) for name in ("cells", "index", "colors"))
         assert r._step_table is None
-    assert table == slow_cube_table(r)
+    assert_same_cube_table(table, slow_cube_table(r))
 
+
+@pytest.mark.parametrize("build, sizes", [
+    (build_box, (1, 2, 4)), (build_box, (3, 4, 5)), (build_torus, (2, 2, 2)),
+    (build_torus, (2, 4, 6)),
+])
+def test_lattice_cube_anchors_read_like_tuples(build, sizes):
+    # negative indices count from the end, reads past either end raise
+    # IndexError, and iteration stops at the end
+    table = build(*sizes).cube_table
+    for seq in (table.anchors, table.cell_anchors):
+        items = list(seq)
+        assert len(items) == len(seq)
+        if items:
+            assert seq[-1] == items[-1] and seq[-len(seq)] == items[0]
+        for k in (len(seq), -len(seq) - 1):
+            with pytest.raises(IndexError):
+                seq[k]
 
 
 @pytest.mark.parametrize("make", [
@@ -233,7 +263,7 @@ def test_cube_table_matches_the_coordinate_oracle(make):
 ], ids=["box-16x16x16", "box-1x4x3", "box-3x1x2", "box-2x5x1", "box-2x2x2", "box-2x3x4",
         "torus-2x2x4", "torus-4x2x2", "torus-2x4x2", "torus-2x4x6"])
 def test_cube_table_matches_the_generator_per_cube_build(make):
-    assert tuple(make().cube_table) == slow_lattice_cubes(make())
+    assert_same_cube_table(make().cube_table, slow_lattice_cubes(make()))
 
 def test_boundary_faces_read_the_step_table():
     r = build_box(3, 2, 1)
@@ -243,22 +273,13 @@ def test_boundary_faces_read_the_step_table():
     assert all(r.step_table[r.index[c]][d] == -1 for c, d in faces)
 
 
-def _built(r: Region, name: str) -> bool:
-    # read the slot itself: plain attribute access would build the table
-    try:
-        object.__getattribute__(r, name)
-    except AttributeError:
-        return False
-    return True
-
-
 def test_box_and_torus_cell_tables_are_built_on_first_access():
     r = build_torus(2, 4, 6)
     assert r.n_cells == 48
-    assert not any(_built(r, name) for name in ("cells", "index", "colors"))
+    assert not any(built(r, name) for name in ("cells", "index", "colors"))
     assert r.cells[17] == (0, 2, 5) and r.index[(0, 2, 5)] == 17
     assert r.colors[17] == -1
-    assert all(_built(r, name) for name in ("cells", "index", "colors"))
+    assert all(built(r, name) for name in ("cells", "index", "colors"))
     assert r.cells == tuple(sorted(r.cells))
     # a plain Region again: attribute reads skip the __getattr__ hook
     assert type(r) is Region
@@ -267,7 +288,7 @@ def test_box_and_torus_cell_tables_are_built_on_first_access():
 def test_region_equality_ignores_built_tables():
     a, b = build_box(2, 2, 2), build_box(2, 2, 2)
     assert a == b and hash(a) == hash(b)
-    assert a.cells and _built(a, "cells") and not _built(b, "cells")
+    assert a.cells and built(a, "cells") and not built(b, "cells")
     assert a == b and hash(a) == hash(b)
     box, torus = build_box(2, 2, 2), build_torus(2, 2, 2)
     voxels = build_voxel_region(box.cells)

@@ -17,9 +17,9 @@ from tritile import (
 from tritile.harness import start_tiling, walk_states
 from tritile.moves import VisitedHashes
 from support import (
-    corner_cut_cube, count_matchings, l_shape_region, pinwheel_N1, pinwheel_N2,
-    slow_dimer_codes, slow_from_cell_pairs, slow_hash64, slow_neighbor_table,
-    slow_perfect_matchings, slow_refine,
+    built, corner_cut_cube, count_matchings, l_shape_region, pinwheel_N1, pinwheel_N2,
+    slow_base_tiling, slow_dimer_codes, slow_from_cell_pairs, slow_hash64,
+    slow_neighbor_table, slow_perfect_matchings, slow_refine,
 )
 
 
@@ -241,6 +241,37 @@ def test_base_tiling_refuses_an_axis_that_is_not_an_int_or_a_name(axis):
     # True == 1 would build y-bricks, and 2.0 == 2 would index a tuple
     with pytest.raises(ValueError, match="axis must be one of x, y, z"):
         base_tiling(build_box(2, 2, 2), axis)
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (build_box, (2, 2, 2)), (build_box, (4, 4, 4)), (build_box, (1, 2, 4)),
+    (build_box, (2, 5, 1)), (build_box, (16, 16, 16)),
+    (build_torus, (2, 2, 2)), (build_torus, (2, 4, 6)), (build_torus, (4, 4, 4)),
+])
+def test_base_tiling_matches_the_coordinate_loop(build, sizes):
+    # every even axis, period-2 torus axes and size-1 box axes included;
+    # the index arithmetic builds none of the region's cell tables
+    for axis in (k for k in range(3) if sizes[k] % 2 == 0):
+        r = build(*sizes)
+        t = base_tiling(r, axis)
+        assert not any(built(r, name) for name in ("cells", "index", "colors"))
+        expected = slow_base_tiling(r, axis)
+        assert t.pairs == expected.pairs, axis
+        assert t.mate == expected.mate, axis
+
+
+@pytest.mark.parametrize("region, axis, message", [
+    (build_box(3, 3, 2), 0, "odd extent along axis x"),
+    (corner_cut_cube(), 0, "base tiling requires a box or torus region"),
+    (build_box(2, 2, 2), True, "axis must be one of x, y, z"),
+], ids=["odd-extent", "voxels", "axis-True"])
+def test_base_tiling_refusals_match_the_coordinate_loop(region, axis, message):
+    with pytest.raises(ValueError) as got:
+        base_tiling(region, axis)
+    with pytest.raises(ValueError) as expected:
+        slow_base_tiling(region, axis)
+    assert type(got.value) is type(expected.value) is ValueError
+    assert str(got.value) == str(expected.value) == message
 
 
 def test_from_cell_pairs_validation():

@@ -4,7 +4,9 @@ At every step of seeded walks, WalkState's move list must equal
 find_flips + find_trits of a freshly built snapshot, and the invariants the
 walk tracks incrementally (twist on boxes, flux on tori) must equal a full
 recompute. The hashes a VisitedHashes batches from the dimers each step
-inserts must equal a snapshot's hash64 read after every step.
+inserts must equal a snapshot's hash64 read after every step, and the
+index-space WalkState.step must insert the same dimers, with the same sign,
+as apply(move(k)), and leave the same move index.
 """
 import random
 
@@ -16,7 +18,9 @@ from tritile import (
 )
 from tritile.harness import start_tiling, walk_states
 from tritile.moves import VisitedHashes, _lane_hashes
-from support import corner_cut_cube, l_shape_region, slow_dimer_codes, slow_random_walk
+from support import (
+    built, corner_cut_cube, l_shape_region, slow_dimer_codes, slow_random_walk,
+)
 
 
 def _full_scan(t, moves):
@@ -27,6 +31,8 @@ def _full_scan(t, moves):
 
 def check_walk(region, moves, steps, seed):
     state = WalkState(start_tiling(region), moves)
+    # the same walk in index space, one WalkState.step per apply(move(k))
+    twin = WalkState(start_tiling(region), moves)
     rng = random.Random(seed)
     first = state.tiling()
     tw = twist(first, 2) if region.is_box else None
@@ -44,9 +50,15 @@ def check_walk(region, moves, steps, seed):
             assert flux(snap).components == fl, "step %d" % step
         if step == steps or not len(state):
             break
-        m = state.move(rng.randrange(len(state)))
+        k = rng.randrange(len(state))
+        m = state.move(k)
         kinds.add(type(m).__name__)
-        visited.add(state.apply(m))
+        inserted = state.apply(m)
+        assert twin.step(k) == (m.sign if isinstance(m, TritMove) else 0, inserted), \
+            "step %d" % step
+        assert (twin.mate, twin._keys, twin._moves) == (state.mate, state._keys, state._moves), \
+            "step %d" % step
+        visited.add(inserted)
         if isinstance(m, TritMove):
             tw = tw + m.sign if tw is not None else None
     assert visited.hashes() == list(dict.fromkeys(snapshot_hashes))
@@ -75,6 +87,15 @@ def test_index_equals_full_rescan_at_every_step(region, moves, steps, seed, take
     kinds = check_walk(region, moves, steps, seed)
     assert "FlipMove" in kinds
     assert ("TritMove" in kinds) == takes_trits
+
+
+@pytest.mark.parametrize("region", [build_box(16, 16, 16), build_torus(2, 4, 6)],
+                         ids=["box-16x16x16", "torus-2x4x6"])
+def test_random_walk_builds_no_cell_table(region):
+    # index space end to end: the base tiling, the steps and the cube
+    # anchors all come from index arithmetic
+    random_walk(WalkConfig(region, "flip+trit", 50, 1))
+    assert not any(built(region, name) for name in ("cells", "index", "colors"))
 
 
 def test_index_equals_full_rescan_on_16_cube():
