@@ -83,8 +83,8 @@ def random_walk(cfg: WalkConfig) -> dict:
     torus neither the region's cell tables nor per-cell cube anchors are
     (the base tiling comes from index arithmetic too). A moves.VisitedHashes
     takes the dimers each step inserts and hashes the states in batches,
-    each in one pass over the dimers, deduplicated batch by batch. The
-    invariants are computed once at the start: flips keep the twist and
+    each in one pass over the dimers, deduplicated batch by batch. A box
+    walk starts at its base tiling, of twist 0; flips keep the twist and
     each trit moves it by its sign, and flux is constant under both moves.
     Raises ValueError for a step count that is not a nonnegative int.
     """
@@ -94,7 +94,7 @@ def random_walk(cfg: WalkConfig) -> dict:
     visited = VisitedHashes(t)
     histogram: Counter = Counter()
     is_box, is_torus = cfg.region.is_box, cfg.region.is_torus
-    tw = twist(t, 2) if is_box else 0
+    tw = 0
     flux_key = str(tuple(flux(t).components)) if is_torus else None
 
     def note() -> None:

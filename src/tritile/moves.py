@@ -23,7 +23,7 @@ from itertools import islice
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .regions import DIR_AXIS, Cell, Region
+from .regions import CUBE_OFFSETS, DIR_AXIS, Cell, Region
 from .tilings import (
     _M64, Dimer, Tiling, _dimer_codes, _direction, _lane_masks, _mix_lanes, _splitmix64,
     _white_cells,
@@ -205,14 +205,21 @@ def _oriented(region: Region, cube: Sequence[int],
             for p, q in pairs]
 
 
+def _cube_anchor(region: Region, cube: Sequence[int]) -> Cell:
+    """The minimal corner of a cube_table cube: its position-0 cell, or its
+    position-1 cell less offset (0, 0, 1) where position 0 is off the region."""
+    p = 0 if cube[0] >= 0 else 1
+    (x, y, z), (dx, dy, dz) = region.cells[cube[p]], CUBE_OFFSETS[p]
+    return (x - dx, y - dy, z - dz)
+
+
 def _trit_move(region: Region, r: int, entry: tuple) -> TritMove:
-    table = region.cube_table
-    cube = table.cubes[r]
+    cube = region.cube_table.cubes[r]
     removed, inserted, sign = entry
     return TritMove(
         removed=tuple(_dimer(region, cube[i], cube[j]) for i, j in removed),
         inserted=tuple(_dimer(region, cube[i], cube[j]) for i, j in inserted),
-        anchor=table.anchors[r],
+        anchor=_cube_anchor(region, cube),
         sign=sign,
     )
 
@@ -250,10 +257,11 @@ class WalkState:
     index and applies it as (white, black) cell index pairs, so it builds no
     FlipMove, TritMove or Dimer, and on a box or torus it reads neither the
     cell tables nor per-cell cube anchors built in advance (see
-    Region.cube_table). apply(m) takes a move as find_flips and find_trits
-    list it, turns its dimers into index pairs and goes through the same
-    update. Hashing is not part of a step: both return the inserted dimers,
-    and a walk that hashes every state hands them to a VisitedHashes.
+    Region.cube_table); move(k) reads a trit's anchor off its cube. apply(m)
+    takes a listed move, turns its dimers into index pairs and goes through
+    the same update. Hashing is not part of a step: both return the
+    inserted dimers, and a walk that hashes every state hands them to a
+    VisitedHashes.
     """
 
     def __init__(self, t: Tiling, moves: str = "flip+trit"):

@@ -60,7 +60,7 @@ class BudgetExceeded(ValueError):
 
 
 #: Region.cube_table; see there.
-CubeTable = namedtuple("CubeTable", "anchors cubes cell_anchors")
+CubeTable = namedtuple("CubeTable", "cubes cell_anchors")
 
 
 class Region:
@@ -151,16 +151,15 @@ class Region:
 
     @property
     def cube_table(self) -> CubeTable:
-        """The 2x2x2 cubes with at least 7 of their 8 cells in the region:
-        anchors are their sorted minimal corners, cubes[r] the cell indices
-        of anchor r's cube in CUBE_OFFSETS order (-1 off the region), and
-        cell_anchors[i] the ranks r, increasing, of the cubes that hold cell
-        i. On a torus every cell anchors a cube, except along a period-2
+        """The 2x2x2 cubes with at least 7 of their 8 cells in the region, in
+        the order of their anchors (minimal corners, not stored): cubes[r]
+        the cell indices of cube r in CUBE_OFFSETS order (-1 off the region),
+        and cell_anchors[i] the ranks r, increasing, of the cubes that hold
+        cell i. On a torus every cell anchors a cube, except along a period-2
         axis, where anchor coordinates 0 and 1 span the same cells and only
         0 is kept; so no two cubes hold the same cells. On a box or torus
-        anchors and cell_anchors are sequences that answer each read by
-        index arithmetic (_LatticeAnchors, _LatticeCellAnchors), so only the
-        cubes are built; a voxel region builds all three as tuples."""
+        cell_anchors answers each read by index arithmetic
+        (_LatticeCellAnchors), so only the cubes are built."""
         if self._cube_table is None:
             self._cube_table = (self._voxel_cubes() if self.kind == "voxels"
                                 else self._lattice_cubes())
@@ -183,8 +182,7 @@ class Region:
                 a, b, c, d = x0 + y0, x0 + y1, x1 + y0, x1 + y1
                 cubes += [(a + z0, a + z1, b + z0, b + z1, c + z0, c + z1, d + z0, d + z1)
                           for z0, z1 in zs]
-        return CubeTable(_LatticeAnchors(counts), tuple(cubes),
-                         _LatticeCellAnchors(sizes, counts))
+        return CubeTable(tuple(cubes), _LatticeCellAnchors(sizes, counts))
 
     def _voxel_cubes(self) -> CubeTable:
         index = self.index
@@ -192,14 +190,13 @@ class Region:
                           for (x, y, z) in self.cells for (dx, dy, dz) in CUBE_OFFSETS})
         cubes = [tuple(index.get((x + dx, y + dy, z + dz), -1)
                        for (dx, dy, dz) in CUBE_OFFSETS) for (x, y, z) in corners]
-        kept = [r for r, cube in enumerate(cubes) if cube.count(-1) <= 1]
-        anchors, cubes = [corners[r] for r in kept], [cubes[r] for r in kept]
+        cubes = [cube for cube in cubes if cube.count(-1) <= 1]
         cell_anchors: list[list[int]] = [[] for _ in range(self.n_cells)]
         for r, cube in enumerate(cubes):
             for c in cube:
                 if c >= 0:
                     cell_anchors[c].append(r)
-        return CubeTable(tuple(anchors), tuple(cubes), tuple(map(tuple, cell_anchors)))
+        return CubeTable(tuple(cubes), tuple(map(tuple, cell_anchors)))
 
     # -- basic queries ---------------------------------------------------
 
@@ -271,27 +268,6 @@ class Region:
         }
 
 
-class _LatticeAnchors(Sequence):
-    """Region.cube_table's anchors on a box or torus, each read by index
-    arithmetic: with counts[k] anchor coordinates along axis k, rank r is
-    the anchor (a, b, c) with r = (a * counts[1] + b) * counts[2] + c, in
-    the order of itertools.product over the three ranges."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, counts: Sequence[int]):
-        self._counts = tuple(counts)
-
-    def __len__(self) -> int:
-        a, b, c = self._counts
-        return a * b * c
-
-    def __getitem__(self, r: int) -> Cell:
-        _a, b, c = self._counts
-        ab, z = divmod(range(len(self))[r], c)
-        return (*divmod(ab, b), z)
-
-
 class _LatticeCellAnchors(Sequence):
     """Region.cube_table's cell_anchors on a box or torus, each read by
     index arithmetic. Along an axis of the given size with count anchor
@@ -299,8 +275,8 @@ class _LatticeCellAnchors(Sequence):
     x, wrapped on a torus and kept where below count (on a box, -1 wraps to
     size - 1, which is never below count). Cell (x, y, z) lies in the cubes
     of each choice of one such anchor coordinate per axis, and with each
-    axis's choices sorted their ranks (see _LatticeAnchors) come out
-    increasing."""
+    axis's choices sorted their ranks, (a * counts[1] + b) * counts[2] + c
+    for anchor (a, b, c), come out increasing."""
 
     __slots__ = ("_sizes", "_counts", "_options")
 

@@ -1,9 +1,9 @@
 """Tilings as perfect matchings of a region's dual graph.
 
 A domino is stored as an oriented dimer from its white cell to its black
-cell. On tori the direction field records the chosen lattice representative
-of the step (the +axis step for degenerate period-2 adjacencies), which keeps
-refinement and surface flux well defined.
+cell. On tori its direction records the +axis step for a degenerate period-2
+adjacency; Tiling.steps, surface flux and refinement take the non-wrapping
+lift, the raw coordinate delta, instead (_unit_step, _brick_axis).
 """
 
 from __future__ import annotations
@@ -118,33 +118,28 @@ class Dimer(NamedTuple):
         return (self.white, self.black)
 
 
+def _unit_step(region: Region, a: Cell, b: Cell) -> Cell:
+    """The unit step from cell a to the adjacent cell b. On a torus a step
+    across the seam of a period P > 2 wraps, and along a period of 2 it is
+    the raw b - a of the reduced cells, the non-wrapping lift. Raises
+    ValueError when a and b share no face."""
+    if region.periods is None:
+        step = tuple(map(sub, b, a))
+    else:
+        step = tuple(v % 2 - u % 2 if p == 2 else (v - u + 1) % p - 1
+                     for u, v, p in zip(a, b, region.periods))
+    if sum(map(abs, step)) != 1:
+        raise ValueError("cells %r and %r are not adjacent" % (a, b))
+    return step
+
+
 def _direction(region: Region, white: Cell, black: Cell) -> Cell:
-    vec = [0, 0, 0]
-    axis = None
-    for k in range(3):
-        delta = black[k] - white[k]
-        if region.periods is not None:
-            delta %= region.periods[k]
-        if delta == 0:
-            continue
-        if axis is not None:
-            raise ValueError("cells %r and %r are not adjacent" % (white, black))
-        axis = k
-        if region.periods is None:
-            if delta not in (1, -1):
-                raise ValueError("cells %r and %r are not adjacent" % (white, black))
-            vec[k] = delta
-        else:
-            p = region.periods[k]
-            if delta == 1:
-                vec[k] = 1
-            elif delta == p - 1:
-                vec[k] = -1
-            else:
-                raise ValueError("cells %r and %r are not adjacent" % (white, black))
-    if axis is None:
-        raise ValueError("cells %r and %r are not adjacent" % (white, black))
-    return tuple(vec)
+    """Dimer.direction: _unit_step, with the +axis step standing for both
+    steps along a period-2 axis."""
+    step = _unit_step(region, white, black)
+    if region.periods is None:
+        return step
+    return tuple(1 if d and p == 2 else d for d, p in zip(step, region.periods))
 
 
 def _adjacent(a: Cell, b: Cell, periods: Optional[Cell]) -> bool:
@@ -254,24 +249,21 @@ class Tiling:
 
     @property
     def steps(self) -> tuple[Cell, ...]:
-        """Per cell index, the geometric unit step toward the cell's partner.
+        """Per cell index, the unit step toward its partner, by _unit_step
+        from the pairs (no Dimer is built).
 
         Along axes of period 2 the doubled adjacency is lifted to the
-        non-wrapping edge (the raw coordinate delta), regardless of the
-        stored +axis direction representative: difference cycles and
-        surface sides read this field, and only the non-wrapping lift keeps
-        flux through a surface invariant under flips and trits on degenerate
-        tori. flux does not read it; it takes the same lift from t.pairs.
+        non-wrapping edge (the raw coordinate delta), not to the +axis
+        Dimer.direction: difference cycles and surface sides read this
+        field, and only the non-wrapping lift keeps flux through a surface
+        invariant under flips and trits on degenerate tori. flux does not
+        read it; it takes the same lift from t.pairs.
         """
         if self._steps is None:
-            periods = self.region.periods
-            steps: list[Cell] = [None] * self.region.n_cells  # type: ignore
-            for d, (wi, bi) in zip(self.dimers, self.pairs):
-                step = list(d.direction)
-                if periods is not None and periods[d.axis] == 2:
-                    step[d.axis] = d.black[d.axis] - d.white[d.axis]
-                vx, vy, vz = step
-                steps[wi] = (vx, vy, vz)
+            region, cells = self.region, self.region.cells
+            steps: list[Cell] = [None] * region.n_cells  # type: ignore
+            for wi, bi in self.pairs:
+                vx, vy, vz = steps[wi] = _unit_step(region, cells[wi], cells[bi])
                 steps[bi] = (-vx, -vy, -vz)
             self._steps = tuple(steps)
         return self._steps

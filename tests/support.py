@@ -464,6 +464,21 @@ def bisect_twist(t: Tiling, axis) -> int:
     return quarters // 4
 
 
+def slow_steps(t: Tiling) -> tuple:
+    """Tiling.steps as it was read off the Dimers: each dimer's
+    Dimer.direction, with the step along a period-2 axis lifted to the raw
+    black - white coordinate delta."""
+    periods = t.region.periods
+    steps = [None] * t.region.n_cells
+    for d, (wi, bi) in zip(t.dimers, t.pairs):
+        step = list(d.direction)
+        if periods is not None and periods[d.axis] == 2:
+            step[d.axis] = d.black[d.axis] - d.white[d.axis]
+        steps[wi] = tuple(step)
+        steps[bi] = tuple(-v for v in step)
+    return tuple(steps)
+
+
 def slow_from_cell_pairs(region, cell_pairs) -> Tiling:
     """Tiling.from_cell_pairs' reference: every cell read through
     _coordinate and reduced, colours read per cell, adjacency checked by

@@ -8,6 +8,7 @@ from support import (
     built, corner_cut_cube, raw_step_table, slow_cube_table, slow_lattice_cubes,
     slow_neighbor_table,
 )
+from tritile.moves import _cube_anchor
 from tritile.tilings import _neighbor_rows
 
 
@@ -72,7 +73,7 @@ def test_voxel_cube_matches_box():
     # same adjacency structure cell for cell, direction for direction, and
     # the same cubes from the lookup and the arithmetic builders
     assert v.step_table == b.step_table
-    assert_same_cube_table(b.cube_table, v.cube_table)
+    assert_same_cube_table(b, read_cube_table(v))
 
 
 def test_voxel_from_box_cells_isomorphic():
@@ -80,19 +81,26 @@ def test_voxel_from_box_cells_isomorphic():
     v = build_voxel_region(b.cells)
     assert v.n_cells == b.n_cells
     assert v.step_table == b.step_table
-    assert_same_cube_table(b.cube_table, v.cube_table)
+    assert_same_cube_table(b, read_cube_table(v))
 
 
-def assert_same_cube_table(table, expected):
-    """table equals expected, an (anchors, cubes, cell_anchors) triple,
-    element by element: on a box or torus table.anchors and
-    table.cell_anchors answer each read by index arithmetic."""
+def read_cube_table(region):
+    """region.cube_table as an (anchors, cubes, cell_anchors) triple of
+    lists, each anchor read off its cube as _trit_move reads it."""
+    table = region.cube_table
+    return [[_cube_anchor(region, cube) for cube in table.cubes], list(table.cubes),
+            [table.cell_anchors[i] for i in range(len(table.cell_anchors))]]
+
+
+def assert_same_cube_table(region, expected):
+    """region.cube_table equals expected, an (anchors, cubes, cell_anchors)
+    triple, element by element: on a box or torus table.cell_anchors
+    answers each read by index arithmetic, and no table stores the anchors,
+    which _cube_anchor reads off each cube's cells."""
     anchors, cubes, cell_anchors = expected
-    assert table.cubes == tuple(cubes)
-    assert len(table.anchors) == len(anchors)
-    assert [table.anchors[r] for r in range(len(anchors))] == list(anchors)
-    assert len(table.cell_anchors) == len(cell_anchors)
-    assert [table.cell_anchors[i] for i in range(len(cell_anchors))] == list(cell_anchors)
+    table = region.cube_table
+    assert table._fields == ("cubes", "cell_anchors")
+    assert read_cube_table(region) == [list(anchors), list(cubes), list(cell_anchors)]
 
 
 def test_voxel_nonmanifold_edge_rejected():
@@ -234,7 +242,16 @@ def test_cube_table_matches_the_coordinate_oracle(make):
         # arithmetic on the sizes alone
         assert not any(built(r, name) for name in ("cells", "index", "colors"))
         assert r._step_table is None
-    assert_same_cube_table(table, slow_cube_table(r))
+    assert_same_cube_table(r, slow_cube_table(r))
+
+
+def test_cube_anchor_of_a_cube_without_its_corner_cell():
+    # the corner-cut cube's cube at (0, 0, 0) has no position-0 cell, so its
+    # anchor is read off position 1, the cell (0, 0, 1)
+    r = corner_cut_cube()
+    cube = r.cube_table.cubes[0]
+    assert cube[0] == -1 and r.cells[cube[1]] == (0, 0, 1)
+    assert _cube_anchor(r, cube) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("build, sizes", [
@@ -244,15 +261,14 @@ def test_cube_table_matches_the_coordinate_oracle(make):
 def test_lattice_cube_anchors_read_like_tuples(build, sizes):
     # negative indices count from the end, reads past either end raise
     # IndexError, and iteration stops at the end
-    table = build(*sizes).cube_table
-    for seq in (table.anchors, table.cell_anchors):
-        items = list(seq)
-        assert len(items) == len(seq)
-        if items:
-            assert seq[-1] == items[-1] and seq[-len(seq)] == items[0]
-        for k in (len(seq), -len(seq) - 1):
-            with pytest.raises(IndexError):
-                seq[k]
+    seq = build(*sizes).cube_table.cell_anchors
+    items = list(seq)
+    assert len(items) == len(seq)
+    if items:
+        assert seq[-1] == items[-1] and seq[-len(seq)] == items[0]
+    for k in (len(seq), -len(seq) - 1):
+        with pytest.raises(IndexError):
+            seq[k]
 
 
 @pytest.mark.parametrize("make", [
@@ -263,7 +279,7 @@ def test_lattice_cube_anchors_read_like_tuples(build, sizes):
 ], ids=["box-16x16x16", "box-1x4x3", "box-3x1x2", "box-2x5x1", "box-2x2x2", "box-2x3x4",
         "torus-2x2x4", "torus-4x2x2", "torus-2x4x2", "torus-2x4x6"])
 def test_cube_table_matches_the_generator_per_cube_build(make):
-    assert_same_cube_table(make().cube_table, slow_lattice_cubes(make()))
+    assert_same_cube_table(make(), slow_lattice_cubes(make()))
 
 def test_boundary_faces_read_the_step_table():
     r = build_box(3, 2, 1)

@@ -14,12 +14,12 @@ from tritile import (
     diff_cycles, enumerate_tilings, find_flips, refine_region, refine_tiling,
     serialize_tiling,
 )
-from tritile.harness import start_tiling, walk_states
+from tritile.harness import mixed_torus_tiling, start_tiling, walk_states
 from tritile.moves import VisitedHashes
 from support import (
-    built, corner_cut_cube, count_matchings, l_shape_region, pinwheel_N1, pinwheel_N2,
-    slow_base_tiling, slow_dimer_codes, slow_from_cell_pairs, slow_hash64,
-    slow_neighbor_table, slow_perfect_matchings, slow_refine,
+    _wrap_delta, adjacent_cells, built, corner_cut_cube, count_matchings, l_shape_region,
+    pinwheel_N1, pinwheel_N2, slow_base_tiling, slow_dimer_codes, slow_from_cell_pairs,
+    slow_hash64, slow_neighbor_table, slow_perfect_matchings, slow_refine, slow_steps,
 )
 
 
@@ -425,6 +425,44 @@ def test_period2_geometric_steps_do_not_wrap():
         expected = d.black[0] - d.white[0]
         assert t.steps[wi][0] == expected
         assert t.steps[bi][0] == -expected
+
+
+def _steps_cases():
+    yield from enumerate_tilings(build_box(3, 3, 2))
+    for sizes in ((2, 2, 2), (2, 4, 6)):
+        # period-2 axes, lifted to the raw delta
+        yield from walk_states(build_torus(*sizes), "flip+trit", 40, 1)
+    # x-dimers across the seam of period 4
+    yield mixed_torus_tiling()
+    yield from walk_states(l_shape_region(), "flip+trit", 40, 1)
+
+
+def test_steps_match_the_dimer_oracle():
+    for t in _steps_cases():
+        steps = t.steps
+        assert t._dimers is None
+        assert steps == slow_steps(t), t
+
+
+def test_direction_keeps_the_period2_representative_and_the_adjacency_error():
+    # Dimer.direction is the unit step with period-2 axes forced to +1, the
+    # shortest wrapped delta; non-neighbours raise, naming the cells as given
+    for r in (build_box(3, 3, 2), build_torus(2, 4, 6), build_torus(4, 2, 2)):
+        periods = r.periods or (None,) * 3
+        for a in r.cells:
+            for b in r.cells:
+                if adjacent_cells(a, b, r.periods):
+                    expected = tuple(map(_wrap_delta, a, b, periods))
+                    assert tilings._direction(r, a, b) == expected
+                else:
+                    with pytest.raises(ValueError, match="are not adjacent"):
+                        tilings._direction(r, a, b)
+    # cells off the torus, reduced as before
+    r = build_torus(4, 2, 2)
+    assert tilings._direction(r, (0, 0, 0), (-1, 2, 0)) == (-1, 0, 0)
+    assert tilings._direction(r, (0, 0, 0), (0, -1, 0)) == (0, 1, 0)
+    with pytest.raises(ValueError, match=r"cells \(0, 0, 0\) and \(6, 0, 0\) are not"):
+        tilings._direction(r, (0, 0, 0), (6, 0, 0))
 
 
 def test_diff_cycles_self_all_trivial():

@@ -16,6 +16,7 @@ from tritile import (
     TritMove, WalkConfig, WalkState, build_box, build_torus,
     find_flips, find_trits, flux, random_walk, twist,
 )
+from tritile import harness
 from tritile.harness import start_tiling, walk_states
 from tritile.moves import VisitedHashes, _lane_hashes
 from support import (
@@ -188,6 +189,20 @@ def test_random_walk_matches_the_snapshot_oracle(region, moves, steps, seed, dis
     if distinct is not None:
         assert report["distinct_visited"] == distinct
     assert report["frozen"] == (region.dims == (2, 2, 2))
+
+
+@pytest.mark.parametrize("sizes", [(4, 4, 4), (16, 16, 16)], ids=["box-4x4x4", "box-16x16x16"])
+def test_box_walk_starts_at_twist_zero_without_computing_it(monkeypatch, sizes):
+    # a box walk starts at its base tiling, whose twist is 0; the oracle
+    # still computes the start tiling's twist itself
+    cfg = WalkConfig(build_box(*sizes), "flip+trit", 100, 2)
+    expected = slow_random_walk(cfg)
+
+    def no_twist(*args):
+        raise AssertionError("random_walk computed a twist")
+
+    monkeypatch.setattr(harness, "twist", no_twist)
+    assert random_walk(cfg) == expected
 
 
 def _codes(t):
