@@ -16,7 +16,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .regions import Region, RegionError, build_box, build_torus, build_voxel_region
+from .regions import (
+    _REGION_KEYS, Region, RegionError, _refuse_unknown_keys, build_box, build_torus,
+    build_voxel_region,
+)
 from .tilings import (
     COMPONENTS_BUDGET, LISTING_BUDGET, BudgetExceeded, Tiling, count_tilings,
     deserialize_tiling, enumerate_tilings, refine_tiling, tiling_to_dict,
@@ -54,6 +57,7 @@ def _parse_region(tokens: Sequence[str], parser: argparse.ArgumentParser) -> Reg
         except (OSError, ValueError) as exc:
             parser.error("invalid region file %s: %s" % (tokens[1], exc))
         if isinstance(data, dict):
+            _refuse_unknown_keys(data, _REGION_KEYS["voxels"], "a voxel file")
             return build_voxel_region(data.get("cells"), data.get("parity", 0))
         return build_voxel_region(data)
     parser.error("invalid region spec at position 0: unknown kind %r" % (kind,))

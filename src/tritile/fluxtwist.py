@@ -549,7 +549,7 @@ def relative_twist(t1: Tiling, t0: Tiling) -> int:
                          % (f1.components, f0.components))
     labels = _trit_labels(region)
     pack = _key_struct(region.n_cells).pack
-    key1, key0 = (int.from_bytes(pack(*t.mate), "little") for t in (t1, t0))
+    key1, key0 = (int.from_bytes(pack(*t._mate), "little") for t in (t1, t0))
     if key1 not in labels or key0 not in labels:
         raise ValueError("tiling missing from the enumerated move graph")
     comp1, label1, _ = labels[key1]

@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 from .regions import CUBE_OFFSETS, DIR_AXIS, Cell, Region
 from .tilings import (
     _M64, Dimer, Tiling, _dimer_codes, _direction, _lane_masks, _mix_lanes, _splitmix64,
-    _white_cells,
 )
 
 
@@ -88,7 +87,7 @@ def find_trits(t: Tiling) -> list[TritMove]:
     then antipodal, and any of them in the region is covered by a dimer that
     exits the cube. Trits are ordered by anchor.
     """
-    return [_trit_move(t.region, r, entry) for r, entry in _trits(t.region, t.mate)]
+    return [_trit_move(t.region, r, entry) for r, entry in _trits(t.region, t._mate)]
 
 
 # -- scanners shared by the full scans, WalkState and the components engine -
@@ -117,7 +116,7 @@ def _slab_partners(step, w: int, b: int) -> Iterator[tuple[int, int, int]]:
 def _flips(t: Tiling) -> list[tuple[int, int, int, int]]:
     """(w, b, w2, b2) of each flip of t in find_flips order: the dimers
     (w, b) and (w2, b2), white cell first, with w < w2."""
-    step, mate = t.region.step_table, t.mate
+    step, mate = t.region.step_table, t._mate
     return [(w, b, w2, b2) for w, b in t.pairs
             for _e, w2, b2 in _slab_partners(step, w, b) if w2 > w and mate[w2] == b2]
 
@@ -268,7 +267,7 @@ class WalkState:
         move_set = _normalize_moves(moves)
         region = t.region
         self.region = region
-        self.mate = list(t.mate)
+        self.mate = t._mate.tolist()
         self._flip_moves = "flip" in move_set
         self._trit_moves = "trit" in move_set
         # One index of both kinds. A flip is keyed white * 6 + direction by
@@ -407,15 +406,16 @@ class VisitedHashes:
 
     Build it on the walk's first tiling, call add() with what each
     WalkState.apply() returns, and read hashes() at the end. It keeps the
-    dimer codes of Tiling.hash64 by white-cell rank and records each tiling
-    as the codes its step changed; _LANES tilings at a time are hashed by
-    _lane_hashes and deduplicated, so memory holds the distinct hashes and
-    one batch of changes.
+    dimer codes of Tiling.hash64 by white-cell rank, a white cell's place in
+    Region.whites, found by bisection, and records each tiling as the codes
+    its step changed; _LANES tilings at a time are hashed by _lane_hashes
+    and deduplicated, so memory holds the distinct hashes and one batch of
+    changes.
     """
 
     def __init__(self, t: Tiling):
         self._n_cells = n = t.region.n_cells
-        self._rank = {w: k for k, (w, _b) in enumerate(t.pairs)}
+        self._whites = t.region.whites
         self._base = list(_dimer_codes(n, t.pairs))
         self._batch: list[dict[int, int]] = [{}]
         self._seen: set[int] = set()
@@ -424,8 +424,8 @@ class VisitedHashes:
     def add(self, inserted: Iterable[tuple[int, int]]) -> None:
         """Record the next tiling of the walk, given the (white, black) cell
         index pairs that its step inserted."""
-        n, rank = self._n_cells, self._rank
-        self._batch.append({rank[w]: _splitmix64(w * n + b) for w, b in inserted})
+        n, whites = self._n_cells, self._whites
+        self._batch.append({bisect_left(whites, w): _splitmix64(w * n + b) for w, b in inserted})
         if len(self._batch) == _LANES:
             self._fold()
 
@@ -521,7 +521,7 @@ def _pack_keys(region: Region, mates: Iterable[Sequence[int]], layout: Struct):
     width = size // region.n_cells
     pack, from_bytes = layout.pack, int.from_bytes
     step = region.step_table
-    whites = _white_cells(region)
+    whites = region.whites
     # per white cell and byte lane, the neighbour bits of each byte value
     tables = []
     for w in whites:
@@ -763,21 +763,23 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
     ValueError.
     """
     region = None
-    nodes: dict[tuple[int, ...], Tiling] = {}
+    # keyed by the bytes of each packed mate array
+    nodes: dict[bytes, Tiling] = {}
     for t in tilings:
         if region is None:
             region = t.region
         elif t.region != region:
             raise ValueError("tilings belong to different regions")
-        mate = t.mate
+        mate = t._mate
         # -1 marks an uncovered cell, which no key of _key_struct stands
         # for; with every cell covered, n_cells / 2 pairs cover each once
         if -1 in mate or 2 * len(t.pairs) != len(mate):
             raise ValueError("a tiling does not cover each cell exactly once")
-        nodes.setdefault(mate, t)
+        nodes.setdefault(mate.tobytes(), t)
     if region is None:
         raise ValueError("no tilings given")
-    _index, component, label, groups = _key_components(region, nodes, moves)
+    _index, component, label, groups = _key_components(
+        region, (t._mate for t in nodes.values()), moves)
     members: list[list[Tiling]] = [[] for _ in groups]
     labels: list[list[int]] = [[] for _ in groups]
     for u, t in enumerate(nodes.values()):

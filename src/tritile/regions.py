@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
+from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import product
@@ -42,8 +44,10 @@ CUBE_OFFSETS: tuple[Cell, ...] = tuple(product((0, 1), repeat=3))
 COORD_LIMIT = 2**31 - 1
 
 #: Most cells refine_region will build. `tritile refine box 3 3 2 -k 2`
-#: (281,250 cells) peaks at 270 MB resident (Python 3.11), about 1 KB per
-#: refined cell, so the budget keeps a refinement report near 1 GB.
+#: (281,250 cells) peaks at 245 MB resident (Python 3.11), under 1 KB per
+#: refined cell, nearly all of it the report and the cell tables it reads;
+#: the packed tiling holds 4 bytes a cell. So the budget keeps a refinement
+#: report under 1 GB.
 REFINE_BUDGET = 1_000_000
 
 
@@ -81,7 +85,7 @@ class Region:
 
     __slots__ = (
         "kind", "cells", "index", "colors", "dims", "periods", "parity", "n_cells",
-        "_step_table", "_cube_table", "_hash", "__weakref__",
+        "_step_table", "_cube_table", "_whites", "_hash", "__weakref__",
     )
 
     def __init__(self, kind: str, cells: Optional[Sequence[Cell]], parity: int,
@@ -98,6 +102,7 @@ class Region:
             self.n_cells = len(self.cells)
         self._step_table: Optional[tuple[tuple[int, ...], ...]] = None
         self._cube_table: Optional[CubeTable] = None
+        self._whites: Optional[array] = None
         self._hash = hash(self._key())
 
     def _set_tables(self, cells: Sequence[Cell]) -> None:
@@ -198,6 +203,19 @@ class Region:
                     cell_anchors[c].append(r)
         return CubeTable(tuple(cubes), tuple(map(tuple, cell_anchors)))
 
+    @property
+    def whites(self) -> array:
+        """The indices of the white cells, increasing, as one packed
+        array('i'), built on first access and kept as long as the region.
+        On a box or torus it is read off the sizes (_lattice_whites), and
+        the cell tables are not built."""
+        if self._whites is None:
+            if self.kind == "voxels":
+                self._whites = array("i", [i for i, c in enumerate(self.colors) if c == -1])
+            else:
+                self._whites = _lattice_whites(self.dims or self.periods)
+        return self._whites
+
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -266,6 +284,49 @@ class Region:
             "cells": [list(c) for c in self.cells],
             "parity": self.parity,
         }
+
+
+def _lane_sum(arrays: Sequence[array], plus: int = 0) -> array:
+    """The elementwise sum of packed arrays('i') of one length, plus a
+    constant: each array read as one int of 4-byte lanes, and the ints
+    summed. The entries must be nonnegative, as a lane is read unsigned,
+    and every lane's sum must lie in 0 .. 2 ** 31 - 1; then the sum's lanes
+    are exactly the lane sums, whatever the order of the terms, and no int
+    object is made per entry."""
+    order = sys.byteorder
+    m = len(arrays[0])
+    ones = int.from_bytes((1).to_bytes(4, order) * m, order)
+    total = sum(int.from_bytes(a, order) for a in arrays) + plus * ones
+    return array("i", total.to_bytes(4 * m, order))
+
+
+def _index_array(n: int) -> array:
+    """array("i", range(n)), built by doubling with _lane_sum."""
+    a = array("i", [0])
+    while len(a) < n:
+        a += _lane_sum([a[:n - len(a)]], len(a))
+    return a[:n]
+
+
+def _lattice_whites(sizes: Cell) -> array:
+    """Region.whites of a box or torus. A cell is white where x + y + z is
+    odd, so each row of N cells along z holds every other index from its
+    first white one: one strided slice of _index_array per row of the first
+    two slabs along x. Slab x + 2 repeats slab x, shifted by 2 M N cells
+    (_lane_sum)."""
+    L, M, N = sizes
+    cells = _index_array(min(L, 2) * M * N)
+    slabs = []
+    for x in range(min(L, 2)):
+        slab = array("i")
+        for y in range(M):
+            row = (x * M + y) * N
+            slab += cells[row + 1 - (x + y) % 2:row + N:2]
+        slabs.append(slab)
+    whites = array("i")
+    for x in range(L):
+        whites += _lane_sum([slabs[x % 2]], (x - x % 2) * M * N)
+    return whites
 
 
 class _LatticeCellAnchors(Sequence):
@@ -549,10 +610,30 @@ def _sizes(data: dict, key: str) -> list:
     return sizes
 
 
+#: The keys that a region's JSON object may hold, by kind (Region.to_dict).
+_REGION_KEYS = {"box": ("kind", "dims"), "torus": ("kind", "periods"),
+               "voxels": ("kind", "cells", "parity")}
+
+
+def _refuse_unknown_keys(data: dict, allowed: Sequence[str], what: str) -> None:
+    """Raise RegionError("keys") naming the keys of data outside allowed:
+    a misspelt or stray key is refused, not ignored."""
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise RegionError("keys", "%s has unknown key%s %s (allowed: %s)" % (
+            what, "s" if len(unknown) > 1 else "", ", ".join(map(repr, unknown)),
+            ", ".join(allowed)))
+
+
 def region_from_dict(data: dict) -> Region:
+    """The region of a JSON object as Region.to_dict writes it. Raises
+    RegionError for a key that its kind does not hold, and ValueError for
+    an unknown kind."""
     if not isinstance(data, dict):
         raise RegionError("dimension", "region must be a JSON object")
     kind = data.get("kind")
+    if isinstance(kind, str) and kind in _REGION_KEYS:
+        _refuse_unknown_keys(data, _REGION_KEYS[kind], "a %s region" % kind)
     if kind == "box":
         return build_box(*_sizes(data, "dims"))
     if kind == "torus":

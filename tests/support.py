@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from tritile import (
     Dimer, Region, Tiling, TritMove, WalkState, apply_flip, apply_trit,
@@ -27,7 +27,7 @@ from tritile.moves import LabelledComponent, _normalize_moves
 from tritile.fluxtwist import _TANGENT_AXES
 from tritile.harness import start_tiling
 from tritile.regions import AXIS_NAMES, DIR_AXIS, DIRECTIONS, BudgetExceeded, _coordinate
-from tritile.tilings import _axis_index, _direction
+from tritile.tilings import Pairs, _axis_index, _direction
 
 
 def _wrap_delta(a: int, b: int, p) -> int:
@@ -508,9 +508,7 @@ def slow_from_cell_pairs(region, cell_pairs) -> Tiling:
     for i, m in enumerate(mate):
         if m == -1:
             raise ValueError("cell uncovered: %r" % (region.cells[i],))
-    t = Tiling(region, pairs)
-    t._mate = tuple(mate)
-    return t
+    return Tiling(region, pairs)
 
 
 def slow_refine(t: Tiling, k: int) -> Tiling:
@@ -518,6 +516,12 @@ def slow_refine(t: Tiling, k: int) -> Tiling:
     listed as a (cell, cell) pair, counted from the white end, then read back
     through Tiling.from_cell_pairs, which checks colours, adjacency and the
     cover pair by pair."""
+    return Tiling.from_cell_pairs(*slow_refined_cell_pairs(t, k))
+
+
+def slow_refined_cell_pairs(t: Tiling, k: int) -> tuple:
+    """(refined region, cell pairs) of slow_refine: the cells of each
+    column of each refined dimer, unreduced on a torus."""
     scale = 5 ** k
     region2 = refine_region(t.region, k)
     periods = t.region.periods
@@ -544,7 +548,7 @@ def slow_refine(t: Tiling, k: int) -> Tiling:
                         cell_a[axis] = base[axis] + scale - 1 - 2 * m
                         cell_b[axis] = base[axis] + scale - 2 - 2 * m
                     pairs.append((tuple(cell_a), tuple(cell_b)))
-    return Tiling.from_cell_pairs(region2, pairs)
+    return region2, pairs
 
 
 _TRIO_A = (((0, 0, 1), (1, 0, 1)), ((0, 1, 0), (0, 0, 0)), ((1, 1, 1), (1, 1, 0)))
@@ -705,7 +709,7 @@ def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:
                 raise ValueError("two different tilings share the hash %016x" % h)
             continue
         nodes[h] = t
-        keys[t.mate] = h
+        keys[tuple(t.mate)] = h
     if region is None:
         raise ValueError("no tilings given")
     edge_keys: set[tuple[int, int, str, int]] = set()
@@ -798,8 +802,9 @@ def slow_labelled_components(tilings, moves) -> list:
     for t in tilings:
         if nodes and t.region != nodes[0].region:
             raise ValueError("tilings belong to different regions")
-        if t.mate not in keys:
-            keys[t.mate] = len(nodes)
+        mate = tuple(t.mate)
+        if mate not in keys:
+            keys[mate] = len(nodes)
             nodes.append(t)
     if not nodes:
         raise ValueError("no tilings given")
@@ -1019,9 +1024,14 @@ def built(r: Region, name: str) -> bool:
 
 def slow_base_tiling(region: Region, axis) -> Tiling:
     """tilings.base_tiling as it was before it wrote the mate array by
-    index arithmetic: a loop over the cell coordinates that pairs each cell
-    at an even coordinate along the axis with the next one, looked up in the
-    index, and the pairs read off by colour as Tiling._from_mate did."""
+    index arithmetic: slow_base_mate, with the pairs read off by colour."""
+    return Tiling(region, colour_pairs(region, slow_base_mate(region, axis)))
+
+
+def slow_base_mate(region: Region, axis) -> list:
+    """The base tiling's mate array by a loop over the cell coordinates that
+    pairs each cell at an even coordinate along the axis with the next one,
+    looked up in the index."""
     k = _axis_index(axis)
     if region.kind == "box":
         extent = region.dims[k]
@@ -1039,9 +1049,7 @@ def slow_base_tiling(region: Region, axis) -> Tiling:
             j = region.index[tuple(other)]
             mate[i] = j
             mate[j] = i
-    colors = region.colors
-    return Tiling._sorted(region, tuple((i, m) for i, m in enumerate(mate) if colors[i] == -1),
-                          mate)
+    return mate
 
 
 def slow_lattice_cubes(region) -> tuple:
@@ -1123,3 +1131,59 @@ def slow_hash64(t: Tiling) -> int:
     for c in slow_dimer_codes(t.region.n_cells, t.pairs):
         h = _slow_splitmix64(h ^ c)
     return h
+
+
+# -- the tuple-based construction that packed tilings replaced ---------------
+
+class TupleTiling(NamedTuple):
+    """A tiling as Tiling held it before its matching was packed: its pairs
+    as one sorted tuple of (white, black) cell index pairs, and its mate
+    array as a tuple written from them."""
+
+    region: Region
+    pairs: tuple
+    mate: tuple
+
+
+def tuple_tiling(region: Region, pairs) -> TupleTiling:
+    """The tuple form of these (white, black) index pairs, in any order."""
+    pairs = tuple(sorted(pairs))
+    mate = [-1] * region.n_cells
+    for w, b in pairs:
+        mate[w] = b
+        mate[b] = w
+    return TupleTiling(region, pairs, tuple(mate))
+
+
+def colour_pairs(region: Region, mate) -> list:
+    """(i, mate[i]) for each cell i that the region's colours make white."""
+    colors = region.colors
+    return [(i, m) for i, m in enumerate(mate) if colors[i] == -1]
+
+
+def tuple_tiling_of_cells(region: Region, cell_pairs) -> TupleTiling:
+    """The tuple form of (cell, cell) pairs: each cell reduced onto a torus
+    and looked up in the index, each pair put white cell first by colour."""
+    index, colors = region.index, region.colors
+    pairs = []
+    for a, b in cell_pairs:
+        i, j = index[region.reduce(tuple(a))], index[region.reduce(tuple(b))]
+        pairs.append((i, j) if colors[i] == -1 else (j, i))
+    return tuple_tiling(region, pairs)
+
+
+def assert_packed_like(t: Tiling, ref: TupleTiling) -> None:
+    """t holds the packed form of ref: a Pairs view listing ref's pairs, a
+    read-only mate view of ref's mate array, ref's hash64 as the scalar
+    fold computes it, and equality with the tilings that Tiling(region,
+    pairs) builds from ref's pairs and from t's own view."""
+    assert type(t.pairs) is Pairs and t.mate.readonly
+    assert t.region == ref.region
+    assert len(t.pairs) == len(ref.pairs)
+    assert tuple(t.pairs) == ref.pairs and t.pairs == ref.pairs
+    assert list(t.mate) == list(ref.mate)
+    assert t.hash64 == slow_hash64(ref)
+    assert t == Tiling(ref.region, ref.pairs)
+    again = Tiling(t.region, t.pairs)
+    assert type(again.pairs) is Pairs
+    assert again == t and tuple(again.pairs) == ref.pairs and again.hash64 == t.hash64

@@ -159,6 +159,7 @@ def test_invariants_rejects_bad_tiling_file(capsys, tmp_path):
     ("box", '{"region": {"kind": "box"}, "dimers": []}'),
     ("box", '{"region": {"kind": "torus", "periods": 4}, "dimers": []}'),
     ("box", '{"region": {"kind": "box", "dims": [2, 2, 1]}}'),
+    ("box", '{"region": {"kind": ["box"], "dims": [2, 2, 1]}, "dimers": []}'),
     ("box", '[]'),
     ("box", '{"dimers": [5]}'),
     ("box", '{"dimers": [[5, 6]]}'),
@@ -174,6 +175,34 @@ def test_invariants_bad_tiling_file_is_a_usage_error(capsys, tmp_path, region, c
         main(["invariants", region] + sizes + ["--tiling", str(path)])
     assert exc.value.code == 2
     assert "invalid tiling file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, key", [
+    ({"region": {"kind": "box", "dims": [2, 2, 2], "parity": 5}}, "'parity'"),
+    ({"region": {"kind": "box", "dims": [2, 2, 2]}, "hash": "0"}, "'hash'"),
+], ids=["region-parity", "tiling-key"])
+def test_invariants_refuses_an_unknown_key_in_a_tiling_file(capsys, tmp_path, content, key):
+    # a tiling file of box 2 2 2 that passes but for its one stray key
+    doc = json.loads(serialize_tiling(start_tiling(build_box(2, 2, 2))))
+    doc.update(content)
+    path = tmp_path / "tiling.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "box", "2", "2", "2", "--tiling", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid tiling file" in err and "unknown key %s" % key in err
+    assert "Traceback" not in err
+
+
+def test_voxel_file_refuses_an_unknown_key(capsys, tmp_path):
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps({"cells": [[0, 0, 0], [1, 0, 0]], "parity": 0, "dims": 3}))
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "voxels", str(spec)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid region" in err and "unknown key 'dims'" in err
 
 
 def test_enumerate_count_only_stops_at_the_state_budget(capsys):

@@ -488,7 +488,8 @@ def _assert_engine_matches_the_oracle(tilings, moves, expected=None):
         keys = [_key(layout, t.mate) for t in c.tilings]
         g = groups[component[index[keys[0]]]]
         assert (g.size, g.first, g.low, g.high, g.consistent) == (
-            len(c.tilings), c.tilings[0].mate, min(c.labels), max(c.labels), c.consistent)
+            len(c.tilings), tuple(c.tilings[0].mate), min(c.labels), max(c.labels),
+            c.consistent)
         assert [label[index[key]] for key in keys] == c.labels
     return groups
 

@@ -2,7 +2,7 @@ import pytest
 
 from tritile import (
     BudgetExceeded, Region, RegionError, build_box, build_torus, build_voxel_region,
-    refine_region, region_from_json,
+    refine_region, region_from_dict, region_from_json,
 )
 from support import (
     built, corner_cut_cube, raw_step_table, slow_cube_table, slow_lattice_cubes,
@@ -361,6 +361,29 @@ def test_region_json_round_trip():
     for r in (build_box(3, 3, 2), build_torus(4, 4, 4),
               build_voxel_region([(0, 0, 0), (1, 0, 0)], parity=1)):
         assert region_from_json(r.to_json()) == r
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"kind": "box", "dims": [2, 2, 2], "bogus": 1}, "'bogus'"),
+    ({"kind": "box", "dims": [2, 2, 2], "parity": 5}, "'parity'"),
+    ({"kind": "torus", "periods": [2, 2, 4], "dims": [2, 2, 4]}, "'dims'"),
+    ({"kind": "voxels", "cells": [[0, 0, 0], [1, 0, 0]], "parity": 0, "Cells": []},
+     "'Cells'"),
+], ids=["box", "box-parity", "torus", "voxels"])
+def test_region_from_dict_refuses_an_unknown_key(data, key):
+    with pytest.raises(RegionError, match="unknown key %s" % key) as exc:
+        region_from_dict(data)
+    assert exc.value.condition == "keys"
+    # without the stray key the same object is a region
+    region = region_from_dict({k: v for k, v in data.items() if k != key.strip("'")})
+    assert region_from_dict(region.to_dict()) == region
+
+
+@pytest.mark.parametrize("kind", [["box"], {"box": 1}, None, 3])
+def test_region_from_dict_refuses_a_kind_that_is_not_a_name(kind):
+    # an unhashable kind is refused as unknown, not by a TypeError
+    with pytest.raises(ValueError, match="unknown region kind"):
+        region_from_dict({"kind": kind, "dims": [2, 2, 2]})
 
 
 def test_region_json_voxels_sorted():

@@ -1,6 +1,9 @@
+import gc
 import hashlib
+import json
 import random
 import time
+import tracemalloc
 import weakref
 from itertools import zip_longest
 
@@ -12,14 +15,17 @@ from tritile import (
     BudgetExceeded, Region, Tiling, apply_flip, base_tiling, build_box,
     build_torus, build_voxel_region, count_tilings, deserialize_tiling,
     diff_cycles, enumerate_tilings, find_flips, refine_region, refine_tiling,
-    serialize_tiling,
+    serialize_tiling, tiling_from_dict,
 )
 from tritile.harness import mixed_torus_tiling, start_tiling, walk_states
-from tritile.moves import VisitedHashes
+from tritile.moves import VisitedHashes, WalkState, find_trits
+from tritile.tilings import _mates
 from support import (
-    _wrap_delta, adjacent_cells, built, corner_cut_cube, count_matchings, l_shape_region,
-    pinwheel_N1, pinwheel_N2, slow_base_tiling, slow_dimer_codes, slow_from_cell_pairs,
-    slow_hash64, slow_neighbor_table, slow_perfect_matchings, slow_refine, slow_steps,
+    _wrap_delta, adjacent_cells, assert_packed_like, built, colour_pairs, corner_cut_cube,
+    count_matchings, l_shape_region, pinwheel_N1, pinwheel_N2, slow_base_mate,
+    slow_base_tiling, slow_dimer_codes, slow_from_cell_pairs, slow_hash64,
+    slow_neighbor_table, slow_perfect_matchings, slow_refine, slow_refined_cell_pairs,
+    slow_steps, tuple_tiling, tuple_tiling_of_cells,
 )
 
 
@@ -145,7 +151,7 @@ def _pairs_in_branching_order(region, order):
 
 def test_enumeration_order_independent():
     r = build_box(3, 3, 2)
-    reference = [t.pairs for t in enumerate_tilings(r)]
+    reference = [tuple(t.pairs) for t in enumerate_tilings(r)]
     assert len(set(reference)) == len(reference) == 229
     rng = random.Random(3)
     for _ in range(3):
@@ -154,8 +160,8 @@ def test_enumeration_order_independent():
         assert _pairs_in_branching_order(r, order) == set(reference)
 
 
-# sha256 of repr([t.pairs for t in enumerate_tilings(region)]): the order of
-# the listing, pinned so a change to the backtracking search shows.
+# sha256 of repr([tuple(t.pairs) for t in enumerate_tilings(region)]): the
+# order of the listing, pinned so a change to the backtracking search shows.
 _ORDER_PINS = {
     "box-3x4x2": (lambda: build_box(3, 4, 2), 1845,
                   "82f2f8e77eca7406b84eda0b4989f6e43dcf2822864e706daef1740125edad79"),
@@ -177,7 +183,7 @@ _ORDER_PINS = {
 @pytest.mark.parametrize("name", sorted(_ORDER_PINS))
 def test_enumeration_order_is_pinned(name):
     make, count, digest = _ORDER_PINS[name]
-    pairs = [t.pairs for t in enumerate_tilings(make())]
+    pairs = [tuple(t.pairs) for t in enumerate_tilings(make())]
     assert len(pairs) == count
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
@@ -745,3 +751,188 @@ def test_dimer_codes_hold_for_any_cell_count(n_cells):
     pairs = [(rng.randrange(n_cells), rng.randrange(n_cells))
              for _ in range(tilings._CHUNK + 3)]
     assert list(tilings._dimer_codes(n_cells, pairs)) == slow_dimer_codes(n_cells, pairs)
+
+
+# -- packed storage against the tuple-based construction ------------------
+
+# every box and torus axis kind: a size-1 box axis, period-2 and period-4
+# torus axes, and a voxel region that keeps its cell tables
+_PACKED_REGIONS = {
+    "box-3x3x2": lambda: build_box(3, 3, 2),
+    "box-1x2x4": lambda: build_box(1, 2, 4),
+    "torus-2x2x4": lambda: build_torus(2, 2, 4),
+    "torus-4x2x2": lambda: build_torus(4, 2, 2),
+    "torus-4x4x4": lambda: build_torus(4, 4, 4),
+    "l-shape": l_shape_region,
+}
+
+
+def _packed_samples(region) -> list:
+    """The start tiling and a seeded walk's states, one of each kind of
+    tiling the walks meet."""
+    return [start_tiling(region)] + walk_states(region, "flip+trit", 24, 7)[3::4]
+
+
+@pytest.mark.parametrize("name", list(_PACKED_REGIONS))
+def test_base_tiling_and_walk_snapshots_pack_like_tuples(name):
+    region = _PACKED_REGIONS[name]()
+    if region.kind != "voxels":
+        for axis in (k for k in range(3) if (region.dims or region.periods)[k] % 2 == 0):
+            ref = tuple_tiling(region, colour_pairs(region, slow_base_mate(region, axis)))
+            assert_packed_like(base_tiling(region, axis), ref)
+    state = WalkState(start_tiling(region))
+    for k in (0, 5, 1, 3, 2):
+        if not len(state):
+            break
+        state.step(k % len(state))
+        ref = tuple_tiling(region, colour_pairs(region, state.mate))
+        assert_packed_like(state.tiling(), ref)
+        assert_packed_like(Tiling._from_mate(region, list(state.mate)), ref)
+
+
+@pytest.mark.parametrize("name", ["box-3x3x2", "box-1x2x4", "torus-2x2x4", "torus-4x2x2",
+                                  "l-shape"])
+def test_enumerated_tilings_pack_like_tuples(name):
+    region = _PACKED_REGIONS[name]()
+    for count, (t, mate) in enumerate(zip(enumerate_tilings(region), _mates(region))):
+        assert_packed_like(t, tuple_tiling(region, colour_pairs(region, mate)))
+        if count == 60:
+            break
+
+
+@pytest.mark.parametrize("name", list(_PACKED_REGIONS))
+def test_cell_pairs_and_index_pairs_pack_like_tuples(name):
+    region = _PACKED_REGIONS[name]()
+    rng = random.Random(name)
+    cells = region.cells
+    for t in _packed_samples(region):
+        ref = tuple_tiling(region, tuple(t.pairs))
+        pairs = list(ref.pairs)
+        rng.shuffle(pairs)
+        assert_packed_like(Tiling(region, pairs), ref)
+        # either end first: from_cell_pairs orients each pair by colour
+        cell_pairs = [(cells[b], cells[w]) if rng.random() < 0.5 else (cells[w], cells[b])
+                      for w, b in pairs]
+        assert_packed_like(Tiling.from_cell_pairs(region, cell_pairs), ref)
+        assert tuple_tiling_of_cells(region, cell_pairs) == ref
+
+
+@pytest.mark.parametrize("name", list(_PACKED_REGIONS))
+def test_replaced_tilings_pack_like_tuples(name):
+    region = _PACKED_REGIONS[name]()
+    for t in _packed_samples(region):
+        ref = tuple_tiling(region, tuple(t.pairs))
+        index = region.index
+        for m in (find_flips(t) + find_trits(t))[:6]:
+            removed = {(index[d.white], index[d.black]) for d in m.removed}
+            inserted = [(index[d.white], index[d.black]) for d in m.inserted]
+            expected = tuple_tiling(region, [p for p in ref.pairs if p not in removed]
+                                    + inserted)
+            assert_packed_like(t.replace(m.removed, m.inserted), expected)
+
+
+def _wraps(t) -> bool:
+    """Whether a pair of t steps across the seam of a torus axis of period
+    above 2, where a refined column wraps around the refined torus."""
+    periods, cells = t.region.periods, t.region.cells
+    return any(abs(cells[w][k] - cells[b][k]) > 1 for w, b in t.pairs for k in range(3)
+               if periods[k] > 2)
+
+
+@pytest.mark.parametrize("name", list(_PACKED_REGIONS))
+def test_k1_refinements_pack_like_tuples(name):
+    region = _PACKED_REGIONS[name]()
+    samples = _packed_samples(region)
+    if region.kind == "torus" and region.periods[0] > 2:
+        samples.append(mixed_torus_tiling() if region.periods == (4, 4, 4)
+                       else walk_states(region, "flip", 40, 3)[-1])
+        assert _wraps(samples[-1])
+    for t in samples:
+        ref = tuple_tiling_of_cells(*slow_refined_cell_pairs(t, 1))
+        assert_packed_like(refine_tiling(t, 1), ref)
+
+
+@pytest.mark.parametrize("name", ["box-1x2x4", "torus-4x2x2"])
+def test_k2_refinements_pack_like_tuples(name):
+    # torus 4x2x2: a tiling whose x-dimers wrap, over 4 x 2 x 2 x 125^2 cells
+    region = _PACKED_REGIONS[name]()
+    t = walk_states(region, "flip", 40, 3)[-1]
+    if region.kind == "torus":
+        assert _wraps(t)
+    ref = tuple_tiling_of_cells(*slow_refined_cell_pairs(t, 2))
+    assert_packed_like(refine_tiling(t, 2), ref)
+
+
+def test_pairs_is_a_read_only_view_of_the_mate_array():
+    t = list(enumerate_tilings(build_box(3, 3, 2)))[17]
+    pairs = tuple(t.pairs)
+    assert t.pairs[0] == pairs[0] and t.pairs[-1] == pairs[-1]
+    assert t.pairs[2:7] == pairs[2:7] and t.pairs[::-3] == pairs[::-3]
+    assert pairs[4] in t.pairs and list(reversed(t.pairs)) == list(reversed(pairs))
+    assert pairs == t.pairs and t.pairs != pairs[:-1] and t.pairs != list(pairs)
+    with pytest.raises(TypeError):
+        hash(t.pairs)
+    with pytest.raises(AttributeError):
+        t.pairs.append((0, 1))
+    with pytest.raises(TypeError):
+        t.mate[0] = 5
+    assert t.mate.itemsize == 4 and t._mate.itemsize == 4
+    assert not hasattr(t.pairs, "__dict__")
+
+
+def test_a_hand_built_non_matching_keeps_its_pairs_as_given():
+    # a duplicate pair, a black cell first, an uncovered cell: none is a
+    # packed matching, so validate and the readers still see every pair
+    r = build_box(2, 2, 1)
+    for pairs in ([(2, 0), (2, 0)], [(0, 1), (3, 2)], [(1, 0)]):
+        t = Tiling(r, pairs)
+        assert t.pairs == tuple(sorted(pairs)) and type(t.pairs) is tuple
+        with pytest.raises(ValueError):
+            t.validate()
+
+
+def _held_bytes(make) -> tuple[int, int]:
+    """(bytes held while make()'s result is alive, once a read of its pairs
+    has built its region's white cells; bytes still held once it is
+    dropped), traced by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = make()
+        assert t.pairs[-1] == (t.region.n_cells - 1, t.mate[-1])
+        live = tracemalloc.get_traced_memory()[0] - before
+        del t
+        gc.collect()
+        return live, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_live_k2_refinement_holds_under_3_mb():
+    # 281,250 cells: a 4-byte mate entry per cell and a 4-byte white cell
+    # index per dimer, about 1.7 MB; one tuple per dimer held 24.6 MB
+    live, _ = _held_bytes(lambda: refine_tiling(Tiling(build_box(3, 3, 2), _PAIRS_332), 2))
+    assert live < 3 * 2 ** 20
+
+
+def test_a_dropped_k2_refinement_holds_under_half_a_mb():
+    # the white cells live no longer than their region: a cache keyed by
+    # the sizes kept the 140,625 of this one alive (5.36 MB)
+    _, held = _held_bytes(lambda: refine_tiling(Tiling(build_box(3, 3, 2), _PAIRS_332), 2))
+    assert held < 2 ** 19
+
+
+# -- JSON readers refuse unknown keys ------------------------------------
+
+@pytest.mark.parametrize("doc, key", [
+    ({"region": {"kind": "box", "dims": [2, 2, 1]}, "dimers": [], "extra": 1}, "'extra'"),
+    ({"region": {"kind": "box", "dims": [2, 2, 1], "parity": 5}, "dimers": []}, "'parity'"),
+    ({"region": {"kind": "torus", "periods": [2, 2, 2], "dims": [2, 2, 2]},
+      "dimers": []}, "'dims'"),
+])
+def test_tiling_from_dict_refuses_an_unknown_key(doc, key):
+    with pytest.raises(ValueError, match="unknown key %s" % key):
+        tiling_from_dict(doc)
+    with pytest.raises(ValueError, match="unknown key %s" % key):
+        deserialize_tiling(json.dumps(doc), build_box(2, 2, 1))
