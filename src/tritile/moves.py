@@ -513,9 +513,9 @@ def _pack_keys(region: Region, mates: Iterable[Sequence[int]], layout: Struct):
     of _neighbour_bits(step[w]) (a black cell's column is 0). Up to _RUN
     new keys are joined into one run of bytes; cell w's byte lane j is
     run[w * width + j :: layout.size], translated to the neighbour bits its
-    byte values allow, and the lanes of a wider key are ANDed. A key that
-    pairs a white cell with a cell that is not its neighbour leaves a zero
-    byte there, and raises ValueError before any move is read.
+    byte values allow, and the lanes of a wider key are ANDed. The mate
+    arrays are perfect matchings (a Tiling's, or _mates'), so each byte
+    has exactly one bit set.
     """
     size = layout.size
     width = size // region.n_cells
@@ -537,10 +537,7 @@ def _pack_keys(region: Region, mates: Iterable[Sequence[int]], layout: Struct):
             column = -1
             for j, lane in enumerate(lanes):
                 column &= from_bytes(run[w * width + j::size].translate(lane), "little")
-            column = column.to_bytes(len(run) // size, "little")
-            if column.count(0):
-                raise ValueError("a tiling pairs cells that are not adjacent")
-            part += column
+            part += column.to_bytes(len(run) // size, "little")
 
     index: dict[int, int] = {}
     run = bytearray()
@@ -759,8 +756,7 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
     tilings in input order and labels[k] the trit label of tilings[k]
     relative to tilings[0]. Components come largest first, ties broken by
     the hash64 of their first tiling; only those first tilings are hashed.
-    A tiling that leaves a cell uncovered or covers one twice raises
-    ValueError.
+    Every Tiling is a perfect matching, so no tiling is checked here.
     """
     region = None
     # keyed by the bytes of each packed mate array
@@ -770,12 +766,7 @@ def labelled_components(tilings: Iterable[Tiling], moves: str) -> list[LabelledC
             region = t.region
         elif t.region != region:
             raise ValueError("tilings belong to different regions")
-        mate = t._mate
-        # -1 marks an uncovered cell, which no key of _key_struct stands
-        # for; with every cell covered, n_cells / 2 pairs cover each once
-        if -1 in mate or 2 * len(t.pairs) != len(mate):
-            raise ValueError("a tiling does not cover each cell exactly once")
-        nodes.setdefault(mate.tobytes(), t)
+        nodes.setdefault(t._mate.tobytes(), t)
     if region is None:
         raise ValueError("no tilings given")
     _index, component, label, groups = _key_components(

@@ -264,6 +264,14 @@ class Region:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # a box or torus pickles as its sizes, with no table built or kept
+        if self.kind == "box":
+            return build_box, self.dims
+        if self.kind == "torus":
+            return build_torus, self.periods
+        return Region, (self.kind, self.cells, self.parity)
+
     def __repr__(self) -> str:
         if self.kind == "box":
             return "Region(box %dx%dx%d)" % self.dims

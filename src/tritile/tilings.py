@@ -218,16 +218,43 @@ class Pairs(SequenceABC):
         return "Pairs(%d dimers)" % len(self)
 
 
+def _checked_mate(region: Region, pairs: Iterable[tuple[int, int]]) -> array:
+    """The mate array of (white, black) cell index pairs that match each
+    cell exactly once across a face, or ValueError naming the first pair or
+    cell that does not. Only the step table and Region.whites are read
+    unless it raises: adjacent cells have opposite colours, so in a perfect
+    matching the first cells are white iff they are Region.whites."""
+    n, step = region.n_cells, region.step_table
+    mate = array("i", [-1]) * n
+    firsts = []
+    for w, b in pairs:
+        if not (0 <= w < n and 0 <= b < n):
+            raise ValueError("dimer (%r, %r) has a cell index outside 0..%d" % (w, b, n - 1))
+        if b not in step[w]:
+            raise ValueError("non-adjacent dimer (%d, %d)" % (w, b))
+        if mate[w] != -1 or mate[b] != -1:
+            raise ValueError("cell covered twice: %r" % (region.cells[w if mate[w] != -1 else b],))
+        mate[w] = b
+        mate[b] = w
+        firsts.append(w)
+    if -1 in mate:
+        raise ValueError("cell uncovered: %r" % (region.cells[mate.index(-1)],))
+    if array("i", sorted(firsts)) != region.whites:
+        colors = region.colors
+        w = next(w for w in firsts if colors[w] == 1)
+        raise ValueError("mis-colored dimer (%d, %d)" % (w, mate[w]))
+    return mate
+
+
 class Tiling:
     """An immutable perfect matching of a region's cells.
 
     The matching is one packed array('i'), mate[i] the partner of cell i.
     pairs is a Pairs view of it, held in a slot, and Tiling.mate a
-    read-only memoryview. Every constructor builds that form. Only
-    Tiling(region, pairs) given pairs that do not match each cell exactly
-    once, white cell first, keeps them as the sorted tuple it was given,
-    for validate and the readers to refuse; its mate is written pair by
-    pair, a later pair overwriting, with -1 where no pair reaches.
+    read-only memoryview. Tiling(region, pairs) refuses pairs that do not
+    match each cell exactly once, white cell first, across a face, with a
+    ValueError that names the pair or the cell (_checked_mate); so every
+    tiling is a perfect matching, and its readers do not check again.
     """
 
     __slots__ = ("region", "pairs", "_mate", "_dimers", "_hash64", "_steps")
@@ -237,22 +264,10 @@ class Tiling:
         self._dimers = self._hash64 = self._steps = None
         if type(pairs) is Pairs and pairs._region == region:
             # another tiling's view: its mate array is never written, so shared
-            self._mate, self.pairs = pairs._mate, Pairs(region, pairs._mate)
-            return
-        pairs = sorted(pairs)
-        mate = array("i", [-1]) * region.n_cells
-        for w, b in pairs:
-            mate[w] = b
-            mate[b] = w
-        self._mate = mate
-        # n / 2 pairs whose first cells are the white cells, and that leave
-        # no cell unmatched, match each cell once
-        whites = region.whites
-        if (len(pairs) == len(whites) and -1 not in mate
-                and array("i", [w for w, _b in pairs]) == whites):
-            self.pairs = Pairs(region, mate)
+            mate = pairs._mate
         else:
-            self.pairs = tuple(pairs)
+            mate = _checked_mate(region, pairs)
+        self._mate, self.pairs = mate, Pairs(region, mate)
 
     @classmethod
     def _from_mate(cls, region: Region, mate: Sequence[int]) -> "Tiling":
@@ -361,21 +376,9 @@ class Tiling:
         return self._hash64
 
     def validate(self) -> None:
-        region = self.region
-        colors, step = region.colors, region.step_table
-        covered = [0] * region.n_cells
-        for wi, bi in self.pairs:
-            covered[wi] += 1
-            covered[bi] += 1
-            if colors[wi] != -1 or colors[bi] != 1:
-                raise ValueError("mis-colored dimer (%d, %d)" % (wi, bi))
-            if bi not in step[wi]:
-                raise ValueError("non-adjacent dimer (%d, %d)" % (wi, bi))
-        for i, c in enumerate(covered):
-            if c > 1:
-                raise ValueError("cell covered twice: %r" % (region.cells[i],))
-            if c == 0:
-                raise ValueError("cell uncovered: %r" % (region.cells[i],))
+        """Check the pairs again as Tiling(region, pairs) does: only a mate
+        array taken unchecked by _from_mate can fail."""
+        _checked_mate(self.region, self.pairs)
 
     def replace(self, remove: Iterable[Dimer], insert: Iterable[Dimer]) -> "Tiling":
         index = self.region.index
@@ -687,22 +690,18 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
     Tiling.steps. On a box or torus each column is written into a packed
     array of index differences by strided slices (_lattice_refined_mate),
     so the refined region's cell tables are never built; on a voxel region
-    refined cells are looked up in its index, and each pair is oriented
-    white to black by its colours (_indexed_refined_mate). Either way
-    adjacency and colours hold by construction and only the cover is
-    checked: a refined cell matched twice or left unmatched raises
-    ValueError. The result holds the packed mate array and nothing per
-    dimer; the refined region's step table is never built.
+    refined cells are looked up in its index (_indexed_refined_mate).
+    Nothing is checked: t is a perfect matching, so its bricks are too, and
+    they cover each refined cell once. The result holds the packed mate
+    array and nothing per dimer; the refined region's step table is never
+    built.
     """
     region2 = refine_region(t.region, k)  # checks k
     if k == 0:
         return t
     scale = 5 ** k
-    mate = None if region2.kind == "voxels" else _lattice_refined_mate(t, region2, scale)
-    if mate is None:
-        # voxel regions, and the diagnosis of a broken cover on any region
-        mate = _indexed_refined_mate(t, region2, scale)
-    return Tiling._from_mate(region2, mate)
+    refined_mate = _indexed_refined_mate if region2.kind == "voxels" else _lattice_refined_mate
+    return Tiling._from_mate(region2, refined_mate(t, region2, scale))
 
 
 def _brick_axis(w: Cell, b: Cell) -> tuple[int, int]:
@@ -715,7 +714,7 @@ def _brick_axis(w: Cell, b: Cell) -> tuple[int, int]:
     return axis, sign
 
 
-def _lattice_refined_mate(t: Tiling, region2: Region, scale: int) -> Optional[array]:
+def _lattice_refined_mate(t: Tiling, region2: Region, scale: int) -> array:
     """The refined mate array on a box or torus, by index arithmetic.
 
     Refined cell (x, y, z) is index (x * M + y) * N + z. A brick's column
@@ -724,16 +723,11 @@ def _lattice_refined_mate(t: Tiling, region2: Region, scale: int) -> Optional[ar
     periods. Each column is written as index differences, mate[i] - i =
     +stride and -stride alternately, by one strided slice write of a
     constant array into one packed array of offsets n + mate[i] - i
-    (_mate_of_offsets). Returns None when a column leaves a box or the
-    bricks do not cover every cell exactly once, for _indexed_refined_mate
-    to diagnose.
+    (_mate_of_offsets).
     """
     sizes = region2.dims or region2.periods
-    torus = region2.periods is not None
     strides = (sizes[1] * sizes[2], sizes[2], 1)
     n = region2.n_cells
-    if 2 * len(t.pairs) * scale ** 3 != n:
-        return None
     span = 2 * scale
     # index offsets of a brick's columns from its first column, per axis
     cross = [[du * strides[u] + dv * strides[v] for du in range(scale) for dv in range(scale)]
@@ -744,12 +738,9 @@ def _lattice_refined_mate(t: Tiling, region2: Region, scale: int) -> Optional[ar
     for wi, bi in t.pairs:
         w, b = cells[wi], cells[bi]
         axis, sign = _brick_axis(w, b)
-        low = (w[axis] if sign > 0 else w[axis] - 1) * scale
         size, s = sizes[axis], strides[axis]
-        if torus:
-            low %= size
-        elif low < 0 or low + span > size:
-            return None
+        # the column's low end: on a box it lies inside, on a torus it wraps
+        low = (w[axis] if sign > 0 else w[axis] - 1) * scale % size
         corner = sum(w[ax] * scale * strides[ax] for ax in range(3) if ax != axis)
         if low + span <= size:
             first, length, pattern = corner + low * s, span * s, alternating[axis]
@@ -763,10 +754,6 @@ def _lattice_refined_mate(t: Tiling, region2: Region, scale: int) -> Optional[ar
                 ib = corner + o + (low + m + 1) % size * s
                 delta[ia] = n + ib - ia
                 delta[ib] = n + ia - ib
-    # an offset is never 0, and n writes that leave no cell unmatched match
-    # every cell exactly once
-    if 0 in delta:
-        return None
     return _mate_of_offsets(delta)
 
 
@@ -788,10 +775,9 @@ def _mate_of_offsets(offsets: array) -> array:
 
 
 def _indexed_refined_mate(t: Tiling, region2: Region, scale: int) -> list[int]:
-    """The refined mate array by lookups in region2's cell tables, brick by
-    brick; raises ValueError naming the first refined cell matched twice,
-    or one left unmatched."""
-    index2, colors2 = region2.index, region2.colors
+    """The refined mate array of a voxel region by lookups in region2's
+    index, brick by brick."""
+    index2 = region2.index
     cells = t.region.cells
     mate = [-1] * region2.n_cells
     for wi, bi in t.pairs:
@@ -799,9 +785,6 @@ def _indexed_refined_mate(t: Tiling, region2: Region, scale: int) -> list[int]:
         axis, sign = _brick_axis(w, b)
         start = w[axis] * scale + (0 if sign > 0 else scale - 1)
         column = [(start + 2 * m * sign, start + (2 * m + 1) * sign) for m in range(scale)]
-        if region2.periods is not None:
-            p = region2.periods[axis]
-            column = [(x % p, y % p) for x, y in column]
         u, v = [ax for ax in range(3) if ax != axis]
         for cu in range(w[u] * scale, (w[u] + 1) * scale):
             for cv in range(w[v] * scale, (w[v] + 1) * scale):
@@ -812,16 +795,8 @@ def _indexed_refined_mate(t: Tiling, region2: Region, scale: int) -> list[int]:
                     ia = index2[tuple(cell)]
                     cell[axis] = y
                     ib = index2[tuple(cell)]
-                    if colors2[ia] == 1:
-                        ia, ib = ib, ia
-                    for i in (ia, ib):
-                        if mate[i] != -1:
-                            raise ValueError("refined cell covered twice: %r"
-                                             % (region2.cells[i],))
                     mate[ia] = ib
                     mate[ib] = ia
-    if -1 in mate:
-        raise ValueError("refined cell uncovered: %r" % (region2.cells[mate.index(-1)],))
     return mate
 
 

@@ -511,6 +511,30 @@ def slow_from_cell_pairs(region, cell_pairs) -> Tiling:
     return Tiling(region, pairs)
 
 
+def slow_checked_pairs(region, pairs) -> list:
+    """Tiling(region, pairs)' reference: the (white cell, black cell) pairs
+    of (white, black) cell index pairs that match each cell of the region
+    exactly once across a face. Raises ValueError for an index outside the
+    region, a pair that is not white then black by the colour of each
+    cell's coordinate sum, or not adjacent by raw coordinates
+    (adjacent_cells), and a cell covered other than once."""
+    cells = region.cells
+    out = []
+    for w, b in pairs:
+        if not (0 <= w < len(cells) and 0 <= b < len(cells)):
+            raise ValueError("cell index outside the region")
+        white, black = cells[w], cells[b]
+        if (sum(white) + region.parity) % 2 == 0 or (sum(black) + region.parity) % 2 == 1:
+            raise ValueError("not a white cell then a black one")
+        if not adjacent_cells(white, black, region.periods):
+            raise ValueError("cells share no face")
+        out.append((white, black))
+    covered = Counter(c for pair in out for c in pair)
+    if any(covered[c] != 1 for c in cells):
+        raise ValueError("a cell is not covered exactly once")
+    return out
+
+
 def slow_refine(t: Tiling, k: int) -> Tiling:
     """Literal refinement: every cross-section column of every refined dimer
     listed as a (cell, cell) pair, counted from the white end, then read back

@@ -142,8 +142,13 @@ def test_twist_matches_the_column_bisect_on_refined_and_large_tilings():
 
 
 def test_twist_names_the_tiling_that_fails_its_quarter_check():
-    # not a tiling: three pairs that cross with a quarter total of 2 about z
-    t = Tiling(build_box(2, 2, 3), [(6, 0), (1, 4), (5, 11)])
+    # not a tiling, so taken unchecked: three pairs that cross with a
+    # quarter total of 2 about z, and on the other six cells pairs of index
+    # difference 1, which share no face but read as z-dimers, which twist
+    # about z skips
+    mate = [6, 4, 3, 2, 1, 11, 0, 8, 7, 10, 9, 5]
+    t = Tiling._from_mate(build_box(2, 2, 3), mate)
+    assert tuple(t.pairs) == ((1, 4), (3, 2), (5, 11), (6, 0), (8, 7), (10, 9))
     with pytest.raises(RuntimeError, match="quarter total 2 for 2 x-dimers, 1 y-dimers "
                        "around axis z, tiling hash64 %016x" % t.hash64):
         twist(t, "z")

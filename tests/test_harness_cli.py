@@ -439,6 +439,18 @@ def test_refine_report_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_voxel_refine_report_bytes_are_pinned(capsys, tmp_path):
+    # the L-shaped region of the CI loop, refined by lookups in its index
+    path = tmp_path / "l-shape.json"
+    path.write_text(json.dumps(
+        [[x, y, z] for x in range(4) for y in range(2) for z in range(2)]
+        + [[x, y, z] for x in range(2) for y in range(2, 6) for z in range(2)]))
+    code, out = run(capsys, "refine", "voxels", str(path), "-k", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "3b1731a7b850ca440ec5874fbf2f730b77b37d8867107a8fc4ee9119919c5405"
+
+
 def test_reports_are_deterministic(capsys):
     first = run(capsys, "sample", "torus", "2", "2", "4", "--steps", "50")
     second = run(capsys, "sample", "torus", "2", "2", "4", "--steps", "50")

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from struct import Struct
 
@@ -467,10 +468,12 @@ def test_key_struct_is_little_endian(n_cells, width):
 
 @pytest.mark.parametrize("move_set", ["flip", "trit", "flip+trit"])
 def test_labelled_components_name_a_non_adjacent_pair(move_set):
-    # (0, 0, 0) and (1, 1, 1) have opposite colours but share no face
-    t = Tiling(build_box(2, 2, 2), [(0, 7), (1, 3), (2, 6), (4, 5)])
-    with pytest.raises(ValueError, match="not adjacent"):
-        labelled_components([t], move_set)
+    # (0, 0, 0) and (1, 1, 1) have opposite colours but share no face; every
+    # Tiling is a perfect matching, so the constructor names the pair before
+    # labelled_components could read it
+    with pytest.raises(ValueError, match=re.escape("non-adjacent dimer (0, 7)")):
+        labelled_components([Tiling(build_box(2, 2, 2), [(0, 7), (1, 3), (2, 6), (4, 5)])],
+                            move_set)
 
 
 def _assert_engine_matches_the_oracle(tilings, moves, expected=None):
@@ -563,19 +566,27 @@ def test_labelled_components_keep_an_inconsistency_through_a_merge(monkeypatch):
     assert not comp.consistent
 
 
-# keys of one, two and four bytes a cell: the last box has more cells
-# than two bytes index
+# boxes whose keys take one, two and four bytes a cell: the last has more
+# cells than two bytes index
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 65, 2), (2, 16385, 2)])
 def test_labelled_components_name_an_uncovered_cell(dims):
+    # the constructor names the cell before labelled_components could read
+    # the tiling
     region = build_box(*dims)
     # z-dimers on every cell but the last two
     pairs = [(i, i + 1) for i in range(0, region.n_cells - 2, 2)]
-    with pytest.raises(ValueError, match="cover each cell exactly once"):
+    with pytest.raises(ValueError, match=re.escape("cell uncovered: (1, %d, 0)" % (dims[1] - 1))):
         labelled_components([Tiling(region, pairs)], "flip+trit")
-    # every cell covered, two of them twice
+    # every cell covered: cells 1 and 2 once more, by a pair that shares no
+    # face, and cells 0 and 1 by their own pair again
     pairs.append((region.n_cells - 2, region.n_cells - 1))
-    with pytest.raises(ValueError, match="cover each cell exactly once"):
+    with pytest.raises(ValueError, match=re.escape("non-adjacent dimer (1, 2)")):
         labelled_components([Tiling(region, pairs + [(1, 2)])], "flip")
+    with pytest.raises(ValueError, match=re.escape("cell covered twice: (0, 0, 0)")):
+        labelled_components([Tiling(region, pairs + [(0, 1)])], "flip")
+    # each cell once, but half the pairs start at their black cell
+    with pytest.raises(ValueError, match=re.escape("mis-colored dimer (0, 1)")):
+        labelled_components([Tiling(region, pairs)], "flip")
 
 
 @pytest.mark.parametrize("move_set", ["flip", "flip+trit"])

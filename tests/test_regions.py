@@ -1,15 +1,17 @@
+import pickle
+
 import pytest
 
 from tritile import (
     BudgetExceeded, Region, RegionError, build_box, build_torus, build_voxel_region,
-    refine_region, region_from_dict, region_from_json,
+    enumerate_tilings, refine_region, region_from_dict, region_from_json,
 )
 from support import (
     built, corner_cut_cube, raw_step_table, slow_cube_table, slow_lattice_cubes,
     slow_neighbor_table,
 )
 from tritile.moves import _cube_anchor
-from tritile.tilings import _neighbor_rows
+from tritile.tilings import Pairs, _neighbor_rows
 
 
 def _indices(table):
@@ -422,3 +424,22 @@ def test_voxel_accepts_numpy_integer_coordinates():
     v = build_voxel_region([(np.int64(0), 0, 0), (np.int32(1), 0, 0)])
     assert v.cells == ((0, 0, 0), (1, 0, 0))
     assert all(type(c) is int for cell in v.cells for c in cell)
+
+
+@pytest.mark.parametrize("build", [lambda: build_box(2, 2, 2), lambda: build_torus(2, 2, 4),
+                                   corner_cut_cube], ids=["box", "torus", "voxels"])
+@pytest.mark.parametrize("tables", [False, True], ids=["unbuilt", "built"])
+def test_regions_and_their_tilings_pickle(build, tables):
+    # a box or torus pickles as its sizes, whether its tables are built or not
+    region = build()
+    if tables:
+        region.cells, region.step_table
+    again = pickle.loads(pickle.dumps(region))
+    assert again == region and hash(again) == hash(region)
+    assert again.to_dict() == region.to_dict()
+    assert built(again, "cells") == (region.kind == "voxels")
+    assert again.cells == region.cells and again.step_table == region.step_table
+    t = next(enumerate_tilings(region))
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and copy.hash64 == t.hash64 and list(copy.mate) == list(t.mate)
+    assert type(copy.pairs) is Pairs and copy.pairs._mate is copy._mate

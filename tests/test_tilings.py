@@ -2,9 +2,11 @@ import gc
 import hashlib
 import json
 import random
+import re
 import time
 import tracemalloc
 import weakref
+from functools import lru_cache
 from itertools import zip_longest
 
 import pytest
@@ -19,13 +21,13 @@ from tritile import (
 )
 from tritile.harness import mixed_torus_tiling, start_tiling, walk_states
 from tritile.moves import VisitedHashes, WalkState, find_trits
-from tritile.tilings import _mates
+from tritile.tilings import Pairs, _mates
 from support import (
-    _wrap_delta, adjacent_cells, assert_packed_like, built, colour_pairs, corner_cut_cube,
-    count_matchings, l_shape_region, pinwheel_N1, pinwheel_N2, slow_base_mate,
-    slow_base_tiling, slow_dimer_codes, slow_from_cell_pairs, slow_hash64,
-    slow_neighbor_table, slow_perfect_matchings, slow_refine, slow_refined_cell_pairs,
-    slow_steps, tuple_tiling, tuple_tiling_of_cells,
+    _slow_splitmix64, _wrap_delta, adjacent_cells, assert_packed_like, built, colour_pairs,
+    corner_cut_cube, count_matchings, l_shape_region, pinwheel_N1, pinwheel_N2,
+    slow_base_mate, slow_base_tiling, slow_checked_pairs, slow_dimer_codes,
+    slow_from_cell_pairs, slow_hash64, slow_neighbor_table, slow_perfect_matchings,
+    slow_refine, slow_refined_cell_pairs, slow_steps, tuple_tiling, tuple_tiling_of_cells,
 )
 
 
@@ -566,12 +568,14 @@ def test_refine_matches_cell_pair_oracle_on_voxels():
         _assert_refines_like_oracle(t)
 
 
+# refine_tiling checks no cover: a broken one is refused, by name, as the
+# tiling is built
 def test_refine_rejects_a_broken_cover():
     r = build_box(2, 2, 1)
     w, b = r.index[(1, 0, 0)], r.index[(0, 0, 0)]
-    with pytest.raises(ValueError, match="refined cell covered twice"):
+    with pytest.raises(ValueError, match=re.escape("cell covered twice: (1, 0, 0)")):
         refine_tiling(Tiling(r, [(w, b), (w, b)]), 1)
-    with pytest.raises(ValueError, match="refined cell uncovered"):
+    with pytest.raises(ValueError, match=re.escape("cell uncovered: (0, 1, 0)")):
         refine_tiling(Tiling(r, [(w, b)]), 1)
 
 
@@ -581,16 +585,16 @@ def test_refine_rejects_a_black_cell_matched_twice():
     upper = [((0, 0, 1), (1, 0, 1)), ((1, 1, 1), (0, 1, 1))]
     for r, cell_pairs in ((build_box(2, 2, 1), twice), (build_torus(2, 2, 2), twice + upper)):
         pairs = [(r.index[w], r.index[b]) for w, b in cell_pairs]
-        with pytest.raises(ValueError, match="refined cell covered twice"):
+        with pytest.raises(ValueError, match=re.escape("cell covered twice: (0, 0, 0)")):
             refine_tiling(Tiling(r, pairs), 1)
 
 
 def test_refine_never_wraps_a_column_around_a_box():
-    # a hand-built pair (w, w) puts its column above w, past the box's top:
-    # the lookup fails as it always did instead of pairing z = 9 with z = 0
+    # a hand-built pair (w, w) would put its column above w, past the box's
+    # top; it is no dimer, so no tiling holds it
     r = build_box(1, 2, 2)
     w = r.index[(0, 0, 1)]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=re.escape("non-adjacent dimer (%d, %d)" % (w, w))):
         refine_tiling(Tiling(r, [(w, w), (r.index[(0, 1, 1)], r.index[(0, 1, 0)])]), 1)
 
 
@@ -715,7 +719,7 @@ def _rod(pairs: int) -> Tiling:
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Tiling(build_box(2, 2, 2), []),
+    lambda: (8, ()),
     lambda: Tiling(build_box(1, 1, 2), [(1, 0)]),
     lambda: _rod(tilings._CHUNK - 1),
     lambda: _rod(tilings._CHUNK),
@@ -727,6 +731,13 @@ def _rod(pairs: int) -> Tiling:
         "torus-2x4x6", "l-shape"])
 def test_hash64_equals_the_scalar_fold(make):
     t = make()
+    if not isinstance(t, Tiling):
+        # every region has cells, so no tiling has 0 pairs: the codes and
+        # the fold of no pairs, read directly
+        n, pairs = t
+        assert list(tilings._dimer_codes(n, pairs)) == slow_dimer_codes(n, pairs) == []
+        assert tilings._fold_codes(n, tilings._dimer_codes(n, pairs)) == _slow_splitmix64(n)
+        return
     n = t.region.n_cells
     assert list(tilings._dimer_codes(n, t.pairs)) == slow_dimer_codes(n, t.pairs)
     assert t.hash64 == slow_hash64(t)
@@ -880,15 +891,95 @@ def test_pairs_is_a_read_only_view_of_the_mate_array():
     assert not hasattr(t.pairs, "__dict__")
 
 
-def test_a_hand_built_non_matching_keeps_its_pairs_as_given():
-    # a duplicate pair, a black cell first, an uncovered cell: none is a
-    # packed matching, so validate and the readers still see every pair
-    r = build_box(2, 2, 1)
-    for pairs in ([(2, 0), (2, 0)], [(0, 1), (3, 2)], [(1, 0)]):
-        t = Tiling(r, pairs)
-        assert t.pairs == tuple(sorted(pairs)) and type(t.pairs) is tuple
+@pytest.mark.parametrize("dims, pairs, message", [
+    ((2, 1, 1), [(-1, 0)], "dimer (-1, 0) has a cell index outside 0..1"),
+    ((2, 1, 1), [(2, 0)], "dimer (2, 0) has a cell index outside 0..1"),
+    # cells x = 0..3 in a row: 3 and 0 have opposite colours, share no face
+    ((4, 1, 1), [(1, 2), (3, 0)], "non-adjacent dimer (3, 0)"),
+    ((2, 2, 1), [(2, 0), (2, 0)], "cell covered twice: (1, 0, 0)"),
+    ((2, 2, 1), [(0, 1), (3, 2)], "mis-colored dimer (0, 1)"),
+    ((2, 2, 1), [(1, 0)], "cell uncovered: (1, 0, 0)"),
+], ids=["negative", "past-n", "non-adjacent", "duplicate", "black-first", "uncovered"])
+def test_a_hand_built_non_matching_is_refused_by_name(dims, pairs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Tiling(build_box(*dims), pairs)
+
+
+@lru_cache(maxsize=None)
+def _checked_cases(which: int) -> tuple:
+    """(region, walked tilings) of box 2x2x2, torus 2x2x4 (period-2 axes,
+    where both steps name one cell) or the L-shaped voxel region."""
+    region = (build_box(2, 2, 2), build_torus(2, 2, 4), l_shape_region())[which]
+    return region, walk_states(region, "flip+trit", 30, which)
+
+
+def _edit_pairs(pairs: list, edit: str, k: int, n: int) -> None:
+    """One edit of a pair list, in place, at pair k % len(pairs)."""
+    if not pairs:
+        return
+    i = k % len(pairs)
+    w, b = pairs[i]
+    if edit == "negative":
+        pairs[i] = (-1 - k % 3, b) if k % 2 else (w, -1 - k % 3)
+    elif edit == "past-n":
+        pairs[i] = (n + k % 3, b) if k % 2 else (w, n + k % 3)
+    elif edit == "reverse":
+        pairs[i] = (b, w)
+    elif edit == "duplicate":
+        pairs.append(pairs[i])
+    elif edit == "drop":
+        del pairs[i]
+    elif edit == "any-cell":
+        # most often a cell that shares no face with w
+        pairs[i] = (w, k // len(pairs) % n)
+    elif edit == "swap-partners":
+        # another tiling, when both new pairs share a face
+        j = k // len(pairs) % len(pairs)
+        pairs[i], pairs[j] = (w, pairs[j][1]), (pairs[j][0], b)
+    else:
+        random.Random(k).shuffle(pairs)
+
+
+_EDITS = ("negative", "past-n", "reverse", "duplicate", "drop", "any-cell", "swap-partners",
+          "shuffle")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2), st.integers(0, 29),
+       st.lists(st.tuples(st.sampled_from(_EDITS), st.integers(0, 10 ** 6)), max_size=3))
+def test_the_constructor_refuses_exactly_what_the_oracle_refuses(which, pick, edits):
+    region, states = _checked_cases(which)
+    pairs = list(states[pick % len(states)].pairs)
+    for edit, k in edits:
+        _edit_pairs(pairs, edit, k, region.n_cells)
+    try:
+        cell_pairs = slow_checked_pairs(region, pairs)
+    except ValueError:
         with pytest.raises(ValueError):
-            t.validate()
+            Tiling(region, pairs)
+        return
+    t = Tiling(region, pairs)
+    assert t == Tiling.from_cell_pairs(region, cell_pairs)
+    assert type(t.pairs) is Pairs and tuple(t.pairs) == tuple(sorted(pairs))
+
+
+@pytest.mark.parametrize("build, sizes", [(build_box, (4, 4, 4)), (build_torus, (2, 2, 4))])
+def test_building_a_tiling_leaves_the_cell_tables_unbuilt(build, sizes):
+    pairs = list(base_tiling(build(*sizes), 0).pairs)
+    region = build(*sizes)
+    t = Tiling(region, pairs)
+    t.validate()
+    assert t == base_tiling(build(*sizes), 0)
+    assert not any(built(region, name) for name in ("cells", "index", "colors"))
+
+
+def test_validate_names_a_mate_array_taken_unchecked():
+    # _from_mate takes its mate array as it is; validate checks it again
+    region = build_box(2, 2, 1)
+    with pytest.raises(ValueError, match=re.escape("non-adjacent dimer (1, 2)")):
+        Tiling._from_mate(region, [3, 2, 1, 0]).validate()
+    with pytest.raises(ValueError, match=re.escape("dimer (1, -1) has a cell index outside")):
+        Tiling._from_mate(region, [-1, -1, 3, 2]).validate()
 
 
 def _held_bytes(make) -> tuple[int, int]:
