@@ -58,6 +58,9 @@ def _parse_region(tokens: Sequence[str], parser: argparse.ArgumentParser) -> Reg
             parser.error("invalid region file %s: %s" % (tokens[1], exc))
         if isinstance(data, dict):
             _refuse_unknown_keys(data, _REGION_KEYS["voxels"], "a voxel file")
+            if data.get("kind", "voxels") != "voxels":
+                raise RegionError("kind", "a voxel file has kind %r, not 'voxels'"
+                                  % (data["kind"],))
             return build_voxel_region(data.get("cells"), data.get("parity", 0))
         return build_voxel_region(data)
     parser.error("invalid region spec at position 0: unknown kind %r" % (kind,))

@@ -198,7 +198,8 @@ def build_planar_surface(cells: Iterable[tuple]) -> CoquadSurface:
     Vertices are the cells, black when the coordinate sum is even. Faces are
     the unit squares with all four surrounding cells present; every other
     side of an edge is the boundary element INF. A cell that is not a pair
-    of ints raises ValueError.
+    of ints raises ValueError, and so does a disconnected region: its edges
+    join adjacent cells, so CoquadSurface refuses its graph.
     """
     cell_list = sorted(set(map(_planar_cell, cells)))
     if not cell_list:
@@ -207,16 +208,6 @@ def build_planar_surface(cells: Iterable[tuple]) -> CoquadSurface:
     colors = {c: (1 if (c[0] + c[1]) % 2 == 0 else -1) for c in cell_list}
     if sum(colors.values()) != 0:
         raise ValueError("unbalanced region")
-    seen = {cell_list[0]}
-    queue = deque(seen)
-    while queue:
-        x, y = queue.popleft()
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in cell_set and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    if len(seen) != len(cell_list):
-        raise ValueError("region is not connected")
 
     def face_of(point2: tuple) -> FaceId:
         # point2 is a face center in doubled coordinates (both odd)

@@ -32,9 +32,6 @@ DIRECTIONS: tuple[Cell, ...] = (
 #: direction index -> coordinate axis (0, 1 or 2).
 DIR_AXIS = (0, 0, 1, 1, 2, 2)
 
-#: direction index -> sign of the step along its axis.
-DIR_SIGN = (1, -1, 1, -1, 1, -1)
-
 AXIS_NAMES = ("x", "y", "z")
 
 #: Offsets of a 2x2x2 cube's cells from its anchor, in position order: the
@@ -455,7 +452,7 @@ def build_voxel_region(cells: Iterable[Sequence[int]], parity: int = 0) -> Regio
             "non-manifold vertex",
             "non-manifold vertex at %r: incident cells do not form a disk-like link" % (bad_vertex,),
         )
-    if not _face_connected(cell_set):
+    if _component_count(cell_set) != 1:
         raise RegionError("connectivity", "region is not face-connected")
     black = sum(1 for (x, y, z) in cell_set if (x + y + z + parity) % 2 == 0)
     white = len(cell_set) - black
@@ -509,24 +506,24 @@ def _find_nonmanifold_edge(cell_set: set[Cell]) -> Optional[tuple]:
     return None
 
 
-def _octant_component_count(pattern: set[Cell]) -> int:
+def _component_count(cells: set[Cell]) -> int:
+    """The number of face-connected components of a set of cells. On a
+    subset of {0,1}^3 a step of +1 or -1 along an axis is a bit flip."""
     seen: set[Cell] = set()
     count = 0
-    for start in sorted(pattern):
+    for start in cells:
         if start in seen:
             continue
         count += 1
-        stack = [start]
         seen.add(start)
+        stack = [start]
         while stack:
-            cur = stack.pop()
-            for axis in range(3):
-                nxt = list(cur)
-                nxt[axis] ^= 1
-                nxt_t = tuple(nxt)
-                if nxt_t in pattern and nxt_t not in seen:
-                    seen.add(nxt_t)
-                    stack.append(nxt_t)
+            x, y, z = stack.pop()
+            for dx, dy, dz in DIRECTIONS:
+                nxt = (x + dx, y + dy, z + dz)
+                if nxt in cells and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
     return count
 
 
@@ -548,26 +545,9 @@ def _find_nonmanifold_vertex(cell_set: set[Cell]) -> Optional[Cell]:
             o for o in CUBE_OFFSETS
             if (corner[0] - 1 + o[0], corner[1] - 1 + o[1], corner[2] - 1 + o[2]) in cell_set
         }
-        complement = set(CUBE_OFFSETS) - pattern
-        if _octant_component_count(pattern) > 1:
-            return corner
-        if complement and _octant_component_count(complement) > 1:
+        if _component_count(pattern) > 1 or _component_count(set(CUBE_OFFSETS) - pattern) > 1:
             return corner
     return None
-
-
-def _face_connected(cell_set: set[Cell]) -> bool:
-    start = next(iter(sorted(cell_set)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        (x, y, z) = stack.pop()
-        for (dx, dy, dz) in DIRECTIONS:
-            nxt = (x + dx, y + dy, z + dz)
-            if nxt in cell_set and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(cell_set)
 
 
 def refine_region(r: Region, k: int) -> Region:

@@ -3,7 +3,7 @@
 A domino is stored as an oriented dimer from its white cell to its black
 cell. On tori its direction records the +axis step for a degenerate period-2
 adjacency; Tiling.steps, surface flux and refinement take the non-wrapping
-lift, the raw coordinate delta, instead (_unit_step, _brick_axis).
+lift, the raw coordinate delta, instead (_unit_step).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from functools import lru_cache
 from itertools import chain, starmap
-from operator import itemgetter, sub
+from operator import itemgetter
 from struct import pack, unpack
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -134,15 +134,20 @@ def _unit_step(region: Region, a: Cell, b: Cell) -> Cell:
     """The unit step from cell a to the adjacent cell b. On a torus a step
     across the seam of a period P > 2 wraps, and along a period of 2 it is
     the raw b - a of the reduced cells, the non-wrapping lift. Raises
-    ValueError when a and b share no face."""
-    if region.periods is None:
-        step = tuple(map(sub, b, a))
+    ValueError when a and b share no face. The one step rule, read by
+    _direction, Tiling.steps, Tiling.from_cell_pairs and refinement
+    (_lattice_refined_mate, _indexed_refined_mate)."""
+    periods = region.periods
+    if periods is None:
+        dx, dy, dz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
     else:
-        step = tuple(v % 2 - u % 2 if p == 2 else (v - u + 1) % p - 1
-                     for u, v, p in zip(a, b, region.periods))
-    if sum(map(abs, step)) != 1:
+        px, py, pz = periods
+        dx = b[0] % 2 - a[0] % 2 if px == 2 else (b[0] - a[0] + 1) % px - 1
+        dy = b[1] % 2 - a[1] % 2 if py == 2 else (b[1] - a[1] + 1) % py - 1
+        dz = b[2] % 2 - a[2] % 2 if pz == 2 else (b[2] - a[2] + 1) % pz - 1
+    if abs(dx) + abs(dy) + abs(dz) != 1:
         raise ValueError("cells %r and %r are not adjacent" % (a, b))
-    return step
+    return dx, dy, dz
 
 
 def _direction(region: Region, white: Cell, black: Cell) -> Cell:
@@ -152,14 +157,6 @@ def _direction(region: Region, white: Cell, black: Cell) -> Cell:
     if region.periods is None:
         return step
     return tuple(1 if d and p == 2 else d for d, p in zip(step, region.periods))
-
-
-def _adjacent(a: Cell, b: Cell, periods: Optional[Cell]) -> bool:
-    """Whether two cells of a region, reduced onto a torus, share a face."""
-    d = (abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2]))
-    if periods is not None:
-        d = map(min, d, map(sub, periods, d))
-    return sum(d) == 1
 
 
 # Tilings keep their mate arrays packed as 4-byte C ints.
@@ -291,7 +288,7 @@ class Tiling:
         another length included), a pair of one colour or of cells that share
         no face, and a cell covered twice or not at all.
         """
-        index, colors, periods = region.index, region.colors, region.periods
+        index, colors = region.index, region.colors
         get = index.get
         mate = [-1] * region.n_cells
         for a, b in cell_pairs:
@@ -313,8 +310,7 @@ class Tiling:
                 raise ValueError("dimer %r-%r joins same-color cells" % (a, b))
             if colors[i] == 1:
                 a, b, i, j = b, a, j, i
-            if not _adjacent(a, b, periods):
-                raise ValueError("cells %r and %r are not adjacent" % (a, b))
+            _unit_step(region, a, b)  # raises for cells that share no face
             for c, k in ((a, i), (b, j)):
                 if mate[k] != -1:
                     raise ValueError("cell covered twice: %r" % (c,))
@@ -704,16 +700,6 @@ def refine_tiling(t: Tiling, k: int) -> Tiling:
     return Tiling._from_mate(region2, refined_mate(t, region2, scale))
 
 
-def _brick_axis(w: Cell, b: Cell) -> tuple[int, int]:
-    """The axis of the dimer from w to b, and the sign of its step."""
-    axis = 0 if w[0] != b[0] else (1 if w[1] != b[1] else 2)
-    sign = b[axis] - w[axis]
-    if sign not in (1, -1):
-        # the step wraps around a period above 2
-        sign = -1 if sign > 0 else 1
-    return axis, sign
-
-
 def _lattice_refined_mate(t: Tiling, region2: Region, scale: int) -> array:
     """The refined mate array on a box or torus, by index arithmetic.
 
@@ -737,7 +723,8 @@ def _lattice_refined_mate(t: Tiling, region2: Region, scale: int) -> array:
     cells = t.region.cells
     for wi, bi in t.pairs:
         w, b = cells[wi], cells[bi]
-        axis, sign = _brick_axis(w, b)
+        dx, dy, dz = _unit_step(t.region, w, b)
+        axis, sign = (0, dx) if dx else (1, dy) if dy else (2, dz)
         size, s = sizes[axis], strides[axis]
         # the column's low end: on a box it lies inside, on a torus it wraps
         low = (w[axis] if sign > 0 else w[axis] - 1) * scale % size
@@ -782,7 +769,8 @@ def _indexed_refined_mate(t: Tiling, region2: Region, scale: int) -> list[int]:
     mate = [-1] * region2.n_cells
     for wi, bi in t.pairs:
         w, b = cells[wi], cells[bi]
-        axis, sign = _brick_axis(w, b)
+        dx, dy, dz = _unit_step(t.region, w, b)
+        axis, sign = (0, dx) if dx else (1, dy) if dy else (2, dz)
         start = w[axis] * scale + (0 if sign > 0 else scale - 1)
         column = [(start + 2 * m * sign, start + (2 * m + 1) * sign) for m in range(scale)]
         u, v = [ax for ax in range(3) if ax != axis]

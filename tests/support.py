@@ -50,6 +50,24 @@ def adjacent_cells(u, v, periods) -> bool:
     return sorted(diffs) == [0, 0, 1]
 
 
+def slow_octant_components(pattern) -> int:
+    """The number of face-connected components of a set of offsets in
+    {0,1}^3, by union-find over the bit flips that join two offsets."""
+    parent = {o: o for o in pattern}
+
+    def root(o):
+        while parent[o] != o:
+            o = parent[o]
+        return o
+
+    for o in pattern:
+        for k in range(3):
+            flipped = tuple(v ^ (i == k) for i, v in enumerate(o))
+            if flipped in parent:
+                parent[root(o)] = root(flipped)
+    return sum(1 for o in parent if parent[o] == o)
+
+
 def raw_step_table(region) -> tuple:
     """Region.step_table from raw coordinates: each cell plus each unit
     vector, wrapped by hand modulo the periods on a torus, looked up in a

@@ -15,7 +15,7 @@ from tritile import (
 )
 from tritile import fluxtwist
 from tritile.harness import _EULER_BOXES, walk_states
-from tritile.tilings import _mates
+from tritile.tilings import _mates, diff_cycles
 from support import (
     always_positive_trits, bfs_trit_labeling, bisect_twist, move_graph, pinwheel_N1, slow_flux,
     slow_modulus, slow_twist, slow_vertex_flow, tiling_tA, tiling_tB,
@@ -306,7 +306,27 @@ def test_relative_twist_rejects_unequal_flux():
         relative_twist(winding, base)
 
 
+def test_tilings_of_different_regions_are_refused():
+    t, u = base_tiling(build_box(2, 2, 2), 0), base_tiling(build_box(2, 2, 4), 0)
+    for compare in (diff_cycles, relative_twist):
+        with pytest.raises(ValueError, match="tilings belong to different regions"):
+            compare(t, u)
+
+
 # -- flux -----------------------------------------------------------------
+
+def test_flux_vector_is_the_sequence_of_its_components():
+    tr = build_torus(2, 2, 4)
+    f = flux(next(t for t in enumerate_tilings(tr) if flux(t).components == (0, 0, 1)))
+    assert len(f) == 3
+    assert list(f) == [0, 0, 1]
+    assert (f[0], f[2], f[-1]) == (0, 1, 1)
+    assert f == (0, 0, 1) and f != (0, 0, 0)
+    assert hash(f) == hash((tr, (0, 0, 1)))
+    assert repr(f) == "FluxVector(0, 0, 1)"
+    # a value that is neither a FluxVector nor a tuple is never equal
+    assert f != [0, 0, 1] and f != 1 and not f == "(0, 0, 1)"
+
 
 def test_flux_box_empty_vector():
     f = flux(base_tiling(build_box(2, 2, 2), 0))
@@ -389,6 +409,14 @@ def test_closed_box_surface_boundary_guard():
         closed_box_surface(r, (0, 0, 0), (4, 2, 2))
     with pytest.raises(ValueError, match="positive"):
         closed_box_surface(r, (1, 1, 1), (0, 1, 1))
+
+
+def test_closed_box_surface_refuses_a_sub_box_as_wide_as_a_period():
+    r = build_torus(4, 4, 4)
+    assert closed_box_surface(r, (0, 0, 0), (3, 1, 1)).is_closed
+    for dims in ((4, 1, 1), (1, 4, 1), (1, 1, 5)):
+        with pytest.raises(ValueError, match="sub-box does not embed in the torus"):
+            closed_box_surface(r, (0, 0, 0), dims)
 
 
 @pytest.mark.parametrize("corner, dims", [

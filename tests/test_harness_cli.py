@@ -203,6 +203,16 @@ def test_voxel_file_refuses_an_unknown_key(capsys, tmp_path):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "invalid region" in err and "unknown key 'dims'" in err
+    # a kind other than "voxels" is refused by name, not read as voxels
+    for kind in (7, "torus"):
+        spec.write_text(json.dumps({"kind": kind, "cells": [[0, 0, 0], [1, 0, 0]]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "voxels", str(spec), "--count-only"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid region" in err and "a voxel file has kind %r" % (kind,) in err
+    spec.write_text(json.dumps({"cells": [[0, 0, 0], [1, 0, 0]]}))
+    assert main(["enumerate", "voxels", str(spec), "--count-only"]) == 0
 
 
 def test_enumerate_count_only_stops_at_the_state_budget(capsys):
@@ -432,6 +442,10 @@ def test_sample_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
      "70a7e0067287e34ff5d3a3397208527bf3f3bb76d7ded560d0151ff2993fcb89"),
     (["torus", "2", "2", "4", "-k", "1", "--format", "csv"],
      "ec541fb221cb19c75019f1f7ae524cee678c78e0239b0874228287526801688d"),
+    # a period-2 axis and two wrapping axes in one region, pinned when the
+    # refinement's brick axis came to be read off _unit_step
+    (["torus", "2", "4", "6", "-k", "1"],
+     "8dff0b2610b6fdd599684010bd21f80b3740493e60caf5f65f226976a4212c8f"),
 ])
 def test_refine_report_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, "refine", *argv)

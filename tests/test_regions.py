@@ -8,9 +8,10 @@ from tritile import (
 )
 from support import (
     built, corner_cut_cube, raw_step_table, slow_cube_table, slow_lattice_cubes,
-    slow_neighbor_table,
+    slow_neighbor_table, slow_octant_components,
 )
 from tritile.moves import _cube_anchor
+from tritile.regions import CUBE_OFFSETS, _component_count
 from tritile.tilings import Pairs, _neighbor_rows
 
 
@@ -443,3 +444,13 @@ def test_regions_and_their_tilings_pickle(build, tables):
     copy = pickle.loads(pickle.dumps(t))
     assert copy == t and copy.hash64 == t.hash64 and list(copy.mate) == list(t.mate)
     assert type(copy.pairs) is Pairs and copy.pairs._mate is copy._mate
+
+
+def test_component_count_matches_the_bit_flip_oracle_on_every_octant_pattern():
+    counts = []
+    for mask in range(256):
+        pattern = {o for i, o in enumerate(CUBE_OFFSETS) if mask >> i & 1}
+        counts.append(_component_count(pattern))
+        assert counts[-1] == slow_octant_components(pattern)
+    # the empty pattern, and the four cells of one colour, apart
+    assert counts[0] == 0 and max(counts) == 4

@@ -454,23 +454,34 @@ def test_steps_match_the_dimer_oracle():
 
 def test_direction_keeps_the_period2_representative_and_the_adjacency_error():
     # Dimer.direction is the unit step with period-2 axes forced to +1, the
-    # shortest wrapped delta; non-neighbours raise, naming the cells as given
-    for r in (build_box(3, 3, 2), build_torus(2, 4, 6), build_torus(4, 2, 2)):
+    # shortest wrapped delta; _unit_step keeps the raw delta along a period
+    # of 2, the non-wrapping lift; non-neighbours raise, naming the cells as
+    # given. Torus 6x4x2 wraps along two axes above 2.
+    for r in (build_box(3, 3, 2), build_torus(2, 4, 6), build_torus(4, 2, 2),
+              build_torus(6, 4, 2)):
         periods = r.periods or (None,) * 3
         for a in r.cells:
             for b in r.cells:
                 if adjacent_cells(a, b, r.periods):
                     expected = tuple(map(_wrap_delta, a, b, periods))
                     assert tilings._direction(r, a, b) == expected
+                    lift = tuple(v - u if p == 2 else d
+                                 for u, v, p, d in zip(a, b, periods, expected))
+                    assert tilings._unit_step(r, a, b) == lift
                 else:
-                    with pytest.raises(ValueError, match="are not adjacent"):
-                        tilings._direction(r, a, b)
+                    for rule in (tilings._direction, tilings._unit_step):
+                        with pytest.raises(ValueError, match="are not adjacent"):
+                            rule(r, a, b)
     # cells off the torus, reduced as before
     r = build_torus(4, 2, 2)
     assert tilings._direction(r, (0, 0, 0), (-1, 2, 0)) == (-1, 0, 0)
     assert tilings._direction(r, (0, 0, 0), (0, -1, 0)) == (0, 1, 0)
-    with pytest.raises(ValueError, match=r"cells \(0, 0, 0\) and \(6, 0, 0\) are not"):
-        tilings._direction(r, (0, 0, 0), (6, 0, 0))
+    assert tilings._unit_step(r, (0, 0, 0), (-1, 2, 0)) == (-1, 0, 0)
+    assert tilings._unit_step(r, (0, 1, 0), (0, 0, 0)) == (0, -1, 0)
+    assert tilings._unit_step(r, (0, 0, 0), (0, -1, 0)) == (0, 1, 0)
+    for rule in (tilings._direction, tilings._unit_step):
+        with pytest.raises(ValueError, match=r"cells \(0, 0, 0\) and \(6, 0, 0\) are not"):
+            rule(r, (0, 0, 0), (6, 0, 0))
 
 
 def test_diff_cycles_self_all_trivial():

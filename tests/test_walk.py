@@ -180,8 +180,11 @@ def test_move_set_must_be_a_name(moves):
     (build_box(4, 4, 4), "flip+trit", 0, 0, 1),
     # no trit fits in the 2x2x2 box, so the walk freezes at step 0
     (build_box(2, 2, 2), "trit", 20, 0, 1),
+    # 64 and 128 states: the last batch is full, so the final fold is empty
+    (build_box(3, 3, 2), "flip+trit", 63, 2, None),
+    (build_box(3, 3, 2), "flip+trit", 127, 2, None),
 ], ids=["box-16x16x16", "torus-4x4x4", "box-3x3x2-flip", "torus-2x2x6", "l-shape",
-        "zero-steps", "frozen-at-start"])
+        "zero-steps", "frozen-at-start", "one-full-batch", "two-full-batches"])
 def test_random_walk_matches_the_snapshot_oracle(region, moves, steps, seed, distinct):
     cfg = WalkConfig(region, moves, steps, seed)
     report = random_walk(cfg)
