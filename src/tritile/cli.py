@@ -109,14 +109,16 @@ def _emit(report: dict, rows: list[list], header: list[str], args,
         writer.writerow(header)
         writer.writerows(rows)
         text = buf.getvalue()
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-        except OSError as exc:
-            parser.error("cannot write --out %s: %s" % (args.out, exc.strerror or exc))
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        parser.error("cannot write %s: %s" % ("--out " + args.out if args.out else "stdout",
+                                               exc.strerror or exc))
 
 
 def _command(args, *parts: str) -> str:

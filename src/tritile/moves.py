@@ -25,7 +25,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .regions import CUBE_OFFSETS, DIR_AXIS, Cell, Region
 from .tilings import (
-    _M64, Dimer, Tiling, _dimer_codes, _direction, _lane_masks, _mix_lanes, _splitmix64,
+    _M64, Dimer, Tiling, _dimer_codes, _direction, _lane_masks, _mix_lanes, _neighbor_rows,
+    _splitmix64,
 )
 
 
@@ -494,12 +495,6 @@ def _key_struct(n_cells: int) -> Struct:
     return Struct("<%d%s" % (n_cells, code))
 
 
-def _neighbour_bits(row: Sequence[int]) -> dict[int, int]:
-    """{b: i} over the distinct cells b of a step row that lie in the
-    region, in direction order: bit i of a column byte stands for b."""
-    return {b: i for i, b in enumerate(dict.fromkeys(b for b in row if b >= 0))}
-
-
 #: Most keys _pack_keys joins into one run of bytes before cutting it.
 _RUN = 1 << 16
 
@@ -510,7 +505,7 @@ def _pack_keys(region: Region, mates: Iterable[Sequence[int]], layout: Struct):
     index maps each key, read as one little-endian int, to its node number
     u, in input order. columns[w] of a white cell w is an int with one byte
     per node: bit i of byte u is set iff node u pairs w with the i-th cell
-    of _neighbour_bits(step[w]) (a black cell's column is 0). Up to _RUN
+    of its _neighbor_rows row (a black cell's column is 0). Up to _RUN
     new keys are joined into one run of bytes; cell w's byte lane j is
     run[w * width + j :: layout.size], translated to the neighbour bits its
     byte values allow, and the lanes of a wider key are ANDed. The mate
@@ -520,13 +515,13 @@ def _pack_keys(region: Region, mates: Iterable[Sequence[int]], layout: Struct):
     size = layout.size
     width = size // region.n_cells
     pack, from_bytes = layout.pack, int.from_bytes
-    step = region.step_table
+    rows = _neighbor_rows(region)
     whites = region.whites
     # per white cell and byte lane, the neighbour bits of each byte value
     tables = []
     for w in whites:
         lanes = [bytearray(256) for _ in range(width)]
-        for b, i in _neighbour_bits(step[w]).items():
+        for i, b in enumerate(rows[w]):
             for j, lane in enumerate(lanes):
                 lane[b >> 8 * j & 255] |= 1 << i
         tables.append(lanes)
@@ -559,34 +554,32 @@ def _pack_keys(region: Region, mates: Iterable[Sequence[int]], layout: Struct):
 
 def _handled_moves(region: Region, move_set: frozenset) -> Iterator[tuple[tuple, tuple, int]]:
     """(removed, inserted, sign) of each move of the region that
-    _key_components handles, its dimers as (cell, cell) index pairs.
+    _key_components handles, its dimers as (white, black) index pairs.
 
     A flip is handled where its two dimers' axis is below the axis they are
-    stacked along: per white cell w, each black neighbour b under the first
-    direction k reaching it, and each partner (w2, b2) of the dimer (w, b)
-    from _slab_partners with w2 > w along a direction e whose axis is above
-    k's. A trit is handled where its sign is +1: each _TRIOS entry of sign
-    +1 on six region cells of a cube, looked up at call time. Every other
-    move of the region is the reverse of exactly one handled move.
+    stacked along: per white cell w, each neighbour b in its _neighbor_rows
+    row, and each partner (w2, b2) of the dimer (w, b) from _slab_partners
+    with w2 > w along a direction e whose axis is above the dimer's. A trit
+    is handled where its sign is +1: each _TRIOS entry of sign +1 on six
+    region cells of a cube, looked up at call time and oriented by
+    _oriented. Every other move of the region is the reverse of exactly one
+    handled move.
     """
     step = region.step_table
     if "flip" in move_set:
-        for w, color in enumerate(region.colors):
-            if color == 1:
-                continue
-            sw = step[w]
-            for k, b in enumerate(sw):
-                if b < 0 or sw.index(b) != k:
-                    continue
+        rows = _neighbor_rows(region)
+        for w in region.whites:
+            for b in rows[w]:
+                axis = DIR_AXIS[step[w].index(b)]
                 for e, w2, b2 in _slab_partners(step, w, b):
-                    if w2 > w and DIR_AXIS[e] > DIR_AXIS[k]:
+                    if w2 > w and DIR_AXIS[e] > axis:
                         yield ((w, b), (w2, b2)), ((w, b2), (w2, b)), 0
     if "trit" in move_set:
         for cube in region.cube_table.cubes:
             for removed, inserted, sign in _TRIOS:
                 if sign > 0 and min(cube[i] for pair in removed for i in pair) >= 0:
-                    yield (tuple((cube[i], cube[j]) for i, j in removed),
-                           tuple((cube[i], cube[j]) for i, j in inserted), sign)
+                    yield (_oriented(region, cube, removed),
+                           _oriented(region, cube, inserted), sign)
 
 
 def _move_edges(region: Region, move_set: frozenset, columns: Sequence[int], n: int,
@@ -603,15 +596,13 @@ def _move_edges(region: Region, move_set: frozenset, columns: Sequence[int], n: 
     removed ones: a dimer (c, d) packs as d << (8 * width * c) plus
     c << (8 * width * d).
     """
-    colors = region.colors
-    bits = [_neighbour_bits(row) for row in region.step_table]
+    bits = [{b: i for i, b in enumerate(row)} for row in _neighbor_rows(region)]
     ones = int.from_bytes(b"\1" * n, "little")
     shift = 8 * width
 
-    def holding(pairs: tuple) -> int:
+    def holding(pairs: Sequence[tuple[int, int]]) -> int:
         m = -1
-        for c, d in pairs:
-            w, b = (c, d) if colors[c] == -1 else (d, c)
+        for w, b in pairs:
             m &= columns[w] >> bits[w][b]
         return m & ones
 

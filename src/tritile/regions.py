@@ -17,6 +17,7 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
@@ -39,6 +40,10 @@ AXIS_NAMES = ("x", "y", "z")
 CUBE_OFFSETS: tuple[Cell, ...] = tuple(product((0, 1), repeat=3))
 
 COORD_LIMIT = 2**31 - 1
+
+#: Most cells a box or torus may have. A packed tiling keeps n + mate[i] - i,
+#: up to 2 n - 1, in a signed 4-byte lane (tilings._mate_of_offsets).
+CELL_LIMIT = 2**30
 
 #: Most cells refine_region will build. `tritile refine box 3 3 2 -k 2`
 #: (281,250 cells) peaks at 245 MB resident (Python 3.11), under 1 KB per
@@ -187,12 +192,11 @@ class Region:
         return CubeTable(tuple(cubes), _LatticeCellAnchors(sizes, counts))
 
     def _voxel_cubes(self) -> CubeTable:
+        # the cube anchored at a is the block of vertex a + (1, 1, 1)
         index = self.index
-        corners = sorted({(x - dx, y - dy, z - dz)
-                          for (x, y, z) in self.cells for (dx, dy, dz) in CUBE_OFFSETS})
-        cubes = [tuple(index.get((x + dx, y + dy, z + dz), -1)
-                       for (dx, dy, dz) in CUBE_OFFSETS) for (x, y, z) in corners]
-        cubes = [cube for cube in cubes if cube.count(-1) <= 1]
+        vertices = sorted(v for v, m in _octant_masks(self.cells).items() if m.bit_count() >= 7)
+        cubes = [tuple(index.get((x - 1 + dx, y - 1 + dy, z - 1 + dz), -1)
+                       for (dx, dy, dz) in CUBE_OFFSETS) for (x, y, z) in vertices]
         cell_anchors: list[list[int]] = [[] for _ in range(self.n_cells)]
         for r, cube in enumerate(cubes):
             for c in cube:
@@ -402,6 +406,7 @@ def build_box(L: int, M: int, N: int) -> Region:
         raise RegionError("balance", "unbalanced region: all box dimensions are odd")
     if max(L, M, N) > COORD_LIMIT:
         raise RegionError("dimension", "box dimension exceeds coordinate range")
+    _refuse_past_cell_limit("box", (L, M, N))
     return _UnbuiltRegion("box", None, parity=0, dims=(L, M, N))
 
 
@@ -412,7 +417,15 @@ def build_torus(a: int, b: int, c: int) -> Region:
             raise RegionError("parity", "torus periods must be even integers >= 2")
     if max(a, b, c) > COORD_LIMIT:
         raise RegionError("dimension", "torus period exceeds coordinate range")
+    _refuse_past_cell_limit("torus", (a, b, c))
     return _UnbuiltRegion("torus", None, parity=0, periods=(a, b, c))
+
+
+def _refuse_past_cell_limit(kind: str, sizes: Cell) -> None:
+    n = sizes[0] * sizes[1] * sizes[2]
+    if n > CELL_LIMIT:
+        raise RegionError("dimension", "%s %d %d %d has %d cells, more than the limit of %d"
+                          % (kind, *sizes, n, CELL_LIMIT))
 
 
 def build_voxel_region(cells: Iterable[Sequence[int]], parity: int = 0) -> Region:
@@ -440,13 +453,14 @@ def build_voxel_region(cells: Iterable[Sequence[int]], parity: int = 0) -> Regio
     if not _is_int(parity) or parity not in (0, 1):
         raise RegionError("parity", "parity flag must be 0 or 1")
 
-    bad_edge = _find_nonmanifold_edge(cell_set)
+    masks = _octant_masks(cell_set)
+    bad_edge = _find_nonmanifold_edge(masks)
     if bad_edge is not None:
         raise RegionError(
             "non-manifold edge",
             "non-manifold edge at %r: exactly two cells touch only along it" % (bad_edge,),
         )
-    bad_vertex = _find_nonmanifold_vertex(cell_set)
+    bad_vertex = _find_nonmanifold_vertex(masks)
     if bad_vertex is not None:
         raise RegionError(
             "non-manifold vertex",
@@ -474,36 +488,34 @@ def _coordinate(v) -> int:
         raise RegionError("dimension", "cell coordinate %r is not an integer" % (v,)) from None
 
 
-def _edge_incidence(cell_set: set[Cell]) -> dict[tuple, list[Cell]]:
-    """Map each lattice edge key to the present cells incident to it.
-
-    An edge parallel to the axis k at transverse lattice coordinates (u, v)
-    starting at height w is keyed (k, u, v, w); up to four cells share it.
-    """
-    incidence: dict[tuple, list[Cell]] = {}
-    for (x, y, z) in cell_set:
-        for k in range(3):
-            t1, t2 = [ax for ax in range(3) if ax != k]
-            base = (x, y, z)
-            for du in (0, 1):
-                for dv in (0, 1):
-                    u = base[t1] + du
-                    v = base[t2] + dv
-                    key = (k, u, v, base[k])
-                    incidence.setdefault(key, []).append((x, y, z))
-    return incidence
+def _octant_masks(cells: Iterable[Cell]) -> dict[Cell, int]:
+    """Map each lattice vertex v touched by the cells to the 8-bit mask of
+    its block: bit p is set iff the cell v - 1 + CUBE_OFFSETS[p] is
+    present."""
+    masks: dict[Cell, int] = {}
+    for (x, y, z) in cells:
+        for p, (dx, dy, dz) in enumerate(CUBE_OFFSETS):
+            v = (x + 1 - dx, y + 1 - dy, z + 1 - dz)
+            masks[v] = masks.get(v, 0) | 1 << p
+    return masks
 
 
-def _find_nonmanifold_edge(cell_set: set[Cell]) -> Optional[tuple]:
-    # Exactly two incident cells that disagree in both transverse coordinates
-    # touch only along the edge itself: the forbidden diagonal pattern.
-    for key, incident in sorted(_edge_incidence(cell_set).items()):
-        if len(incident) != 2:
-            continue
-        a, b = incident
-        if sum(1 for i in range(3) if a[i] != b[i]) == 2:
-            return key
-    return None
+#: Per axis k, the mask of a block's far half along k (position bit 4 >> k
+#: set) and the masks of its two diagonal pairs (positions XOR to 7 ^ bit).
+_EDGE_HALVES = tuple(
+    (sum(1 << p for p in range(8) if p & bit),
+     frozenset(1 << p | 1 << (p ^ 7 ^ bit) for p in range(8) if p & bit))
+    for bit in (4, 2, 1))
+
+
+def _find_nonmanifold_edge(masks: dict[Cell, int]) -> Optional[tuple]:
+    """The least key (k, u, v, w) of an edge along axis k, at transverse
+    lattice coordinates (u, v) from height w, whose two incident cells
+    touch only along it: a diagonal pair in its lower vertex's far half."""
+    return min(((k, *(v[a] for a in range(3) if a != k), v[k])
+                for v, m in masks.items()
+                for k, (half, diagonals) in enumerate(_EDGE_HALVES) if m & half in diagonals),
+               default=None)
 
 
 def _component_count(cells: set[Cell]) -> int:
@@ -527,27 +539,19 @@ def _component_count(cells: set[Cell]) -> int:
     return count
 
 
-def _find_nonmanifold_vertex(cell_set: set[Cell]) -> Optional[Cell]:
-    """First lattice vertex whose link is not disk- or sphere-like.
+@lru_cache(maxsize=256)
+def _is_manifold_block(mask: int) -> bool:
+    """Whether the region is locally a manifold at a vertex whose block
+    holds the cells of mask (_octant_masks): iff both the present pattern
+    and its complement are face-connected (empty parts pass vacuously)."""
+    present = {o for p, o in enumerate(CUBE_OFFSETS) if mask >> p & 1}
+    return (_component_count(present) <= 1
+            and _component_count(set(CUBE_OFFSETS) - present) <= 1)
 
-    The eight cells around a vertex form octants of a 2x2x2 block; the region
-    is locally a manifold at the vertex iff both the present pattern and its
-    complement are face-connected (empty parts pass vacuously).
-    """
-    corners: set[Cell] = set()
-    for (x, y, z) in cell_set:
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    corners.add((x + dx, y + dy, z + dz))
-    for corner in sorted(corners):
-        pattern = {
-            o for o in CUBE_OFFSETS
-            if (corner[0] - 1 + o[0], corner[1] - 1 + o[1], corner[2] - 1 + o[2]) in cell_set
-        }
-        if _component_count(pattern) > 1 or _component_count(set(CUBE_OFFSETS) - pattern) > 1:
-            return corner
-    return None
+
+def _find_nonmanifold_vertex(masks: dict[Cell, int]) -> Optional[Cell]:
+    """The least lattice vertex whose link is not disk- or sphere-like."""
+    return min((v for v, m in masks.items() if not _is_manifold_block(m)), default=None)
 
 
 def refine_region(r: Region, k: int) -> Region:

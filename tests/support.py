@@ -989,6 +989,57 @@ def slow_cube_table(region) -> tuple:
     return tuple(anchors), tuple(cubes), tuple(tuple(r) for r in cell_anchors)
 
 
+def _edge_incidence(cell_set) -> dict:
+    """Map each lattice edge key to the present cells incident to it.
+
+    An edge parallel to the axis k at transverse lattice coordinates (u, v)
+    starting at height w is keyed (k, u, v, w); up to four cells share it.
+    """
+    incidence = {}
+    for (x, y, z) in cell_set:
+        for k in range(3):
+            t1, t2 = [ax for ax in range(3) if ax != k]
+            base = (x, y, z)
+            for du in (0, 1):
+                for dv in (0, 1):
+                    key = (k, base[t1] + du, base[t2] + dv, base[k])
+                    incidence.setdefault(key, []).append((x, y, z))
+    return incidence
+
+
+def slow_link_is_disk(pattern) -> bool:
+    """Whether a vertex whose eight surrounding cells present are the
+    offsets in pattern has a disk- or sphere-like link: the pattern and its
+    complement in {0,1}^3 are each face-connected or empty."""
+    return (slow_octant_components(pattern) <= 1
+            and slow_octant_components(set(_OFFSETS) - pattern) <= 1)
+
+
+def slow_manifold_violation(cells) -> Optional[tuple]:
+    """(condition, message) of the first local manifold condition that a
+    set of cells violates, as build_voxel_region words it, or None.
+
+    Edges first, in key order: an edge is bad when exactly two cells touch
+    it and they disagree in both transverse coordinates. Then vertices, in
+    order: a vertex is bad when its link is not a disk (slow_link_is_disk).
+    """
+    cell_set = set(map(tuple, cells))
+    for key, incident in sorted(_edge_incidence(cell_set).items()):
+        if len(incident) == 2:
+            a, b = incident
+            if sum(1 for i in range(3) if a[i] != b[i]) == 2:
+                return ("non-manifold edge", "non-manifold edge at %r: exactly two cells "
+                        "touch only along it" % (key,))
+    corners = {(x + dx, y + dy, z + dz) for (x, y, z) in cell_set for (dx, dy, dz) in _OFFSETS}
+    for corner in sorted(corners):
+        pattern = {o for o in _OFFSETS
+                   if tuple(c - 1 + d for c, d in zip(corner, o)) in cell_set}
+        if not slow_link_is_disk(pattern):
+            return ("non-manifold vertex", "non-manifold vertex at %r: incident cells do "
+                    "not form a disk-like link" % (corner,))
+    return None
+
+
 def _cell_dimer(region, a, b) -> Dimer:
     white, black = (a, b) if region.color(a) == -1 else (b, a)
     return Dimer(white, black, _direction(region, white, black))

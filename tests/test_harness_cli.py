@@ -3,6 +3,7 @@
 The CLI is exercised through main() so argparse failures surface as
 SystemExit and reports can be parsed straight from captured stdout.
 """
+import errno
 import hashlib
 import json
 import os
@@ -493,6 +494,34 @@ def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot write --out %s" % path in captured.err
+
+
+class _FullStdout:
+    """A stdout whose every write fails as a full disk does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_a_report_that_stdout_cannot_take_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "box", "3", "3", "2"])
+    assert exc.value.code == 2
+    assert "cannot write stdout: %s" % os.strerror(errno.ENOSPC) in capsys.readouterr().err
+
+
+def test_a_box_past_the_cell_limit_is_a_usage_error(capsys):
+    # refused before any table is built or any tiling is packed
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "box", "2", "2", "2000000000", "--steps", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid region: box 2 2 2000000000 has 8000000000 cells" in err
+    assert "limit of %d" % 2**30 in err
 
 
 _SMALL_L = ([[x, y, z] for x in range(3) for y in range(2) for z in range(2)]

@@ -14,8 +14,8 @@ from tritile.harness import walk_states
 from tritile.tilings import _mates
 from tritile import moves
 from tritile.moves import (
-    _TRIOS, WalkState, _key_components, _key_struct, _move_edges, _normalize_moves,
-    _pack_keys,
+    _TRIOS, WalkState, _handled_moves, _key_components, _key_struct, _move_edges,
+    _normalize_moves, _pack_keys,
 )
 from support import (
     aliased_torus_trits, bfs_trit_labeling, corner_cut_cube, move_graph, pinwheel_N1, pinwheel_N2,
@@ -411,6 +411,23 @@ def test_move_table_reads_what_the_scan_reads(kind, dims):
         slow = [slow_move_reader(region, move_set)(pack(*mate)) for mate in mates]
         assert handled == [Counter(targets) for targets, _others in slow], moves
         assert counted == sum(others for _targets, others in slow), moves
+
+
+@pytest.mark.parametrize("make", [lambda: build_box(3, 4, 2), lambda: build_torus(2, 2, 4),
+                                  corner_cut_cube], ids=["box-3x4x2", "torus-2x2x4", "corner-cut"])
+@pytest.mark.parametrize("moves_name", ["flip", "flip+trit"])
+def test_handled_moves_name_the_white_cell_first(make, moves_name):
+    """_move_edges reads each dimer's column at its first cell, so every
+    pair that _handled_moves yields, removed or inserted, starts white."""
+    region = make()
+    whites = set(region.whites)
+    kinds = Counter()
+    for removed, inserted, sign in _handled_moves(region, _normalize_moves(moves_name)):
+        kinds[sign] += 1
+        for w, b in [*removed, *inserted]:
+            assert w in whites and b not in whites, (removed, inserted)
+    # flips on every region, and trits where the move set has them
+    assert kinds[0] and (kinds[1] > 0) == (moves_name == "flip+trit"), kinds
 
 
 def test_move_edges_at_four_bytes_a_cell():

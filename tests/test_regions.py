@@ -1,4 +1,6 @@
 import pickle
+import random
+from collections import Counter
 
 import pytest
 
@@ -8,10 +10,10 @@ from tritile import (
 )
 from support import (
     built, corner_cut_cube, raw_step_table, slow_cube_table, slow_lattice_cubes,
-    slow_neighbor_table, slow_octant_components,
+    slow_link_is_disk, slow_manifold_violation, slow_neighbor_table, slow_octant_components,
 )
 from tritile.moves import _cube_anchor
-from tritile.regions import CUBE_OFFSETS, _component_count
+from tritile.regions import CELL_LIMIT, CUBE_OFFSETS, _component_count, _is_manifold_block
 from tritile.tilings import Pairs, _neighbor_rows
 
 
@@ -394,6 +396,20 @@ def test_region_json_voxels_sorted():
     assert v.to_dict()["cells"] == [[0, 0, 0], [1, 0, 0]]
 
 
+@pytest.mark.parametrize("build", [build_box, build_torus], ids=["box", "torus"])
+def test_box_and_torus_past_the_cell_limit_are_refused(build):
+    # a packed tiling keeps up to 2 n - 1 in a signed 4-byte lane, so 2^30
+    # cells is the most; neither call builds a table
+    r = build(2**10, 2**10, 2**10)
+    assert r.n_cells == CELL_LIMIT == 2**30
+    assert not built(r, "cells") and r._step_table is None
+    with pytest.raises(RegionError) as exc:
+        build(2**10, 2**10, 2**10 + 2)
+    assert exc.value.condition == "dimension"
+    assert str(exc.value) == "%s 1024 1024 1026 has %d cells, more than the limit of %d" % (
+        r.kind, 2**20 * 1026, 2**30)
+
+
 def test_box_rejects_bool_dimension():
     with pytest.raises(RegionError) as exc:
         build_box(True, 2, 2)
@@ -444,6 +460,53 @@ def test_regions_and_their_tilings_pickle(build, tables):
     copy = pickle.loads(pickle.dumps(t))
     assert copy == t and copy.hash64 == t.hash64 and list(copy.mate) == list(t.mate)
     assert type(copy.pairs) is Pairs and copy.pairs._mate is copy._mate
+
+
+def test_manifold_block_verdict_matches_the_oracle_on_every_mask():
+    for mask in range(256):
+        pattern = {o for p, o in enumerate(CUBE_OFFSETS) if mask >> p & 1}
+        assert _is_manifold_block(mask) == slow_link_is_disk(pattern), mask
+
+
+def _random_voxel_sets(count: int, seed: int):
+    """count seeded random subsets of the n^3 grid, n in 2..4, at a random
+    density and shifted by a random offset, each with a random parity."""
+    rng = random.Random(seed)
+    while count:
+        n, density = rng.choice((2, 3, 4)), rng.random()
+        shift = [rng.randrange(-3, 4) for _ in range(3)]
+        cells = [(x + shift[0], y + shift[1], z + shift[2])
+                 for x in range(n) for y in range(n) for z in range(n) if rng.random() < density]
+        if cells:
+            count -= 1
+            yield cells, rng.randrange(2)
+
+
+def test_voxel_checks_and_cube_tables_match_the_scan_oracles():
+    """On random voxel sets build_voxel_region refuses exactly what the
+    edge and vertex scans of slow_manifold_violation refuse, with the same
+    condition and message, or passes them on to the connectivity and
+    balance checks; every accepted region's cube table is the coordinate
+    oracle's."""
+    outcomes = Counter()
+    for cells, parity in _random_voxel_sets(600, seed=34):
+        expected = slow_manifold_violation(cells)
+        try:
+            region = build_voxel_region(cells, parity)
+        except RegionError as exc:
+            outcomes[exc.condition] += 1
+            if expected is None:
+                assert exc.condition in ("connectivity", "balance"), cells
+            else:
+                assert (exc.condition, str(exc)) == expected, cells
+            continue
+        assert expected is None, cells
+        outcomes["accepted"] += 1
+        assert_same_cube_table(region, slow_cube_table(region))
+    # every outcome is met, acceptance included
+    assert set(outcomes) == {"non-manifold edge", "non-manifold vertex", "connectivity",
+                             "balance", "accepted"}, outcomes
+    assert outcomes["accepted"] >= 30, outcomes
 
 
 def test_component_count_matches_the_bit_flip_oracle_on_every_octant_pattern():
