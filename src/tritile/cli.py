@@ -31,8 +31,6 @@ from .harness import WalkConfig, random_walk, start_tiling, verify
 
 
 def _parse_region(tokens: Sequence[str], parser: argparse.ArgumentParser) -> Region:
-    if not tokens:
-        parser.error("invalid region spec at position 0: missing region kind")
     kind = tokens[0]
     if kind == "box" or kind == "torus":
         if len(tokens) != 4:

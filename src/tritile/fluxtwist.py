@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import floor, gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -271,14 +271,21 @@ def flux_through_surface(t: Tiling, s: DiscreteSurface) -> int:
     surfaces. A vertex's flow depends only on the step of its dimer, so
     the surface keeps each vertex_flow it computes for a tiling of its own
     region, by vertex and step; an error is raised again on every call.
+    A tiling of another region needs every surface vertex among its cells,
+    or ValueError names the first that is not.
     """
     region = t.region
     index, steps = region.index, t.steps
+    flows = s._flows
+    if region != s.region:
+        flows = {}
+        for v in s.boundary_vertices + s.interior_vertices:
+            if v not in index:
+                raise ValueError("surface vertex %r is not a cell of the tiling's region" % (v,))
     for v in s.boundary_vertices:
         if s._edge(v, steps[index[v]]) not in s._boundary_set:
             raise ValueError(
                 "tiling is not tangent to the surface boundary at vertex %r" % (v,))
-    flows = s._flows if region == s.region else {}
     total = 0
     for v in s.interior_vertices:
         key = (v, steps[index[v]])
@@ -314,18 +321,9 @@ def closed_box_surface(r: Region, corner: Sequence[int], dims: Sequence[int]) ->
                     raise ValueError(
                         "sub-box touches the region boundary: dual vertex %r missing"
                         % ((x, y, z),))
-    squares = []
-    for k in range(3):
-        u, v = _TANGENT_AXES[k]
-        for level, orientation in ((corner[k], -1), (corner[k] + dims[k], 1)):
-            for i in range(dims[u]):
-                for j in range(dims[v]):
-                    c2 = [0, 0, 0]
-                    c2[k] = 2 * level
-                    c2[u] = 2 * (corner[u] + i) + 1
-                    c2[v] = 2 * (corner[v] + j) + 1
-                    squares.append(Square(tuple(c2), k, orientation))
-    return DiscreteSurface(r, squares)
+    return DiscreteSurface(r, chain.from_iterable(
+        _plane_squares(k, level, corner, dims, orientation) for k in range(3)
+        for level, orientation in ((corner[k], -1), (corner[k] + dims[k], 1))))
 
 
 def cutting_surface(r: Region, axis, level: Union[int, float]) -> DiscreteSurface:
@@ -338,17 +336,21 @@ def cutting_surface(r: Region, axis, level: Union[int, float]) -> DiscreteSurfac
     if r.periods is None:
         raise ValueError("cutting surfaces require a torus region")
     k = _axis_index(axis)
-    c = floor(level) % r.periods[k]
+    return DiscreteSurface(r, _plane_squares(k, floor(level) % r.periods[k], (0, 0, 0),
+                                             r.periods, 1))
+
+
+def _plane_squares(k: int, level: int, corner: Cell, dims: Cell,
+                   orientation: int) -> Iterator[Square]:
+    """The squares normal to axis k at a level, with the given orientation,
+    over the cell centers corner .. corner + dims - 1 along its tangent
+    axes (u, v), u outermost."""
     u, v = _TANGENT_AXES[k]
-    squares = []
-    for i in range(r.periods[u]):
-        for j in range(r.periods[v]):
+    for i in range(corner[u], corner[u] + dims[u]):
+        for j in range(corner[v], corner[v] + dims[v]):
             c2 = [0, 0, 0]
-            c2[k] = 2 * c
-            c2[u] = 2 * i + 1
-            c2[v] = 2 * j + 1
-            squares.append(Square(tuple(c2), k, 1))
-    return DiscreteSurface(r, squares)
+            c2[k], c2[u], c2[v] = 2 * level, 2 * i + 1, 2 * j + 1
+            yield Square(tuple(c2), k, orientation)
 
 
 class FluxVector:

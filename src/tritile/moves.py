@@ -25,17 +25,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .regions import CUBE_OFFSETS, DIR_AXIS, Cell, Region
 from .tilings import (
-    _M64, Dimer, Tiling, _dimer_codes, _direction, _lane_masks, _mix_lanes, _neighbor_rows,
+    _M64, Dimer, Tiling, _dimer_codes, _dimers, _lane_masks, _mix_lanes, _neighbor_rows,
     _splitmix64,
 )
-
-
-def _dimer(region: Region, i: int, j: int) -> Dimer:
-    """The dimer on the adjacent cells of index i and j, white cell first."""
-    if region.colors[i] == 1:
-        i, j = j, i
-    white, black = region.cells[i], region.cells[j]
-    return Dimer(white, black, _direction(region, white, black))
 
 
 class FlipMove(NamedTuple):
@@ -70,9 +62,9 @@ def find_flips(t: Tiling) -> list[FlipMove]:
 
     Flips are ordered by the smaller white cell index of their two removed
     dimers, then by the first direction (in DIRECTIONS order) that carries
-    that dimer onto the other.
+    that dimer onto the other. The list is a fresh WalkState's index.
     """
-    return [_flip_move(t.region, *f) for f in _flips(t)]
+    return WalkState(t, "flip").moves()
 
 
 def apply_flip(t: Tiling, m: FlipMove) -> Tiling:
@@ -86,12 +78,13 @@ def find_trits(t: Tiling) -> list[TritMove]:
     of its 8 cells in the region. A trit needs exactly three dimers of t
     fully inside the cube, one per axis. The two leftover cube cells are
     then antipodal, and any of them in the region is covered by a dimer that
-    exits the cube. Trits are ordered by anchor.
+    exits the cube. Trits are ordered by anchor. The list is a fresh
+    WalkState's index.
     """
-    return [_trit_move(t.region, r, entry) for r, entry in _trits(t.region, t._mate)]
+    return WalkState(t, "trit").moves()
 
 
-# -- scanners shared by the full scans, WalkState and the components engine -
+# -- scanners shared by WalkState and the components engine ---------------
 
 #: Per direction of a dimer (the position of its black cell in its white
 #: cell's step row), the directions across its axis, where its flip
@@ -114,19 +107,9 @@ def _slab_partners(step, w: int, b: int) -> Iterator[tuple[int, int, int]]:
             yield e, w2, b2
 
 
-def _flips(t: Tiling) -> list[tuple[int, int, int, int]]:
-    """(w, b, w2, b2) of each flip of t in find_flips order: the dimers
-    (w, b) and (w2, b2), white cell first, with w < w2."""
-    step, mate = t.region.step_table, t._mate
-    return [(w, b, w2, b2) for w, b in t.pairs
-            for _e, w2, b2 in _slab_partners(step, w, b) if w2 > w and mate[w2] == b2]
-
-
 def _flip_move(region: Region, w: int, b: int, w2: int, b2: int) -> FlipMove:
-    return FlipMove(
-        removed=(_dimer(region, w, b), _dimer(region, w2, b2)),
-        inserted=(_dimer(region, w, b2), _dimer(region, w2, b)),
-    )
+    return FlipMove(removed=_dimers(region, ((w, b), (w2, b2))),
+                    inserted=_dimers(region, ((w, b2), (w2, b))))
 
 
 def _trio_table() -> tuple[tuple[tuple, tuple, int], ...]:
@@ -180,12 +163,6 @@ def _cube_trios(cubes: Sequence[tuple[int, ...]], mate: Sequence[int],
     return found
 
 
-def _trits(region: Region, mate: Sequence[int]) -> list[tuple[int, tuple]]:
-    """(anchor rank, _TRIOS entry) of each trit in find_trits order."""
-    cubes = region.cube_table.cubes
-    return _cube_trios(cubes, mate, range(len(cubes)))
-
-
 def _is_white(region: Region, c: int) -> bool:
     """Whether cell c is white: on a box or torus from the parity of its
     coordinates, read off its index without the cell tables; on a voxel
@@ -216,12 +193,9 @@ def _cube_anchor(region: Region, cube: Sequence[int]) -> Cell:
 def _trit_move(region: Region, r: int, entry: tuple) -> TritMove:
     cube = region.cube_table.cubes[r]
     removed, inserted, sign = entry
-    return TritMove(
-        removed=tuple(_dimer(region, cube[i], cube[j]) for i, j in removed),
-        inserted=tuple(_dimer(region, cube[i], cube[j]) for i, j in inserted),
-        anchor=_cube_anchor(region, cube),
-        sign=sign,
-    )
+    return TritMove(removed=_dimers(region, _oriented(region, cube, removed)),
+                    inserted=_dimers(region, _oriented(region, cube, inserted)),
+                    anchor=_cube_anchor(region, cube), sign=sign)
 
 
 def apply_trit(t: Tiling, m: TritMove) -> Tiling:
@@ -245,13 +219,14 @@ def _normalize_moves(moves: str) -> frozenset:
 class WalkState:
     """A tiling being walked: a mutable mate array plus an index of its moves.
 
-    The index lists the same moves as find_flips + find_trits of the current
-    tiling, in the same order (flips only or trits only when `moves` says
-    so). A move is stale exactly when it uses a dimer that a step removes,
-    so a step drops the moves keyed by the removed dimers and rescans only
-    the inserted dimers for flips and the cubes around the changed cells for
-    trits: a step costs work in proportion to the move's neighbourhood, not
-    to the tiling.
+    A fresh index is find_flips + find_trits of the tiling (flips only or
+    trits only when `moves` says so), as those two read it, and a step
+    keeps the index equal to a fresh one of the new tiling. A move is stale
+    exactly when it uses a dimer that a step removes, so a step drops the
+    moves keyed by the removed dimers and rescans only the inserted dimers
+    for flips and the cubes around the changed cells for trits: a step
+    costs work in proportion to the move's neighbourhood, not to the
+    tiling.
 
     A walk steps in index space: step(k) reads the k-th move's entry in the
     index and applies it as (white, black) cell index pairs, so it builds no
@@ -273,7 +248,8 @@ class WalkState:
         self._trit_moves = "trit" in move_set
         # One index of both kinds. A flip is keyed white * 6 + direction by
         # its first removed dimer, a trit 6 * n_cells + anchor rank, so the
-        # sorted keys list flips then trits in find_flips/find_trits order.
+        # sorted keys list flips by white cell and direction, then trits by
+        # anchor rank.
         # key -> a flip's cells (w, b, w2, b2) or a trit's _TRIOS entry
         self._moves: dict[int, tuple] = {}
         self._trit_base = 6 * region.n_cells

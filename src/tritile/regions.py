@@ -39,6 +39,7 @@ AXIS_NAMES = ("x", "y", "z")
 #: position of offset (dx, dy, dz) is 4 dx + 2 dy + dz.
 CUBE_OFFSETS: tuple[Cell, ...] = tuple(product((0, 1), repeat=3))
 
+#: Largest voxel coordinate magnitude; a box or torus size past it has over CELL_LIMIT cells.
 COORD_LIMIT = 2**31 - 1
 
 #: Most cells a box or torus may have. A packed tiling keeps n + mate[i] - i,
@@ -404,8 +405,6 @@ def build_box(L: int, M: int, N: int) -> Region:
             raise RegionError("dimension", "box dimensions must be positive integers")
     if L % 2 and M % 2 and N % 2:
         raise RegionError("balance", "unbalanced region: all box dimensions are odd")
-    if max(L, M, N) > COORD_LIMIT:
-        raise RegionError("dimension", "box dimension exceeds coordinate range")
     _refuse_past_cell_limit("box", (L, M, N))
     return _UnbuiltRegion("box", None, parity=0, dims=(L, M, N))
 
@@ -415,8 +414,6 @@ def build_torus(a: int, b: int, c: int) -> Region:
     for v in (a, b, c):
         if not _is_int(v) or v < 2 or v % 2:
             raise RegionError("parity", "torus periods must be even integers >= 2")
-    if max(a, b, c) > COORD_LIMIT:
-        raise RegionError("dimension", "torus period exceeds coordinate range")
     _refuse_past_cell_limit("torus", (a, b, c))
     return _UnbuiltRegion("torus", None, parity=0, periods=(a, b, c))
 

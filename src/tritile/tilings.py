@@ -13,7 +13,7 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from functools import lru_cache
 from itertools import chain, starmap
-from operator import itemgetter
+from operator import index as operator_index, itemgetter
 from struct import pack, unpack
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -159,6 +159,13 @@ def _direction(region: Region, white: Cell, black: Cell) -> Cell:
     return tuple(1 if d and p == 2 else d for d, p in zip(step, region.periods))
 
 
+def _dimers(region: Region, pairs: Iterable[tuple[int, int]]) -> tuple[Dimer, ...]:
+    """The Dimer of each (white, black) cell index pair, in order."""
+    cells = region.cells
+    return tuple(Dimer(cells[w], cells[b], _direction(region, cells[w], cells[b]))
+                 for w, b in pairs)
+
+
 # Tilings keep their mate arrays packed as 4-byte C ints.
 assert array("i").itemsize == 4, "array('i') must hold 4-byte ints"
 
@@ -224,7 +231,13 @@ def _checked_mate(region: Region, pairs: Iterable[tuple[int, int]]) -> array:
     n, step = region.n_cells, region.step_table
     mate = array("i", [-1]) * n
     firsts = []
-    for w, b in pairs:
+    for pair in pairs:
+        try:
+            w, b = pair
+        except (TypeError, ValueError):
+            raise ValueError("dimer %r is not a pair of cell indices" % (pair,)) from None
+        if type(w) is not int or type(b) is not int:
+            w, b = _cell_index(pair, w), _cell_index(pair, b)
         if not (0 <= w < n and 0 <= b < n):
             raise ValueError("dimer (%r, %r) has a cell index outside 0..%d" % (w, b, n - 1))
         if b not in step[w]:
@@ -241,6 +254,18 @@ def _checked_mate(region: Region, pairs: Iterable[tuple[int, int]]) -> array:
         w = next(w for w in firsts if colors[w] == 1)
         raise ValueError("mis-colored dimer (%d, %d)" % (w, mate[w]))
     return mate
+
+
+def _cell_index(pair, i) -> int:
+    """A cell index of a pair given to Tiling(region, pairs): an integer,
+    numpy's included, read through operator.index. A bool, a float or a
+    string is refused, not truncated."""
+    if not isinstance(i, bool):
+        try:
+            return operator_index(i)
+        except TypeError:
+            pass
+    raise ValueError("dimer %r has a cell index %r that is not an integer" % (pair, i))
 
 
 class Tiling:
@@ -331,11 +356,7 @@ class Tiling:
     @property
     def dimers(self) -> tuple[Dimer, ...]:
         if self._dimers is None:
-            cells = self.region.cells
-            self._dimers = tuple(
-                Dimer(cells[wi], cells[bi], _direction(self.region, cells[wi], cells[bi]))
-                for wi, bi in self.pairs
-            )
+            self._dimers = _dimers(self.region, self.pairs)
         return self._dimers
 
     @property

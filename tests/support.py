@@ -16,7 +16,7 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from tritile import (
-    Dimer, Region, Tiling, TritMove, WalkState, apply_flip, apply_trit,
+    Dimer, FlipMove, Region, Tiling, TritMove, WalkState, apply_flip, apply_trit,
     base_tiling, build_box, build_voxel_region, cutting_surface, diff_cycles,
     find_flips, find_trits, flux, flux_through_surface, refine_region, twist,
 )
@@ -24,7 +24,7 @@ from tritile import moves as mv
 from tritile import heights
 from tritile.heights import INF, HeightField, TilingClass, enumerate_surface_tilings
 from tritile.moves import LabelledComponent, _normalize_moves
-from tritile.fluxtwist import _TANGENT_AXES
+from tritile.fluxtwist import _TANGENT_AXES, Square
 from tritile.harness import start_tiling
 from tritile.regions import AXIS_NAMES, DIR_AXIS, DIRECTIONS, BudgetExceeded, _coordinate
 from tritile.tilings import Pairs, _axis_index, _direction
@@ -277,6 +277,40 @@ def slow_modulus(t: Tiling) -> int:
     for k in range(3):
         m = gcd(m, abs(flux_through_surface(t, cutting_surface(t.region, k, 0))))
     return m
+
+
+def slow_closed_box_squares(corner, dims) -> tuple:
+    """closed_box_surface's squares, face by face: per normal axis k, the
+    low face (orientation -1) then the high face (+1), each over its
+    tangent axes (u, v) with u outermost."""
+    squares = []
+    for k in range(3):
+        u, v = _TANGENT_AXES[k]
+        for level, orientation in ((corner[k], -1), (corner[k] + dims[k], 1)):
+            for i in range(dims[u]):
+                for j in range(dims[v]):
+                    c2 = [0, 0, 0]
+                    c2[k] = 2 * level
+                    c2[u] = 2 * (corner[u] + i) + 1
+                    c2[v] = 2 * (corner[v] + j) + 1
+                    squares.append(Square(tuple(c2), k, orientation))
+    return tuple(squares)
+
+
+def slow_cutting_squares(region, axis: int, level) -> tuple:
+    """cutting_surface's squares: every square of the torus plane normal to
+    the axis at floor(level), modulo the period, normals along +axis."""
+    c = int(level // 1) % region.periods[axis]
+    u, v = _TANGENT_AXES[axis]
+    squares = []
+    for i in range(region.periods[u]):
+        for j in range(region.periods[v]):
+            c2 = [0, 0, 0]
+            c2[axis] = 2 * c
+            c2[u] = 2 * i + 1
+            c2[v] = 2 * j + 1
+            squares.append(Square(tuple(c2), axis, 1))
+    return tuple(squares)
 
 
 def slow_vertex_flow(v, t: Tiling, s) -> int:
@@ -533,12 +567,19 @@ def slow_checked_pairs(region, pairs) -> list:
     """Tiling(region, pairs)' reference: the (white cell, black cell) pairs
     of (white, black) cell index pairs that match each cell of the region
     exactly once across a face. Raises ValueError for an index outside the
-    region, a pair that is not white then black by the colour of each
-    cell's coordinate sum, or not adjacent by raw coordinates
-    (adjacent_cells), and a cell covered other than once."""
+    region, an item that is not a tuple or list of two integers (an index
+    that is a bool, a float or a string included), a pair that is not
+    white then black by the colour of each cell's coordinate sum, or not
+    adjacent by raw coordinates (adjacent_cells), and a cell covered other
+    than once."""
     cells = region.cells
     out = []
-    for w, b in pairs:
+    for pair in pairs:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ValueError("not a pair of cell indices")
+        if any(isinstance(i, bool) or not hasattr(type(i), "__index__") for i in pair):
+            raise ValueError("a cell index is not an integer")
+        w, b = map(int, pair)
         if not (0 <= w < len(cells) and 0 <= b < len(cells)):
             raise ValueError("cell index outside the region")
         white, black = cells[w], cells[b]
@@ -708,18 +749,58 @@ def _rewired(mate: Sequence[int], inserted: Iterable[tuple[int, int]]) -> tuple[
     return tuple(new)
 
 
+def slow_flips(t: Tiling) -> list:
+    """(w, b, w2, b2) of each flip of t in find_flips order: the dimers
+    (w, b) and (w2, b2), white cell first, with w < w2, from one pass over
+    every dimer's slab partners (moves._slab_partners)."""
+    step, mate = t.region.step_table, t.mate
+    return [(w, b, w2, b2) for w, b in t.pairs
+            for _e, w2, b2 in mv._slab_partners(step, w, b) if w2 > w and mate[w2] == b2]
+
+
+def slow_trits(region, mate) -> list:
+    """(anchor rank, _TRIOS entry) of each trit in find_trits order: every
+    cube of the cube_table through moves._cube_trios, looked up at call
+    time, so a test that patches moves._TRIOS reaches it too."""
+    cubes = region.cube_table.cubes
+    return mv._cube_trios(cubes, mate, range(len(cubes)))
+
+
+def slow_find_flips(t: Tiling) -> list:
+    """find_flips from slow_flips, each Dimer oriented by region.color."""
+    region, cells = t.region, t.region.cells
+    return [FlipMove(removed=(_cell_dimer(region, cells[w], cells[b]),
+                              _cell_dimer(region, cells[w2], cells[b2])),
+                     inserted=(_cell_dimer(region, cells[w], cells[b2]),
+                               _cell_dimer(region, cells[w2], cells[b])))
+            for w, b, w2, b2 in slow_flips(t)]
+
+
+def slow_find_trits(t: Tiling) -> list:
+    """find_trits from slow_trits, each Dimer oriented by region.color."""
+    region, cells = t.region, t.region.cells
+    cubes = region.cube_table.cubes
+    out = []
+    for r, (removed, inserted, sign) in slow_trits(region, t.mate):
+        cube = cubes[r]
+        out.append(TritMove(
+            removed=tuple(_cell_dimer(region, cells[cube[i]], cells[cube[j]]) for i, j in removed),
+            inserted=tuple(_cell_dimer(region, cells[cube[i]], cells[cube[j]])
+                           for i, j in inserted),
+            anchor=mv._cube_anchor(region, cube), sign=sign))
+    return out
+
+
 def _move_targets(t: Tiling, move_set: frozenset) -> Iterator[tuple[tuple[int, ...], str, int]]:
     """(mate array of the target, kind, sign) of each move of t, in
-    find_flips then find_trits order. The scans are looked up on
-    tritile.moves at call time, so a test that patches moves._TRIOS
-    reaches this oracle too."""
+    find_flips then find_trits order, from slow_flips and slow_trits."""
     mate = t.mate
     if "flip" in move_set:
-        for w, b, w2, b2 in mv._flips(t):
+        for w, b, w2, b2 in slow_flips(t):
             yield _rewired(mate, ((w, b2), (w2, b))), "flip", 0
     if "trit" in move_set:
         cubes = t.region.cube_table.cubes
-        for r, (_removed, inserted, sign) in mv._trits(t.region, mate):
+        for r, (_removed, inserted, sign) in slow_trits(t.region, mate):
             cube = cubes[r]
             yield _rewired(mate, ((cube[i], cube[j]) for i, j in inserted)), "trit", sign
 
@@ -728,8 +809,8 @@ def move_graph(tilings: Iterable[Tiling], moves: str) -> MoveGraph:
     """Build the move graph over a complete enumeration of a region's tilings.
 
     The scan runs in index space. Each input tiling is hashed once and
-    indexed by its exact mate array. Moves come from the scans behind
-    find_flips and find_trits (_flips, _trits), in their order, and a trit's
+    indexed by its exact mate array. Moves come from the oracle scans
+    slow_flips and slow_trits, in find_flips and find_trits order, and a trit's
     new cells from its _TRIOS entry. A neighbour's mate array is a copy with
     the moved cells' entries rewritten, looked up exactly, so no Tiling is
     built or hashed per edge and a hash64 collision cannot attach an edge to
@@ -907,8 +988,8 @@ def slow_move_reader(region, move_set):
     """read(key) -> (handled, counted): the moves the components engine
     handles at one packed key, as (target key, trit count), and how many
     it only counts, by rescanning the key's geometry: the flips of every
-    white cell's dimer along _UPWARD and the trits through moves._trits
-    and the moves._TRIOS entries it yields, looked up at call time."""
+    white cell's dimer along _UPWARD and the trits through slow_trits and
+    the moves._TRIOS entries it yields, looked up at call time."""
     layout = mv._key_struct(region.n_cells)
     unpack, code = layout.unpack, layout.format[-1]
     step = region.step_table
@@ -939,7 +1020,7 @@ def slow_move_reader(region, move_set):
                         new[w], new[b2], new[w2], new[b] = b2, w, b, w2
                         handled.append((new.tobytes(), 0))
         if cubes is not None:
-            for r, (_removed, inserted, sign) in mv._trits(region, mate):
+            for r, (_removed, inserted, sign) in slow_trits(region, mate):
                 if sign < 0:
                     counted += 1
                     continue

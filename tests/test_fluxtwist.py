@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import defaultdict
 from itertools import islice, product
 
@@ -17,8 +18,9 @@ from tritile import fluxtwist
 from tritile.harness import _EULER_BOXES, walk_states
 from tritile.tilings import _mates, diff_cycles
 from support import (
-    always_positive_trits, bfs_trit_labeling, bisect_twist, move_graph, pinwheel_N1, slow_flux,
-    slow_modulus, slow_twist, slow_vertex_flow, tiling_tA, tiling_tB,
+    always_positive_trits, bfs_trit_labeling, bisect_twist, move_graph, pinwheel_N1,
+    slow_closed_box_squares, slow_cutting_squares, slow_flux, slow_modulus, slow_twist,
+    slow_vertex_flow, tiling_tA, tiling_tB,
 )
 
 
@@ -827,3 +829,46 @@ def test_flux_vector_equality():
     assert f == (0, 0, 0)
     assert f != (0, 0, 1)
     assert isinstance(f, FluxVector)
+
+
+# -- surfaces laid plane by plane ------------------------------------------
+
+#: The sub-boxes of box 8^3 whose closed surfaces the benchmark's
+#: invariants workload reads, as (corner, dims).
+_SUB_BOXES_8 = (((1, 1, 1), (2, 2, 2)), ((0, 0, 0), (4, 4, 4)),
+                ((2, 1, 3), (5, 6, 3)), ((0, 0, 0), (7, 7, 7)))
+
+
+@pytest.mark.parametrize("region, corner, dims",
+                         [(build_box(8, 8, 8), c, d) for c, d in _SUB_BOXES_8]
+                         + [(build_torus(4, 4, 4), (1, 2, 3), (2, 3, 1))])
+def test_closed_box_surface_lays_the_oracle_squares(region, corner, dims):
+    s = closed_box_surface(region, corner, dims)
+    # the oracle's squares go through the same normalisation onto a torus
+    expected = DiscreteSurface(region, slow_closed_box_squares(corner, dims))
+    assert s.squares == expected.squares
+    assert s.to_list() == expected.to_list()
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("level", [-1, 0, 2.5, 7])
+def test_cutting_surface_lays_the_oracle_squares(axis, level):
+    region = build_torus(2, 4, 6)
+    s = cutting_surface(region, axis, level)
+    expected = DiscreteSurface(region, slow_cutting_squares(region, axis, level))
+    assert s.squares == expected.squares
+    assert s.to_list() == expected.to_list()
+
+
+def test_flux_through_a_surface_of_another_region_names_a_missing_vertex():
+    s = closed_box_surface(build_box(8, 8, 8), (4, 4, 4), (2, 2, 2))
+    small = base_tiling(build_box(4, 4, 4), 0)
+    message = re.escape("surface vertex (4, 4, 4) is not a cell of the tiling's region")
+    with pytest.raises(ValueError, match=message):
+        flux_through_surface(small, s)
+    with pytest.raises(ValueError, match=message):
+        surface_predicates(small, small, s)
+    # every vertex of the surface is a cell of box 10^3
+    large = walk_states(build_box(10, 10, 10), "flip+trit", 40, 2)[-1]
+    assert flux_through_surface(base_tiling(build_box(10, 10, 10), 0), s) == 0
+    assert flux_through_surface(large, s) == 0

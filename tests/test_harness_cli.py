@@ -67,6 +67,30 @@ def test_enumerate_rejects_all_odd_box(capsys):
     assert "all box dimensions are odd" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["box", "2", "2"], "tritile: error: invalid region spec at position 3: box takes 3 sizes"),
+    (["box", "2", "x", "2"],
+     "tritile: error: invalid region spec at position 2: 'x' is not an integer"),
+    (["voxels"], "tritile: error: invalid region spec at position 1: voxels takes a file"),
+    (["blob", "1", "2", "3"],
+     "tritile: error: invalid region spec at position 0: unknown kind 'blob'"),
+    ([""], "tritile: error: invalid region spec at position 0: unknown kind ''"),
+    # argparse refuses an empty region before the region spec is read
+    ([], "tritile enumerate: error: the following arguments are required: region"),
+    (["box", "2147483648", "1", "1", "--count-only"],
+     "tritile: error: invalid region: box 2147483648 1 1 has 2147483648 cells,"
+     " more than the limit of 1073741824"),
+], ids=["two-sizes", "not-an-integer", "no-file", "unknown-kind", "empty-kind", "no-region",
+        "past-the-cell-limit"])
+def test_a_malformed_region_spec_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate"] + argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("\n" + message + "\n")
+
+
 def test_enumerate_csv_golden(capsys):
     code, out = run(capsys, "enumerate", "box", "2", "2", "1", "--format", "csv")
     assert code == 0

@@ -424,6 +424,16 @@ def test_surface_validation():
                       [("a", "b", INF, INF)], [])
 
 
+def test_surface_refuses_no_vertices_and_a_face_that_is_not_a_4_cycle():
+    with pytest.raises(ValueError, match="surface has no vertices"):
+        CoquadSurface({}, [], [])
+    # four edges of face f from one black vertex: it has degree 4
+    colors = {"b": 1, "w1": -1, "w2": -1, "w3": -1, "w4": -1}
+    edges = [("b", w, "f", INF) for w in ("w1", "w2", "w3", "w4")]
+    with pytest.raises(ValueError, match="face 'f' is not bounded by a 4-cycle"):
+        CoquadSurface(colors, edges, ["f"])
+
+
 DIFFERENTIAL_SURFACES = {
     "square2": lambda: rect(2, 2), "square4": lambda: rect(4, 4),
     "rect6x4": rect_6x4, "ring6x6": ring_6x6, "l_shape": l_shape_6x6,

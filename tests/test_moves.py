@@ -6,7 +6,7 @@ from struct import Struct
 import pytest
 
 from tritile import (
-    RegionError, Tiling, TritMove, apply_flip, apply_trit, base_tiling, build_box,
+    FlipMove, RegionError, Tiling, TritMove, apply_flip, apply_trit, base_tiling, build_box,
     build_torus, build_voxel_region, count_tilings, enumerate_tilings,
     find_flips, find_trits, labelled_components, twist,
 )
@@ -18,9 +18,9 @@ from tritile.moves import (
     _normalize_moves, _pack_keys,
 )
 from support import (
-    aliased_torus_trits, bfs_trit_labeling, corner_cut_cube, move_graph, pinwheel_N1, pinwheel_N2,
-    slow_labelled_components, slow_move_graph, slow_move_reader, slow_trit_move, tiling_tA,
-    tiling_tB,
+    aliased_torus_trits, bfs_trit_labeling, corner_cut_cube, l_shape_region, move_graph,
+    pinwheel_N1, pinwheel_N2, slow_find_flips, slow_find_trits, slow_labelled_components,
+    slow_move_graph, slow_move_reader, slow_trit_move, tiling_tA, tiling_tB,
 )
 
 
@@ -653,3 +653,32 @@ def test_labelled_components_input_checks():
         labelled_components(mixed, "flip")
     with pytest.raises(ValueError, match="moves must be"):
         labelled_components(mixed[:1], {"flip"})
+
+
+# -- find_flips and find_trits list a fresh WalkState index ---------------
+
+def _assert_moves_match_the_oracle(t) -> int:
+    """Check find_flips and find_trits of t against the oracle scans; return
+    the number of trits found."""
+    flips, trits = find_flips(t), find_trits(t)
+    assert flips == slow_find_flips(t)
+    assert trits == slow_find_trits(t)
+    assert all(type(m) is FlipMove for m in flips)
+    assert all(type(m) is TritMove for m in trits)
+    return len(trits)
+
+
+def test_find_moves_match_the_oracle_on_every_3x3x2_tiling():
+    tilings = list(enumerate_tilings(build_box(3, 3, 2)))
+    assert len(tilings) == 229
+    assert sum(map(_assert_moves_match_the_oracle, tilings)) > 0
+
+
+# meets_trits: whether some state of the walk holds a trit
+@pytest.mark.parametrize("build, seed, meets_trits", [
+    (lambda: build_torus(2, 2, 2), 1, False), (lambda: build_torus(2, 4, 6), 4, True),
+    (l_shape_region, 3, False), (corner_cut_cube, 10, True),
+], ids=["torus-2x2x2", "torus-2x4x6", "l-shape", "corner-cut"])
+def test_find_moves_match_the_oracle_along_a_walk(build, seed, meets_trits):
+    states = walk_states(build(), "flip+trit", 150, seed)
+    assert (sum(map(_assert_moves_match_the_oracle, states)) > 0) == meets_trits

@@ -410,6 +410,25 @@ def test_box_and_torus_past_the_cell_limit_are_refused(build):
         r.kind, 2**20 * 1026, 2**30)
 
 
+@pytest.mark.parametrize("build, sizes",
+                         [(build_box, (2**31, 1, 1)), (build_torus, (2, 2, 2**31))],
+                         ids=["box", "torus"])
+def test_a_size_past_the_coordinate_range_is_past_the_cell_limit(build, sizes):
+    # every other box size is at least 1 and every torus period at least 2,
+    # so a size above 2^31 - 1 means more than 2^30 cells
+    with pytest.raises(RegionError) as exc:
+        build(*sizes)
+    assert exc.value.condition == "dimension"
+    n = sizes[0] * sizes[1] * sizes[2]
+    assert str(exc.value) == "%s %d %d %d has %d cells, more than the limit of %d" % (
+        build.__name__[len("build_"):], *sizes, n, CELL_LIMIT)
+
+
+def test_region_from_dict_refuses_what_is_not_an_object():
+    with pytest.raises(RegionError, match="region must be a JSON object"):
+        region_from_dict("x")
+
+
 def test_box_rejects_bool_dimension():
     with pytest.raises(RegionError) as exc:
         build_box(True, 2, 2)

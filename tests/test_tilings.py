@@ -929,7 +929,8 @@ def _edit_pairs(pairs: list, edit: str, k: int, n: int) -> None:
     if not pairs:
         return
     i = k % len(pairs)
-    w, b = pairs[i]
+    # a three-item edit leaves a pair's first two items in place
+    w, b = pairs[i][0], pairs[i][1]
     if edit == "negative":
         pairs[i] = (-1 - k % 3, b) if k % 2 else (w, -1 - k % 3)
     elif edit == "past-n":
@@ -947,12 +948,21 @@ def _edit_pairs(pairs: list, edit: str, k: int, n: int) -> None:
         # another tiling, when both new pairs share a face
         j = k // len(pairs) % len(pairs)
         pairs[i], pairs[j] = (w, pairs[j][1]), (pairs[j][0], b)
+    elif edit == "float":
+        pairs[i] = (float(w), b) if k % 2 else (w, float(b))
+    elif edit == "bool":
+        # True where the index is 1 (and False where it is 0) would name a cell
+        pairs[i] = (bool(w), b) if k % 2 else (w, bool(b))
+    elif edit == "string":
+        pairs[i] = (str(w), b) if k % 2 else (w, str(b))
+    elif edit == "three":
+        pairs[i] = (w, b, k % n)
     else:
         random.Random(k).shuffle(pairs)
 
 
 _EDITS = ("negative", "past-n", "reverse", "duplicate", "drop", "any-cell", "swap-partners",
-          "shuffle")
+          "float", "bool", "string", "three", "shuffle")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -972,6 +982,38 @@ def test_the_constructor_refuses_exactly_what_the_oracle_refuses(which, pick, ed
     t = Tiling(region, pairs)
     assert t == Tiling.from_cell_pairs(region, cell_pairs)
     assert type(t.pairs) is Pairs and tuple(t.pairs) == tuple(sorted(pairs))
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(1.0, 0)], "dimer (1.0, 0) has a cell index 1.0 that is not an integer"),
+    ([("1", 0)], "dimer ('1', 0) has a cell index '1' that is not an integer"),
+    ([(True, 0)], "dimer (True, 0) has a cell index True that is not an integer"),
+    ([(1, False)], "dimer (1, False) has a cell index False that is not an integer"),
+    ([(1, 0, 2)], "dimer (1, 0, 2) is not a pair of cell indices"),
+    ([(1,)], "dimer (1,) is not a pair of cell indices"),
+    ([1], "dimer 1 is not a pair of cell indices"),
+])
+def test_the_constructor_names_a_pair_that_is_not_two_indices(pairs, message):
+    with pytest.raises(ValueError) as exc:
+        Tiling(build_box(2, 1, 1), pairs)
+    assert str(exc.value) == message
+
+
+class _Index:
+    """An integer type other than int, as numpy's are: it has __index__."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_the_constructor_reads_other_integer_types_through_index():
+    region = build_box(2, 2, 1)
+    t = Tiling(region, [[_Index(1), _Index(0)], (_Index(2), 3)])
+    assert t == Tiling(region, [(1, 0), (2, 3)])
+    assert tuple(t.pairs) == ((1, 0), (2, 3)) and all(type(i) is int for p in t.pairs for i in p)
 
 
 @pytest.mark.parametrize("build, sizes", [(build_box, (4, 4, 4)), (build_torus, (2, 2, 4))])
@@ -1026,6 +1068,11 @@ def test_a_dropped_k2_refinement_holds_under_half_a_mb():
 
 
 # -- JSON readers refuse unknown keys ------------------------------------
+
+def test_tiling_from_dict_needs_a_region():
+    with pytest.raises(ValueError, match="no region given and none embedded in the tiling"):
+        tiling_from_dict({"dimers": []})
+
 
 @pytest.mark.parametrize("doc, key", [
     ({"region": {"kind": "box", "dims": [2, 2, 1]}, "dimers": [], "extra": 1}, "'extra'"),

@@ -1,12 +1,15 @@
 """The incremental walk engine against full rescans.
 
 At every step of seeded walks, WalkState's move list must equal
-find_flips + find_trits of a freshly built snapshot, and the invariants the
-walk tracks incrementally (twist on boxes, flux on tori) must equal a full
-recompute. The hashes a VisitedHashes batches from the dimers each step
-inserts must equal a snapshot's hash64 read after every step, and the
-index-space WalkState.step must insert the same dimers, with the same sign,
-as apply(move(k)), and leave the same move index.
+find_flips + find_trits of a freshly built snapshot, which list a fresh
+WalkState's index: a step keeps the index equal to a fresh one (the fresh
+scans are checked against tests/support.py's oracle scans in
+test_moves.py). The invariants the walk tracks incrementally (twist on
+boxes, flux on tori) must equal a full recompute. The hashes a
+VisitedHashes batches from the dimers each step inserts must equal a
+snapshot's hash64 read after every step, and the index-space
+WalkState.step must insert the same dimers, with the same sign, as
+apply(move(k)), and leave the same move index.
 """
 import random
 
