@@ -18,7 +18,7 @@ from struct import pack, unpack
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .regions import (
-    AXIS_NAMES, BudgetExceeded, Cell, Region, _coordinate, _index_array, _lane_sum,
+    AXIS_NAMES, BudgetExceeded, Cell, Region, _BLOCK, _coordinate, _index_array, _lane_sum,
     refine_region, region_from_dict,
 )
 
@@ -223,16 +223,19 @@ class Pairs(SequenceABC):
 
 
 def _checked_mate(region: Region, pairs: Iterable[tuple[int, int]]) -> array:
-    """The mate array of (white, black) cell index pairs that match each
-    cell exactly once across a face, or ValueError naming the first pair or
-    cell that does not. Only the step table and Region.whites are read
-    unless it raises: adjacent cells have opposite colours, so in a perfect
-    matching the first cells are white iff they are Region.whites."""
+    """The mate array of (white, black) cell index pairs, each a tuple or a
+    list, that match each cell exactly once across a face, or ValueError
+    naming the first pair or cell that does not. Only the step table and
+    Region.whites are read unless it raises: adjacent cells have opposite
+    colours, so in a perfect matching the first cells are white iff they
+    are Region.whites."""
     n, step = region.n_cells, region.step_table
     mate = array("i", [-1]) * n
     firsts = []
     for pair in pairs:
         try:
+            if type(pair) is not tuple and not isinstance(pair, (tuple, list)):
+                raise TypeError
             w, b = pair
         except (TypeError, ValueError):
             raise ValueError("dimer %r is not a pair of cell indices" % (pair,)) from None
@@ -765,16 +768,12 @@ def _lattice_refined_mate(t: Tiling, region2: Region, scale: int) -> array:
     return _mate_of_offsets(delta)
 
 
-#: Cells whose mate entries _mate_of_offsets reads off at once, in ints
-#: of 64 KB (blocks of 256 KB lifted the invariants workload's peak RSS by
-#: 1.5 MB at no gain in time).
-_BLOCK = 1 << 14
-
-
 def _mate_of_offsets(offsets: array) -> array:
     """Turn a packed array of offsets n + mate[i] - i, over the n cells,
     into the mate array, in place and _BLOCK cells at a time: each block is
-    the _lane_sum of its offsets and its cell indices, less n."""
+    the _lane_sum of its offsets and its cell indices, less n. A block's
+    indices are a copy from the 64 KB at most that _index_array keeps for
+    the process, so no block builds them again."""
     n = len(offsets)
     for start in range(0, n, _BLOCK):
         block = offsets[start:start + _BLOCK]

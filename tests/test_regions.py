@@ -1,6 +1,9 @@
 import pickle
 import random
+import tracemalloc
+from array import array
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -13,7 +16,10 @@ from support import (
     slow_link_is_disk, slow_manifold_violation, slow_neighbor_table, slow_octant_components,
 )
 from tritile.moves import _cube_anchor
-from tritile.regions import CELL_LIMIT, CUBE_OFFSETS, _component_count, _is_manifold_block
+from tritile.regions import (
+    _BLOCK, CELL_LIMIT, CUBE_OFFSETS, _component_count, _index_array, _is_manifold_block,
+    _lattice_whites,
+)
 from tritile.tilings import Pairs, _neighbor_rows
 
 
@@ -304,6 +310,42 @@ def test_box_and_torus_cell_tables_are_built_on_first_access():
     assert r.cells == tuple(sorted(r.cells))
     # a plain Region again: attribute reads skip the __getattr__ hook
     assert type(r) is Region
+
+
+def test_index_array_equals_range_whatever_was_asked_before():
+    sizes = (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+    for n in sizes + sizes[::-1]:
+        a = _index_array(n)
+        assert a == array("i", range(n))
+        # the array is the caller's: writing into it leaves the kept indices
+        a[:] = array("i", [-1]) * n
+        assert _index_array(n) == array("i", range(n))
+
+
+def _lattices():
+    """Every balanced box in 1..7 x 1..5 x 1..5, every torus with periods in
+    2, 4, 6, and two regions of more cells than one doubled run of
+    _lattice_whites spans."""
+    boxes = [build_box(*s) for s in product(range(1, 8), range(1, 6), range(1, 6))
+             if s[0] * s[1] * s[2] % 2 == 0]
+    tori = [build_torus(*s) for s in product((2, 4, 6), repeat=3)]
+    return boxes + tori + [build_box(40, 30, 30), build_torus(2, 150, 150)]
+
+
+def test_lattice_whites_are_the_cells_coloured_white():
+    for region in _lattices():
+        assert region.whites == array("i", [i for i, c in enumerate(region.colors) if c == -1])
+
+
+def test_lattice_whites_peak_under_one_and_a_half_times_their_size():
+    tracemalloc.start()
+    try:
+        whites = _lattice_whites((64, 64, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(whites) == 64 ** 3 // 2
+    assert peak < 1.5 * len(whites) * whites.itemsize
 
 
 def test_region_equality_ignores_built_tables():

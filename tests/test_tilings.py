@@ -720,6 +720,10 @@ def test_flip_is_an_involution(seed):
 # as recorded with one scalar splitmix64 call per dimer code
 _PAIRS_332 = [(1, 7), (2, 8), (5, 11), (6, 0), (9, 3), (10, 4), (13, 15), (14, 12), (17, 16)]
 _REFINED_332_HASH = 0x3C57BCC5BD3CA540
+# the hash64 of the k=2 refinement (250,000 cells, 16 blocks of the mate
+# array) of an 8-step walk state of torus 2x2x4 with dimers along all three
+# axes, two of them wrapping along z
+_REFINED_TORUS_224_HASH = 0x9F12C7B9683ACE0F
 
 
 def _rod(pairs: int) -> Tiling:
@@ -758,6 +762,12 @@ def test_hash64_of_a_refined_tiling_is_pinned():
     t = refine_tiling(Tiling(build_box(3, 3, 2), _PAIRS_332), 2)
     assert len(t.pairs) == 140_625
     assert t.hash64 == slow_hash64(t) == _REFINED_332_HASH
+
+
+def test_hash64_of_a_refined_torus_tiling_is_pinned():
+    t = refine_tiling(walk_states(build_torus(2, 2, 4), "flip+trit", 8, 1)[-1], 2)
+    assert len(t.pairs) == 125_000
+    assert t.hash64 == slow_hash64(t) == _REFINED_TORUS_224_HASH
 
 
 def test_walk_state_codes_equal_the_scalar_codes():
@@ -924,13 +934,19 @@ def _checked_cases(which: int) -> tuple:
     return region, walk_states(region, "flip+trit", 30, which)
 
 
+def _cells_of(pair) -> tuple:
+    """The two cells of an edited pair: a three-item edit leaves its first
+    two items in place, a dict edit holds them as keys, and a set edit as
+    members, in the set's order (a set of one cell gives it twice)."""
+    return (tuple(pair) * 2)[:2]
+
+
 def _edit_pairs(pairs: list, edit: str, k: int, n: int) -> None:
     """One edit of a pair list, in place, at pair k % len(pairs)."""
     if not pairs:
         return
     i = k % len(pairs)
-    # a three-item edit leaves a pair's first two items in place
-    w, b = pairs[i][0], pairs[i][1]
+    w, b = _cells_of(pairs[i])
     if edit == "negative":
         pairs[i] = (-1 - k % 3, b) if k % 2 else (w, -1 - k % 3)
     elif edit == "past-n":
@@ -947,7 +963,8 @@ def _edit_pairs(pairs: list, edit: str, k: int, n: int) -> None:
     elif edit == "swap-partners":
         # another tiling, when both new pairs share a face
         j = k // len(pairs) % len(pairs)
-        pairs[i], pairs[j] = (w, pairs[j][1]), (pairs[j][0], b)
+        wj, bj = _cells_of(pairs[j])
+        pairs[i], pairs[j] = (w, bj), (wj, b)
     elif edit == "float":
         pairs[i] = (float(w), b) if k % 2 else (w, float(b))
     elif edit == "bool":
@@ -957,12 +974,17 @@ def _edit_pairs(pairs: list, edit: str, k: int, n: int) -> None:
         pairs[i] = (str(w), b) if k % 2 else (w, str(b))
     elif edit == "three":
         pairs[i] = (w, b, k % n)
+    elif edit == "dict":
+        # unpacks to its keys, w then b, but is no pair
+        pairs[i] = dict.fromkeys((w, b))
+    elif edit == "set":
+        pairs[i] = {w, b}
     else:
         random.Random(k).shuffle(pairs)
 
 
 _EDITS = ("negative", "past-n", "reverse", "duplicate", "drop", "any-cell", "swap-partners",
-          "float", "bool", "string", "three", "shuffle")
+          "float", "bool", "string", "three", "dict", "set", "shuffle")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -992,6 +1014,8 @@ def test_the_constructor_refuses_exactly_what_the_oracle_refuses(which, pick, ed
     ([(1, 0, 2)], "dimer (1, 0, 2) is not a pair of cell indices"),
     ([(1,)], "dimer (1,) is not a pair of cell indices"),
     ([1], "dimer 1 is not a pair of cell indices"),
+    ([{1: "a", 0: "b"}], "dimer {1: 'a', 0: 'b'} is not a pair of cell indices"),
+    ([{0, 1}], "dimer {0, 1} is not a pair of cell indices"),
 ])
 def test_the_constructor_names_a_pair_that_is_not_two_indices(pairs, message):
     with pytest.raises(ValueError) as exc:
